@@ -82,9 +82,12 @@ def _quadrature_weights(params: DunklParams, L: float, nodes: np.ndarray) -> np.
     Cell masses (midpoint sampling) and hat-function masses (piecewise-linear
     sampling) carry sign-coherent leading errors from the non-smooth weight
     density in the ratio 1:2, so this combination cancels the coherent term
-    while keeping the total equal to the measure of (-L, L) exactly.  For a
-    locally polynomial density (the classical case, and kappa = 1/2) it
-    reproduces the exact cell masses.
+    while keeping the total equal to the measure of (-L, L) exactly.  It
+    reproduces the exact cell masses only where the density is locally
+    linear (everywhere in the classical case).  At kappa = 1/2, density
+    c * x^2, every cell but the two end ones gets the midpoint rule
+    c * h * x_j^2 instead, short of its cell mass by c * h^3 / 12: 25% of the
+    two central cells at N = 2048.
     """
     n = nodes.size
     g0 = weight_antiderivative(params, nodes)

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 INF = math.inf
+# Rows per chunk of the windowed weak-L1 statistic.
+_WEAK_CHUNK_ROWS = 16
 
 
 def _inv(p: float) -> float:
@@ -214,7 +216,12 @@ def _weak_rows_windowed(
     r: float,
 ) -> np.ndarray:
     """Weak-L1 norms of f * row where each row is supported on the annulus
-    {max(0,|y|-r) < |x| < |y|+r}; only the support columns are sorted."""
+    {max(0,|y|-r) < |x| < |y|+r}; only the support columns are sorted.
+
+    Rows are independent, so they are processed in chunks: the sort and
+    gather temporaries then stay small enough for the allocator to reuse,
+    instead of mapping (and faulting in) fresh pages on every call.
+    """
     n = nodes.size
     lo = np.maximum(0.0, np.abs(ys) - r)
     hi = np.abs(ys) + r
@@ -225,20 +232,25 @@ def _weak_rows_windowed(
     d = np.searchsorted(nodes, hi, side="left") + 1
     width = int(max(np.max(b - a), np.max(d - c), 1))
     offs = np.arange(width)
-    idx_neg = np.clip(a[:, None] + offs, 0, n - 1)
-    idx_pos = np.clip(c[:, None] + offs, 0, n - 1)
-    valid_neg = (a[:, None] + offs) < b[:, None]
-    valid_pos = (c[:, None] + offs) < d[:, None]
-    idx = np.concatenate([idx_neg, idx_pos], axis=1)
-    valid = np.concatenate([valid_neg, valid_pos], axis=1)
-    g = np.abs(fvals)[idx] * np.take_along_axis(rows, idx, axis=1)
-    g[~valid] = 0.0
-    w = weights[idx]
-    w[~valid] = 0.0
-    order = np.argsort(-g, axis=1, kind="stable")
-    gs = np.take_along_axis(g, order, axis=1)
-    cw = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
-    return np.max(gs * cw, axis=1)
+    absf = np.abs(fvals)
+    out = np.empty(ys.size)
+    for i in range(0, ys.size, _WEAK_CHUNK_ROWS):
+        k = slice(i, i + _WEAK_CHUNK_ROWS)
+        idx_neg = np.clip(a[k, None] + offs, 0, n - 1)
+        idx_pos = np.clip(c[k, None] + offs, 0, n - 1)
+        valid_neg = (a[k, None] + offs) < b[k, None]
+        valid_pos = (c[k, None] + offs) < d[k, None]
+        idx = np.concatenate([idx_neg, idx_pos], axis=1)
+        valid = np.concatenate([valid_neg, valid_pos], axis=1)
+        g = absf[idx] * np.take_along_axis(rows[k], idx, axis=1)
+        g[~valid] = 0.0
+        w = weights[idx]
+        w[~valid] = 0.0
+        order = np.argsort(-g, axis=1, kind="stable")
+        gs = np.take_along_axis(g, order, axis=1)
+        cw = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
+        out[k] = np.max(gs * cw, axis=1)
+    return out
 
 
 class WeakWindowWorkspace:

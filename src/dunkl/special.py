@@ -26,29 +26,64 @@ from .params import DunklParams
 __all__ = ["bessel_normalized", "dunkl_kernel", "kernel_values", "dunkl_derivative"]
 
 # Above this |z| the alternating series cancels catastrophically in double
-# precision (partial sums peak near exp(|z|)/sqrt(|z|)); switch to the
-# classical Bessel routine and renormalize.  At 10 the cancellation loss is
+# precision (partial sums peak near exp(|z|)/sqrt(|z|)); switch to a
+# large-argument route chosen by order.  At 10 the cancellation loss is
 # ~5e4 * eps, keeping absolute errors near 1e-12.
 _SERIES_CUTOFF = 10.0
 # Term-ratio stopping rule for the power series.
 _SERIES_TOL = 1e-17
 _MAX_TERMS = 200
+# Half-integer orders m + 1/2 with -1 <= m <= this use the closed forms.
+_HALF_INTEGER_MAX = 3
 
 
-def _series(order: float, z2: np.ndarray) -> np.ndarray:
-    """Power series for j_order evaluated at z^2 (arrays), all entries at once."""
+def _series(order: float, z2: np.ndarray, tol: float = _SERIES_TOL) -> np.ndarray:
+    """Power series for j_order evaluated at z^2 (arrays), all entries at once.
+
+    Summation stops once every term is below tol relative to its partial sum.
+    """
     term = np.ones_like(z2)
     total = np.ones_like(z2)
     for n in range(1, _MAX_TERMS):
         term = term * (-z2) / (4.0 * n * (n + order))
         total += term
-        if np.all(np.abs(term) < _SERIES_TOL * np.maximum(np.abs(total), 1e-300)):
+        if np.all(np.abs(term) < tol * np.maximum(np.abs(total), 1e-300)):
             return total
     raise RuntimeError("bessel series did not converge; |z| too large for series path")
 
 
-def _renormalized_jv(order: float, z: np.ndarray) -> np.ndarray:
-    """j_order(z) = 2^order * Gamma(order+1) * J_order(z) / z^order for z > 0."""
+def _half_integer(m: int, z: np.ndarray) -> np.ndarray:
+    """j_{m+1/2}(z) for -1 <= m from the sin/cos closed forms (DLMF 10.49).
+
+    With u_m = j_{m+1/2}: u_{-1} = cos z, u_0 = sin z / z and the spherical
+    Bessel recurrence (DLMF 10.51.1) becomes
+    u_{m+1} = (2m+1)(2m+3)/z^2 * (u_m - u_{m-1}).  Upward recurrence is
+    stable while z exceeds the order, which the cutoff guarantees here.
+    """
+    if m == -1:
+        return np.cos(z)
+    cur = np.sin(z) / z
+    if m == 0:
+        return cur
+    prev = np.cos(z)
+    inv_z2 = 1.0 / (z * z)
+    for n in range(m):
+        prev, cur = cur, (2 * n + 1) * (2 * n + 3) * inv_z2 * (cur - prev)
+    return cur
+
+
+def _large_argument(order: float, z: np.ndarray) -> np.ndarray:
+    """j_order(z) = 2^order * Gamma(order+1) * J_order(z) / z^order for
+    z > _SERIES_CUTOFF, by the cheapest exact route for the order: closed
+    forms for half-integer orders up to 7/2, scipy's j0/j1 for orders 0 and
+    1, and the general jv for every other order."""
+    if order == 0.0:
+        return _sp.j0(z)
+    if order == 1.0:
+        return 2.0 * _sp.j1(z) / z
+    m = order - 0.5
+    if m.is_integer() and -1 <= m <= _HALF_INTEGER_MAX:
+        return _half_integer(int(m), z)
     scale = 2.0**order * math.gamma(order + 1.0)
     return scale * _sp.jv(order, z) / z**order
 
@@ -71,8 +106,16 @@ def bessel_normalized(order: float, z):
         zs = a[small]
         out[small] = _series(order, zs * zs)
     if not np.all(small):
-        out[~small] = _renormalized_jv(order, a[~small])
+        out[~small] = _large_argument(order, a[~small])
     return out if out.ndim else float(out)
+
+
+def kernel_pair(params: DunklParams, s) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parts (j_k(s), s/(2k+2) j_{k+1}(s)) of E(i s) for real s;
+    every kernel evaluation in the package goes through this function."""
+    s = np.asarray(s, dtype=float)
+    k = params.kappa
+    return bessel_normalized(k, s), s / (2.0 * k + 2.0) * bessel_normalized(k + 1.0, s)
 
 
 def kernel_values(params: DunklParams, s) -> np.ndarray:
@@ -80,10 +123,8 @@ def kernel_values(params: DunklParams, s) -> np.ndarray:
     s_arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s_arr)):
         raise ValueError("s must be finite")
-    k = params.kappa
-    return bessel_normalized(k, s_arr) + 1j * s_arr / (2.0 * k + 2.0) * bessel_normalized(
-        k + 1.0, s_arr
-    )
+    a, b = kernel_pair(params, s_arr)
+    return a + 1j * b
 
 
 def dunkl_kernel(params: DunklParams, s: float) -> complex:

@@ -22,14 +22,26 @@ import numpy as np
 
 from .grid import Grid, GridFunction, make_grid
 from .params import DunklParams
-from .special import bessel_normalized
+from .special import kernel_pair
 
 __all__ = ["SpectralFunction", "forward", "inverse", "plancherel_defect"]
 
 # A spectral function is a grid function whose grid samples the frequency axis.
 SpectralFunction = GridFunction
 
-_CACHE_SIZE = int(os.environ.get("DUNKL_KERNEL_CACHE", "16"))
+
+def _cache_size() -> int:
+    """Kernel-cache capacity in entries from DUNKL_KERNEL_CACHE (default 16)."""
+    raw = os.environ.get("DUNKL_KERNEL_CACHE", "16")
+    if not raw.strip().isdecimal():
+        raise ValueError(f"DUNKL_KERNEL_CACHE must be an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
+_CACHE_SIZE = _cache_size()
+# Kernel blocks are built in row chunks of about this many elements, so the
+# Bessel temporaries stay small next to the cached blocks themselves.
+_CHUNK_ELEMENTS = 1 << 18
 _cache: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
 _cache_lock = threading.Lock()
 
@@ -68,9 +80,12 @@ def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
             ):
                 _cache.move_to_end(ckey)
                 return a[:m, :n], b[:m, :n]
-    s = np.outer(out_grid.positive_nodes, in_grid.positive_nodes)
-    a = bessel_normalized(params.kappa, s)
-    b = s / (2.0 * params.kappa + 2.0) * bessel_normalized(params.kappa + 1.0, s)
+    p, q = out_grid.positive_nodes, in_grid.positive_nodes
+    a = np.empty((m, n))
+    b = np.empty((m, n))
+    rows = max(1, _CHUNK_ELEMENTS // n)
+    for i in range(0, m, rows):
+        a[i : i + rows], b[i : i + rows] = kernel_pair(params, np.outer(p[i : i + rows], q))
     with _cache_lock:
         _cache[key] = (a, b)
         while len(_cache) > _CACHE_SIZE:
@@ -139,10 +154,7 @@ def inverse_pair(params: DunklParams, lg: Grid, xg: Grid, u: np.ndarray, v: np.n
 def multiplier_pair(params: DunklParams, lg: Grid, y: float):
     """Translation multiplier E(i l y) as a pair (even, odd) on the positive
     frequency half."""
-    s = lg.positive_nodes * float(y)
-    a = bessel_normalized(params.kappa, s)
-    b = s / (2.0 * params.kappa + 2.0) * bessel_normalized(params.kappa + 1.0, s)
-    return a, b
+    return kernel_pair(params, lg.positive_nodes * float(y))
 
 
 def pair_multiply(u, v, a, b):

@@ -20,7 +20,7 @@ import numpy as np
 from .grid import Grid, GridFunction, make_grid
 from .measure import ball_measure_origin
 from .params import DunklParams
-from .special import bessel_normalized
+from .special import bessel_normalized, kernel_pair
 from .transform import (
     _apply_forward,
     _apply_inverse,
@@ -108,9 +108,7 @@ def translate_indicator_rows(params: DunklParams, ys, r: float, grid: Grid) -> n
     lg = _band_grid(grid, _INDICATOR_BAND)
     m = ball_multiplier(params, lg, r)
     ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
-    s = np.outer(ya, lg.positive_nodes)
-    a = bessel_normalized(params.kappa, s)
-    b = s / (2.0 * params.kappa + 2.0) * bessel_normalized(params.kappa + 1.0, s)
+    a, b = kernel_pair(params, np.outer(ya, lg.positive_nodes))
     raw = inverse_pair(params, lg, grid, m * a, m * b)
     np.clip(raw, 0.0, 1.0, out=raw)
     absx = np.abs(grid.nodes)

@@ -20,7 +20,9 @@ from dunkl import (
     weak_l1_norm,
 )
 from dunkl.measure import ball_measure_origin, interval_measure
+from dunkl import norms
 from dunkl.norms import _interval_window_lq
+from dunkl.translation import translate_indicator_rows
 
 INF = math.inf
 
@@ -263,3 +265,22 @@ def test_weak_window_statistic_bounded_by_window_mass(setup):
     for y in (0.5, 2.0, 5.0):
         w = weak_l1_norm(chi * translate_indicator(p, -y, 4.0, g))
         assert w <= mu1 * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("r", [0.7, 3.0])
+def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
+    # row chunks reproduce the one-chunk statistic exactly, and the dense
+    # row-wise reference wherever the two support windows do not meet (|y| >= r)
+    p = DunklParams(0.5)
+    g = make_grid(p, 8.0, 512)
+    f = sample_family("gaussian", [0.6], g)
+    ys = g.nodes[g.node_count // 2 :: 5]
+    assert ys.size > 2 * norms._WEAK_CHUNK_ROWS
+    rows = translate_indicator_rows(p, -ys, r, g)
+    got = norms._weak_rows_windowed(rows, f.values, g.weights, g.nodes, ys, r)
+    monkeypatch.setattr(norms, "_WEAK_CHUNK_ROWS", ys.size)
+    whole = norms._weak_rows_windowed(rows, f.values, g.weights, g.nodes, ys, r)
+    np.testing.assert_array_equal(got, whole)
+    dense = norms._weak_rows(rows, f.values, g.weights)
+    far = ys >= r
+    np.testing.assert_array_equal(got[far], dense[far])

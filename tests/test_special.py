@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunkl import DunklParams, GridFunction, bessel_normalized, dunkl_derivative, dunkl_kernel, make_grid
-from dunkl.special import kernel_values
+from dunkl import transform
+from dunkl.special import _SERIES_CUTOFF, kernel_pair, kernel_values
+from dunkl.translation import _INDICATOR_BAND, ball_multiplier, translate_indicator_rows
+from dunkl.transform import inverse_pair, multiplier_pair
 
 
 def _series_oracle(order, z, terms=120):
@@ -52,6 +55,61 @@ def test_bessel_branches_agree_with_high_precision_oracle():
                 2.0**order * mpmath.gamma(order + 1) * mpmath.besselj(order, z) / mpmath.mpf(z) ** order
             )
             assert bessel_normalized(order, z) == pytest.approx(oracle, abs=1e-11)
+
+
+# Orders with their own large-argument route (half-integer closed forms, j0,
+# j1) and two general orders that keep jv.
+ROUTE_ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 3.5, 0.3, 2.2)
+ROUTE_Z = (0.5, 9.99, 10.01, 17.3, 64.0, 250.5, 1000.0)
+
+
+def _mp_normalized(order, z):
+    import mpmath
+
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        return float(2**order * mpmath.gamma(order + 1) * mpmath.besselj(order, z) / z**order)
+
+
+@pytest.mark.parametrize("order", ROUTE_ORDERS)
+def test_bessel_routes_match_mpmath_table(order):
+    assert ROUTE_Z[1] < _SERIES_CUTOFF < ROUTE_Z[2]
+    z = np.array(ROUTE_Z)
+    oracle = np.array([_mp_normalized(order, zz) for zz in ROUTE_Z])
+    np.testing.assert_allclose(bessel_normalized(order, z), oracle, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, 1.5, 0.3])
+def test_chunked_blocks_match_whole_array_evaluation(kappa, monkeypatch):
+    # 1000 elements per chunk forces several row chunks and a short last one
+    p = DunklParams(kappa, classical=kappa == -0.5)
+    xg, lg = make_grid(p, 8.0, 256), make_grid(p, 32.0, 200)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", 1000)
+    a, b = transform._blocks(p, lg, xg)
+    ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
+    np.testing.assert_allclose(a, ea, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(b, eb, rtol=0.0, atol=1e-15)
+
+
+def test_kernel_users_agree_with_evaluator():
+    p = DunklParams(1.5)
+    g = make_grid(p, 8.0, 256)
+    lg = make_grid(p, _INDICATOR_BAND * 8.0, 256)
+    y, ys, r = 2.7, [-3.1, 0.4, 5.0], 1.25
+    a, b = kernel_pair(p, lg.positive_nodes * y)
+    ma, mb = multiplier_pair(p, lg, y)
+    np.testing.assert_array_equal(ma, a)
+    np.testing.assert_array_equal(mb, b)
+    s = np.linspace(-60.0, 60.0, 241)
+    a, b = kernel_pair(p, s)
+    np.testing.assert_array_equal(kernel_values(p, s), a + 1j * b)
+    a, b = kernel_pair(p, np.outer(ys, lg.positive_nodes))
+    m = ball_multiplier(p, lg, r)
+    raw = np.clip(inverse_pair(p, lg, g, m * a, m * b), 0.0, 1.0)
+    absx, ya = np.abs(g.nodes), np.abs(np.asarray(ys))[:, None]
+    raw[(absx <= np.maximum(0.0, ya - r)) | (absx >= ya + r)] = 0.0
+    np.testing.assert_allclose(translate_indicator_rows(p, ys, r, g), raw, rtol=0.0, atol=1e-15)
 
 
 @given(st.floats(-60.0, 60.0))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -164,3 +167,14 @@ def test_blocks_on_equal_spacing_are_leading_sub_blocks():
     s = np.outer(lh.positive_nodes, xh.positive_nodes)
     np.testing.assert_allclose(ah, bessel_normalized(0.5, s), rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(bh, s / 3.0 * bessel_normalized(1.5, s), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_kernel_cache_variable_rejects_bad_values(value):
+    src = os.path.dirname(os.path.dirname(transform.__file__))
+    env = {**os.environ, "DUNKL_KERNEL_CACHE": value, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import dunkl"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode != 0
+    assert f"ValueError: DUNKL_KERNEL_CACHE must be an integer >= 0, got {value!r}" in proc.stderr

@@ -39,6 +39,8 @@ def test_config_validation():
         SuiteConfig(exponents=((4.0, 8.0, 2.0),))  # q > alpha
     with pytest.raises(ValueError):
         SuiteConfig(node_count=10)  # too small
+    with pytest.raises(ValueError, match="multiple of 4"):
+        SuiteConfig(node_count=66, half_width=8.0, kappa_list=(0.0,))  # N/2 is odd
     with pytest.raises(ValueError):
         SuiteConfig(kappa_list=())
     with pytest.raises(ValueError):
