@@ -207,62 +207,82 @@ def _weak_rows(rows: np.ndarray, fvals: np.ndarray, weights: np.ndarray) -> np.n
     return np.max(gs * cw, axis=1)
 
 
-def _weak_rows_windowed(
+def _support_windows(
     rows: np.ndarray,
-    fvals: np.ndarray,
     weights: np.ndarray,
     nodes: np.ndarray,
     ys: np.ndarray,
     r: float,
-) -> np.ndarray:
-    """Weak-L1 norms of f * row where each row is supported on the annulus
-    {max(0,|y|-r) < |x| < |y|+r}; only the support columns are sorted.
+) -> tuple:
+    """Column windows of rows supported on the annulus
+    {max(0,|y|-r) < |x| < |y|+r}: the two intervals (-hi,-lo) and (lo,hi).
 
-    Rows are independent, so they are processed in chunks: the sort and
-    gather temporaries then stay small enough for the allocator to reuse,
-    instead of mapping (and faulting in) fresh pages on every call.
+    Returns the column indices of the negative then the positive window,
+    padded to a common width, and the rows and the weights gathered on them,
+    both zero on the padding.
     """
     n = nodes.size
     lo = np.maximum(0.0, np.abs(ys) - r)
     hi = np.abs(ys) + r
-    # column windows of the two support intervals (-hi,-lo) and (lo,hi)
     a = np.searchsorted(nodes, -hi, side="right") - 1
     b = np.searchsorted(nodes, -lo, side="left") + 1
     c = np.searchsorted(nodes, lo, side="right") - 1
     d = np.searchsorted(nodes, hi, side="left") + 1
     width = int(max(np.max(b - a), np.max(d - c), 1))
     offs = np.arange(width)
-    absf = np.abs(fvals)
-    out = np.empty(ys.size)
-    for i in range(0, ys.size, _WEAK_CHUNK_ROWS):
+    idx = np.concatenate(
+        [np.clip(a[:, None] + offs, 0, n - 1), np.clip(c[:, None] + offs, 0, n - 1)], axis=1
+    )
+    pad = ~np.concatenate(
+        [(a[:, None] + offs) < b[:, None], (c[:, None] + offs) < d[:, None]], axis=1
+    )
+    wrows = np.take_along_axis(rows, idx, axis=1)
+    wrows[pad] = 0.0
+    wweights = weights[idx]
+    wweights[pad] = 0.0
+    return idx, wrows, wweights
+
+
+def _weak_window_rows(
+    absf: np.ndarray, idx: np.ndarray, wrows: np.ndarray, wweights: np.ndarray
+) -> np.ndarray:
+    """Weak-L1 norms of |f| times each window row of ``_support_windows``.
+
+    Rows are independent, so they are processed in chunks: the sort and
+    gather temporaries then stay small enough for the allocator to reuse,
+    instead of mapping (and faulting in) fresh pages on every call.
+    """
+    m, width = idx.shape
+    out = np.empty(m)
+    for i in range(0, m, _WEAK_CHUNK_ROWS):
         k = slice(i, i + _WEAK_CHUNK_ROWS)
-        idx_neg = np.clip(a[k, None] + offs, 0, n - 1)
-        idx_pos = np.clip(c[k, None] + offs, 0, n - 1)
-        valid_neg = (a[k, None] + offs) < b[k, None]
-        valid_pos = (c[k, None] + offs) < d[k, None]
-        idx = np.concatenate([idx_neg, idx_pos], axis=1)
-        valid = np.concatenate([valid_neg, valid_pos], axis=1)
-        g = absf[idx] * np.take_along_axis(rows[k], idx, axis=1)
-        g[~valid] = 0.0
-        w = weights[idx]
-        w[~valid] = 0.0
+        g = absf[idx[k]] * wrows[k]
         order = np.argsort(-g, axis=1, kind="stable")
-        gs = np.take_along_axis(g, order, axis=1)
-        cw = np.cumsum(np.take_along_axis(w, order, axis=1), axis=1)
-        out[k] = np.max(gs * cw, axis=1)
+        # one flat index gathers both the levels and their weights
+        order += np.arange(0, g.size, width)[:, None]
+        cw = np.cumsum(wweights[k].ravel()[order], axis=1)
+        out[k] = np.max(g.ravel()[order] * cw, axis=1)
     return out
 
 
 class WeakWindowWorkspace:
-    """Translated window rows for repeated weak-norm evaluations.
+    """Support windows of the translated window rows, shared by repeated
+    weak-norm evaluations on one grid and radius grid.
 
-    Building the rows costs one dense product per radius; a workspace shares
-    them across every function measured against the same grid and radii.  The
-    center variable runs over a symmetric decimated subset of the nodes
+    The center variable runs over a symmetric decimated subset of the nodes
     (default: about 512 centers); the outer p-quadrature weights are scaled
     by the stride.  The window statistic varies on the scale of r, which the
     radius grid keeps well above the node spacing, so decimation is a
     controlled discretization of the outer norm.
+
+    For each radius the rows tau_{-y} chi_{B_r} of the positive centers y cost
+    one dense product.  Each row is supported on the annulus
+    {max(0,|y|-r) < |x| < |y|+r}, so the workspace keeps only its two support
+    windows (see ``_support_windows``): their column indices, the row values
+    and the weights on them.  The full rows are dropped.  tau_{+y} chi is the
+    reflection of tau_{-y} chi, so the centers -y reuse the same windows
+    against the reflected samples of |f|; when |f| is mirror-symmetric those
+    are the same array, and its statistics are reused exactly.
     """
 
     def __init__(self, grid: Grid, r_grid, y_stride: int | None = None):
@@ -277,35 +297,54 @@ class WeakWindowWorkspace:
         self.ypos = grid.nodes[pos_idx]
         self.wdec = grid.weights[pos_idx] * y_stride
         self.radii = tuple(_check_window_radius(grid, r) for r in r_grid)
-        self.rows = {
-            r: translate_indicator_rows(grid.params, -self.ypos, r, grid) for r in self.radii
+        self.windows = {
+            r: _support_windows(
+                translate_indicator_rows(grid.params, -self.ypos, r, grid),
+                grid.weights,
+                grid.nodes,
+                self.ypos,
+                r,
+            )
+            for r in self.radii
         }
 
-    def weak_fofana(self, f: GridFunction, p: float, alpha: float) -> float:
-        p = _check_exponent(p, "p")
-        alpha = _check_exponent(alpha, "alpha")
-        if not (1.0 <= alpha <= p):
-            raise ValueError(f"need 1 <= alpha <= p, got alpha={alpha}, p={p}")
+    def _statistics(self, absf: np.ndarray) -> list:
+        """Per radius, the weak statistics (w_pos, w_neg) of |f| at the
+        centers +y and -y."""
+        mirrored = absf[::-1]
+        symmetric = np.array_equal(absf, mirrored)
+        out = []
+        for r in self.radii:
+            w_pos = _weak_window_rows(absf, *self.windows[r])
+            w_neg = w_pos if symmetric else _weak_window_rows(mirrored, *self.windows[r])
+            out.append((w_pos, w_neg))
+        return out
+
+    def weak_fofana(self, f: GridFunction, pairs) -> list:
+        """Weak Fofana norm of f for each (p, alpha) pair, in order, from one
+        set of window statistics."""
+        checked = []
+        for p, alpha in pairs:
+            p = _check_exponent(p, "p")
+            alpha = _check_exponent(alpha, "alpha")
+            if not (1.0 <= alpha <= p):
+                raise ValueError(f"need 1 <= alpha <= p, got alpha={alpha}, p={p}")
+            checked.append((p, alpha))
         if f.grid != self.grid:
             raise ValueError("function lives on a different grid than the workspace")
-        grid = self.grid
-        fvals = np.abs(f.values)
-        fmirr = fvals[::-1]
-        best = 0.0
-        for r in self.radii:
-            rows = self.rows[r]
-            w_pos = _weak_rows_windowed(rows, fvals, grid.weights, grid.nodes, self.ypos, r)
-            # tau_{+y} chi is the reflection of tau_{-y} chi, so the centers
-            # -y reuse the same rows against the reflected samples
-            w_neg = _weak_rows_windowed(rows, fmirr, grid.weights, grid.nodes, self.ypos, r)
-            pref = ball_measure_origin(grid.params, r) ** (_inv(alpha) - 1.0 - _inv(p))
-            if p == INF:
-                val = pref * max(float(np.max(w_pos)), float(np.max(w_neg)))
-            else:
-                val = pref * float(
-                    (np.sum(self.wdec * w_pos**p) + np.sum(self.wdec * w_neg**p)) ** (1.0 / p)
-                )
-            best = max(best, val)
+        best = [0.0] * len(checked)
+        for r, (w_pos, w_neg) in zip(self.radii, self._statistics(np.abs(f.values))):
+            mu = ball_measure_origin(self.grid.params, r)
+            for j, (p, alpha) in enumerate(checked):
+                pref = mu ** (_inv(alpha) - 1.0 - _inv(p))
+                if p == INF:
+                    val = pref * max(float(np.max(w_pos)), float(np.max(w_neg)))
+                else:
+                    val = pref * float(
+                        (np.sum(self.wdec * w_pos**p) + np.sum(self.wdec * w_neg**p))
+                        ** (1.0 / p)
+                    )
+                best[j] = max(best[j], val)
         return best
 
 
@@ -319,7 +358,7 @@ def weak_fofana_norm(
     """Weak variant at q = 1: the window statistic is the weak-L1 norm of
     f times the translated window indicator, scaled by
     mu(B_r)^(1/alpha - 1 - 1/p); the radius supremum runs over r_grid."""
-    return WeakWindowWorkspace(f.grid, r_grid, y_stride).weak_fofana(f, p, alpha)
+    return WeakWindowWorkspace(f.grid, r_grid, y_stride).weak_fofana(f, [(p, alpha)])[0]
 
 
 def _interval_window_lq(f: GridFunction, q: float, r: float) -> np.ndarray:
@@ -346,31 +385,45 @@ def interval_amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> fl
     return lp_norm(GridFunction(f.grid, u), p)
 
 
-def _interval_fofana(f: GridFunction, spec: NormSpec, center_weight) -> float:
-    """Radius supremum of the L^p size over centers y of
-    center_weight(r, mu(I(y,r))) * ||f chi_{I(y,r)}||_q."""
+def _interval_fofana(f: GridFunction, spec: NormSpec, center_weights) -> list:
+    """For each center weight, the radius supremum of the L^p size over
+    centers y of center_weight(r, mu(I(y,r))) * ||f chi_{I(y,r)}||_q; the
+    windows are computed once for all weights."""
     grid = f.grid
     params = grid.params
     x = grid.nodes
-    best = 0.0
+    best = [0.0] * len(center_weights)
     for r in spec.r_grid:
         r = _check_window_radius(grid, r)
         local = _interval_window_lq(f, spec.q, r)
         mu_i = weight_antiderivative(params, x + r) - weight_antiderivative(params, x - r)
-        weighted = center_weight(r, mu_i) * local
-        if spec.p == INF:
-            val = float(np.max(weighted))
-        else:
-            val = float(np.sum(grid.weights * weighted**spec.p) ** (1.0 / spec.p))
-        best = max(best, val)
+        for j, center_weight in enumerate(center_weights):
+            weighted = center_weight(r, mu_i) * local
+            if spec.p == INF:
+                val = float(np.max(weighted))
+            else:
+                val = float(np.sum(grid.weights * weighted**spec.p) ** (1.0 / spec.p))
+            best[j] = max(best[j], val)
     return best
+
+
+def _interval_weight(spec: NormSpec):
+    """Center weight mu(I(y,r))^theta of ``interval_fofana_norm``."""
+    theta = _scale_exponent(spec)
+    return lambda r, mu_i: mu_i**theta
+
+
+def _ball_scaled_weight(params, spec: NormSpec):
+    """Center weight of ``ball_scaled_interval_fofana_norm``."""
+    theta = _scale_exponent(spec)
+    e = _inv(spec.alpha) - _inv(spec.p)
+    return lambda r, mu_i: mu_i**theta * (ball_measure_origin(params, r) / mu_i) ** e
 
 
 def interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """Interval-windowed Fofana norm; the measure factor mu(I(y,r))^theta sits
     inside the center integral because it varies with the center."""
-    theta = _scale_exponent(spec)
-    return _interval_fofana(f, spec, lambda r, mu_i: mu_i**theta)
+    return _interval_fofana(f, spec, (_interval_weight(spec),))[0]
 
 
 def ball_scaled_interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
@@ -384,11 +437,14 @@ def ball_scaled_interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     factor.  It equals ``interval_fofana_norm`` at the classical parameter and
     when alpha = p, and is at most it otherwise.
     """
-    params = f.grid.params
-    theta = _scale_exponent(spec)
-    e = _inv(spec.alpha) - _inv(spec.p)
-    return _interval_fofana(
-        f,
-        spec,
-        lambda r, mu_i: mu_i**theta * (ball_measure_origin(params, r) / mu_i) ** e,
+    return _interval_fofana(f, spec, (_ball_scaled_weight(f.grid.params, spec),))[0]
+
+
+def _interval_fofana_pair(f: GridFunction, spec: NormSpec) -> tuple:
+    """(``interval_fofana_norm``, ``ball_scaled_interval_fofana_norm``) of f,
+    equal to the two calls to the bit, from one set of interval windows."""
+    return tuple(
+        _interval_fofana(
+            f, spec, (_interval_weight(spec), _ball_scaled_weight(f.grid.params, spec))
+        )
     )

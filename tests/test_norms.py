@@ -277,10 +277,46 @@ def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
     ys = g.nodes[g.node_count // 2 :: 5]
     assert ys.size > 2 * norms._WEAK_CHUNK_ROWS
     rows = translate_indicator_rows(p, -ys, r, g)
-    got = norms._weak_rows_windowed(rows, f.values, g.weights, g.nodes, ys, r)
+    windows = norms._support_windows(rows, g.weights, g.nodes, ys, r)
+    absf = np.abs(f.values)
+    got = norms._weak_window_rows(absf, *windows)
     monkeypatch.setattr(norms, "_WEAK_CHUNK_ROWS", ys.size)
-    whole = norms._weak_rows_windowed(rows, f.values, g.weights, g.nodes, ys, r)
+    whole = norms._weak_window_rows(absf, *windows)
     np.testing.assert_array_equal(got, whole)
     dense = norms._weak_rows(rows, f.values, g.weights)
     far = ys >= r
     np.testing.assert_array_equal(got[far], dense[far])
+
+
+def test_weak_fofana_pairs_match_single_pair_norms():
+    # one call over several (p, alpha) pairs gives the single-pair values to the bit
+    g = make_grid(DunklParams(0.5), 8.0, 512)
+    rg = default_radius_grid(g, ratio=2.0)
+    ws = norms.WeakWindowWorkspace(g, rg)
+    pairs = [(8.0, 4.0), (INF, 2.0)]
+    for name, ps in (("gaussian", [0.6]), ("trig_gauss", [1.0])):
+        f = sample_family(name, ps, g)
+        assert ws.weak_fofana(f, pairs) == [weak_fofana_norm(f, pp, a, rg) for pp, a in pairs]
+    with pytest.raises(ValueError):
+        ws.weak_fofana(f, [(8.0, 4.0), (2.0, 4.0)])  # alpha > p in the second pair
+
+
+def test_weak_workspace_keeps_windows_not_full_rows():
+    g = make_grid(DunklParams(0.5), 8.0, 512)
+    ws = norms.WeakWindowWorkspace(g, (0.5, 1.0))
+    arrays = [a for w in ws.windows.values() for a in w]
+    arrays += [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3 * len(ws.radii) + 2
+    # two windows of at most 2r / dx + 2 = 66 nodes each, never a full row
+    assert all(a.shape[-1] <= 132 for a in arrays if a.ndim == 2)
+
+
+def test_interval_fofana_pair_matches_both_norms():
+    g = make_grid(DunklParams(0.5), 16.0, 1024)
+    for spec in _interval_specs(g, ((2.0, 8.0, 4.0), (2.0, INF, 4.0))):
+        for name, ps in _INTERVAL_FAMILY:
+            f = sample_family(name, ps, g)
+            assert norms._interval_fofana_pair(f, spec) == (
+                interval_fofana_norm(f, spec),
+                ball_scaled_interval_fofana_norm(f, spec),
+            )
