@@ -215,19 +215,22 @@ def _support_windows(
     r: float,
 ) -> tuple:
     """Column windows of rows supported on the annulus
-    {max(0,|y|-r) < |x| < |y|+r}: the two intervals (-hi,-lo) and (lo,hi).
+    {max(0,|y|-r) < |x| < |y|+r}: the two intervals (-hi,-lo) and (lo,hi),
+    each widened by one node and cut to the grid.
 
     Returns the column indices of the negative then the positive window,
     padded to a common width, and the rows and the weights gathered on them,
-    both zero on the padding.
+    both zero on the padding.  Every column appears at most once: where the
+    widened windows meet (lo below half a cell, e.g. |y| < r), the positive
+    one starts where the negative one ends.
     """
     n = nodes.size
     lo = np.maximum(0.0, np.abs(ys) - r)
     hi = np.abs(ys) + r
-    a = np.searchsorted(nodes, -hi, side="right") - 1
+    a = np.maximum(np.searchsorted(nodes, -hi, side="right") - 1, 0)
     b = np.searchsorted(nodes, -lo, side="left") + 1
-    c = np.searchsorted(nodes, lo, side="right") - 1
-    d = np.searchsorted(nodes, hi, side="left") + 1
+    c = np.maximum(np.searchsorted(nodes, lo, side="right") - 1, b)
+    d = np.minimum(np.searchsorted(nodes, hi, side="left") + 1, n)
     width = int(max(np.max(b - a), np.max(d - c), 1))
     offs = np.arange(width)
     idx = np.concatenate(

@@ -269,34 +269,94 @@ def test_weak_window_statistic_bounded_by_window_mass(setup):
 
 @pytest.mark.parametrize("r", [0.7, 3.0])
 def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
-    # row chunks reproduce the one-chunk statistic exactly, and the dense
-    # row-wise reference wherever the two support windows do not meet (|y| >= r)
+    # row chunks reproduce the one-chunk statistic exactly, and every row
+    # reproduces the dense row-wise reference, also where the two support
+    # windows meet (|y| < r)
+    for kappa in (-0.5, 0.5):
+        p = DunklParams(kappa, classical=(kappa == -0.5))
+        g = make_grid(p, 8.0, 512)
+        f = sample_family("gaussian", [0.6], g)
+        ys = g.nodes[g.node_count // 2 :: 5]
+        assert ys.size > 2 * norms._WEAK_CHUNK_ROWS
+        assert np.any(ys < r)
+        rows = translate_indicator_rows(p, -ys, r, g)
+        windows = norms._support_windows(rows, g.weights, g.nodes, ys, r)
+        absf = np.abs(f.values)
+        got = norms._weak_window_rows(absf, *windows)
+        with monkeypatch.context() as m:
+            m.setattr(norms, "_WEAK_CHUNK_ROWS", ys.size)
+            whole = norms._weak_window_rows(absf, *windows)
+        np.testing.assert_array_equal(got, whole)
+        np.testing.assert_array_equal(got, norms._weak_rows(rows, f.values, g.weights))
+
+
+@pytest.mark.parametrize("r", [0.7, 3.0])
+def test_support_windows_take_each_column_once(r):
+    # the windows cover the support of every row, and no column twice (the
+    # central nodes +-dx/2 when |y| < r, the end nodes when |y| + r > L)
     p = DunklParams(0.5)
     g = make_grid(p, 8.0, 512)
-    f = sample_family("gaussian", [0.6], g)
     ys = g.nodes[g.node_count // 2 :: 5]
-    assert ys.size > 2 * norms._WEAK_CHUNK_ROWS
+    assert np.any(ys < r) and np.any(ys + r > g.half_width)
     rows = translate_indicator_rows(p, -ys, r, g)
-    windows = norms._support_windows(rows, g.weights, g.nodes, ys, r)
+    idx, wrows, wweights = norms._support_windows(rows, g.weights, g.nodes, ys, r)
+    for i in range(ys.size):
+        cols = idx[i][wweights[i] > 0.0]
+        assert np.all(np.diff(cols) > 0)
+        outside = np.ones(g.node_count, dtype=bool)
+        outside[cols] = False
+        assert not np.any(rows[i, outside])
+
+
+@pytest.mark.parametrize("name, ps", [("gaussian", [0.6]), ("trig_gauss", [1.0])])
+def test_weak_workspace_statistics_match_dense_rows(name, ps):
+    # gaussian is mirror-symmetric (the mirrored statistics are reused),
+    # trig_gauss is not; both match the dense reference at every center
+    p = DunklParams(0.5)
+    g = make_grid(p, 8.0, 512)
+    f = sample_family(name, ps, g)
     absf = np.abs(f.values)
-    got = norms._weak_window_rows(absf, *windows)
-    monkeypatch.setattr(norms, "_WEAK_CHUNK_ROWS", ys.size)
-    whole = norms._weak_window_rows(absf, *windows)
-    np.testing.assert_array_equal(got, whole)
-    dense = norms._weak_rows(rows, f.values, g.weights)
-    far = ys >= r
-    np.testing.assert_array_equal(got[far], dense[far])
+    symmetric = np.array_equal(absf, absf[::-1])
+    assert symmetric == (name == "gaussian")
+    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0), y_stride=3)
+    for r, (w_pos, w_neg) in zip(ws.radii, ws._statistics(absf)):
+        rows = translate_indicator_rows(p, -ws.ypos, r, g)
+        np.testing.assert_array_equal(w_pos, norms._weak_rows(rows, f.values, g.weights))
+        np.testing.assert_array_equal(w_neg, norms._weak_rows(rows, f.values[::-1], g.weights))
+        assert (w_neg is w_pos) == symmetric
+
+
+def _dense_weak_fofana(ws, f, pp, alpha):
+    # one (p, alpha) pair on the full rows, as the windowed workspace replaced
+    g = ws.grid
+    best = 0.0
+    for r in ws.radii:
+        rows = translate_indicator_rows(g.params, -ws.ypos, r, g)
+        w_pos = norms._weak_rows(rows, f.values, g.weights)
+        w_neg = norms._weak_rows(rows, f.values[::-1], g.weights)
+        pref = ball_measure_origin(g.params, r) ** (1.0 / alpha - 1.0 - norms._inv(pp))
+        if pp == INF:
+            val = pref * max(float(np.max(w_pos)), float(np.max(w_neg)))
+        else:
+            val = pref * float(
+                (np.sum(ws.wdec * w_pos**pp) + np.sum(ws.wdec * w_neg**pp)) ** (1.0 / pp)
+            )
+        best = max(best, val)
+    return best
 
 
 def test_weak_fofana_pairs_match_single_pair_norms():
-    # one call over several (p, alpha) pairs gives the single-pair values to the bit
+    # one call over several (p, alpha) pairs gives the single-pair values and
+    # the per-pair evaluation on full rows, to the bit
     g = make_grid(DunklParams(0.5), 8.0, 512)
     rg = default_radius_grid(g, ratio=2.0)
     ws = norms.WeakWindowWorkspace(g, rg)
     pairs = [(8.0, 4.0), (INF, 2.0)]
     for name, ps in (("gaussian", [0.6]), ("trig_gauss", [1.0])):
         f = sample_family(name, ps, g)
-        assert ws.weak_fofana(f, pairs) == [weak_fofana_norm(f, pp, a, rg) for pp, a in pairs]
+        got = ws.weak_fofana(f, pairs)
+        assert got == [weak_fofana_norm(f, pp, a, rg) for pp, a in pairs]
+        assert got == [_dense_weak_fofana(ws, f, pp, a) for pp, a in pairs]
     with pytest.raises(ValueError):
         ws.weak_fofana(f, [(8.0, 4.0), (2.0, 4.0)])  # alpha > p in the second pair
 
