@@ -236,9 +236,7 @@ def _support_windows(
     idx = np.concatenate(
         [np.clip(a[:, None] + offs, 0, n - 1), np.clip(c[:, None] + offs, 0, n - 1)], axis=1
     )
-    pad = ~np.concatenate(
-        [(a[:, None] + offs) < b[:, None], (c[:, None] + offs) < d[:, None]], axis=1
-    )
+    pad = ~np.concatenate([offs < (b - a)[:, None], offs < (d - c)[:, None]], axis=1)
     wrows = np.take_along_axis(rows, idx, axis=1)
     wrows[pad] = 0.0
     wweights = weights[idx]
