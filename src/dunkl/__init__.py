@@ -6,6 +6,7 @@ function-space norms, Hardy-Littlewood type maximal operators, and a suite
 runner that machine-checks the quantitative inequalities relating them.
 """
 
+from ._version import VERSION as __version__
 from .grid import (
     Grid,
     GridFunction,
@@ -37,10 +38,8 @@ from .norms import (
 from .params import DunklParams
 from .special import bessel_normalized, dunkl_derivative, dunkl_kernel
 from .transform import SpectralFunction, forward, inverse, plancherel_defect
-from .translation import convolve, translate, translate_indicator
+from .translation import convolve, translate, translate_indicator, translate_rows
 from .verify import SuiteConfig, VerificationReport, list_suites, run_suite
-
-__version__ = "0.1.0"
 
 __all__ = [
     "DunklParams",
@@ -79,6 +78,7 @@ __all__ = [
     "sample_family",
     "translate",
     "translate_indicator",
+    "translate_rows",
     "weak_fofana_norm",
     "weak_l1_norm",
     "write_csv_function",

@@ -5,8 +5,12 @@ Every flag can also be supplied through an environment variable named
 DUNKL_<FLAG> (dashes as underscores, upper case); explicit flags win over
 environment values, which win over the built-in defaults.
 
+`dunkl report diff OLD NEW` compares two verify reports case by case; it
+exits 1 on a verdict flip or a case id missing from NEW.
+
 Exit codes: 0 success (and zero failed suite cases), 1 suite failures,
-2 usage errors, 3 I/O or data-format errors.
+2 usage errors (including flag and environment values that do not parse),
+3 I/O or data-format errors.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .norms import (
     weak_l1_norm,
 )
 from .params import DunklParams
+from .report import ReportFormatError, diff_reports, load_cases
 from .verify import SuiteConfig, canonical_json, list_suites, run_suite
 
 USAGE_EXIT = 2
@@ -47,18 +52,24 @@ IO_EXIT = 3
 _ENV_PREFIX = "DUNKL_"
 
 
-def _env_default(flag: str):
-    return os.environ.get(_ENV_PREFIX + flag.strip("-").replace("-", "_").upper())
+class _UsageError(Exception):
+    """A flag or environment value that does not parse; main() turns it
+    into a usage error (exit 2)."""
 
 
 def _resolve(args_value, flag: str, default, cast):
-    """flag > environment > default."""
-    if args_value is not None:
-        return args_value
-    env = _env_default(flag)
-    if env is not None:
-        return cast(env)
-    return default
+    """flag > environment > default, cast; a value that does not cast is a
+    usage error naming the flag or variable it came from."""
+    source, raw = flag, args_value
+    if raw is None:
+        source = _ENV_PREFIX + flag.strip("-").replace("-", "_").upper()
+        raw = os.environ.get(source)
+        if raw is None:
+            return default
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise _UsageError(f"invalid value {raw!r} for {source}: {exc}") from None
 
 
 def _parse_exponent(text: str) -> float:
@@ -68,7 +79,7 @@ def _parse_exponent(text: str) -> float:
     return float(t)
 
 
-def _parse_kappa_list(text: str):
+def _parse_float_list(text: str):
     return tuple(float(v) for v in str(text).split(",") if v.strip())
 
 
@@ -144,6 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", default=None, help="output CSV")
     _add_grid_flags(sp)
 
+    sp = sub.add_parser("report", help="compare verification reports")
+    rsub = sp.add_subparsers(dest="report_command", required=True)
+    dp = rsub.add_parser(
+        "diff",
+        help="case-by-case diff of two reports; exit 1 on a verdict flip or a missing case id",
+    )
+    dp.add_argument("old", help="report of the reference run (one suite or --suite all)")
+    dp.add_argument("new", help="report to compare against it")
+
     return parser
 
 
@@ -160,21 +180,18 @@ def _cmd_verify(args, parser) -> int:
         if name not in list_suites():
             parser.error(f"unknown suite {name!r}; valid suites: {', '.join(list_suites())} (or 'all')")
     kwargs = {}
-    kappa = _resolve(args.kappa, "--kappa", None, str)
+    kappa = _resolve(args.kappa, "--kappa", None, _parse_float_list)
     if kappa is not None:
-        kwargs["kappa_list"] = _parse_kappa_list(kappa)
+        kwargs["kappa_list"] = kappa
     n = _resolve(args.grid_n, "--grid-n", None, int)
     if n is not None:
         kwargs["node_count"] = n
     half = _resolve(args.domain_l, "--domain-l", None, float)
     if half is not None:
         kwargs["half_width"] = half
-    exps = _resolve(args.exponents, "--exponents", None, str)
+    exps = _resolve(args.exponents, "--exponents", None, _parse_exponent_triples)
     if exps is not None:
-        try:
-            kwargs["exponents"] = _parse_exponent_triples(exps)
-        except ValueError as exc:
-            parser.error(str(exc))
+        kwargs["exponents"] = exps
     seed = _resolve(args.seed, "--seed", None, int)
     if seed is not None:
         kwargs["seed"] = seed
@@ -235,12 +252,6 @@ def _cmd_norm(args, parser) -> int:
     p = _resolve(args.p, "--p", None, _parse_exponent)
     alpha = _resolve(args.alpha, "--alpha", None, _parse_exponent)
     r = _resolve(args.r, "--r", None, float)
-    if q is not None:
-        q = _parse_exponent(q)
-    if p is not None:
-        p = _parse_exponent(p)
-    if alpha is not None:
-        alpha = _parse_exponent(alpha)
     rg = default_radius_grid(grid)
 
     try:
@@ -311,11 +322,10 @@ def _cmd_maximal(args, parser) -> int:
 
 def _cmd_sample(args, parser) -> int:
     family = _resolve(args.family, "--family", None, str)
-    raw = _resolve(args.params, "--params", None, str)
+    params_list = _resolve(args.params, "--params", (), _parse_float_list)
     out_path = _resolve(args.output, "--output", None, str)
     if family is None or out_path is None:
         parser.error("sample requires --family and --output")
-    params_list = [float(v) for v in str(raw).split(",")] if raw else []
     _, grid = _resolve_grid(args)
     try:
         f = sample_family(family, params_list, grid)
@@ -329,18 +339,33 @@ def _cmd_sample(args, parser) -> int:
     return 0
 
 
+def _cmd_report(args, parser) -> int:
+    try:
+        old, new = load_cases(args.old), load_cases(args.new)
+    except (OSError, ReportFormatError) as exc:
+        print(f"error: cannot read report: {exc}", file=sys.stderr)
+        return IO_EXIT
+    lines, status = diff_reports(old, new)
+    print("\n".join(lines))
+    return status
+
+
+_COMMANDS = {
+    "verify": _cmd_verify,
+    "norm": _cmd_norm,
+    "maximal": _cmd_maximal,
+    "sample": _cmd_sample,
+    "report": _cmd_report,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args, parser)
-    if args.command == "norm":
-        return _cmd_norm(args, parser)
-    if args.command == "maximal":
-        return _cmd_maximal(args, parser)
-    if args.command == "sample":
-        return _cmd_sample(args, parser)
-    parser.error(f"unknown command {args.command!r}")
+    try:
+        return _COMMANDS[args.command](args, parser)
+    except _UsageError as exc:
+        parser.error(str(exc))
     return USAGE_EXIT
 
 

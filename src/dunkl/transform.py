@@ -151,10 +151,10 @@ def inverse_pair(params: DunklParams, lg: Grid, xg: Grid, u: np.ndarray, v: np.n
     return _join(ev, od)
 
 
-def multiplier_pair(params: DunklParams, lg: Grid, y: float):
-    """Translation multiplier E(i l y) as a pair (even, odd) on the positive
-    frequency half."""
-    return kernel_pair(params, lg.positive_nodes * float(y))
+def multiplier_pair(params: DunklParams, lg: Grid, ys):
+    """Translation multipliers E(i l y) as a pair (even, odd) on the positive
+    frequency half: one row per offset of an array ys, one vector for a scalar."""
+    return kernel_pair(params, np.multiply.outer(np.asarray(ys, dtype=float), lg.positive_nodes))
 
 
 def pair_multiply(u, v, a, b):

@@ -2,6 +2,12 @@
 
 Translation by y multiplies the transform by the kernel factor E(i l y); at
 kappa = -1/2 this reduces to the classical shift f(x) -> f(x + y).
+Translating one real f by many offsets takes one forward transform of f and
+one multiplier row per offset, inverted as stacked rows (a matrix product per
+row chunk, not a matrix-vector product per offset); `translate` is that path
+with a single offset.  The rows run in chunks of at most the kernel-block
+chunk of values, so no temporary outgrows a block chunk.
+
 Convolution multiplies transforms pointwise.  Translated ball indicators use
 the closed form of the indicator transform,
 
@@ -22,6 +28,7 @@ from .measure import ball_measure_origin
 from .params import DunklParams
 from .special import bessel_normalized, kernel_pair
 from .transform import (
+    _CHUNK_ELEMENTS,
     _apply_forward,
     _apply_inverse,
     forward_pair,
@@ -30,7 +37,7 @@ from .transform import (
     pair_multiply,
 )
 
-__all__ = ["translate", "translate_indicator", "convolve"]
+__all__ = ["translate", "translate_rows", "translate_indicator", "convolve"]
 
 # Frequency half-widths, as multiples of the spatial half-width.  Multiplier
 # convolutions against indicator windows have slowly decaying spectra whose
@@ -64,6 +71,35 @@ def ball_multiplier(params: DunklParams, lg: Grid, r: float) -> np.ndarray:
     )
 
 
+def _row_chunk(grid: Grid) -> int:
+    """Offsets per row chunk: a chunk of translates holds at most
+    _CHUNK_ELEMENTS values."""
+    return max(1, _CHUNK_ELEMENTS // grid.node_count)
+
+
+def translate_rows(f: GridFunction, ys) -> np.ndarray:
+    """Translates of real f by every offset in ys, stacked one row per offset.
+
+    Every offset is checked before any work; f is transformed once, and the
+    multipliers and the inverse run per row chunk (see `_row_chunk`).
+    """
+    grid = f.grid
+    ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
+    if not ya.size:
+        raise ValueError("no translation offsets given")
+    if not f.is_real:
+        raise ValueError("stacked translation expects real samples")
+    params = grid.params
+    lg = _band_grid(grid, _FUNCTION_BAND)
+    u, v = forward_pair(params, grid, lg, f.values)
+    out = np.empty((ya.size, grid.node_count))
+    step = _row_chunk(grid)
+    for i in range(0, ya.size, step):
+        a, b = multiplier_pair(params, lg, ya[i : i + step])
+        out[i : i + step] = inverse_pair(params, lg, grid, *pair_multiply(u, v, a, b))
+    return out
+
+
 def translate(f: GridFunction, y: float) -> GridFunction:
     """Generalized translation by y, spectrally.
 
@@ -71,14 +107,11 @@ def translate(f: GridFunction, y: float) -> GridFunction:
     the imaginary round-trip residue at exactly zero, which tightens the
     contract that it must stay below 1e-8 * sup|f| before being discarded.
     """
+    if f.is_real:
+        return GridFunction(f.grid, translate_rows(f, [y])[0])
     y = _check_shift(f.grid, y)
     params = f.grid.params
     lg = _band_grid(f.grid, _FUNCTION_BAND)
-    if f.is_real:
-        u, v = forward_pair(params, f.grid, lg, f.values)
-        a, b = multiplier_pair(params, lg, y)
-        out = inverse_pair(params, lg, f.grid, *pair_multiply(u, v, a, b))
-        return GridFunction(f.grid, out)
     spec = _apply_forward(params, f.grid, lg, f.values)
     a, b = multiplier_pair(params, lg, y)
     half = np.concatenate([(a - 1j * b)[::-1], a + 1j * b])
@@ -126,12 +159,12 @@ def ball_convolutions(f: GridFunction, radii, clamp: bool = True) -> np.ndarray:
     """
     if not f.is_real:
         raise ValueError("ball convolutions expect real samples")
-    params = f.grid.params
-    lg = _band_grid(f.grid, _INDICATOR_BAND)
-    u, v = forward_pair(params, f.grid, lg, f.values)
     rr = [float(r) for r in radii]
     if not rr:
         raise ValueError("no radii given")
+    params = f.grid.params
+    lg = _band_grid(f.grid, _INDICATOR_BAND)
+    u, v = forward_pair(params, f.grid, lg, f.values)
     mult = np.stack([ball_multiplier(params, lg, r) for r in rr])
     out = inverse_pair(params, lg, f.grid, mult * u, mult * v)
     if clamp:

@@ -205,3 +205,109 @@ def test_environment_variable_override(tmp_path, monkeypatch, capsys):
     assert main(["norm"]) == 0
     value = float(capsys.readouterr().out.strip().splitlines()[0])
     assert value > 0.0
+
+
+@pytest.mark.parametrize(
+    "env,argv,source",
+    [
+        ({"DUNKL_GRID_N": "abc"}, ["verify", "--suite", "kernel"], "DUNKL_GRID_N"),
+        ({"DUNKL_SEED": "x"}, ["verify", "--suite", "kernel"], "DUNKL_SEED"),
+        ({"DUNKL_DOMAIN_L": "wide"}, ["verify", "--suite", "kernel"], "DUNKL_DOMAIN_L"),
+        ({}, ["verify", "--suite", "kernel", "--kappa", "0,x"], "--kappa"),
+        ({"DUNKL_KAPPA": "0,x"}, ["verify", "--suite", "kernel"], "DUNKL_KAPPA"),
+        ({"DUNKL_KAPPA": "x"}, ["sample", "--family", "gaussian", "--params", "1", "--output", "o.csv"], "DUNKL_KAPPA"),
+        ({}, ["sample", "--family", "gaussian", "--params", "1,y", "--output", "o.csv"], "--params"),
+        ({"DUNKL_Q": "two"}, ["norm", "--which", "amalgam", "--p", "2", "--input", "in.csv"], "DUNKL_Q"),
+    ],
+)
+def test_unparsable_values_exit_2(env, argv, source, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_constant_csv(tmp_path / "in.csv")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert source in msg
+    assert (env.get(source) or argv[argv.index(source) + 1]) in msg
+    assert not (tmp_path / "o.csv").exists()
+
+
+def _report(suite, cases):
+    """Hand-built report payload: cases are (id, lhs, rhs, ratio, pass)."""
+    return {
+        "suite": suite,
+        "cases": [
+            {"id": cid, "lhs": lhs, "rhs": rhs, "ratio": ratio, "pass": ok}
+            for cid, lhs, rhs, ratio, ok in cases
+        ],
+    }
+
+
+def _diff(tmp_path, capsys, old, new):
+    a, b = tmp_path / "old.json", tmp_path / "new.json"
+    a.write_text(json.dumps(old))
+    b.write_text(json.dumps(new))
+    code = main(["report", "diff", str(a), str(b)])
+    return code, capsys.readouterr().out.strip().splitlines()
+
+
+def test_report_diff_identical_reports(tmp_path, capsys):
+    rep = _report("s", [("a", 1.0, 2.0, 0.5, True), ("m", "NaN", None, None, True)])
+    code, lines = _diff(tmp_path, capsys, rep, rep)
+    assert code == 0
+    assert lines == ["2 common cases: 0 moved, 0 verdict flips; 0 new, 0 missing"]
+
+
+def test_report_diff_moves_and_new_ids(tmp_path, capsys):
+    old = [_report("s", [("a", 1.0, 2.0, 0.5, True), ("b", 0.0, 1.0, 0.0, True)])]
+    new = [
+        _report("s", [("a", 1.5, 2.0, 0.75, True), ("b", 1e-9, 1.0, 1e-9, True)]),
+        _report("t", [("a", 1.0, None, None, True)]),
+    ]
+    code, lines = _diff(tmp_path, capsys, old, new)
+    assert code == 0
+    assert lines[0] == "s/a: lhs 1 -> 1.5 (+5.00e-01 rel); ratio drift +0.25"
+    assert lines[1] == "s/b: lhs 0 -> 1e-09 (+1.00e-09 abs); ratio drift +1e-09"
+    assert lines[2] == "new t/a"
+    assert lines[-1] == "2 common cases: 2 moved, 0 verdict flips; 1 new, 0 missing"
+
+
+def test_report_diff_flip_exits_1(tmp_path, capsys):
+    old = _report("s", [("a", 1.0, 2.0, 0.5, True)])
+    new = _report("s", [("a", 3.0, 2.0, 1.5, False)])
+    code, lines = _diff(tmp_path, capsys, old, new)
+    assert code == 1
+    assert "FLIP PASS -> FAIL" in lines[0]
+    assert lines[-1].endswith("1 verdict flips; 0 new, 0 missing")
+
+
+def test_report_diff_missing_id_exits_1(tmp_path, capsys):
+    old = _report("s", [("a", 1.0, 2.0, 0.5, True), ("b", 1.0, 2.0, 0.5, True)])
+    new = _report("s", [("a", 1.0, 2.0, 0.5, True)])
+    code, lines = _diff(tmp_path, capsys, old, new)
+    assert code == 1
+    assert lines == ["missing s/b", "1 common cases: 0 moved, 0 verdict flips; 0 new, 1 missing"]
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"suite": "s"}', "[1, 2]"])
+def test_report_diff_unreadable_exits_3(content, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_report("s", [("a", 1.0, 2.0, 0.5, True)])))
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    assert main(["report", "diff", str(good), str(bad)]) == 3
+    assert main(["report", "diff", str(bad), str(good)]) == 3
+    assert "cannot read report" in capsys.readouterr().err
+
+
+def test_report_diff_on_verify_reports(tmp_path, capsys):
+    args = ["verify", "--suite", "kernel", "--grid-n", "256", "--domain-l", "8"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + ["--report", str(a)]) == 0
+    assert main(args + ["--report", str(b)]) == 0
+    capsys.readouterr()
+    assert main(["report", "diff", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.strip().endswith("0 moved, 0 verdict flips; 0 new, 0 missing")

@@ -12,8 +12,11 @@ from dunkl import (
     sample_family,
     translate,
     translate_indicator,
+    translate_rows,
 )
+from dunkl import translation
 from dunkl.measure import ball_measure_origin
+from dunkl.transform import forward_pair, inverse_pair, multiplier_pair, pair_multiply
 
 KAPPAS = [(-0.5, True), (0.0, False), (0.5, False), (1.5, False)]
 
@@ -179,3 +182,89 @@ def test_convolution_matches_defining_integral():
         x0 = float(g.nodes[i])
         direct = integrate(translate(f, x0).mirrored() * h)
         assert float(conv.values[i]) == pytest.approx(direct, rel=1e-6, abs=1e-9)
+
+
+def _refuse_forward(*args):
+    raise AssertionError("forward transform ran before the inputs were checked")
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+def test_translate_rows_match_single_offsets(kappa, classical):
+    p = DunklParams(kappa, classical=classical)
+    g = make_grid(p, 16.0, 1024)
+    f = sample_family("trig_gauss", [2.0], g)
+    ys = np.linspace(-15.0, 15.0, 37)
+    rows = translate_rows(f, ys)
+    single = np.stack([translate(f, y).values for y in ys])
+    assert rows.shape == (37, 1024)
+    # GEMM against GEMV: equal to rounding, not bit for bit
+    assert np.max(np.abs(rows - single)) <= 1e-14 * np.max(np.abs(f.values))
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+def test_translate_rows_single_offset_is_vector_path(kappa, classical):
+    # one offset gives the bits of the one-vector multiplier and inverse
+    p = DunklParams(kappa, classical=classical)
+    g = make_grid(p, 16.0, 1024)
+    f = sample_family("bump", [0.0, 2.0], g)
+    lg = translation._band_grid(g, translation._FUNCTION_BAND)
+    u, v = forward_pair(p, g, lg, f.values)
+    for y in (0.0, 1.5, -7.25):
+        a, b = multiplier_pair(p, lg, y)
+        ra, rb = multiplier_pair(p, lg, [y])
+        assert np.array_equal(a, ra[0]) and np.array_equal(b, rb[0])
+        vec = inverse_pair(p, lg, g, *pair_multiply(u, v, a, b))
+        assert np.array_equal(translate_rows(f, [y])[0], vec)
+        assert np.array_equal(translate(f, y).values, vec)
+
+
+def test_translate_rows_chunks_equal_one_whole_chunk():
+    p = DunklParams(0.5)
+    g = make_grid(p, 16.0, 1024)
+    f = sample_family("trig_gauss", [1.0], g)
+    ys = np.linspace(-15.5, 15.5, 300)
+    assert translation._row_chunk(g) < ys.size
+    lg = translation._band_grid(g, translation._FUNCTION_BAND)
+    u, v = forward_pair(p, g, lg, f.values)
+    a, b = multiplier_pair(p, lg, ys)
+    whole = inverse_pair(p, lg, g, *pair_multiply(u, v, a, b))
+    assert np.array_equal(translate_rows(f, ys), whole)
+
+
+def test_translate_rows_classical_shift():
+    p = DunklParams(-0.5, classical=True)
+    g = make_grid(p, 16.0, 1024)
+    f = sample_family("gaussian", [0.5], g)
+    ys = np.array([-4.0, -1.0, 0.5, 1.0, 3.0])
+    rows = translate_rows(f, ys)
+    exact = np.exp(-((g.nodes[None, :] + ys[:, None]) ** 2) / 2)
+    assert np.max(np.abs(rows - exact)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [9.0, -8.5, float("nan"), float("inf")])
+def test_translate_rows_checks_every_offset_first(bad, monkeypatch):
+    p = DunklParams(0.5)
+    g = make_grid(p, 8.0, 256)
+    f = sample_family("gaussian", [0.5], g)
+    monkeypatch.setattr(translation, "forward_pair", _refuse_forward)
+    for ys in ([bad, 1.0, 2.0], [1.0, bad, 2.0], [1.0, 2.0, bad]):
+        with pytest.raises(ValueError):
+            translate_rows(f, ys)
+    with pytest.raises(ValueError):
+        translate_rows(f, [])
+
+
+def test_translate_rows_rejects_complex():
+    p = DunklParams(0.5)
+    g = make_grid(p, 8.0, 256)
+    f = sample_family("gaussian", [0.5], g)
+    with pytest.raises(ValueError):
+        translate_rows(GridFunction(g, f.values * (1.0 + 1.0j)), [1.0])
+
+
+def test_ball_convolutions_checks_radii_first(monkeypatch):
+    p = DunklParams(0.5)
+    f = sample_family("gaussian", [0.5], make_grid(p, 8.0, 256))
+    monkeypatch.setattr(translation, "forward_pair", _refuse_forward)
+    with pytest.raises(ValueError, match="no radii"):
+        translation.ball_convolutions(f, [])
