@@ -73,7 +73,11 @@ def diff_reports(old: dict, new: dict) -> tuple[list[str], int]:
         b = new.get(key)
         if b is None:
             continue
-        parts = [f"{field} {_change(a[field], b[field])}" for field in ("lhs", "rhs") if not _same(a[field], b[field])]
+        parts = [
+            f"{field} {_change(a[field], b[field])}"
+            for field in ("lhs", "rhs")
+            if not _same(a[field], b[field])
+        ]
         if not _same(a["ratio"], b["ratio"]):
             ra, rb = a["ratio"], b["ratio"]
             drift = rb - ra if ra is not None and rb is not None else None
