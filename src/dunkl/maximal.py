@@ -20,67 +20,53 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._windows import FoldedWindowMass, LineWindowMass
+from ._windows import LineWindowMass
 from .grid import GridFunction
-from .measure import ball_measure_origin, weight_antiderivative
-from .params import DunklParams
+from .measure import _check_radius, ball_measure, ball_measure_origin, interval_measure
 from .translation import ball_convolutions
 
 __all__ = ["dunkl_maximal", "centered_maximal", "interval_maximal"]
 
 
-def _check_radii(f: GridFunction, rho_grid) -> list:
+def _check_radii(rho_grid) -> list:
     rhos = [float(r) for r in rho_grid]
     if not rhos:
         raise ValueError("rho_grid must be non-empty")
-    if any(not np.isfinite(r) or r <= 0 for r in rhos):
-        raise ValueError("rho_grid entries must be positive and finite")
+    _check_radius(np.array(rhos))
     return rhos
 
 
 def dunkl_maximal(f: GridFunction, rho_grid) -> GridFunction:
     """sup over rho of mu(B_rho)^{-1} * (|f| * chi_{B_rho})(x), clamped at 0."""
-    rhos = _check_radii(f, rho_grid)
-    conv = ball_convolutions(abs(f), rhos, clamp=True)
+    rhos = _check_radii(rho_grid)
+    conv = ball_convolutions(abs(f), rhos)
     measures = np.array([ball_measure_origin(f.grid.params, r) for r in rhos])
     return GridFunction(f.grid, np.max(conv / measures[:, None], axis=0))
 
 
-def _ball_measure_vec(params: DunklParams, x: np.ndarray, r: float) -> np.ndarray:
-    a = np.abs(x)
-    e = 2.0 * params.kappa + 2.0
-    c = params.c_kappa / (params.kappa + 1.0)
-    outer = (a + r) ** e
-    inner = np.where(a > r, np.abs(a - r) ** e, 0.0)
-    return c * (outer - inner)
-
-
 def centered_maximal(f: GridFunction, rho_grid) -> GridFunction:
     """sup over rho of the average of |f| over the annular ball B(x, rho)."""
-    rhos = _check_radii(f, rho_grid)
+    rhos = _check_radii(rho_grid)
     grid = f.grid
     half = grid.node_count // 2
     s = grid.positive_nodes
-    mass = FoldedWindowMass(grid, np.abs(f.values))
+    mass = LineWindowMass.folded(grid, np.abs(f.values))
     best = np.zeros(half)
     for rho in rhos:
         num = mass.window(np.maximum(0.0, s - rho), s + rho)
-        avg = num / _ball_measure_vec(grid.params, s, rho)
+        avg = num / ball_measure(grid.params, s, rho)
         np.maximum(best, avg, out=best)
     return GridFunction(grid, np.concatenate([best[::-1], best]))
 
 
 def interval_maximal(f: GridFunction, rho_grid) -> GridFunction:
     """sup over rho of the average of |f| over the interval I(x, rho)."""
-    rhos = _check_radii(f, rho_grid)
+    rhos = _check_radii(rho_grid)
     grid = f.grid
     x = grid.nodes
-    mass = LineWindowMass(grid, np.abs(f.values))
+    mass = LineWindowMass.line(grid, np.abs(f.values))
     best = np.zeros(x.size)
     for rho in rhos:
-        denom = weight_antiderivative(grid.params, x + rho) - weight_antiderivative(
-            grid.params, x - rho
-        )
-        avg = mass.window(x - rho, x + rho) / denom
+        avg = mass.window(x - rho, x + rho) / interval_measure(grid.params, x, rho)
         np.maximum(best, avg, out=best)
     return GridFunction(grid, best)

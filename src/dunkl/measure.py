@@ -9,8 +9,6 @@ so quadrature enters only as an independent test oracle.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .params import DunklParams
@@ -27,9 +25,11 @@ def weight_antiderivative(params: DunklParams, t):
     return out if out.ndim else float(out)
 
 
-def _check_radius(r: float) -> float:
-    r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
+def _check_radius(r):
+    """r as a float, or as a float array for array input; every entry must be
+    positive and finite."""
+    r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
+    if not np.all(np.isfinite(r) & (r > 0.0)):
         raise ValueError(f"radius must be positive and finite, got {r}")
     return r
 
@@ -40,29 +40,37 @@ def ball_measure_origin(params: DunklParams, r: float) -> float:
     return params.b_kappa * r ** (2.0 * params.kappa + 2.0)
 
 
-def ball_measure(params: DunklParams, x: float, r: float) -> float:
+def ball_measure(params: DunklParams, x, r):
     """Measure of the annular ball B(x, r); symmetric in x.
 
     Case split: for |x| <= r the set is (-(|x|+r), |x|+r) minus the origin,
     for |x| > r it is the two-sided annulus, giving
     c/(kappa+1) * [(|x|+r)**(2k+2) - (|x|-r)**(2k+2)].
+
+    x and r may be arrays (broadcast together); scalars give a float.
     """
     r = _check_radius(r)
-    a = abs(float(x))
     e = 2.0 * params.kappa + 2.0
     c = params.c_kappa / (params.kappa + 1.0)
+    if np.ndim(x) or np.ndim(r):
+        a = np.abs(np.asarray(x, dtype=float))
+        inner = np.where(a > r, np.abs(a - r) ** e, 0.0)
+        return c * ((a + r) ** e - inner)
+    a = abs(float(x))
     if a <= r:
         return c * (a + r) ** e
     return c * ((a + r) ** e - (a - r) ** e)
 
 
-def interval_measure(params: DunklParams, x: float, r: float) -> float:
-    """Measure of the metric interval I(x, r) = (x-r, x+r); symmetric in x."""
+def interval_measure(params: DunklParams, x, r):
+    """Measure of the metric interval I(x, r) = (x-r, x+r); symmetric in x.
+
+    x and r may be arrays (broadcast together); scalars give a float.
+    """
     r = _check_radius(r)
-    x = float(x)
-    return float(
-        weight_antiderivative(params, x + r) - weight_antiderivative(params, x - r)
-    )
+    x = np.asarray(x, dtype=float)
+    out = weight_antiderivative(params, x + r) - weight_antiderivative(params, x - r)
+    return out if np.ndim(out) else float(out)
 
 
 def doubling_ratio(params: DunklParams, x: float, r: float) -> float:

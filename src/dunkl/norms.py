@@ -19,7 +19,7 @@ import numpy as np
 
 from ._windows import LineWindowMass
 from .grid import Grid, GridFunction
-from .measure import ball_measure_origin, weight_antiderivative
+from .measure import ball_measure_origin, interval_measure
 from .translation import _INDICATOR_BAND, ball_convolutions, translate_indicator_rows
 
 __all__ = [
@@ -140,6 +140,28 @@ def weak_l1_norm(f: GridFunction) -> float:
     return float(np.max(levels * cum))
 
 
+def _range_max(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(vals[lo[k]:hi[k]]) for every k, and 0.0 for an empty window.
+
+    A sparse table: level j holds the maxima of the 2**j-wide windows, and a
+    window of width w is covered by the two level-floor(log2 w) windows at its
+    two ends.  A maximum of maxima is exact, so this equals the direct loop.
+    """
+    width = hi - lo
+    table = [vals]
+    for j in range(1, int(width.max(initial=0)).bit_length()):
+        prev, step = table[-1], 2 ** (j - 1)
+        # entries past n - 2**j hold partial maxima; they are never read,
+        # because no window of width 2**j starts there
+        table.append(np.concatenate([np.maximum(prev[:-step], prev[step:]), prev[-step:]]))
+    table = np.array(table)
+    full = width > 0
+    level = np.frexp(width[full])[1] - 1
+    out = np.zeros(lo.shape)
+    out[full] = np.maximum(table[level, lo[full]], table[level, hi[full] - 2**level])
+    return out
+
+
 def _annulus_sliding_max(f: GridFunction, r: float) -> np.ndarray:
     """u(y) = max of |f| over the annulus {max(0,|y|-r) < |x| < |y|+r}."""
     half = f.grid.node_count // 2
@@ -148,9 +170,7 @@ def _annulus_sliding_max(f: GridFunction, r: float) -> np.ndarray:
     g = np.maximum(a[half:], a[half - 1 :: -1])
     lo = np.searchsorted(s, np.maximum(0.0, s - r), side="right")
     hi = np.searchsorted(s, s + r, side="left")
-    upos = np.empty(half)
-    for k in range(half):
-        upos[k] = g[lo[k] : hi[k]].max() if hi[k] > lo[k] else 0.0
+    upos = _range_max(g, lo, hi)
     return np.concatenate([upos[::-1], upos])
 
 
@@ -168,7 +188,7 @@ def _amalgam_profiles(f: GridFunction, q: float, radii) -> np.ndarray:
     if q == INF:
         return np.stack([_annulus_sliding_max(f, r) for r in radii])
     fq = GridFunction(f.grid, np.abs(f.values) ** q)
-    conv = ball_convolutions(fq, radii, clamp=True)
+    conv = ball_convolutions(fq, radii)
     return conv ** (1.0 / q)
 
 
@@ -185,15 +205,17 @@ def amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> float:
 def fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """sup over the radius grid of mu(B_r)^(1/alpha - 1/q - 1/p) times the
     r-windowed amalgam norm."""
-    params = f.grid.params
-    theta = _scale_exponent(spec)
     radii = [_check_window_radius(f.grid, r) for r in spec.r_grid]
-    profiles = _amalgam_profiles(f, spec.q, radii)
+    return _fofana_sup(f.grid, spec, _amalgam_profiles(f, spec.q, radii))
+
+
+def _fofana_sup(grid: Grid, spec: NormSpec, profiles) -> float:
+    """sup over spec.r_grid of mu(B_r)^(1/alpha - 1/q - 1/p) * ||u_r||_p,
+    for the window profiles u_r of ``_amalgam_profiles`` at exponent spec.q."""
+    theta = _scale_exponent(spec)
     best = 0.0
-    for r, u in zip(radii, profiles):
-        val = ball_measure_origin(params, r) ** theta * lp_norm(
-            GridFunction(f.grid, u), spec.p
-        )
+    for r, u in zip(spec.r_grid, profiles):
+        val = ball_measure_origin(grid.params, r) ** theta * lp_norm(GridFunction(grid, u), spec.p)
         best = max(best, val)
     return best
 
@@ -292,6 +314,8 @@ class WeakWindowWorkspace:
         half = n // 2
         if y_stride is None:
             y_stride = max(1, n // 512)
+        if not isinstance(y_stride, (int, np.integer)) or y_stride < 1:
+            raise ValueError(f"y_stride must be an integer >= 1, got {y_stride!r}")
         pos_idx = np.arange(half + y_stride // 2, n, y_stride, dtype=int)
         if pos_idx.size == 0:
             pos_idx = np.array([half], dtype=int)
@@ -366,14 +390,10 @@ def _interval_window_lq(f: GridFunction, q: float, r: float) -> np.ndarray:
     """||f chi_{I(y,r)}||_q for every node center y."""
     x = f.grid.nodes
     if q == INF:
-        a = np.abs(f.values)
         lo = np.searchsorted(x, x - r, side="right")
         hi = np.searchsorted(x, x + r, side="left")
-        out = np.empty(x.size)
-        for k in range(x.size):
-            out[k] = a[lo[k] : hi[k]].max() if hi[k] > lo[k] else 0.0
-        return out
-    mass = LineWindowMass(f.grid, np.abs(f.values) ** q)
+        return _range_max(np.abs(f.values), lo, hi)
+    mass = LineWindowMass.line(f.grid, np.abs(f.values) ** q)
     return mass.window(x - r, x + r) ** (1.0 / q)
 
 
@@ -391,19 +411,13 @@ def _interval_fofana(f: GridFunction, spec: NormSpec, center_weights) -> list:
     centers y of center_weight(r, mu(I(y,r))) * ||f chi_{I(y,r)}||_q; the
     windows are computed once for all weights."""
     grid = f.grid
-    params = grid.params
-    x = grid.nodes
     best = [0.0] * len(center_weights)
     for r in spec.r_grid:
         r = _check_window_radius(grid, r)
         local = _interval_window_lq(f, spec.q, r)
-        mu_i = weight_antiderivative(params, x + r) - weight_antiderivative(params, x - r)
+        mu_i = interval_measure(grid.params, grid.nodes, r)
         for j, center_weight in enumerate(center_weights):
-            weighted = center_weight(r, mu_i) * local
-            if spec.p == INF:
-                val = float(np.max(weighted))
-            else:
-                val = float(np.sum(grid.weights * weighted**spec.p) ** (1.0 / spec.p))
+            val = lp_norm(GridFunction(grid, center_weight(r, mu_i) * local), spec.p)
             best[j] = max(best[j], val)
     return best
 

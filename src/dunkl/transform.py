@@ -8,8 +8,12 @@ Everything is evaluated by direct quadrature, organized for speed on a single
 core: the kernel splits into an even part j_k(lx) and an odd part
 (lx/(2k+2)) j_{k+1}(lx), so only two real half-grid matrices are needed per
 (kappa, grid) pair.  They are cached behind a lock (all public functions stay
-pure and reentrant), and all transforms reduce to BLAS matrix products;
-batched variants accept stacked value arrays.
+pure and reentrant), and all transforms reduce to BLAS matrix products.
+
+There is one computational path, the real pair: `forward_pair` maps real
+samples (stacked rows allowed) to the halves (U, V) of a conjugate-symmetric
+spectrum, and `inverse_pair` maps such halves back to real samples.  Complex
+data goes through it by linearity, one pair call per real or imaginary part.
 """
 
 from __future__ import annotations
@@ -106,33 +110,6 @@ def _join(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rmatmul(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """v @ m with real m, avoiding complex promotion of the cached matrix."""
-    if np.iscomplexobj(v):
-        return v.real @ m + 1j * (v.imag @ m)
-    return v @ m
-
-
-def _apply_forward(params: DunklParams, xg: Grid, lg: Grid, vals: np.ndarray) -> np.ndarray:
-    """Transform values (..., N) sampled on xg to the frequency grid lg."""
-    a, b = _blocks(params, lg, xg)
-    fe, fo = _split(vals)
-    w = 2.0 * xg.positive_weights
-    ev = _rmatmul(w * fe, a.T)
-    od = _rmatmul(w * fo, b.T)
-    return _join(ev, -1j * od)
-
-
-def _apply_inverse(params: DunklParams, lg: Grid, xg: Grid, fvals: np.ndarray) -> np.ndarray:
-    """Invert spectral values (..., N) on lg back to the spatial grid xg."""
-    a, b = _blocks(params, lg, xg)
-    fe, fo = _split(fvals)
-    w = 2.0 * lg.positive_weights
-    ev = _rmatmul(w * fe, a)
-    od = 1j * _rmatmul(w * fo, b)
-    return _join(ev, od)
-
-
 def forward_pair(params: DunklParams, xg: Grid, lg: Grid, vals: np.ndarray):
     """Fast path for real input: return (U, V) with F(+l) = U + iV on the
     positive frequency half and F(-l) = U - iV.  vals may be stacked."""
@@ -193,10 +170,20 @@ def default_spatial_grid(spectral: SpectralFunction) -> Grid:
 
 
 def forward(f: GridFunction, lambda_grid: Grid | None = None) -> SpectralFunction:
-    """Transform of a grid function; returns complex samples on lambda_grid."""
+    """Transform of a grid function; returns complex samples on lambda_grid.
+
+    Complex f goes by linearity: one real pair call per real or imaginary part.
+    """
     lg = lambda_grid if lambda_grid is not None else default_frequency_grid(f)
     _check_compatible(f.grid.params, lg)
-    vals = _apply_forward(f.grid.params, f.grid, lg, f.values)
+
+    def part(vals):
+        u, v = forward_pair(f.grid.params, f.grid, lg, vals)
+        return _join(u, 1j * v)
+
+    vals = part(f.values.real)
+    if not f.is_real:
+        vals = vals + 1j * part(f.values.imag)
     return GridFunction(lg, vals)
 
 
@@ -204,12 +191,17 @@ def inverse(spectral: SpectralFunction, x_grid: Grid | None = None) -> GridFunct
     """Inverse transform back to the spatial grid (unit inversion constant).
 
     Without an explicit x_grid the output grid undoes the default band
-    headroom, so inverse(forward(f)) lands back on the grid of f.
+    headroom, so inverse(forward(f)) lands back on the grid of f.  With even
+    part E and odd part O of the spectrum, the real part of the result is the
+    pair inverse of (Re E, Im O) and the imaginary part that of (Im E, -Re O).
     """
     xg = x_grid if x_grid is not None else default_spatial_grid(spectral)
     _check_compatible(spectral.grid.params, xg)
-    vals = _apply_inverse(spectral.grid.params, spectral.grid, xg, spectral.values)
-    return GridFunction(xg, vals)
+    params, lg = spectral.grid.params, spectral.grid
+    even, odd = _split(spectral.values)
+    re = inverse_pair(params, lg, xg, even.real, odd.imag)
+    im = inverse_pair(params, lg, xg, even.imag, -odd.real)
+    return GridFunction(xg, re + 1j * im)
 
 
 def plancherel_defect(f: GridFunction, lambda_grid: Grid | None = None) -> float:

@@ -24,13 +24,11 @@ import math
 import numpy as np
 
 from .grid import Grid, GridFunction, make_grid
-from .measure import ball_measure_origin
+from .measure import _check_radius, ball_measure_origin
 from .params import DunklParams
 from .special import bessel_normalized, kernel_pair
 from .transform import (
     _CHUNK_ELEMENTS,
-    _apply_forward,
-    _apply_inverse,
     forward_pair,
     inverse_pair,
     multiplier_pair,
@@ -51,6 +49,11 @@ _INDICATOR_BAND = 4.0
 
 def _band_grid(grid: Grid, factor: float) -> Grid:
     return make_grid(grid.params, factor * grid.half_width, grid.node_count)
+
+
+def _parts(f: GridFunction) -> tuple:
+    """Real and imaginary parts of f as real grid functions."""
+    return GridFunction(f.grid, f.values.real), GridFunction(f.grid, f.values.imag)
 
 
 def _check_shift(grid: Grid, y: float) -> float:
@@ -106,17 +109,12 @@ def translate(f: GridFunction, y: float) -> GridFunction:
     Real input yields real output: the symmetric fold of the quadrature keeps
     the imaginary round-trip residue at exactly zero, which tightens the
     contract that it must stay below 1e-8 * sup|f| before being discarded.
+    Complex input is translated by linearity, one real part at a time.
     """
-    if f.is_real:
-        return GridFunction(f.grid, translate_rows(f, [y])[0])
-    y = _check_shift(f.grid, y)
-    params = f.grid.params
-    lg = _band_grid(f.grid, _FUNCTION_BAND)
-    spec = _apply_forward(params, f.grid, lg, f.values)
-    a, b = multiplier_pair(params, lg, y)
-    half = np.concatenate([(a - 1j * b)[::-1], a + 1j * b])
-    out = _apply_inverse(params, lg, f.grid, spec * half)
-    return GridFunction(f.grid, out)
+    if not f.is_real:
+        re, im = _parts(f)
+        return translate(re, y) + 1j * translate(im, y)
+    return GridFunction(f.grid, translate_rows(f, [y])[0])
 
 
 def translate_indicator(params: DunklParams, y: float, r: float, grid: Grid) -> GridFunction:
@@ -135,9 +133,7 @@ def translate_indicator(params: DunklParams, y: float, r: float, grid: Grid) -> 
 
 def translate_indicator_rows(params: DunklParams, ys, r: float, grid: Grid) -> np.ndarray:
     """Stacked translated ball indicators, one row per offset in ys."""
-    r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"indicator radius must be positive, got {r}")
+    r = _check_radius(r)
     lg = _band_grid(grid, _INDICATOR_BAND)
     m = ball_multiplier(params, lg, r)
     ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
@@ -151,11 +147,11 @@ def translate_indicator_rows(params: DunklParams, ys, r: float, grid: Grid) -> n
     return raw
 
 
-def ball_convolutions(f: GridFunction, radii, clamp: bool = True) -> np.ndarray:
+def ball_convolutions(f: GridFunction, radii) -> np.ndarray:
     """(f * chi_{B_r}) for each r in radii, stacked rows, via one transform.
 
-    f must be real; rows are clamped at 0 when requested (spectral windows of
-    non-negative data may undershoot slightly).
+    f must be real; rows are clamped at 0 (spectral windows of non-negative
+    data may undershoot slightly).
     """
     if not f.is_real:
         raise ValueError("ball convolutions expect real samples")
@@ -167,23 +163,21 @@ def ball_convolutions(f: GridFunction, radii, clamp: bool = True) -> np.ndarray:
     u, v = forward_pair(params, f.grid, lg, f.values)
     mult = np.stack([ball_multiplier(params, lg, r) for r in rr])
     out = inverse_pair(params, lg, f.grid, mult * u, mult * v)
-    if clamp:
-        np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
     return out
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Generalized convolution via multiplication of transforms."""
+    """Generalized convolution via multiplication of transforms; complex
+    input goes by bilinearity through the real parts."""
     if f.grid != g.grid:
         raise ValueError("convolution requires both functions on the same grid")
+    if not (f.is_real and g.is_real):
+        (fr, fi), (gr, gi) = _parts(f), _parts(g)
+        return convolve(fr, gr) - convolve(fi, gi) + 1j * (convolve(fr, gi) + convolve(fi, gr))
     params = f.grid.params
     lg = _band_grid(f.grid, _FUNCTION_BAND)
-    if f.is_real and g.is_real:
-        uf, vf = forward_pair(params, f.grid, lg, f.values)
-        ug, vg = forward_pair(params, g.grid, lg, g.values)
-        out = inverse_pair(params, lg, f.grid, *pair_multiply(uf, vf, ug, vg))
-        return GridFunction(f.grid, out)
-    sf = _apply_forward(params, f.grid, lg, f.values)
-    sg = _apply_forward(params, g.grid, lg, g.values)
-    out = _apply_inverse(params, lg, f.grid, sf * sg)
+    uf, vf = forward_pair(params, f.grid, lg, f.values)
+    ug, vg = forward_pair(params, g.grid, lg, g.values)
+    out = inverse_pair(params, lg, f.grid, *pair_multiply(uf, vf, ug, vg))
     return GridFunction(f.grid, out)

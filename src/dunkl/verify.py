@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from ._version import VERSION
-from ._windows import FoldedWindowMass
+from ._windows import LineWindowMass
 from .grid import Grid, GridFunction, integrate, make_grid, sample_family
 from .maximal import centered_maximal, dunkl_maximal, interval_maximal
 from .measure import (
@@ -364,6 +364,13 @@ class _Recorder:
         self.cases.append(Case(case_id, statement, "measure", inputs, v, None, 0.0, math.isfinite(v)))
         return v
 
+    def stability(self, case_id, statement, value, reference, **inputs):
+        """Bound the drift |value/reference - 1| between two grid or domain
+        sizes (the largest one, for tuples) by the stability tolerance."""
+        pairs = zip(value, reference) if isinstance(value, tuple) else [(value, reference)]
+        drift = max(abs(v / r - 1.0) for v, r in pairs)
+        return self.bound(case_id, statement, drift, self.cfg.tolerance("stability"), 0.0, **inputs)
+
     def report(self) -> VerificationReport:
         return VerificationReport(self.name, self.cfg.echo(), self.cases)
 
@@ -380,6 +387,13 @@ def _family(cfg: SuiteConfig, grid: Grid, names=None):
         fid = f"{name}({','.join('%g' % v for v in ps)})"
         out.append((fid, sample_family(name, ps, grid)))
     return out
+
+
+def _refined(cfg: SuiteConfig, params: DunklParams, evaluate):
+    """evaluate(grid) on the grid of N/2 nodes and then on that of N nodes;
+    returns (coarse, fine)."""
+    sizes = (cfg.node_count // 2, cfg.node_count)
+    return tuple(evaluate(make_grid(params, cfg.half_width, n)) for n in sizes)
 
 
 def _radius_grid(cfg: SuiteConfig, grid: Grid):
@@ -639,15 +653,13 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig):
         p = _params_for(kappa)
         tol = cfg.tolerance("plancherel_classical") if p.classical else cfg.tolerance("plancherel")
         for a in (0.25, 0.5, 2.0):
-            defects = {}
-            for n in (cfg.node_count // 2, cfg.node_count):
-                g = make_grid(p, cfg.half_width, n)
-                f = sample_family("gaussian", (a,), g)
-                defects[n] = plancherel_defect(f)
+            coarse, fine = _refined(
+                cfg, p, lambda g: plancherel_defect(sample_family("gaussian", (a,), g))
+            )
             rec.bound(
                 f"plancherel_k{_klabel(kappa)}_a{a:g}",
                 "plancherel",
-                defects[cfg.node_count],
+                fine,
                 tol,
                 0.0,
                 kappa=kappa,
@@ -656,12 +668,12 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig):
             rec.bound(
                 f"plancherel_refine_k{_klabel(kappa)}_a{a:g}",
                 "plancherel",
-                defects[cfg.node_count],
-                1.05 * defects[cfg.node_count // 2] + 1e-12,
+                fine,
+                1.05 * coarse + 1e-12,
                 0.0,
                 kappa=kappa,
                 family=f"gaussian({a:g})",
-                coarse_defect=defects[cfg.node_count // 2],
+                coarse_defect=coarse,
             )
         g = make_grid(p, cfg.half_width, cfg.node_count)
         interior = np.abs(g.nodes) <= cfg.half_width / 2.0
@@ -879,7 +891,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig):
             idx = int(np.argmin(np.abs(g.nodes - x0)))
             xv = float(g.nodes[idx])
             tf = translate(f, xv)
-            mass = FoldedWindowMass(g, tf.values)
+            mass = LineWindowMass.folded(g, tf.values)
             etas = [8.0 * g.spacing * 2.0**k for k in range(8) if 8.0 * g.spacing * 2.0**k <= 1.0]
             etas = sorted(etas, reverse=True)
             errs = []
@@ -1319,12 +1331,11 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig):
             scaled,
             kappa=kappa,
         )
-        rec.bound(
+        rec.stability(
             f"interval_translation_scaled_stability_k{_klabel(kappa)}",
             "ball_scaled_interval_vs_translation_fofana",
-            abs(scaled / scaled_h - 1.0),
-            cfg.tolerance("stability"),
-            0.0,
+            scaled,
+            scaled_h,
             kappa=kappa,
             half_domain_constant=scaled_h,
         )
@@ -1353,15 +1364,12 @@ def _suite_linfty_identity(rec: _Recorder, cfg: SuiteConfig):
 
 @_suite
 def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig):
-    stability = cfg.tolerance("stability")
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
         for (q, pp, alpha, label) in ((2.0, 8.0, 2.0, "alpha_eq_q"), (2.0, 8.0, 8.0, "alpha_eq_p")):
-            windows = {}
-            for n in (cfg.node_count // 2, cfg.node_count):
-                g = make_grid(p, cfg.half_width, n)
-                rg = _radius_grid(cfg, g)
-                spec = NormSpec(q, pp, alpha, rg)
+
+            def window(g):
+                spec = NormSpec(q, pp, alpha, _radius_grid(cfg, g))
                 cmax = 0.0
                 for fid, f in _family(cfg, g, names=("gaussian", "indicator_ball", "bump", "trig_gauss")):
                     base = lp_norm(f, alpha)
@@ -1369,8 +1377,9 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig):
                         continue
                     ratio = fofana_norm(f, spec) / base
                     cmax = max(cmax, ratio, 1.0 / ratio)
-                windows[n] = cmax
-            c_fine = windows[cfg.node_count]
+                return cmax
+
+            c_coarse, c_fine = _refined(cfg, p, window)
             rec.measure(
                 f"fofana_lebesgue_window_k{_klabel(kappa)}_{label}",
                 "fofana_lebesgue_identity",
@@ -1380,14 +1389,13 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig):
                 p=pp,
                 alpha=alpha,
             )
-            rec.bound(
+            rec.stability(
                 f"fofana_lebesgue_stability_k{_klabel(kappa)}_{label}",
                 "fofana_lebesgue_identity",
-                abs(c_fine / windows[cfg.node_count // 2] - 1.0),
-                stability,
-                0.0,
+                c_fine,
+                c_coarse,
                 kappa=kappa,
-                coarse_window=windows[cfg.node_count // 2],
+                coarse_window=c_coarse,
             )
         # interval-normed counterpart: reported lower-bound constant
         g = make_grid(p, cfg.half_width, cfg.node_count)
@@ -1431,12 +1439,10 @@ def _classical_maximal_oracle(f: GridFunction, rhos) -> np.ndarray:
 
 @_suite
 def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
-    stability = cfg.tolerance("stability")
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
-        windows = {}
-        for n in (cfg.node_count // 2, cfg.node_count):
-            g = make_grid(p, cfg.half_width, n)
+
+        def windows(g):
             rhog = _rho_grid(cfg, g)
             sel = np.abs(g.nodes) <= cfg.half_width / 2.0
             c1 = 0.0
@@ -1452,8 +1458,9 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
                 r2 = mc[mask] / mi[mask]
                 c1 = max(c1, float(np.max(r1)), float(np.max(1.0 / r1)))
                 c2 = max(c2, float(np.max(r2)), float(np.max(1.0 / r2)))
-            windows[n] = (c1, c2)
-        c1_fine, c2_fine = windows[cfg.node_count]
+            return c1, c2
+
+        coarse, (c1_fine, c2_fine) = _refined(cfg, p, windows)
         rec.measure(
             f"equivalence_window_dunkl_centered_k{_klabel(kappa)}",
             "maximal_equivalence",
@@ -1466,15 +1473,13 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
             c2_fine,
             kappa=kappa,
         )
-        c1_coarse, c2_coarse = windows[cfg.node_count // 2]
-        rec.bound(
+        rec.stability(
             f"equivalence_stability_k{_klabel(kappa)}",
             "maximal_equivalence",
-            max(abs(c1_fine / c1_coarse - 1.0), abs(c2_fine / c2_coarse - 1.0)),
-            stability,
-            0.0,
+            (c1_fine, c2_fine),
+            coarse,
             kappa=kappa,
-            coarse=[c1_coarse, c2_coarse],
+            coarse=coarse,
         )
 
         g = make_grid(p, cfg.half_width, cfg.node_count)
@@ -1570,18 +1575,15 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
 
 @_suite
 def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig):
-    stability = cfg.tolerance("stability")
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
         for (q, pp, alpha) in cfg.exponents:
             if q <= 1.0:
                 continue
-            ratios = {}
-            for n in (cfg.node_count // 2, cfg.node_count):
-                g = make_grid(p, cfg.half_width, n)
-                rg = _radius_grid(cfg, g)
+
+            def family_max(g):
                 rhog = _rho_grid(cfg, g)
-                spec = NormSpec(q, pp, alpha, rg)
+                spec = NormSpec(q, pp, alpha, _radius_grid(cfg, g))
                 fam_max = 0.0
                 for fid, f in _family(cfg, g):
                     base = interval_fofana_norm(f, spec)
@@ -1589,8 +1591,9 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig):
                         continue
                     val = interval_fofana_norm(interval_maximal(f, rhog), spec)
                     fam_max = max(fam_max, val / base)
-                ratios[n] = fam_max
-            fine = ratios[cfg.node_count]
+                return fam_max
+
+            coarse, fine = _refined(cfg, p, family_max)
             tag = f"k{_klabel(kappa)}_q{q:g}_p{pp:g}_a{alpha:g}"
             rec.measure(
                 f"interval_maximal_ratio_{tag}",
@@ -1601,21 +1604,18 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig):
                 p=pp,
                 alpha=alpha,
             )
-            rec.bound(
+            rec.stability(
                 f"interval_maximal_stability_{tag}",
                 "interval_fofana_maximal_bound",
-                abs(fine / ratios[cfg.node_count // 2] - 1.0),
-                stability,
-                0.0,
+                fine,
+                coarse,
                 kappa=kappa,
-                coarse=ratios[cfg.node_count // 2],
+                coarse=coarse,
             )
 
         # indicator decay of the interval maximal function: the constant is
         # measured at both grid levels and must be refinement-stable
-        decay_c = {}
-        for n in (cfg.node_count // 2, cfg.node_count):
-            gn = make_grid(p, cfg.half_width, n)
+        def decay_constant(gn):
             worst_c = 0.0
             for (yc, rc) in ((0.0, 0.5), (1.0, 0.5), (2.0, 1.0)):
                 chi = GridFunction(gn, (np.abs(gn.nodes - yc) < rc).astype(float))
@@ -1627,21 +1627,22 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig):
                 mu_r = interval_measure(p, yc, rc)
                 mu_d = np.array([interval_measure(p, yc, float(d)) for d in dist[sel]])
                 worst_c = max(worst_c, float(np.max(mi[sel] * mu_d / mu_r)))
-            decay_c[n] = worst_c
+            return worst_c
+
+        decay_coarse, decay_fine = _refined(cfg, p, decay_constant)
         rec.measure(
             f"indicator_decay_constant_k{_klabel(kappa)}",
             "maximal_indicator_decay",
-            decay_c[cfg.node_count],
+            decay_fine,
             kappa=kappa,
         )
-        rec.bound(
+        rec.stability(
             f"indicator_decay_stability_k{_klabel(kappa)}",
             "maximal_indicator_decay",
-            abs(decay_c[cfg.node_count] / decay_c[cfg.node_count // 2] - 1.0),
-            stability,
-            0.0,
+            decay_fine,
+            decay_coarse,
             kappa=kappa,
-            coarse=decay_c[cfg.node_count // 2],
+            coarse=decay_coarse,
         )
 
         g = make_grid(p, cfg.half_width, cfg.node_count)
@@ -1700,140 +1701,99 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig):
                 )
 
 
+def _record_member_ratios(rec, statement, tag, coarse, fine, kappa, **exponents):
+    """Record ratios per family member, given by id at both grid sizes: that
+    each fine ratio is finite, the fine family maximum, and its drift from
+    the coarse maximum."""
+    for fid, ratio in fine.items():
+        finite = 0.0 if math.isfinite(ratio) else INF
+        rec.bound(
+            f"finite_{tag}_{fid}", statement, finite, 1.0, 0.0, kappa=kappa, family=fid, ratio=ratio
+        )
+    fam_fine = max([0.0, *fine.values()])
+    rec.measure(f"family_max_{tag}", statement, fam_fine, kappa=kappa, **exponents)
+    fam_coarse = max([0.0, *coarse.values()])
+    rec.stability(
+        f"stability_{tag}", statement, fam_fine, fam_coarse, kappa=kappa, coarse=fam_coarse
+    )
+
+
 @_suite
 def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig):
-    stability = cfg.tolerance("stability")
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
         for (q, pp, alpha) in cfg.exponents:
             if q <= 1.0:
                 raise ValueError("the strong maximal theorem requires q > 1")
-            ratios = {}
-            per_member_fine = {}
-            for n in (cfg.node_count // 2, cfg.node_count):
-                g = make_grid(p, cfg.half_width, n)
-                rg = _radius_grid(cfg, g)
+
+            def member_ratios(g):
                 rhog = _rho_grid(cfg, g)
-                spec = NormSpec(q, pp, alpha, rg)
-                fam_max = 0.0
+                spec = NormSpec(q, pp, alpha, _radius_grid(cfg, g))
+                ratios = {}
                 for fid, f in _family(cfg, g):
                     base = fofana_norm(f, spec)
                     if base == 0.0:
                         continue
-                    val = fofana_norm(dunkl_maximal(f, rhog), spec)
-                    ratio = val / base
-                    fam_max = max(fam_max, ratio)
-                    if n == cfg.node_count:
-                        per_member_fine[fid] = ratio
-                ratios[n] = fam_max
-            tag = f"k{_klabel(kappa)}_q{q:g}_p{pp:g}_a{alpha:g}"
-            for fid, ratio in per_member_fine.items():
-                rec.bound(
-                    f"finite_{tag}_{fid}",
-                    "fofana_maximal_bound",
-                    0.0 if math.isfinite(ratio) else INF,
-                    1.0,
-                    0.0,
-                    kappa=kappa,
-                    family=fid,
-                    ratio=ratio,
-                )
-            rec.measure(
-                f"family_max_{tag}",
+                    ratios[fid] = fofana_norm(dunkl_maximal(f, rhog), spec) / base
+                return ratios
+
+            _record_member_ratios(
+                rec,
                 "fofana_maximal_bound",
-                ratios[cfg.node_count],
+                f"k{_klabel(kappa)}_q{q:g}_p{pp:g}_a{alpha:g}",
+                *_refined(cfg, p, member_ratios),
                 kappa=kappa,
                 q=q,
                 p=pp,
                 alpha=alpha,
             )
-            rec.bound(
-                f"stability_{tag}",
-                "fofana_maximal_bound",
-                abs(ratios[cfg.node_count] / ratios[cfg.node_count // 2] - 1.0),
-                stability,
-                0.0,
-                kappa=kappa,
-                coarse=ratios[cfg.node_count // 2],
-            )
 
 
 @_suite
 def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig):
-    from .norms import WeakWindowWorkspace, _amalgam_profiles
-    from .measure import ball_measure_origin as _mu
+    from .norms import WeakWindowWorkspace, _amalgam_profiles, _fofana_sup
 
-    stability = cfg.tolerance("stability")
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
-        # family maxima per (p, alpha) pair at both grid levels; window rows,
-        # maximal functions, q = 1 window profiles and weak window statistics
-        # are shared across pairs
-        fam_max = {}
-        per_member_fine = {}
-        dominance_worst = 0.0
-        for n in (cfg.node_count // 2, cfg.node_count):
-            g = make_grid(p, cfg.half_width, n)
+
+        def member_ratios(g):
+            """Per (p, alpha) pair, the ratio of each family member, and the
+            worst weak/strong dominance ratio (on the fine grid only).  Window
+            rows, maximal functions, q = 1 window profiles and weak window
+            statistics are shared across pairs."""
+            fine = g.node_count == cfg.node_count
             rg = default_radius_grid(g, ratio=2.0) if cfg.r_grid is None else cfg.r_grid
             rhog = _rho_grid(cfg, g)
             ws = WeakWindowWorkspace(g, rg)
-            fine = n == cfg.node_count
+            specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in cfg.weak_exponents]
+            ratios = {pair: {} for pair in cfg.weak_exponents}
+            dominance = 0.0
             for fid, f in _family(cfg, g):
                 mf = dunkl_maximal(f, rhog)
                 profiles = _amalgam_profiles(f, 1.0, rg)
                 weak_mf = ws.weak_fofana(mf, cfg.weak_exponents)
                 dominated = fine and fid.startswith(("gaussian", "bump", "indicator_ball"))
                 weak_f = ws.weak_fofana(f, cfg.weak_exponents) if dominated else None
-                for j, (pp, alpha) in enumerate(cfg.weak_exponents):
-                    theta = (0.0 if alpha == INF else 1.0 / alpha) - 1.0 - (
-                        0.0 if pp == INF else 1.0 / pp
-                    )
-                    base = max(
-                        _mu(p, r) ** theta * lp_norm(GridFunction(g, u), pp)
-                        for r, u in zip(rg, profiles)
-                    )
+                for j, pair in enumerate(cfg.weak_exponents):
+                    base = _fofana_sup(g, specs[j], profiles)
                     if base == 0.0:
                         continue
-                    ratio = weak_mf[j] / base
-                    key = (pp, alpha, n)
-                    fam_max[key] = max(fam_max.get(key, 0.0), ratio)
-                    if fine:
-                        per_member_fine[(pp, alpha, fid)] = ratio
+                    ratios[pair][fid] = weak_mf[j] / base
                     if dominated:
-                        dominance_worst = max(dominance_worst, weak_f[j] / base)
+                        dominance = max(dominance, weak_f[j] / base)
+            return ratios, dominance
+
+        (coarse, _), (fine, dominance_worst) = _refined(cfg, p, member_ratios)
         for (pp, alpha) in cfg.weak_exponents:
-            tag = f"k{_klabel(kappa)}_p{pp:g}_a{alpha:g}"
-            for (p2, a2, fid), ratio in per_member_fine.items():
-                if (p2, a2) != (pp, alpha):
-                    continue
-                rec.bound(
-                    f"finite_{tag}_{fid}",
-                    "weak_fofana_maximal_bound",
-                    0.0 if math.isfinite(ratio) else INF,
-                    1.0,
-                    0.0,
-                    kappa=kappa,
-                    family=fid,
-                    ratio=ratio,
-                )
-            fine_val = fam_max[(pp, alpha, cfg.node_count)]
-            coarse_val = fam_max[(pp, alpha, cfg.node_count // 2)]
-            rec.measure(
-                f"family_max_{tag}",
+            _record_member_ratios(
+                rec,
                 "weak_fofana_maximal_bound",
-                fine_val,
+                f"k{_klabel(kappa)}_p{pp:g}_a{alpha:g}",
+                coarse[(pp, alpha)],
+                fine[(pp, alpha)],
                 kappa=kappa,
                 p=pp,
                 alpha=alpha,
-            )
-            rec.bound(
-                f"stability_{tag}",
-                "weak_fofana_maximal_bound",
-                abs(fine_val / coarse_val - 1.0),
-                stability,
-                0.0,
-                kappa=kappa,
-                coarse=coarse_val,
             )
         # dominance: the weak window statistic sits under the strong one at q=1
         rec.bound(

@@ -120,3 +120,33 @@ def test_rejects_nonpositive_radius():
     for fn in (lambda: ball_measure_origin(p, 0.0), lambda: ball_measure(p, 1.0, -1.0), lambda: interval_measure(p, 0.0, 0.0), lambda: doubling_ratio(p, 0.0, -2.0)):
         with pytest.raises(ValueError):
             fn()
+
+
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5, 1.5])
+def test_array_measures_match_scalar_calls(kappa):
+    # array pow and scalar pow may differ in the last bit, so not bitwise
+    p = DunklParams(kappa, classical=(kappa == -0.5))
+    x = np.array([-7.5, -2.0, -0.3, 0.0, 0.25, 0.9, 1.0, 3.0, 12.0])
+    for r in (0.1, 1.0, 2.5):
+        for fn in (ball_measure, interval_measure):
+            got = fn(p, x, r)
+            want = np.array([fn(p, float(xi), r) for xi in x])
+            assert got.shape == x.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # array radii broadcast against the centers
+    rs = np.array([0.1, 1.0, 2.5])
+    for fn in (ball_measure, interval_measure):
+        got = fn(p, x[:, None], rs[None, :])
+        want = np.array([[fn(p, float(xi), float(r)) for r in rs] for xi in x])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_array_radius_entries_validated(bad):
+    p = DunklParams(0.5)
+    rs = np.array([1.0, bad, 2.0])
+    for fn in (ball_measure, interval_measure):
+        with pytest.raises(ValueError, match="radius"):
+            fn(p, 0.5, rs)
+        with pytest.raises(ValueError, match="radius"):
+            fn(p, np.array([0.0, 1.0, 2.0]), rs)

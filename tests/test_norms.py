@@ -380,3 +380,69 @@ def test_interval_fofana_pair_matches_both_norms():
                 interval_fofana_norm(f, spec),
                 ball_scaled_interval_fofana_norm(f, spec),
             )
+
+
+def _loop_range_max(vals, lo, hi):
+    """The per-node loop the sparse-table range maximum replaced."""
+    out = np.empty(lo.size)
+    for k in range(lo.size):
+        out[k] = vals[lo[k] : hi[k]].max() if hi[k] > lo[k] else 0.0
+    return out
+
+
+def _loop_annulus_max(f, r):
+    half = f.grid.node_count // 2
+    s = f.grid.positive_nodes
+    a = np.abs(f.values)
+    g = np.maximum(a[half:], a[half - 1 :: -1])
+    lo = np.searchsorted(s, np.maximum(0.0, s - r), side="right")
+    hi = np.searchsorted(s, s + r, side="left")
+    upos = _loop_range_max(g, lo, hi)
+    return np.concatenate([upos[::-1], upos])
+
+
+def _loop_interval_max(f, r):
+    x = f.grid.nodes
+    lo = np.searchsorted(x, x - r, side="right")
+    hi = np.searchsorted(x, x + r, side="left")
+    return _loop_range_max(np.abs(f.values), lo, hi)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5, 1.5])
+def test_range_max_matches_per_node_loops(kappa, n):
+    # radii from the default grids (both ratios), plus windows clipped at 0
+    # (r = 1, 8) and windows clipped at both domain ends (r = 100 > L)
+    g = make_grid(DunklParams(kappa, classical=(kappa == -0.5)), 16.0, n)
+    f = sample_family("trig_gauss", [1.0], g)
+    radii = default_radius_grid(g) + default_radius_grid(g, ratio=2.0) + (1.0, 8.0, 100.0)
+    for r in radii:
+        assert np.array_equal(norms._annulus_sliding_max(f, r), _loop_annulus_max(f, r))
+        assert np.array_equal(_interval_window_lq(f, INF, r), _loop_interval_max(f, r))
+
+
+def test_range_max_arbitrary_and_empty_windows():
+    rng = np.random.default_rng(7)
+    vals = rng.random(1000)
+    lo = rng.integers(0, 1000, 5000)
+    hi = np.minimum(lo + rng.integers(0, 300, 5000), 1000)
+    hi[:50] = 1000  # windows reaching the end
+    lo[50:100] = 0  # windows starting at 0
+    hi[::7] = lo[::7]  # empty windows
+    got = norms._range_max(vals, lo, hi)
+    assert np.array_equal(got, _loop_range_max(vals, lo, hi))
+    assert np.all(got[::7] == 0.0)
+    # all windows empty, and no windows at all
+    assert np.array_equal(norms._range_max(vals, lo, lo), np.zeros(lo.size))
+    assert norms._range_max(vals, lo[:0], hi[:0]).size == 0
+
+
+@pytest.mark.parametrize("stride", [-1, -3, 0, 2.5])
+def test_weak_fofana_rejects_bad_y_stride(stride):
+    g = make_grid(DunklParams(0.5), 8.0, 512)
+    f = sample_family("gaussian", [0.6], g)
+    rg = default_radius_grid(g)
+    with pytest.raises(ValueError, match=f"got {stride!r}$"):
+        weak_fofana_norm(f, 8.0, 4.0, rg, stride)
+    with pytest.raises(ValueError, match="y_stride"):
+        norms.WeakWindowWorkspace(g, rg, stride)

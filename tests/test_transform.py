@@ -178,3 +178,37 @@ def test_kernel_cache_variable_rejects_bad_values(value):
     )
     assert proc.returncode != 0
     assert f"ValueError: DUNKL_KERNEL_CACHE must be an integer >= 0, got {value!r}" in proc.stderr
+
+
+def _modulated_gaussian(g, omega=1.5):
+    """exp(-x^2/2) * exp(i omega x): complex samples with both parts nonzero."""
+    x = g.nodes
+    return GridFunction(g, np.exp(-x * x / 2) * np.exp(1j * omega * x))
+
+
+@pytest.mark.parametrize("kappa,classical", [(-0.5, True), (0.5, False)])
+def test_forward_of_complex_is_linear_in_its_parts(kappa, classical):
+    p = DunklParams(kappa, classical=classical)
+    g = make_grid(p, 16.0, 1024)
+    f = _modulated_gaussian(g)
+    parts = forward(GridFunction(g, f.values.real)).values + 1j * forward(
+        GridFunction(g, f.values.imag)
+    ).values
+    assert np.array_equal(forward(f).values, parts)
+
+
+@pytest.mark.parametrize("kappa,classical", [(-0.5, True), (0.5, False)])
+def test_complex_roundtrip(kappa, classical):
+    p = DunklParams(kappa, classical=classical)
+    g = make_grid(p, 16.0, 1024)
+    f = _modulated_gaussian(g)
+    spec = forward(f)
+    rt = inverse(spec)
+    assert rt.grid == g
+    assert not rt.is_real
+    assert np.max(np.abs(rt.values - f.values)) < 1e-6
+    # the inverse is linear in the real and imaginary parts of the spectrum
+    parts = inverse(GridFunction(spec.grid, spec.values.real)).values + 1j * inverse(
+        GridFunction(spec.grid, spec.values.imag)
+    ).values
+    assert np.max(np.abs(rt.values - parts)) <= 1e-13 * np.max(np.abs(f.values))

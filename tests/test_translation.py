@@ -268,3 +268,55 @@ def test_ball_convolutions_checks_radii_first(monkeypatch):
     monkeypatch.setattr(translation, "forward_pair", _refuse_forward)
     with pytest.raises(ValueError, match="no radii"):
         translation.ball_convolutions(f, [])
+
+
+def _complex_pair(g):
+    """Two complex grid functions with nonzero real and imaginary parts."""
+    x = g.nodes
+    f = GridFunction(g, np.exp(-x * x / 2) * np.exp(1.5j * x))
+    h = sample_family("bump", [0.5, 2.0], g) + 1j * sample_family("gaussian", [1.0], g)
+    return f, h
+
+
+def _parts(f):
+    return GridFunction(f.grid, f.values.real), GridFunction(f.grid, f.values.imag)
+
+
+@pytest.mark.parametrize("kappa,classical", [(-0.5, True), (0.5, False)])
+def test_translate_of_complex_is_linear_in_its_parts(kappa, classical):
+    p = DunklParams(kappa, classical=classical)
+    g = make_grid(p, 16.0, 1024)
+    f, _ = _complex_pair(g)
+    re, im = _parts(f)
+    for y in (-3.0, 0.75, 5.5):
+        got = translate(f, y)
+        assert not got.is_real
+        want = translate(re, y).values + 1j * translate(im, y).values
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(f.values))
+
+
+@pytest.mark.parametrize("kappa,classical", [(-0.5, True), (0.5, False)])
+def test_convolve_of_complex_is_bilinear_in_the_parts(kappa, classical):
+    p = DunklParams(kappa, classical=classical)
+    g = make_grid(p, 16.0, 1024)
+    f, h = _complex_pair(g)
+    fr, fi = _parts(f)
+    hr, hi = _parts(h)
+    want = (convolve(fr, hr).values - convolve(fi, hi).values) + 1j * (
+        convolve(fr, hi).values + convolve(fi, hr).values
+    )
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(convolve(f, h).values - want)) <= 1e-13 * scale
+    # one complex and one real argument
+    want_real_h = convolve(fr, hr).values + 1j * convolve(fi, hr).values
+    assert np.max(np.abs(convolve(f, hr).values - want_real_h)) <= 1e-13 * scale
+
+
+def test_classical_translation_of_complex_is_shift():
+    p = DunklParams(-0.5, classical=True)
+    g = make_grid(p, 16.0, 1024)
+    f, _ = _complex_pair(g)
+    x = g.nodes
+    for y in (-2.0, 1.0, 3.5):
+        exact = np.exp(-((x + y) ** 2) / 2) * np.exp(1.5j * (x + y))
+        assert np.max(np.abs(translate(f, y).values - exact)) < 1e-10
