@@ -316,9 +316,12 @@ class WeakWindowWorkspace:
             y_stride = max(1, n // 512)
         if not isinstance(y_stride, (int, np.integer)) or y_stride < 1:
             raise ValueError(f"y_stride must be an integer >= 1, got {y_stride!r}")
+        if y_stride >= n:
+            raise ValueError(
+                f"y_stride {y_stride} leaves no center on {n} nodes; "
+                f"the largest valid stride is {n - 1}"
+            )
         pos_idx = np.arange(half + y_stride // 2, n, y_stride, dtype=int)
-        if pos_idx.size == 0:
-            pos_idx = np.array([half], dtype=int)
         self.ypos = grid.nodes[pos_idx]
         self.wdec = grid.weights[pos_idx] * y_stride
         self.radii = tuple(_check_window_radius(grid, r) for r in r_grid)

@@ -11,6 +11,13 @@ imaginary axis combines two of them:
     E(i s) = j_k(s) + i * s / (2k+2) * j_{k+1}(s),
 
 which reduces to exp(i s) at kappa = -1/2 and has modulus at most 1.
+
+j_nu is summed as the series up to |z| = _SERIES_CUTOFF and taken from a
+large-argument route chosen by order beyond it.  Every value depends only on
+its own argument, not on the other entries of the call: an input wholly on
+one side of the cutoff goes through its route whole, a mixed one is split,
+and the series' convergence cadence cannot change a converged entry (see
+`_series`).  Kernel blocks built from one triangle rely on this.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ _SERIES_CUTOFF = 10.0
 # Term-ratio stopping rule for the power series.
 _SERIES_TOL = 1e-17
 _MAX_TERMS = 200
+# Convergence of the series is tested on every this-many terms.
+_CHECK_EVERY = 4
 # Half-integer orders m + 1/2 with -1 <= m <= this use the closed forms.
 _HALF_INTEGER_MAX = 3
 
@@ -40,13 +49,19 @@ _HALF_INTEGER_MAX = 3
 def _series(order: float, z2: np.ndarray, tol: float = _SERIES_TOL) -> np.ndarray:
     """Power series for j_order evaluated at z^2 (arrays), all entries at once.
 
-    Summation stops once every term is below tol relative to its partial sum.
+    Summation stops once every term is below tol relative to its partial sum,
+    tested every _CHECK_EVERY terms.  The cadence is exact: tol is under half
+    an ulp, so once an entry's term is below tol * |total| no later, smaller
+    term changes its total, and every entry gets the bits it would get from a
+    test on every term (or alone in its own call).
     """
     term = np.ones_like(z2)
     total = np.ones_like(z2)
     for n in range(1, _MAX_TERMS):
         term = term * (-z2) / (4.0 * n * (n + order))
         total += term
+        if n % _CHECK_EVERY:
+            continue
         if np.all(np.abs(term) < tol * np.maximum(np.abs(total), 1e-300)):
             return total
     raise RuntimeError("bessel series did not converge; |z| too large for series path")
@@ -100,12 +115,15 @@ def bessel_normalized(order: float, z):
     if not np.all(np.isfinite(z_arr)):
         raise ValueError("z must be finite")
     a = np.abs(z_arr)
-    out = np.empty_like(a)
     small = a <= _SERIES_CUTOFF
-    if np.any(small):
+    if np.all(small):
+        out = _series(order, a * a)
+    elif not np.any(small):
+        out = _large_argument(order, a)
+    else:
+        out = np.empty_like(a)
         zs = a[small]
         out[small] = _series(order, zs * zs)
-    if not np.all(small):
         out[~small] = _large_argument(order, a[~small])
     return out if out.ndim else float(out)
 

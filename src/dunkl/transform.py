@@ -8,7 +8,10 @@ Everything is evaluated by direct quadrature, organized for speed on a single
 core: the kernel splits into an even part j_k(lx) and an odd part
 (lx/(2k+2)) j_{k+1}(lx), so only two real half-grid matrices are needed per
 (kappa, grid) pair.  They are cached behind a lock (all public functions stay
-pure and reentrant), and all transforms reduce to BLAS matrix products.
+pure and reentrant; concurrent misses of one pair build it once), and all
+transforms reduce to BLAS matrix products.  A square block whose two node
+sets differ by an exact power of two is exactly symmetric, so it is built
+from one triangle (see `_build`).
 
 There is one computational path, the real pair: `forward_pair` maps real
 samples (stacked rows allowed) to the halves (U, V) of a conjugate-symmetric
@@ -18,6 +21,7 @@ data goes through it by linearity, one pair call per real or imaginary part.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections import OrderedDict
@@ -48,11 +52,87 @@ _CACHE_SIZE = _cache_size()
 _CHUNK_ELEMENTS = 1 << 18
 _cache: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
 _cache_lock = threading.Lock()
+# Blocks being built, by key: a thread that misses a key another thread is
+# building waits for that build instead of repeating it.
+_building: "dict[tuple, _Build]" = {}
+
+
+class _Build:
+    """One in-flight block build; `blocks` stays None if the build fails."""
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.blocks = None
+
+
+def _cached(params: DunklParams, out_grid: Grid, in_grid: Grid, key: tuple):
+    """The blocks for key from the cache, directly, transposed or as leading
+    sub-blocks of a larger pair; None on a miss.  Call under _cache_lock."""
+    if key in _cache:
+        _cache.move_to_end(key)
+        return _cache[key]
+    rkey = (params.kappa, key[3], key[4], key[1], key[2])
+    if rkey in _cache:
+        _cache.move_to_end(rkey)
+        a, b = _cache[rkey]
+        return a.T, b.T
+    # Midpoint grids with equal spacing share their leading positive
+    # nodes, so a cached pair on the same spacings with at least as many
+    # nodes holds these blocks as its leading sub-blocks.
+    m, n = out_grid.node_count // 2, in_grid.node_count // 2
+    for ckey, (a, b) in _cache.items():
+        k, ow, on, iw, inn = ckey
+        if (
+            k == params.kappa
+            and on // 2 >= m
+            and inn // 2 >= n
+            and 2.0 * ow / on == out_grid.spacing
+            and 2.0 * iw / inn == in_grid.spacing
+        ):
+            _cache.move_to_end(ckey)
+            return a[:m, :n], b[:m, :n]
+    return None
+
+
+def _power_of_two_multiple(p: np.ndarray, q: np.ndarray) -> bool:
+    """Whether p == 2^e * q exactly, entry by entry, for one integer e."""
+    if p.shape != q.shape:
+        return False
+    e = math.frexp(p[0])[1] - math.frexp(q[0])[1]
+    return bool(np.array_equal(np.ldexp(q, e), p))
+
+
+def _build(params: DunklParams, p: np.ndarray, q: np.ndarray):
+    """Evaluate the blocks on the positive nodes p (rows) and q (columns).
+
+    When p == 2^e q exactly (square blocks on midpoint grids whose spacings
+    differ by a power of two), fl(p_j q_i) == fl(p_i q_j), so both blocks are
+    exactly symmetric: each row chunk evaluates only its columns from the
+    diagonal on and copies the rest from the rows above, which halves the
+    Bessel work and gives the bits of the full evaluation.  Other blocks
+    (another spacing ratio, non-square) evaluate every entry.
+    """
+    m, n = p.size, q.size
+    a = np.empty((m, n))
+    b = np.empty((m, n))
+    mirror = _power_of_two_multiple(p, q)
+    i = 0
+    while i < m:
+        c = i if mirror else 0
+        j = min(m, i + max(1, _CHUNK_ELEMENTS // (n - c)))
+        a[i:j, c:], b[i:j, c:] = kernel_pair(params, np.outer(p[i:j], q[c:]))
+        if mirror:
+            a[i:j, :i] = a[:i, i:j].T
+            b[i:j, :i] = b[:i, i:j].T
+        i = j
+    return a, b
 
 
 def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
     """Half-grid kernel blocks A[j,i] = j_k(p_j q_i) and
-    B[j,i] = (p_j q_i)/(2k+2) * j_{k+1}(p_j q_i) for positive nodes p, q."""
+    B[j,i] = (p_j q_i)/(2k+2) * j_{k+1}(p_j q_i) for positive nodes p, q.
+
+    Cached by (kappa, grids); concurrent misses of one key build it once."""
     key = (
         params.kappa,
         out_grid.half_width,
@@ -60,41 +140,30 @@ def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
         in_grid.half_width,
         in_grid.node_count,
     )
-    rkey = (params.kappa, key[3], key[4], key[1], key[2])
-    with _cache_lock:
-        if key in _cache:
-            _cache.move_to_end(key)
-            return _cache[key]
-        if rkey in _cache:
-            _cache.move_to_end(rkey)
-            a, b = _cache[rkey]
-            return a.T, b.T
-        # Midpoint grids with equal spacing share their leading positive
-        # nodes, so a cached pair on the same spacings with at least as many
-        # nodes holds these blocks as its leading sub-blocks.
-        m, n = out_grid.node_count // 2, in_grid.node_count // 2
-        for ckey, (a, b) in _cache.items():
-            k, ow, on, iw, inn = ckey
-            if (
-                k == params.kappa
-                and on // 2 >= m
-                and inn // 2 >= n
-                and 2.0 * ow / on == out_grid.spacing
-                and 2.0 * iw / inn == in_grid.spacing
-            ):
-                _cache.move_to_end(ckey)
-                return a[:m, :n], b[:m, :n]
-    p, q = out_grid.positive_nodes, in_grid.positive_nodes
-    a = np.empty((m, n))
-    b = np.empty((m, n))
-    rows = max(1, _CHUNK_ELEMENTS // n)
-    for i in range(0, m, rows):
-        a[i : i + rows], b[i : i + rows] = kernel_pair(params, np.outer(p[i : i + rows], q))
-    with _cache_lock:
-        _cache[key] = (a, b)
-        while len(_cache) > _CACHE_SIZE:
-            _cache.popitem(last=False)
-    return a, b
+    while True:
+        with _cache_lock:
+            blocks = _cached(params, out_grid, in_grid, key)
+            if blocks is not None:
+                return blocks
+            build = _building.get(key)
+            if build is None:
+                build = _building[key] = _Build()
+                break
+        build.done.wait()
+        if build.blocks is not None:
+            return build.blocks
+    try:
+        blocks = _build(params, out_grid.positive_nodes, in_grid.positive_nodes)
+        with _cache_lock:
+            _cache[key] = blocks
+            while len(_cache) > _CACHE_SIZE:
+                _cache.popitem(last=False)
+        build.blocks = blocks
+    finally:
+        with _cache_lock:
+            del _building[key]
+        build.done.set()
+    return blocks
 
 
 def _split(vals: np.ndarray):

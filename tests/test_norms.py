@@ -446,3 +446,15 @@ def test_weak_fofana_rejects_bad_y_stride(stride):
         weak_fofana_norm(f, 8.0, 4.0, rg, stride)
     with pytest.raises(ValueError, match="y_stride"):
         norms.WeakWindowWorkspace(g, rg, stride)
+
+
+def test_weak_fofana_rejects_stride_without_centers():
+    # a stride of N or more leaves no decimated center; N - 1 keeps one
+    g = make_grid(DunklParams(0.5), 8.0, 512)
+    f = sample_family("gaussian", [0.6], g)
+    rg = default_radius_grid(g)
+    for stride in (512, 1000, 100000):
+        with pytest.raises(ValueError, match="largest valid stride is 511$"):
+            weak_fofana_norm(f, 8.0, 4.0, rg, stride)
+    ws = norms.WeakWindowWorkspace(g, rg, 511)
+    assert ws.ypos.size == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dunkl import DunklParams, GridFunction, bessel_normalized, dunkl_derivative, dunkl_kernel, make_grid
 from dunkl import transform
+from dunkl import special
 from dunkl.special import _SERIES_CUTOFF, kernel_pair, kernel_values
 from dunkl.translation import _INDICATOR_BAND, ball_multiplier, translate_indicator_rows
 from dunkl.transform import inverse_pair, multiplier_pair
@@ -77,6 +78,50 @@ def test_bessel_routes_match_mpmath_table(order):
     z = np.array(ROUTE_Z)
     oracle = np.array([_mp_normalized(order, zz) for zz in ROUTE_Z])
     np.testing.assert_allclose(bessel_normalized(order, z), oracle, rtol=0.0, atol=1e-13)
+
+
+def _series_reference(order, z2, tol=None):
+    """The series with its convergence test on every term; without tol, the
+    sum of all _MAX_TERMS terms."""
+    term = np.ones_like(z2)
+    total = np.ones_like(z2)
+    for n in range(1, special._MAX_TERMS):
+        term = term * (-z2) / (4.0 * n * (n + order))
+        total += term
+        if tol is not None and np.all(np.abs(term) < tol * np.maximum(np.abs(total), 1e-300)):
+            return total
+    assert tol is None, "reference series did not converge"
+    return total
+
+
+@pytest.mark.parametrize("tol", [special._SERIES_TOL, 1e-19])
+@pytest.mark.parametrize("order", [-0.5, -0.3, 0.0, 0.3, 1.0, 1.5, 2.5])
+def test_series_cadence_is_bit_exact(order, tol):
+    # one array across the whole series range, with points near the first
+    # zero of j_0 and tiny arguments that converge after a few terms: the
+    # sums equal the every-term test, the sum of all terms, and each entry
+    # summed alone
+    z = np.concatenate([np.linspace(0.0, _SERIES_CUTOFF, 2001), [1e-8, 0.01, 2.404825557695773]])
+    got = special._series(order, z * z, tol)
+    assert np.array_equal(got, _series_reference(order, z * z, tol))
+    assert np.array_equal(got, _series_reference(order, z * z))
+    alone = [special._series(order, np.array([zz * zz]), tol)[0] for zz in z[::20]]
+    assert np.array_equal(alone, got[::20])
+
+
+@pytest.mark.parametrize("order", [-0.5, 0.0, 0.3, 1.0, 1.5, 2.2])
+def test_single_route_inputs_match_mixed_input(order):
+    # an all-series or all-large input takes its route whole; its values
+    # equal the same entries of a mixed input, which splits by route
+    small = np.linspace(-_SERIES_CUTOFF, _SERIES_CUTOFF, 301).reshape(7, 43)
+    large = np.linspace(_SERIES_CUTOFF + 1e-3, 400.0, 301).reshape(7, 43)
+    mixed = bessel_normalized(order, np.concatenate([small, -large], axis=1))
+    assert np.array_equal(bessel_normalized(order, small), mixed[:, :43])
+    assert np.array_equal(bessel_normalized(order, large), mixed[:, 43:])
+    for z in (0.0, 3.5, _SERIES_CUTOFF, 12.5, np.float64(-40.0), np.array(7.0)):
+        val = bessel_normalized(order, z)
+        assert type(val) is float
+        assert val == bessel_normalized(order, np.array([z, 100.0]))[0]
 
 
 @pytest.mark.parametrize("kappa", [-0.5, 0.0, 1.5, 0.3])

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dunkl import (
     sample_family,
 )
 from dunkl import transform
+from dunkl.special import kernel_pair
 from dunkl.transform import mirror_grid
 
 KAPPAS = [(-0.5, True), (0.0, False), (0.5, False), (1.0, False)]
@@ -167,6 +170,109 @@ def test_blocks_on_equal_spacing_are_leading_sub_blocks():
     s = np.outer(lh.positive_nodes, xh.positive_nodes)
     np.testing.assert_allclose(ah, bessel_normalized(0.5, s), rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(bh, s / 3.0 * bessel_normalized(1.5, s), rtol=0.0, atol=1e-14)
+
+
+def _counting_kernel_pair(monkeypatch, delay=0.0):
+    """Route the block builds through a kernel_pair that records how many
+    calls and elements it evaluates, on an empty cache."""
+    seen = {"calls": 0, "elements": 0}
+
+    def counted(params, s):
+        seen["calls"] += 1
+        seen["elements"] += np.size(s)
+        time.sleep(delay)
+        return kernel_pair(params, s)
+
+    monkeypatch.setattr(transform, "kernel_pair", counted)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    return seen
+
+
+BLOCK_KAPPAS = [-0.5, 0.0, 0.5, 1.5, 0.3]
+
+
+@pytest.mark.parametrize("kappa", BLOCK_KAPPAS)
+@pytest.mark.parametrize("ratio", [1, 2, 4])
+@pytest.mark.parametrize("chunk", [500, 4000])
+def test_mirrored_blocks_equal_direct_evaluation(kappa, ratio, chunk, monkeypatch):
+    # square blocks whose spacings differ by a power of two are exactly
+    # symmetric; the mirrored build evaluates about half the entries and
+    # reproduces the full evaluation bit for bit, whatever the row chunks
+    p = DunklParams(kappa, classical=kappa == -0.5)
+    xg, lg = make_grid(p, 8.0, 256), make_grid(p, 8.0 * ratio, 256)
+    seen = _counting_kernel_pair(monkeypatch)
+    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", chunk)
+    a, b = transform._blocks(p, lg, xg)
+    ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
+    assert np.array_equal(a, ea)
+    assert np.array_equal(b, eb)
+    assert seen["elements"] <= a.size // 2 + 2 * chunk
+    assert seen["calls"] >= 3
+
+
+@pytest.mark.parametrize("kappa", BLOCK_KAPPAS)
+@pytest.mark.parametrize("out_width,out_nodes", [(8.0, 256), (24.0, 200)])
+def test_unmirrored_blocks_equal_direct_evaluation(kappa, out_width, out_nodes, monkeypatch):
+    # spacings 16/768 and 16/256 (ratio 3) give products that are not
+    # exactly symmetric, and a non-square block has no mirror: both
+    # evaluate every entry
+    p = DunklParams(kappa, classical=kappa == -0.5)
+    xg, lg = make_grid(p, 8.0 / 3.0, 256), make_grid(p, out_width, out_nodes)
+    seen = _counting_kernel_pair(monkeypatch)
+    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", 1000)
+    a, b = transform._blocks(p, lg, xg)
+    ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
+    assert np.array_equal(a, ea)
+    assert np.array_equal(b, eb)
+    assert seen["elements"] == a.size
+    if a.shape[0] == a.shape[1]:
+        assert not np.array_equal(ea, ea.T)
+
+
+def test_concurrent_misses_build_each_block_once(monkeypatch):
+    p = DunklParams(0.5)
+    xg, lg = make_grid(p, 4.0, 64), make_grid(p, 16.0, 64)
+    seen = _counting_kernel_pair(monkeypatch, delay=0.2)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(i):
+        start.wait(timeout=30)
+        results[i] = transform._blocks(p, lg, xg)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen["calls"] == 1
+    for a, b in results:
+        assert a is results[0][0]
+        assert b is results[0][1]
+    assert not transform._building
+
+
+def test_failed_build_leaves_no_guard(monkeypatch):
+    p = DunklParams(0.5)
+    xg, lg = make_grid(p, 4.0, 64), make_grid(p, 16.0, 64)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+
+    def failing(params, s):
+        raise MemoryError("no room for the block")
+
+    monkeypatch.setattr(transform, "kernel_pair", failing)
+    with pytest.raises(MemoryError):
+        transform._blocks(p, lg, xg)
+    assert not transform._building
+    monkeypatch.setattr(transform, "kernel_pair", kernel_pair)
+    a, _ = transform._blocks(p, lg, xg)
+    assert a.shape == (32, 32)
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])
