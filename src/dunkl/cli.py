@@ -50,6 +50,8 @@ USAGE_EXIT = 2
 IO_EXIT = 3
 
 _ENV_PREFIX = "DUNKL_"
+_NORM_KINDS = ("lp", "weak", "amalgam", "fofana", "weak-fofana", "interval-fofana")
+_MAXIMAL_OPS = ("dunkl", "centered", "interval")
 
 
 class _UsageError(Exception):
@@ -70,6 +72,18 @@ def _resolve(args_value, flag: str, default, cast):
         return cast(raw)
     except ValueError as exc:
         raise _UsageError(f"invalid value {raw!r} for {source}: {exc}") from None
+
+
+def _one_of(choices):
+    """Cast that accepts only choices: argparse checks a flag's choices, this
+    checks an environment value against them too."""
+
+    def cast(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"choose from {', '.join(choices)}")
+        return raw
+
+    return cast
 
 
 def _parse_exponent(text: str) -> float:
@@ -130,12 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None, help="pseudorandom seed (default 7)")
 
     sp = sub.add_parser("norm", help="evaluate a norm of a CSV-sampled function")
-    sp.add_argument(
-        "--which",
-        default=None,
-        choices=["lp", "weak", "amalgam", "fofana", "weak-fofana", "interval-fofana"],
-        help="norm kind",
-    )
+    sp.add_argument("--which", default=None, choices=_NORM_KINDS, help="norm kind")
     sp.add_argument("--q", default=None, help="local exponent (accepts 'inf')")
     sp.add_argument("--p", default=None, help="global exponent (accepts 'inf')")
     sp.add_argument("--alpha", default=None, help="intermediate exponent (accepts 'inf')")
@@ -144,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(sp)
 
     sp = sub.add_parser("maximal", help="apply a maximal operator to CSV data")
-    sp.add_argument("--op", default=None, choices=["dunkl", "centered", "interval"], help="operator")
+    sp.add_argument("--op", default=None, choices=_MAXIMAL_OPS, help="operator")
     sp.add_argument("--input", default=None, help="input CSV")
     sp.add_argument("--output", default=None, help="output CSV")
     _add_grid_flags(sp)
@@ -232,7 +241,7 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_norm(args, parser) -> int:
-    which = _resolve(args.which, "--which", None, str)
+    which = _resolve(args.which, "--which", None, _one_of(_NORM_KINDS))
     if which is None:
         parser.error("norm requires --which")
     path = _resolve(args.input, "--input", None, str)
@@ -290,7 +299,7 @@ def _cmd_norm(args, parser) -> int:
 
 
 def _cmd_maximal(args, parser) -> int:
-    op = _resolve(args.op, "--op", None, str)
+    op = _resolve(args.op, "--op", None, _one_of(_MAXIMAL_OPS))
     if op is None:
         parser.error("maximal requires --op dunkl|centered|interval")
     in_path = _resolve(args.input, "--input", None, str)

@@ -7,9 +7,9 @@ grid and unit constant (validated by the classical limit and by round trips).
 Everything is evaluated by direct quadrature, organized for speed on a single
 core: the kernel splits into an even part j_k(lx) and an odd part
 (lx/(2k+2)) j_{k+1}(lx), so only two real half-grid matrices are needed per
-(kappa, grid) pair.  They are cached behind a lock (all public functions stay
-pure and reentrant; concurrent misses of one pair build it once), and all
-transforms reduce to BLAS matrix products.  A square block whose two node
+pair of grids.  They are cached behind a lock by kappa and the two node
+spacings (see `_blocks`; all public functions stay pure and reentrant), and
+all transforms reduce to BLAS matrix products.  A square block whose two node
 sets differ by an exact power of two is exactly symmetric, so it is built
 from one triangle (see `_build`).
 
@@ -17,6 +17,8 @@ There is one computational path, the real pair: `forward_pair` maps real
 samples (stacked rows allowed) to the halves (U, V) of a conjugate-symmetric
 spectrum, and `inverse_pair` maps such halves back to real samples.  Complex
 data goes through it by linearity, one pair call per real or imaginary part.
+Stacked spectra go back through `inverse_rows` in row chunks, and every grid
+derived from another (frequency bands and their inverse) through `band_grid`.
 """
 
 from __future__ import annotations
@@ -65,33 +67,13 @@ class _Build:
         self.blocks = None
 
 
-def _cached(params: DunklParams, out_grid: Grid, in_grid: Grid, key: tuple):
-    """The blocks for key from the cache, directly, transposed or as leading
-    sub-blocks of a larger pair; None on a miss.  Call under _cache_lock."""
-    if key in _cache:
-        _cache.move_to_end(key)
-        return _cache[key]
-    rkey = (params.kappa, key[3], key[4], key[1], key[2])
-    if rkey in _cache:
-        _cache.move_to_end(rkey)
-        a, b = _cache[rkey]
-        return a.T, b.T
-    # Midpoint grids with equal spacing share their leading positive
-    # nodes, so a cached pair on the same spacings with at least as many
-    # nodes holds these blocks as its leading sub-blocks.
-    m, n = out_grid.node_count // 2, in_grid.node_count // 2
-    for ckey, (a, b) in _cache.items():
-        k, ow, on, iw, inn = ckey
-        if (
-            k == params.kappa
-            and on // 2 >= m
-            and inn // 2 >= n
-            and 2.0 * ow / on == out_grid.spacing
-            and 2.0 * iw / inn == in_grid.spacing
-        ):
-            _cache.move_to_end(ckey)
-            return a[:m, :n], b[:m, :n]
-    return None
+def _leading(blocks, m: int, n: int):
+    """The leading m x n sub-blocks of a block pair (the pair itself at its
+    own size); None if there is no pair or it is smaller."""
+    if blocks is None or blocks[0].shape[0] < m or blocks[0].shape[1] < n:
+        return None
+    a, b = blocks
+    return blocks if a.shape == (m, n) else (a[:m, :n], b[:m, :n])
 
 
 def _power_of_two_multiple(p: np.ndarray, q: np.ndarray) -> bool:
@@ -132,38 +114,44 @@ def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
     """Half-grid kernel blocks A[j,i] = j_k(p_j q_i) and
     B[j,i] = (p_j q_i)/(2k+2) * j_{k+1}(p_j q_i) for positive nodes p, q.
 
-    Cached by (kappa, grids); concurrent misses of one key build it once."""
-    key = (
-        params.kappa,
-        out_grid.half_width,
-        out_grid.node_count,
-        in_grid.half_width,
-        in_grid.node_count,
-    )
+    Cached by (kappa, output spacing, input spacing).  Midpoint grids of one
+    spacing share their leading positive nodes, so an entry serves every
+    leading sub-block; a request it does not cover builds one pair covering
+    both, which replaces it.  Concurrent misses of one key build it once."""
+    key = (params.kappa, out_grid.spacing, in_grid.spacing)
+    m, n = out_grid.node_count // 2, in_grid.node_count // 2
     while True:
         with _cache_lock:
-            blocks = _cached(params, out_grid, in_grid, key)
+            entry = _cache.get(key)
+            blocks = _leading(entry, m, n)
             if blocks is not None:
+                _cache.move_to_end(key)
                 return blocks
             build = _building.get(key)
             if build is None:
                 build = _building[key] = _Build()
+                # the new pair covers the entry too, and replaces it
+                shape = (0, 0) if entry is None else entry[0].shape
+                rows, cols = max(m, shape[0]), max(n, shape[1])
                 break
         build.done.wait()
-        if build.blocks is not None:
-            return build.blocks
+        blocks = _leading(build.blocks, m, n)
+        if blocks is not None:
+            return blocks
     try:
-        blocks = _build(params, out_grid.positive_nodes, in_grid.positive_nodes)
+        # the positive midpoint nodes of these spacings, bit for bit make_grid's
+        built = _build(params, (np.arange(rows) + 0.5) * key[1], (np.arange(cols) + 0.5) * key[2])
         with _cache_lock:
-            _cache[key] = blocks
+            _cache[key] = built
+            _cache.move_to_end(key)
             while len(_cache) > _CACHE_SIZE:
                 _cache.popitem(last=False)
-        build.blocks = blocks
+        build.blocks = built
     finally:
         with _cache_lock:
             del _building[key]
         build.done.set()
-    return blocks
+    return _leading(built, m, n)
 
 
 def _split(vals: np.ndarray):
@@ -197,6 +185,18 @@ def inverse_pair(params: DunklParams, lg: Grid, xg: Grid, u: np.ndarray, v: np.n
     return _join(ev, od)
 
 
+def inverse_rows(params: DunklParams, lg: Grid, xg: Grid, count: int, rows) -> np.ndarray:
+    """Invert count stacked spectral pairs to real rows; rows(s) gives the
+    pair (U, V) of the rows in slice s, made and inverted per chunk of at
+    most _CHUNK_ELEMENTS output values."""
+    out = np.empty((count, xg.node_count))
+    step = max(1, _CHUNK_ELEMENTS // xg.node_count)
+    for i in range(0, count, step):
+        s = slice(i, i + step)
+        out[s] = inverse_pair(params, lg, xg, *rows(s))
+    return out
+
+
 def multiplier_pair(params: DunklParams, lg: Grid, ys):
     """Translation multipliers E(i l y) as a pair (even, odd) on the positive
     frequency half: one row per offset of an array ys, one vector for a scalar."""
@@ -221,21 +221,9 @@ def _check_compatible(params: DunklParams, other: Grid) -> None:
 DEFAULT_BAND = 4.0
 
 
-def mirror_grid(g: Grid) -> Grid:
-    """Frequency grid mirroring a spatial grid (same half-width and size)."""
-    return make_grid(g.params, g.half_width, g.node_count)
-
-
-def default_frequency_grid(f: GridFunction) -> Grid:
-    """Frequency grid for a spatial function: same node count, 4x half-width."""
-    g = f.grid
-    return make_grid(g.params, DEFAULT_BAND * g.half_width, g.node_count)
-
-
-def default_spatial_grid(spectral: SpectralFunction) -> Grid:
-    """Spatial grid matching a default frequency grid (quarter half-width)."""
-    g = spectral.grid
-    return make_grid(g.params, g.half_width / DEFAULT_BAND, g.node_count)
+def band_grid(grid: Grid, factor: float) -> Grid:
+    """The grid of factor times the half-width of grid, at its node count."""
+    return make_grid(grid.params, factor * grid.half_width, grid.node_count)
 
 
 def forward(f: GridFunction, lambda_grid: Grid | None = None) -> SpectralFunction:
@@ -243,7 +231,7 @@ def forward(f: GridFunction, lambda_grid: Grid | None = None) -> SpectralFunctio
 
     Complex f goes by linearity: one real pair call per real or imaginary part.
     """
-    lg = lambda_grid if lambda_grid is not None else default_frequency_grid(f)
+    lg = lambda_grid if lambda_grid is not None else band_grid(f.grid, DEFAULT_BAND)
     _check_compatible(f.grid.params, lg)
 
     def part(vals):
@@ -264,7 +252,7 @@ def inverse(spectral: SpectralFunction, x_grid: Grid | None = None) -> GridFunct
     part E and odd part O of the spectrum, the real part of the result is the
     pair inverse of (Re E, Im O) and the imaginary part that of (Im E, -Re O).
     """
-    xg = x_grid if x_grid is not None else default_spatial_grid(spectral)
+    xg = x_grid if x_grid is not None else band_grid(spectral.grid, 1.0 / DEFAULT_BAND)
     _check_compatible(spectral.grid.params, xg)
     params, lg = spectral.grid.params, spectral.grid
     even, odd = _split(spectral.values)

@@ -5,8 +5,9 @@ kappa = -1/2 this reduces to the classical shift f(x) -> f(x + y).
 Translating one real f by many offsets takes one forward transform of f and
 one multiplier row per offset, inverted as stacked rows (a matrix product per
 row chunk, not a matrix-vector product per offset); `translate` is that path
-with a single offset.  The rows run in chunks of at most the kernel-block
-chunk of values, so no temporary outgrows a block chunk.
+with a single offset.  Translated indicators (a row per offset) and ball
+convolutions (a row per radius) invert the same way, through the one chunked
+`transform.inverse_rows`, so no temporary outgrows a kernel-block chunk.
 
 Convolution multiplies transforms pointwise.  Translated ball indicators use
 the closed form of the indicator transform,
@@ -23,17 +24,11 @@ import math
 
 import numpy as np
 
-from .grid import Grid, GridFunction, make_grid
+from .grid import Grid, GridFunction
 from .measure import _check_radius, ball_measure_origin
 from .params import DunklParams
-from .special import bessel_normalized, kernel_pair
-from .transform import (
-    _CHUNK_ELEMENTS,
-    forward_pair,
-    inverse_pair,
-    multiplier_pair,
-    pair_multiply,
-)
+from .special import bessel_normalized
+from .transform import band_grid, forward_pair, inverse_pair, inverse_rows, multiplier_pair, pair_multiply
 
 __all__ = ["translate", "translate_rows", "translate_indicator", "convolve"]
 
@@ -45,10 +40,6 @@ __all__ = ["translate", "translate_rows", "translate_indicator", "convolve"]
 # At fixed node count the wider bands cost nothing.
 _FUNCTION_BAND = 2.0
 _INDICATOR_BAND = 4.0
-
-
-def _band_grid(grid: Grid, factor: float) -> Grid:
-    return make_grid(grid.params, factor * grid.half_width, grid.node_count)
 
 
 def _parts(f: GridFunction) -> tuple:
@@ -74,17 +65,11 @@ def ball_multiplier(params: DunklParams, lg: Grid, r: float) -> np.ndarray:
     )
 
 
-def _row_chunk(grid: Grid) -> int:
-    """Offsets per row chunk: a chunk of translates holds at most
-    _CHUNK_ELEMENTS values."""
-    return max(1, _CHUNK_ELEMENTS // grid.node_count)
-
-
 def translate_rows(f: GridFunction, ys) -> np.ndarray:
     """Translates of real f by every offset in ys, stacked one row per offset.
 
     Every offset is checked before any work; f is transformed once, and the
-    multipliers and the inverse run per row chunk (see `_row_chunk`).
+    multipliers and the inverse run per row chunk (see `inverse_rows`).
     """
     grid = f.grid
     ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
@@ -93,14 +78,11 @@ def translate_rows(f: GridFunction, ys) -> np.ndarray:
     if not f.is_real:
         raise ValueError("stacked translation expects real samples")
     params = grid.params
-    lg = _band_grid(grid, _FUNCTION_BAND)
+    lg = band_grid(grid, _FUNCTION_BAND)
     u, v = forward_pair(params, grid, lg, f.values)
-    out = np.empty((ya.size, grid.node_count))
-    step = _row_chunk(grid)
-    for i in range(0, ya.size, step):
-        a, b = multiplier_pair(params, lg, ya[i : i + step])
-        out[i : i + step] = inverse_pair(params, lg, grid, *pair_multiply(u, v, a, b))
-    return out
+    return inverse_rows(
+        params, lg, grid, ya.size, lambda s: pair_multiply(u, v, *multiplier_pair(params, lg, ya[s]))
+    )
 
 
 def translate(f: GridFunction, y: float) -> GridFunction:
@@ -134,11 +116,12 @@ def translate_indicator(params: DunklParams, y: float, r: float, grid: Grid) -> 
 def translate_indicator_rows(params: DunklParams, ys, r: float, grid: Grid) -> np.ndarray:
     """Stacked translated ball indicators, one row per offset in ys."""
     r = _check_radius(r)
-    lg = _band_grid(grid, _INDICATOR_BAND)
+    lg = band_grid(grid, _INDICATOR_BAND)
     m = ball_multiplier(params, lg, r)
     ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
-    a, b = kernel_pair(params, np.outer(ya, lg.positive_nodes))
-    raw = inverse_pair(params, lg, grid, m * a, m * b)
+    raw = inverse_rows(
+        params, lg, grid, ya.size, lambda s: [m * c for c in multiplier_pair(params, lg, ya[s])]
+    )
     np.clip(raw, 0.0, 1.0, out=raw)
     absx = np.abs(grid.nodes)
     lo = np.maximum(0.0, np.abs(ya) - r)[:, None]
@@ -151,7 +134,8 @@ def ball_convolutions(f: GridFunction, radii) -> np.ndarray:
     """(f * chi_{B_r}) for each r in radii, stacked rows, via one transform.
 
     f must be real; rows are clamped at 0 (spectral windows of non-negative
-    data may undershoot slightly).
+    data may undershoot slightly).  Every radius is checked before the
+    transform.
     """
     if not f.is_real:
         raise ValueError("ball convolutions expect real samples")
@@ -159,10 +143,10 @@ def ball_convolutions(f: GridFunction, radii) -> np.ndarray:
     if not rr:
         raise ValueError("no radii given")
     params = f.grid.params
-    lg = _band_grid(f.grid, _INDICATOR_BAND)
-    u, v = forward_pair(params, f.grid, lg, f.values)
+    lg = band_grid(f.grid, _INDICATOR_BAND)
     mult = np.stack([ball_multiplier(params, lg, r) for r in rr])
-    out = inverse_pair(params, lg, f.grid, mult * u, mult * v)
+    u, v = forward_pair(params, f.grid, lg, f.values)
+    out = inverse_rows(params, lg, f.grid, len(rr), lambda s: (mult[s] * u, mult[s] * v))
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -176,7 +160,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
         (fr, fi), (gr, gi) = _parts(f), _parts(g)
         return convolve(fr, gr) - convolve(fi, gi) + 1j * (convolve(fr, gi) + convolve(fi, gr))
     params = f.grid.params
-    lg = _band_grid(f.grid, _FUNCTION_BAND)
+    lg = band_grid(f.grid, _FUNCTION_BAND)
     uf, vf = forward_pair(params, f.grid, lg, f.values)
     ug, vg = forward_pair(params, g.grid, lg, g.values)
     out = inverse_pair(params, lg, f.grid, *pair_multiply(uf, vf, ug, vg))

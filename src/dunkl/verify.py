@@ -48,8 +48,8 @@ from .norms import (
 )
 from .params import DunklParams
 from .special import _series, bessel_normalized, dunkl_derivative, kernel_values
-from .translation import _row_chunk, convolve, translate, translate_indicator, translate_rows
-from .transform import forward, inverse, mirror_grid, plancherel_defect
+from .translation import convolve, translate, translate_indicator, translate_rows
+from .transform import forward, inverse, plancherel_defect
 
 __all__ = ["SuiteConfig", "Case", "VerificationReport", "list_suites", "run_suite"]
 
@@ -148,6 +148,8 @@ class SuiteConfig:
         kl = tuple(float(k) for k in self.kappa_list)
         if not kl:
             raise ValueError("kappa_list must be non-empty")
+        if len(set(kl)) != len(kl):
+            raise ValueError(f"kappa_list must not repeat a kappa, got {kl}")
         for k in kl:
             _params_for(k)
         object.__setattr__(self, "kappa_list", kl)
@@ -171,10 +173,23 @@ class SuiteConfig:
         fam = tuple((str(name), tuple(float(v) for v in ps)) for name, ps in self.family)
         object.__setattr__(self, "family", fam)
         if self.r_grid is not None:
-            object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
+            rg = tuple(float(r) for r in self.r_grid)
+            # window radii lie in (0, L/2]; the comparisons also reject nan
+            increasing = all(a < b for a, b in zip(rg, rg[1:]))
+            if not (rg and 0.0 < rg[0] and increasing and rg[-1] <= self.half_width / 2):
+                raise ValueError(f"r_grid must be positive, strictly increasing and at most L/2, got {rg}")
+            object.__setattr__(self, "r_grid", rg)
         if self.rho_grid is not None:
-            object.__setattr__(self, "rho_grid", tuple(float(r) for r in self.rho_grid))
+            rho = tuple(float(r) for r in self.rho_grid)
+            if not (rho and all(0.0 < r < math.inf for r in rho)):
+                raise ValueError(f"rho_grid must be non-empty, positive and finite, got {rho}")
+            object.__setattr__(self, "rho_grid", rho)
         tol = tuple(sorted((str(k), float(v)) for k, v in dict(self.tolerances).items()))
+        for k, v in tol:
+            if k not in DEFAULT_TOLERANCES:
+                raise ValueError(f"tolerances has unknown key {k!r}")
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"tolerances[{k!r}] must be finite and >= 0, got {v}")
         object.__setattr__(self, "tolerances", tol)
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -736,23 +751,22 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig):
             0.0,
             kappa=kappa,
         )
-        lam = mirror_grid(g)
-        fixed = forward(even, lam)
+        fixed = forward(even, g)  # frequencies on the spatial nodes
         rec.match(
             f"gaussian_fixed_point_k{_klabel(kappa)}",
             "gaussian_fixed_point",
-            float(np.max(np.abs(fixed.values - np.exp(-(lam.nodes**2) / 2.0)))),
+            float(np.max(np.abs(fixed.values - np.exp(-(g.nodes**2) / 2.0)))),
             0.0,
             cfg.tolerance("gaussian_fixed_point"),
             kappa=kappa,
         )
-        fmin = fixed.values[np.argmin(np.abs(lam.nodes))]
+        fmin = fixed.values[np.argmin(np.abs(g.nodes))]
         rec.match(
             f"transform_at_zero_k{_klabel(kappa)}",
             "transform_at_zero",
             abs(complex(fmin) - integrate(even)),
             0.0,
-            2.0 * float(np.min(np.abs(lam.nodes))) * max(1.0, abs(integrate(even))),
+            2.0 * float(np.min(np.abs(g.nodes))) * max(1.0, abs(integrate(even))),
             kappa=kappa,
         )
         z = forward(GridFunction(g, np.zeros(g.node_count)))
@@ -794,17 +808,13 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig):
         node_pool = np.where(np.abs(g.nodes) <= L / 2.0)[0]
         pairs = rng.choice(node_pool, size=(50, 2), replace=True)
         check_members = [m for m in fam_smooth if m[0] in ("gaussian(0.5)", "bump(0,2)")]
-        # tau[a, b] is the translate by node idx[a] at node idx[b]; each row
-        # chunk of translates keeps only its entries at the pair nodes
+        # tau[a, b] is the translate by node idx[a] at node idx[b]
         idx = np.unique(pairs)
         pos = np.searchsorted(idx, pairs)
-        step = _row_chunk(g)
         worst = 0.0
         for fid, f in check_members:
             sup = float(np.max(np.abs(f.values)))
-            tau = np.concatenate(
-                [translate_rows(f, g.nodes[idx[i : i + step]])[:, idx] for i in range(0, idx.size, step)]
-            )
+            tau = translate_rows(f, g.nodes[idx])[:, idx]
             gap = np.abs(tau[pos[:, 0], pos[:, 1]] - tau[pos[:, 1], pos[:, 0]]) / sup
             worst = max(worst, float(np.max(gap)))
         rec.bound(

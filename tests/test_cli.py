@@ -218,6 +218,8 @@ def test_environment_variable_override(tmp_path, monkeypatch, capsys):
         ({"DUNKL_KAPPA": "x"}, ["sample", "--family", "gaussian", "--params", "1", "--output", "o.csv"], "DUNKL_KAPPA"),
         ({}, ["sample", "--family", "gaussian", "--params", "1,y", "--output", "o.csv"], "--params"),
         ({"DUNKL_Q": "two"}, ["norm", "--which", "amalgam", "--p", "2", "--input", "in.csv"], "DUNKL_Q"),
+        ({"DUNKL_WHICH": "bogus"}, ["norm", "--q", "2", "--p", "2", "--alpha", "2", "--input", "in.csv"], "DUNKL_WHICH"),
+        ({"DUNKL_OP": "bogus"}, ["maximal", "--input", "in.csv", "--output", "o.csv"], "DUNKL_OP"),
     ],
 )
 def test_unparsable_values_exit_2(env, argv, source, tmp_path, monkeypatch, capsys):

@@ -21,7 +21,7 @@ from dunkl import (
 )
 from dunkl import transform
 from dunkl.special import kernel_pair
-from dunkl.transform import mirror_grid
+from dunkl.transform import band_grid
 
 KAPPAS = [(-0.5, True), (0.0, False), (0.5, False), (1.0, False)]
 
@@ -125,7 +125,7 @@ def test_gaussian_fixed_point(kappa, classical):
     p = DunklParams(kappa, classical=classical)
     g = make_grid(p, 16.0, 2048)
     f = sample_family("gaussian", [0.5], g)
-    lam = mirror_grid(g)
+    lam = band_grid(g, 1.0)
     F = forward(f, lam)
     assert np.max(np.abs(F.values - np.exp(-lam.nodes**2 / 2))) < 1e-3
 
@@ -170,6 +170,32 @@ def test_blocks_on_equal_spacing_are_leading_sub_blocks():
     s = np.outer(lh.positive_nodes, xh.positive_nodes)
     np.testing.assert_allclose(ah, bessel_normalized(0.5, s), rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(bh, s / 3.0 * bessel_normalized(1.5, s), rtol=0.0, atol=1e-14)
+
+
+def test_uncovered_request_replaces_its_entry(monkeypatch):
+    # requests on one pair of spacings share one entry: a request the entry
+    # does not cover builds one pair covering both, which replaces it, and
+    # every size then comes from it bit for bit as direct evaluation
+    p = DunklParams(0.5)
+    x_small, x_large = make_grid(p, 2.0, 128), make_grid(p, 4.0, 256)
+    l_small, l_large = make_grid(p, 8.0, 128), make_grid(p, 16.0, 256)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    built = []
+    build = transform._build
+
+    def counted(params, rows, cols):
+        built.append((rows.size, cols.size))
+        return build(params, rows, cols)
+
+    monkeypatch.setattr(transform, "_build", counted)
+    requests = [(l_small, x_large), (l_large, x_small), (l_large, x_large), (l_small, x_small)]
+    got = [transform._blocks(p, lg, xg) for lg, xg in requests]
+    assert built == [(64, 128), (128, 128)]
+    assert len(transform._cache) == 1
+    for (lg, xg), (a, b) in zip(requests, got):
+        ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
+        assert np.array_equal(a, ea)
+        assert np.array_equal(b, eb)
 
 
 def _counting_kernel_pair(monkeypatch, delay=0.0):

@@ -14,9 +14,9 @@ from dunkl import (
     translate_indicator,
     translate_rows,
 )
-from dunkl import translation
+from dunkl import transform, translation
 from dunkl.measure import ball_measure_origin
-from dunkl.transform import forward_pair, inverse_pair, multiplier_pair, pair_multiply
+from dunkl.transform import band_grid, forward_pair, inverse_pair, multiplier_pair, pair_multiply
 
 KAPPAS = [(-0.5, True), (0.0, False), (0.5, False), (1.5, False)]
 
@@ -207,7 +207,7 @@ def test_translate_rows_single_offset_is_vector_path(kappa, classical):
     p = DunklParams(kappa, classical=classical)
     g = make_grid(p, 16.0, 1024)
     f = sample_family("bump", [0.0, 2.0], g)
-    lg = translation._band_grid(g, translation._FUNCTION_BAND)
+    lg = band_grid(g, translation._FUNCTION_BAND)
     u, v = forward_pair(p, g, lg, f.values)
     for y in (0.0, 1.5, -7.25):
         a, b = multiplier_pair(p, lg, y)
@@ -218,17 +218,28 @@ def test_translate_rows_single_offset_is_vector_path(kappa, classical):
         assert np.array_equal(translate(f, y).values, vec)
 
 
-def test_translate_rows_chunks_equal_one_whole_chunk():
+def test_translate_rows_chunks_equal_one_whole_chunk(monkeypatch):
+    # every stacked caller of the chunked inverse: more rows than one chunk
+    # give the bits of a one-chunk evaluation
     p = DunklParams(0.5)
     g = make_grid(p, 16.0, 1024)
     f = sample_family("trig_gauss", [1.0], g)
     ys = np.linspace(-15.5, 15.5, 300)
-    assert translation._row_chunk(g) < ys.size
-    lg = translation._band_grid(g, translation._FUNCTION_BAND)
+    radii = np.linspace(0.25, 8.0, 300)
+    assert transform._CHUNK_ELEMENTS // g.node_count < ys.size
+    lg = band_grid(g, translation._FUNCTION_BAND)
     u, v = forward_pair(p, g, lg, f.values)
     a, b = multiplier_pair(p, lg, ys)
     whole = inverse_pair(p, lg, g, *pair_multiply(u, v, a, b))
     assert np.array_equal(translate_rows(f, ys), whole)
+
+    def stacked():
+        return translation.translate_indicator_rows(p, ys, 1.5, g), translation.ball_convolutions(f, radii)
+
+    chunked = stacked()
+    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", ys.size * g.node_count)
+    for rows, one_chunk in zip(chunked, stacked()):
+        assert np.array_equal(rows, one_chunk)
 
 
 def test_translate_rows_classical_shift():
@@ -266,8 +277,9 @@ def test_ball_convolutions_checks_radii_first(monkeypatch):
     p = DunklParams(0.5)
     f = sample_family("gaussian", [0.5], make_grid(p, 8.0, 256))
     monkeypatch.setattr(translation, "forward_pair", _refuse_forward)
-    with pytest.raises(ValueError, match="no radii"):
-        translation.ball_convolutions(f, [])
+    for radii, msg in (([], "no radii"), ([1.0, -1.0], "radius"), ([float("nan"), 1.0], "radius")):
+        with pytest.raises(ValueError, match=msg):
+            translation.ball_convolutions(f, radii)
 
 
 def _complex_pair(g):

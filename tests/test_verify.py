@@ -45,6 +45,27 @@ def test_config_validation():
         SuiteConfig(kappa_list=())
     with pytest.raises(ValueError):
         SuiteConfig(kappa_list=(-0.7,))
+    nan, inf = float("nan"), float("inf")
+    for kwargs, message in [
+        ({"tolerances": {"plancherell": 0.5}}, "tolerances.*'plancherell'"),
+        ({"tolerances": {"plancherel": -1e-3}}, r"tolerances\['plancherel'\].*-0.001"),
+        ({"tolerances": {"plancherel": nan}}, r"tolerances\['plancherel'\].*nan"),
+        ({"tolerances": {"plancherel": inf}}, r"tolerances\['plancherel'\].*inf"),
+        ({"kappa_list": (0.0, 0.0)}, r"kappa_list.*\(0.0, 0.0\)"),
+        ({"kappa_list": (0.5, -0.5, 0.5)}, r"kappa_list.*\(0.5, -0.5, 0.5\)"),
+        ({"r_grid": ()}, r"r_grid.*\(\)"),
+        ({"r_grid": (0.0, 1.0)}, r"r_grid.*\(0.0, 1.0\)"),
+        ({"r_grid": (2.0, 1.0)}, r"r_grid.*\(2.0, 1.0\)"),
+        ({"r_grid": (1.0, 1.0)}, r"r_grid.*\(1.0, 1.0\)"),
+        ({"r_grid": (1.0, nan)}, r"r_grid.*\(1.0, nan\)"),
+        ({"r_grid": (1.0, 5.0), "half_width": 8.0}, r"r_grid.*\(1.0, 5.0\)"),
+        ({"rho_grid": ()}, r"rho_grid.*\(\)"),
+        ({"rho_grid": (1.0, -2.0)}, r"rho_grid.*\(1.0, -2.0\)"),
+        ({"rho_grid": (nan,)}, r"rho_grid.*\(nan,\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SuiteConfig(**kwargs)
+    assert SuiteConfig(r_grid=(1.0, 4.0), half_width=8.0).r_grid == (1.0, 4.0)
     cfg = SuiteConfig(**SMALL)
     assert cfg.kappa_list == DEFAULT_KAPPAS
     assert cfg.tolerance("plancherel") == 1e-4
