@@ -4,7 +4,8 @@ Three variants, pointwise equivalent on the weighted line:
 
   * dunkl_maximal: averages of the translated function over origin balls,
     computed spectrally as clamped convolutions with ball indicators (one
-    transform of |f| total, one multiplier-and-invert per radius);
+    transform of a whole stack of |f|, stacked inverse rows for every
+    function and radius);
   * centered_maximal: direct averages of |f| over the annular balls B(x, rho),
     exact on the grid via prefix sums in the |x| coordinate;
   * interval_maximal: direct averages over metric intervals I(x, rho), exact
@@ -21,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._windows import LineWindowMass
-from .grid import GridFunction
+from .grid import Grid, GridFunction
 from .measure import _check_radius, ball_measure, ball_measure_origin, interval_measure
-from .translation import ball_convolutions
+from .translation import _ball_convolution_stack
 
 __all__ = ["dunkl_maximal", "centered_maximal", "interval_maximal"]
 
@@ -38,10 +39,21 @@ def _check_radii(rho_grid) -> list:
 
 def dunkl_maximal(f: GridFunction, rho_grid) -> GridFunction:
     """sup over rho of mu(B_rho)^{-1} * (|f| * chi_{B_rho})(x), clamped at 0."""
+    return GridFunction(f.grid, _dunkl_maximal_stack(f.grid, f.values[None, :], rho_grid)[0])
+
+
+def _dunkl_maximal_stack(grid: Grid, rows, rho_grid) -> np.ndarray:
+    """``dunkl_maximal`` of every function of a stack rows (F, N) on grid,
+    stacked as (F, N), from one spectral evaluation of the stack of |f|."""
     rhos = _check_radii(rho_grid)
-    conv = ball_convolutions(abs(f), rhos)
-    measures = np.array([ball_measure_origin(f.grid.params, r) for r in rhos])
-    return GridFunction(f.grid, np.max(conv / measures[:, None], axis=0))
+    return _ball_averages_max(grid.params, _ball_convolution_stack(grid, np.abs(rows), rhos), rhos)
+
+
+def _ball_averages_max(params, conv: np.ndarray, rhos) -> np.ndarray:
+    """sup over rho of mu(B_rho)^{-1} * conv, for ball convolutions conv
+    (F, R, N) of |f| at the radii rhos."""
+    measures = np.array([ball_measure_origin(params, r) for r in rhos])
+    return np.max(conv / measures[:, None], axis=1)
 
 
 def centered_maximal(f: GridFunction, rho_grid) -> GridFunction:

@@ -4,10 +4,16 @@ their Fofana (radius-scaled supremum) versions, and interval-windowed variants.
 For finite q the local amalgam ingredient is the integral of tau_y |f|^q
 over the origin ball of radius r, which equals the convolution
 (|f|^q * chi_{B_r})(y); it is computed spectrally for all window centers y
-at once.  For q = infinity the window statistic is a sliding
+at once.  The window profiles take a whole stack of functions on one grid
+(`_amalgam_profiles`): the stack of |f|^q goes through one stacked ball
+convolution for every radius.  `_ProfileStack` keeps them per q, and the
+amalgam and Fofana norms of the stack are read from them, the Fofana norms
+through `_fofana_sup`.  `amalgam_norm_r` and `fofana_norm` are the
+one-function cases.  For q = infinity the window statistic is a sliding
 maximum over the annular ball B(y, r) in the |x| coordinate.  Interval
 variants window with I(y, r) = (y-r, y+r) and need no translation: window
-integrals come from prefix sums.
+integrals come from prefix sums, one window mass per function serving every
+radius.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from ._windows import LineWindowMass
 from .grid import Grid, GridFunction
 from .measure import ball_measure_origin, interval_measure
-from .translation import _INDICATOR_BAND, ball_convolutions, translate_indicator_rows
+from .translation import _INDICATOR_BAND, _ball_convolution_stack, translate_indicator_rows
 
 __all__ = [
     "NormSpec",
@@ -183,12 +189,15 @@ def _check_window_radius(grid: Grid, r: float) -> float:
     return r
 
 
-def _amalgam_profiles(f: GridFunction, q: float, radii) -> np.ndarray:
-    """Window profiles u_r(y) for each radius, stacked as rows."""
+def _amalgam_profiles(grid: Grid, rows, q: float, radii) -> np.ndarray:
+    """Window profiles u_r(y) of every function of a stack rows (F, N) on grid,
+    for each radius: shape (F, R, N).  For finite q the stack of |f|^q takes
+    one spectral evaluation (see `translation._ball_convolution_stack`)."""
+    a = np.abs(np.asarray(rows))
     if q == INF:
-        return np.stack([_annulus_sliding_max(f, r) for r in radii])
-    fq = GridFunction(f.grid, np.abs(f.values) ** q)
-    conv = ball_convolutions(fq, radii)
+        fs = [GridFunction(grid, v) for v in a]
+        return np.stack([[_annulus_sliding_max(f, r) for r in radii] for f in fs])
+    conv = _ball_convolution_stack(grid, a**q, radii)
     return conv ** (1.0 / q)
 
 
@@ -198,20 +207,50 @@ def amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> float:
     q = _check_exponent(q, "q")
     p = _check_exponent(p, "p")
     r = _check_window_radius(f.grid, r)
-    u = _amalgam_profiles(f, q, [r])[0]
-    return lp_norm(GridFunction(f.grid, u), p)
+    return _ProfileStack(f.grid, f.values[None, :], [r]).amalgam(q, p, r)[0]
 
 
 def fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """sup over the radius grid of mu(B_r)^(1/alpha - 1/q - 1/p) times the
     r-windowed amalgam norm."""
     radii = [_check_window_radius(f.grid, r) for r in spec.r_grid]
-    return _fofana_sup(f.grid, spec, _amalgam_profiles(f, spec.q, radii))
+    return _ProfileStack(f.grid, f.values[None, :], radii).fofana(spec)[0]
+
+
+class _ProfileStack:
+    """Window profiles of a stack of functions rows (F, N) on grid, evaluated
+    once per exponent q over one list of window radii, from which the
+    amalgam and Fofana norms of every function of the stack at that q are
+    read.  q = inf profiles are sliding maxima, not spectral, and are
+    evaluated at the radii asked for."""
+
+    def __init__(self, grid: Grid, rows, radii):
+        self.grid = grid
+        self.rows = rows
+        self.radii = sorted({float(r) for r in radii})
+        self._by_q = {}
+
+    def at(self, q: float, radii) -> np.ndarray:
+        """Profiles (F, len(radii), N) at exponent q."""
+        if q == INF:
+            return _amalgam_profiles(self.grid, self.rows, q, radii)
+        if q not in self._by_q:
+            self._by_q[q] = _amalgam_profiles(self.grid, self.rows, q, self.radii)
+        return self._by_q[q][:, [self.radii.index(float(r)) for r in radii]]
+
+    def amalgam(self, q: float, p: float, r: float) -> list:
+        """``amalgam_norm_r`` of every function of the stack."""
+        return [lp_norm(GridFunction(self.grid, u[0]), p) for u in self.at(q, [r])]
+
+    def fofana(self, spec: NormSpec) -> list:
+        """``fofana_norm`` of every function of the stack."""
+        return [_fofana_sup(self.grid, spec, u) for u in self.at(spec.q, spec.r_grid)]
 
 
 def _fofana_sup(grid: Grid, spec: NormSpec, profiles) -> float:
     """sup over spec.r_grid of mu(B_r)^(1/alpha - 1/q - 1/p) * ||u_r||_p,
-    for the window profiles u_r of ``_amalgam_profiles`` at exponent spec.q."""
+    for the window profiles u_r of one function (a row of
+    ``_amalgam_profiles`` at exponent spec.q)."""
     theta = _scale_exponent(spec)
     best = 0.0
     for r, u in zip(spec.r_grid, profiles):
@@ -389,15 +428,22 @@ def weak_fofana_norm(
     return WeakWindowWorkspace(f.grid, r_grid, y_stride).weak_fofana(f, [(p, alpha)])[0]
 
 
-def _interval_window_lq(f: GridFunction, q: float, r: float) -> np.ndarray:
-    """||f chi_{I(y,r)}||_q for every node center y."""
+def _interval_windows(f: GridFunction, q: float):
+    """r -> ||f chi_{I(y,r)}||_q for every node center y; the window mass of
+    |f|^q is built once and serves every radius."""
     x = f.grid.nodes
     if q == INF:
-        lo = np.searchsorted(x, x - r, side="right")
-        hi = np.searchsorted(x, x + r, side="left")
-        return _range_max(np.abs(f.values), lo, hi)
+        a = np.abs(f.values)
+        return lambda r: _range_max(
+            a, np.searchsorted(x, x - r, side="right"), np.searchsorted(x, x + r, side="left")
+        )
     mass = LineWindowMass.line(f.grid, np.abs(f.values) ** q)
-    return mass.window(x - r, x + r) ** (1.0 / q)
+    return lambda r: mass.window(x - r, x + r) ** (1.0 / q)
+
+
+def _interval_window_lq(f: GridFunction, q: float, r: float) -> np.ndarray:
+    """||f chi_{I(y,r)}||_q for every node center y."""
+    return _interval_windows(f, q)(r)
 
 
 def interval_amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> float:
@@ -414,10 +460,11 @@ def _interval_fofana(f: GridFunction, spec: NormSpec, center_weights) -> list:
     centers y of center_weight(r, mu(I(y,r))) * ||f chi_{I(y,r)}||_q; the
     windows are computed once for all weights."""
     grid = f.grid
+    radii = [_check_window_radius(grid, r) for r in spec.r_grid]
+    windows = _interval_windows(f, spec.q)
     best = [0.0] * len(center_weights)
-    for r in spec.r_grid:
-        r = _check_window_radius(grid, r)
-        local = _interval_window_lq(f, spec.q, r)
+    for r in radii:
+        local = windows(r)
         mu_i = interval_measure(grid.params, grid.nodes, r)
         for j, center_weight in enumerate(center_weights):
             val = lp_norm(GridFunction(grid, center_weight(r, mu_i) * local), spec.p)

@@ -91,17 +91,20 @@ def _build(params: DunklParams, p: np.ndarray, q: np.ndarray):
     differ by a power of two), fl(p_j q_i) == fl(p_i q_j), so both blocks are
     exactly symmetric: each row chunk evaluates only its columns from the
     diagonal on and copies the rest from the rows above, which halves the
-    Bessel work and gives the bits of the full evaluation.  Other blocks
-    (another spacing ratio, non-square) evaluate every entry.
+    Bessel work and gives the bits of the full evaluation.  A mirrored block
+    takes at least eight row chunks, even when it fits in one, so that at
+    most 9/16 of it is evaluated.  Other blocks (another spacing ratio,
+    non-square) evaluate every entry.
     """
     m, n = p.size, q.size
     a = np.empty((m, n))
     b = np.empty((m, n))
     mirror = _power_of_two_multiple(p, q)
+    rows = -(-m // 8) if mirror else m
     i = 0
     while i < m:
         c = i if mirror else 0
-        j = min(m, i + max(1, _CHUNK_ELEMENTS // (n - c)))
+        j = min(m, i + max(1, min(rows, _CHUNK_ELEMENTS // (n - c))))
         a[i:j, c:], b[i:j, c:] = kernel_pair(params, np.outer(p[i:j], q[c:]))
         if mirror:
             a[i:j, :i] = a[:i, i:j].T

@@ -8,6 +8,10 @@ row chunk, not a matrix-vector product per offset); `translate` is that path
 with a single offset.  Translated indicators (a row per offset) and ball
 convolutions (a row per radius) invert the same way, through the one chunked
 `transform.inverse_rows`, so no temporary outgrows a kernel-block chunk.
+Ball convolutions take whole stacks of functions on one grid: one forward
+matrix product for the stack, the ball multipliers built once, and one
+chunked inverse over every (function, radius) row; `ball_convolutions` is
+the one-function case, with the bits of a single-row transform.
 
 Convolution multiplies transforms pointwise.  Translated ball indicators use
 the closed form of the indicator transform,
@@ -130,25 +134,49 @@ def translate_indicator_rows(params: DunklParams, ys, r: float, grid: Grid) -> n
     return raw
 
 
+def _ball_convolution_stack(grid: Grid, rows, radii) -> np.ndarray:
+    """(f * chi_{B_r}) for every real row f of rows (F, N) sampled on grid and
+    every r in radii, stacked as (F, R, N) and clamped at 0.
+
+    The stack, its row length and every radius are checked before any
+    transform.  The R ball multipliers are built once, the F rows take one
+    forward transform (a matrix product, not F matrix-vector products), and
+    the F * R spectra go back through the chunked `inverse_rows`, function by
+    function and radius by radius.
+    """
+    vals = np.asarray(rows)
+    if vals.ndim != 2 or not vals.shape[0]:
+        raise ValueError("ball convolutions need a non-empty (F, N) stack of rows")
+    if np.iscomplexobj(vals):
+        raise ValueError("ball convolutions expect real samples")
+    if vals.shape[1] != grid.node_count:
+        raise ValueError(f"rows of {vals.shape[1]} samples do not match {grid.node_count} grid nodes")
+    rr = [float(r) for r in radii]
+    if not rr:
+        raise ValueError("no radii given")
+    params = grid.params
+    lg = band_grid(grid, _INDICATOR_BAND)
+    mult = np.stack([ball_multiplier(params, lg, r) for r in rr])
+    u, v = forward_pair(params, grid, lg, vals)
+    nf, nr = vals.shape[0], len(rr)
+
+    def spectra(s):
+        fi, ri = np.divmod(np.arange(nf * nr)[s], nr)
+        return mult[ri] * u[fi], mult[ri] * v[fi]
+
+    out = inverse_rows(params, lg, grid, nf * nr, spectra)
+    np.maximum(out, 0.0, out=out)
+    return out.reshape(nf, nr, grid.node_count)
+
+
 def ball_convolutions(f: GridFunction, radii) -> np.ndarray:
     """(f * chi_{B_r}) for each r in radii, stacked rows, via one transform.
 
     f must be real; rows are clamped at 0 (spectral windows of non-negative
     data may undershoot slightly).  Every radius is checked before the
-    transform.
+    transform.  This is the one-function case of the stacked kernel.
     """
-    if not f.is_real:
-        raise ValueError("ball convolutions expect real samples")
-    rr = [float(r) for r in radii]
-    if not rr:
-        raise ValueError("no radii given")
-    params = f.grid.params
-    lg = band_grid(f.grid, _INDICATOR_BAND)
-    mult = np.stack([ball_multiplier(params, lg, r) for r in rr])
-    u, v = forward_pair(params, f.grid, lg, f.values)
-    out = inverse_rows(params, lg, f.grid, len(rr), lambda s: (mult[s] * u, mult[s] * v))
-    np.maximum(out, 0.0, out=out)
-    return out
+    return _ball_convolution_stack(f.grid, f.values[None, :], radii)[0]
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -29,7 +29,7 @@ import scipy
 from ._version import VERSION
 from ._windows import LineWindowMass
 from .grid import Grid, GridFunction, integrate, make_grid, sample_family
-from .maximal import centered_maximal, dunkl_maximal, interval_maximal
+from .maximal import _ball_averages_max, _dunkl_maximal_stack, centered_maximal, interval_maximal
 from .measure import (
     ball_measure,
     ball_measure_origin,
@@ -38,17 +38,19 @@ from .measure import (
 )
 from .norms import (
     NormSpec,
+    WeakWindowWorkspace,
+    _fofana_sup,
+    _ProfileStack,
     _interval_fofana_pair,
     amalgam_norm_r,
     default_radius_grid,
-    fofana_norm,
     interval_fofana_norm,
     lp_norm,
     weak_l1_norm,
 )
 from .params import DunklParams
 from .special import _series, bessel_normalized, dunkl_derivative, kernel_values
-from .translation import convolve, translate, translate_indicator, translate_rows
+from .translation import _ball_convolution_stack, convolve, translate, translate_indicator, translate_rows
 from .transform import forward, inverse, plancherel_defect
 
 __all__ = ["SuiteConfig", "Case", "VerificationReport", "list_suites", "run_suite"]
@@ -402,6 +404,11 @@ def _family(cfg: SuiteConfig, grid: Grid, names=None):
         fid = f"{name}({','.join('%g' % v for v in ps)})"
         out.append((fid, sample_family(name, ps, grid)))
     return out
+
+
+def _stack(fam) -> np.ndarray:
+    """The samples of (id, function) pairs as one (F, N) stack."""
+    return np.stack([f.values for _, f in fam])
 
 
 def _refined(cfg: SuiteConfig, params: DunklParams, evaluate):
@@ -1110,15 +1117,26 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig):
             ("trig_gauss(2)", sample_family("trig_gauss", (2.0,), g), "gaussian(0.25)", sample_family("gaussian", (0.25,), g)),
             ("indicator_ball(1)", sample_family("indicator_ball", (1.0,), g), "gaussian(2)", sample_family("gaussian", (2.0,), g)),
         ]
+        # one stack of the products, the first and the second factors: each
+        # exponent q takes one spectral evaluation, shared by both p pairs
+        n = len(pairs)
+        prof = _ProfileStack(
+            g,
+            np.stack(
+                [f.values * h.values for _, f, _, h in pairs]
+                + [f.values for _, f, _, _ in pairs]
+                + [h.values for _, _, _, h in pairs]
+            ),
+            (1.0,),
+        )
         worst = 0.0
-        for fid, f, gid, h in pairs:
-            prod = GridFunction(g, f.values * h.values)
+        for k in range(n):
             for q1, q2 in q_pairs:
                 qq = 1.0 / (1.0 / q1 + 1.0 / q2)
                 for p1, p2 in p_pairs:
                     pp = INF if (p1 == INF and p2 == INF) else 1.0 / (1.0 / p1 + 1.0 / p2)
-                    lhs = amalgam_norm_r(prod, qq, pp, 1.0)
-                    rhs = amalgam_norm_r(f, q1, p1, 1.0) * amalgam_norm_r(h, q2, p2, 1.0)
+                    lhs = prof.amalgam(qq, pp, 1.0)[k]
+                    rhs = prof.amalgam(q1, p1, 1.0)[n + k] * prof.amalgam(q2, p2, 1.0)[2 * n + k]
                     if rhs == 0.0:
                         continue
                     worst = max(worst, lhs / rhs)
@@ -1131,16 +1149,31 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig):
             kappa=kappa,
         )
 
-        # norm axioms at (q, p) = (2, 4), window radius 1
+        # norm axioms at (q, p) = (2, 4), window radius 1: the family, its
+        # scaled members and the random combinations in one stack
         fam = _family(cfg, g)
-        base_norms = {fid: amalgam_norm_r(f, 2.0, 4.0, 1.0) for fid, f in fam}
+        scales = [(fid, f, c) for fid, f in fam[:4] for c in (2.5, -3.0)]
+        rng = rec.rng(f"triangle_{kappa}")
+        combos = []
+        for _ in range(100):
+            i, j = rng.integers(0, len(fam), 2)
+            a, b = rng.uniform(-2.0, 2.0, 2)
+            combos.append((i, j, a, b))
+        norms = _ProfileStack(
+            g,
+            np.stack(
+                [f.values for _, f in fam]
+                + [(c * f).values for _, f, c in scales]
+                + [(a * fam[i][1] + b * fam[j][1]).values for i, j, a, b in combos]
+            ),
+            (1.0,),
+        ).amalgam(2.0, 4.0, 1.0)
+        base_norms = dict(zip((fid for fid, _ in fam), norms))
         worst_h = 0.0
-        for fid, f in fam[:4]:
-            for c in (2.5, -3.0):
-                scaled = amalgam_norm_r(c * f, 2.0, 4.0, 1.0)
-                worst_h = max(
-                    worst_h, abs(scaled - abs(c) * base_norms[fid]) / (abs(c) * base_norms[fid])
-                )
+        for (fid, _, c), scaled in zip(scales, norms[len(fam) :]):
+            worst_h = max(
+                worst_h, abs(scaled - abs(c) * base_norms[fid]) / (abs(c) * base_norms[fid])
+            )
         rec.bound(
             f"homogeneity_k{_klabel(kappa)}",
             "amalgam_norm_axioms",
@@ -1149,14 +1182,8 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig):
             0.0,
             kappa=kappa,
         )
-        rng = rec.rng(f"triangle_{kappa}")
         worst_t = -INF
-        for _ in range(100):
-            i, j = rng.integers(0, len(fam), 2)
-            a, b = rng.uniform(-2.0, 2.0, 2)
-            fa = a * fam[i][1]
-            fb = b * fam[j][1]
-            lhs = amalgam_norm_r(fa + fb, 2.0, 4.0, 1.0)
+        for (i, j, a, b), lhs in zip(combos, norms[len(fam) + len(scales) :]):
             rhs = abs(a) * base_norms[fam[i][0]] + abs(b) * base_norms[fam[j][0]]
             scale = max(rhs, 1e-30)
             worst_t = max(worst_t, (lhs - rhs) / scale)
@@ -1191,21 +1218,14 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig):
 _EMBEDDING_FAMILY = ("gaussian", "indicator_ball", "bump", "trig_gauss", "power_tail")
 
 
-def _interval_translation_constants(cfg: SuiteConfig, fam, rg, translation_norms=None):
+def _interval_translation_constants(cfg: SuiteConfig, fam, rg, prof: _ProfileStack):
     """Worst ratios over family and exponents of the interval-window norm and
-    of its ball-scaled companion to the translation-window norm.
-
-    translation_norms maps (spec, family id) to fofana_norm values already
-    computed on this grid; missing ones are computed here.
-    """
-    translation_norms = translation_norms or {}
+    of its ball-scaled companion to the translation-window norm, read from
+    the window profiles prof of the family stack."""
     unscaled = scaled = 0.0
     for (q, pp, alpha) in cfg.exponents:
         spec = NormSpec(q, pp, alpha, rg)
-        for fid, f in fam:
-            denom = translation_norms.get((spec, fid))
-            if denom is None:
-                denom = fofana_norm(f, spec)
+        for (fid, f), denom in zip(fam, prof.fofana(spec)):
             if denom == 0.0:
                 continue
             interval, ball_scaled = _interval_fofana_pair(f, spec)
@@ -1223,17 +1243,19 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig):
         rg = _radius_grid(cfg, g)
         mu1 = ball_measure_origin(p, 1.0)
         fam = _family(cfg, g, names=_EMBEDDING_FAMILY)
+        # one profile stack per q over the radius grid and r = 1
+        prof = _ProfileStack(g, _stack(fam), (*rg, 1.0))
 
         worst = 0.0
         for (q, s, pp) in ((1.0, 2.0, 4.0), (2.0, 2.0, INF), (2.0, 4.0, 8.0), (1.0, 1.0, 2.0)):
             const = 4.0 ** (1.0 / q) * mu1 ** (
                 (0.0 if pp == INF else 1.0 / pp) - 1.0 / s + 1.0 / q
             )
-            for fid, f in fam:
+            for (fid, f), norm in zip(fam, prof.amalgam(q, pp, 1.0)):
                 denom = const * lp_norm(f, s)
                 if denom == 0.0:
                     continue
-                worst = max(worst, amalgam_norm_r(f, q, pp, 1.0) / denom)
+                worst = max(worst, norm / denom)
         rec.bound(
             f"lebesgue_amalgam_k{_klabel(kappa)}",
             "lebesgue_amalgam_embedding",
@@ -1246,11 +1268,11 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig):
         worst = 0.0
         for (q1, q2, pp) in ((1.0, 2.0, 4.0), (2.0, 4.0, 8.0), (1.0, 2.0, INF), (2.0, INF, INF)):
             const = mu1 ** (1.0 / q1 - (0.0 if q2 == INF else 1.0 / q2))
-            for fid, f in fam:
-                denom = const * amalgam_norm_r(f, q2, pp, 1.0)
+            for n1, n2 in zip(prof.amalgam(q1, pp, 1.0), prof.amalgam(q2, pp, 1.0)):
+                denom = const * n2
                 if denom == 0.0:
                     continue
-                worst = max(worst, amalgam_norm_r(f, q1, pp, 1.0) / denom)
+                worst = max(worst, n1 / denom)
         rec.bound(
             f"amalgam_q_monotone_k{_klabel(kappa)}",
             "amalgam_q_monotonicity",
@@ -1260,17 +1282,14 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig):
             kappa=kappa,
         )
 
-        # the translation norms also serve the interval-window comparison below
-        trans = {}
         worst = 0.0
         for (q, pp, alpha) in cfg.exponents:
             spec = NormSpec(q, pp, alpha, rg)
-            for fid, f in fam:
-                trans[spec, fid] = fofana_norm(f, spec)
+            for (fid, f), norm in zip(fam, prof.fofana(spec)):
                 denom = 4.0 ** (1.0 / q) * lp_norm(f, alpha)
                 if denom == 0.0:
                     continue
-                worst = max(worst, trans[spec, fid] / denom)
+                worst = max(worst, norm / denom)
         rec.bound(
             f"lebesgue_fofana_k{_klabel(kappa)}",
             "lebesgue_fofana_embedding",
@@ -1284,11 +1303,10 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig):
         for (q1, q2, pp, alpha) in ((1.0, 2.0, 8.0, 4.0), (1.5, 2.0, 8.0, 2.0)):
             s1 = NormSpec(q1, pp, alpha, rg)
             s2 = NormSpec(q2, pp, alpha, rg)
-            for fid, f in fam:
-                denom = fofana_norm(f, s2)
+            for n1, denom in zip(prof.fofana(s1), prof.fofana(s2)):
                 if denom == 0.0:
                     continue
-                worst = max(worst, fofana_norm(f, s1) / denom)
+                worst = max(worst, n1 / denom)
         rec.bound(
             f"fofana_q_monotone_k{_klabel(kappa)}",
             "fofana_q_monotonicity",
@@ -1305,12 +1323,12 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig):
         # node spacing), and only the classical case, where the two window
         # measures coincide, is bounded by 1.  The ball-scaled companion
         # removes the factor and must not drift with the domain.
-        unscaled, scaled = _interval_translation_constants(cfg, fam, rg, trans)
+        unscaled, scaled = _interval_translation_constants(cfg, fam, rg, prof)
         gh = make_grid(p, cfg.half_width / 2.0, cfg.node_count // 2)
+        fam_h = _family(cfg, gh, names=_EMBEDDING_FAMILY)
+        rg_h = tuple(r for r in _radius_grid(cfg, gh) if r <= gh.half_width / 2.0)
         unscaled_h, scaled_h = _interval_translation_constants(
-            cfg,
-            _family(cfg, gh, names=_EMBEDDING_FAMILY),
-            tuple(r for r in _radius_grid(cfg, gh) if r <= gh.half_width / 2.0),
+            cfg, fam_h, rg_h, _ProfileStack(gh, _stack(fam_h), rg_h)
         )
         if p.classical:
             rec.bound(
@@ -1374,22 +1392,28 @@ def _suite_linfty_identity(rec: _Recorder, cfg: SuiteConfig):
 
 @_suite
 def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig):
+    labels = ((2.0, 8.0, 2.0, "alpha_eq_q"), (2.0, 8.0, 8.0, "alpha_eq_p"))
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
-        for (q, pp, alpha, label) in ((2.0, 8.0, 2.0, "alpha_eq_q"), (2.0, 8.0, 8.0, "alpha_eq_p")):
 
-            def window(g):
-                spec = NormSpec(q, pp, alpha, _radius_grid(cfg, g))
+        def windows(g):
+            """The window constant of each label, from one profile stack."""
+            rg = _radius_grid(cfg, g)
+            fam = _family(cfg, g, names=("gaussian", "indicator_ball", "bump", "trig_gauss"))
+            prof = _ProfileStack(g, _stack(fam), rg)
+            out = []
+            for (q, pp, alpha, _) in labels:
                 cmax = 0.0
-                for fid, f in _family(cfg, g, names=("gaussian", "indicator_ball", "bump", "trig_gauss")):
+                for (fid, f), norm in zip(fam, prof.fofana(NormSpec(q, pp, alpha, rg))):
                     base = lp_norm(f, alpha)
                     if base == 0.0:
                         continue
-                    ratio = fofana_norm(f, spec) / base
+                    ratio = norm / base
                     cmax = max(cmax, ratio, 1.0 / ratio)
-                return cmax
+                out.append(cmax)
+            return out
 
-            c_coarse, c_fine = _refined(cfg, p, window)
+        for (q, pp, alpha, label), c_coarse, c_fine in zip(labels, *_refined(cfg, p, windows)):
             rec.measure(
                 f"fofana_lebesgue_window_k{_klabel(kappa)}_{label}",
                 "fofana_lebesgue_identity",
@@ -1453,12 +1477,16 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
         p = _params_for(kappa)
 
         def windows(g):
+            """The two window constants, and the Dunkl maximal functions of
+            the family, by id, from one stack."""
             rhog = _rho_grid(cfg, g)
             sel = np.abs(g.nodes) <= cfg.half_width / 2.0
             c1 = 0.0
             c2 = 0.0
-            for fid, f in _family(cfg, g):
-                md = dunkl_maximal(f, rhog).values
+            fam = _family(cfg, g)
+            mds = dict(zip((fid for fid, _ in fam), _dunkl_maximal_stack(g, _stack(fam), rhog)))
+            for fid, f in fam:
+                md = mds[fid]
                 mc = centered_maximal(f, rhog).values
                 mi = interval_maximal(f, rhog).values
                 mask = sel & (md > 1e-6) & (mc > 1e-6) & (mi > 1e-6)
@@ -1468,9 +1496,9 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
                 r2 = mc[mask] / mi[mask]
                 c1 = max(c1, float(np.max(r1)), float(np.max(1.0 / r1)))
                 c2 = max(c2, float(np.max(r2)), float(np.max(1.0 / r2)))
-            return c1, c2
+            return (c1, c2), mds
 
-        coarse, (c1_fine, c2_fine) = _refined(cfg, p, windows)
+        (coarse, _), ((c1_fine, c2_fine), mds) = _refined(cfg, p, windows)
         rec.measure(
             f"equivalence_window_dunkl_centered_k{_klabel(kappa)}",
             "maximal_equivalence",
@@ -1499,7 +1527,7 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
         if p.classical:
             worst = 0.0
             for fid, f in _family(cfg, g, names=("gaussian", "bump", "trig_gauss")):
-                md = dunkl_maximal(f, rhog).values
+                md = mds[fid]
                 oracle = _classical_maximal_oracle(f, rhog)
                 mask = sel & (oracle > 1e-9)
                 worst = max(worst, float(np.max(np.abs(md[mask] - oracle[mask]) / oracle[mask])))
@@ -1512,13 +1540,23 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
                 kappa=kappa,
             )
 
-        # peak value on an indicator
+        # the indicator of the peak case and the ordered pairs of the
+        # monotonicity cases, in one stack
+        pairs = (
+            (sample_family("gaussian", (2.0,), g), sample_family("gaussian", (0.25,), g)),
+            (sample_family("indicator_ball", (0.5,), g), sample_family("indicator_ball", (1.0,), g)),
+        )
         chi = sample_family("indicator_ball", (1.0,), g)
+        m_chi, *m_pairs = _dunkl_maximal_stack(
+            g, np.stack([chi.values] + [f.values for pair in pairs for f in pair]), rhog
+        )
+
+        # peak value on an indicator
         i0 = int(np.argmin(np.abs(g.nodes)))
         rec.match(
             f"indicator_peak_k{_klabel(kappa)}",
             "maximal_indicator_peak",
-            float(dunkl_maximal(chi, rhog).values[i0]),
+            float(m_chi[i0]),
             1.0,
             cfg.tolerance("maximal_peak"),
             kappa=kappa,
@@ -1531,7 +1569,7 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
                 base = lp_norm(f, q)
                 if base == 0.0:
                     continue
-                worst = max(worst, lp_norm(dunkl_maximal(f, rhog), q) / base)
+                worst = max(worst, lp_norm(GridFunction(g, mds[fid]), q) / base)
             rec.measure(
                 f"lp_bound_k{_klabel(kappa)}_p{q:g}",
                 "maximal_lp_bounded",
@@ -1544,27 +1582,20 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
             base = lp_norm(f, 1.0)
             if base == 0.0:
                 continue
-            worst = max(worst, weak_l1_norm(dunkl_maximal(f, rhog)) / base)
+            worst = max(worst, weak_l1_norm(GridFunction(g, mds[fid])) / base)
         rec.measure(f"weak11_constant_k{_klabel(kappa)}", "maximal_weak_type", worst, kappa=kappa)
 
         # monotonicity for ordered nonnegative pairs: exact for the two window
         # routes; the transform route carries band-truncation wiggle, so its
         # violation is bounded by a spectral tolerance instead
-        pairs = (
-            (sample_family("gaussian", (2.0,), g), sample_family("gaussian", (0.25,), g)),
-            (sample_family("indicator_ball", (0.5,), g), sample_family("indicator_ball", (1.0,), g)),
-        )
         worst_exact = -INF
         worst_spectral = -INF
-        for lo_f, hi_f in pairs:
+        for k, (lo_f, hi_f) in enumerate(pairs):
             for op in (centered_maximal, interval_maximal):
                 worst_exact = max(
                     worst_exact, float(np.max(op(lo_f, rhog).values - op(hi_f, rhog).values))
                 )
-            worst_spectral = max(
-                worst_spectral,
-                float(np.max(dunkl_maximal(lo_f, rhog).values - dunkl_maximal(hi_f, rhog).values)),
-            )
+            worst_spectral = max(worst_spectral, float(np.max(m_pairs[2 * k] - m_pairs[2 * k + 1])))
         rec.bound(
             f"monotonicity_k{_klabel(kappa)}",
             "maximal_monotonicity",
@@ -1730,28 +1761,38 @@ def _record_member_ratios(rec, statement, tag, coarse, fine, kappa, **exponents)
 
 @_suite
 def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig):
+    if any(q <= 1.0 for q, _, _ in cfg.exponents):
+        raise ValueError("the strong maximal theorem requires q > 1")
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
-        for (q, pp, alpha) in cfg.exponents:
-            if q <= 1.0:
-                raise ValueError("the strong maximal theorem requires q > 1")
 
-            def member_ratios(g):
-                rhog = _rho_grid(cfg, g)
-                spec = NormSpec(q, pp, alpha, _radius_grid(cfg, g))
-                ratios = {}
-                for fid, f in _family(cfg, g):
-                    base = fofana_norm(f, spec)
-                    if base == 0.0:
-                        continue
-                    ratios[fid] = fofana_norm(dunkl_maximal(f, rhog), spec) / base
-                return ratios
+        def member_ratios(g):
+            """Per exponent triple, the ratio of each family member, from the
+            profile stacks of |f| and of M f, one per q."""
+            rg = _radius_grid(cfg, g)
+            fam = _family(cfg, g)
+            rows = _stack(fam)
+            base = _ProfileStack(g, rows, rg)
+            maxi = _ProfileStack(g, _dunkl_maximal_stack(g, rows, _rho_grid(cfg, g)), rg)
+            out = []
+            for (q, pp, alpha) in cfg.exponents:
+                spec = NormSpec(q, pp, alpha, rg)
+                out.append(
+                    {
+                        fid: m / b
+                        for (fid, _), b, m in zip(fam, base.fofana(spec), maxi.fofana(spec))
+                        if b != 0.0
+                    }
+                )
+            return out
 
+        for (q, pp, alpha), coarse, fine in zip(cfg.exponents, *_refined(cfg, p, member_ratios)):
             _record_member_ratios(
                 rec,
                 "fofana_maximal_bound",
                 f"k{_klabel(kappa)}_q{q:g}_p{pp:g}_a{alpha:g}",
-                *_refined(cfg, p, member_ratios),
+                coarse,
+                fine,
                 kappa=kappa,
                 q=q,
                 p=pp,
@@ -1761,8 +1802,6 @@ def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig):
 
 @_suite
 def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig):
-    from .norms import WeakWindowWorkspace, _amalgam_profiles, _fofana_sup
-
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
 
@@ -1770,7 +1809,9 @@ def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig):
             """Per (p, alpha) pair, the ratio of each family member, and the
             worst weak/strong dominance ratio (on the fine grid only).  Window
             rows, maximal functions, q = 1 window profiles and weak window
-            statistics are shared across pairs."""
+            statistics are shared across pairs.  One stack of ball
+            convolutions of |f| over both radius grids gives the maximal
+            functions and the q = 1 window profiles."""
             fine = g.node_count == cfg.node_count
             rg = default_radius_grid(g, ratio=2.0) if cfg.r_grid is None else cfg.r_grid
             rhog = _rho_grid(cfg, g)
@@ -1778,10 +1819,12 @@ def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig):
             specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in cfg.weak_exponents]
             ratios = {pair: {} for pair in cfg.weak_exponents}
             dominance = 0.0
-            for fid, f in _family(cfg, g):
-                mf = dunkl_maximal(f, rhog)
-                profiles = _amalgam_profiles(f, 1.0, rg)
-                weak_mf = ws.weak_fofana(mf, cfg.weak_exponents)
+            fam = _family(cfg, g)
+            radii = sorted({float(r) for r in (*rhog, *rg)})
+            conv = _ball_convolution_stack(g, np.abs(_stack(fam)), radii)
+            mfs = _ball_averages_max(g.params, conv[:, [radii.index(r) for r in rhog]], rhog)
+            for (fid, f), mf, profiles in zip(fam, mfs, conv[:, [radii.index(r) for r in rg]]):
+                weak_mf = ws.weak_fofana(GridFunction(g, mf), cfg.weak_exponents)
                 dominated = fine and fid.startswith(("gaussian", "bump", "indicator_ball"))
                 weak_f = ws.weak_fofana(f, cfg.weak_exponents) if dominated else None
                 for j, pair in enumerate(cfg.weak_exponents):

@@ -382,6 +382,40 @@ def test_interval_fofana_pair_matches_both_norms():
             )
 
 
+def _per_radius_interval_fofana(f, spec, center_weight):
+    """The interval Fofana loop with a fresh window mass for every radius."""
+    g = f.grid
+    best = 0.0
+    for r in spec.r_grid:
+        local = _interval_window_lq(f, spec.q, r)
+        mu_i = interval_measure(g.params, g.nodes, r)
+        best = max(best, lp_norm(GridFunction(g, center_weight(r, mu_i) * local), spec.p))
+    return best
+
+
+def test_interval_fofana_builds_one_window_mass_per_function(monkeypatch):
+    # the window mass of |f|^q is built once for all radii, with the bits of
+    # one build per radius
+    g = make_grid(DunklParams(0.5), 16.0, 1024)
+    builds = []
+    init = norms.LineWindowMass.__init__
+
+    def counted(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    for spec in _interval_specs(g, ((1.0, 2.0, 1.0), (2.0, 8.0, 4.0), (INF, INF, INF))):
+        weights = (norms._interval_weight(spec), norms._ball_scaled_weight(g.params, spec))
+        for name, ps in _INTERVAL_FAMILY:
+            f = sample_family(name, ps, g)
+            want = tuple(_per_radius_interval_fofana(f, spec, w) for w in weights)
+            monkeypatch.setattr(norms.LineWindowMass, "__init__", counted)
+            builds.clear()
+            assert norms._interval_fofana_pair(f, spec) == want
+            assert len(builds) == (0 if spec.q == INF else 1)
+            monkeypatch.setattr(norms.LineWindowMass, "__init__", init)
+
+
 def _loop_range_max(vals, lo, hi):
     """The per-node loop the sparse-table range maximum replaced."""
     out = np.empty(lo.size)

@@ -237,6 +237,22 @@ def test_mirrored_blocks_equal_direct_evaluation(kappa, ratio, chunk, monkeypatc
 
 
 @pytest.mark.parametrize("kappa", BLOCK_KAPPAS)
+@pytest.mark.parametrize("ratio", [1, 4])
+def test_small_mirrored_block_evaluates_about_half(kappa, ratio, monkeypatch):
+    # a 128 x 128 block fits in one default chunk, and is still built from
+    # its triangle
+    p = DunklParams(kappa, classical=kappa == -0.5)
+    xg, lg = make_grid(p, 8.0, 256), make_grid(p, 8.0 * ratio, 256)
+    seen = _counting_kernel_pair(monkeypatch)
+    a, b = transform._blocks(p, lg, xg)
+    assert a.shape == (128, 128) and a.size <= transform._CHUNK_ELEMENTS
+    ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
+    assert np.array_equal(a, ea)
+    assert np.array_equal(b, eb)
+    assert seen["elements"] <= 0.6 * a.size
+
+
+@pytest.mark.parametrize("kappa", BLOCK_KAPPAS)
 @pytest.mark.parametrize("out_width,out_nodes", [(8.0, 256), (24.0, 200)])
 def test_unmirrored_blocks_equal_direct_evaluation(kappa, out_width, out_nodes, monkeypatch):
     # spacings 16/768 and 16/256 (ratio 3) give products that are not
@@ -277,7 +293,11 @@ def test_concurrent_misses_build_each_block_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert seen["calls"] == 1
+    # the four threads evaluated exactly the entries of one build
+    threaded = dict(seen)
+    seen.update(calls=0, elements=0)
+    transform._build(p, lg.positive_nodes, xg.positive_nodes)
+    assert threaded == seen
     for a, b in results:
         assert a is results[0][0]
         assert b is results[0][1]
