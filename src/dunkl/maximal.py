@@ -46,14 +46,18 @@ def _dunkl_maximal_stack(grid: Grid, rows, rho_grid) -> np.ndarray:
     """``dunkl_maximal`` of every function of a stack rows (F, N) on grid,
     stacked as (F, N), from one spectral evaluation of the stack of |f|."""
     rhos = _check_radii(rho_grid)
-    return _ball_averages_max(grid.params, _ball_convolution_stack(grid, np.abs(rows), rhos), rhos)
+    return _ball_averages_max(grid.params, _ball_convolution_stack(grid, np.abs(rows), rhos), rhos, rhos)
 
 
-def _ball_averages_max(params, conv: np.ndarray, rhos) -> np.ndarray:
-    """sup over rho of mu(B_rho)^{-1} * conv, for ball convolutions conv
-    (F, R, N) of |f| at the radii rhos."""
-    measures = np.array([ball_measure_origin(params, r) for r in rhos])
-    return np.max(conv / measures[:, None], axis=1)
+def _ball_averages_max(params, conv: np.ndarray, radii, rhos) -> np.ndarray:
+    """sup over rho in rhos of mu(B_rho)^{-1} * conv at rho, for ball
+    convolutions conv (F, R, N) of |f| at the radii, a list holding every
+    rho."""
+    best = None
+    for rho in rhos:
+        avg = conv[:, radii.index(rho)] / ball_measure_origin(params, rho)
+        best = avg if best is None else np.maximum(best, avg, out=best)
+    return best
 
 
 def centered_maximal(f: GridFunction, rho_grid) -> GridFunction:

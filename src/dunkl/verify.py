@@ -1800,6 +1800,19 @@ def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig):
             )
 
 
+def _maximal_and_q1_fofana(grid: Grid, fam, rhog, specs):
+    """The Dunkl maximal functions (F, N) over rhog and, per family member,
+    its q = 1 Fofana norm at each spec (all on one radius grid), from one
+    stack of ball convolutions of |f| over both radius grids.  Only the
+    maximal functions and the norms outlive the call."""
+    rg = specs[0].r_grid
+    radii = sorted({float(r) for r in (*rhog, *rg)})
+    conv = _ball_convolution_stack(grid, np.abs(_stack(fam)), radii)
+    cols = [radii.index(r) for r in rg]
+    norms = [[_fofana_sup(grid, spec, c[cols]) for spec in specs] for c in conv]
+    return _ball_averages_max(grid.params, conv, radii, rhog), norms
+
+
 @_suite
 def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig):
     for kappa in cfg.kappa_list:
@@ -1811,24 +1824,23 @@ def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig):
             rows, maximal functions, q = 1 window profiles and weak window
             statistics are shared across pairs.  One stack of ball
             convolutions of |f| over both radius grids gives the maximal
-            functions and the q = 1 window profiles."""
+            functions and the q = 1 Fofana norms, before the workspace is
+            built."""
             fine = g.node_count == cfg.node_count
             rg = default_radius_grid(g, ratio=2.0) if cfg.r_grid is None else cfg.r_grid
             rhog = _rho_grid(cfg, g)
-            ws = WeakWindowWorkspace(g, rg)
+            fam = _family(cfg, g)
             specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in cfg.weak_exponents]
+            mfs, strong = _maximal_and_q1_fofana(g, fam, rhog, specs)
+            ws = WeakWindowWorkspace(g, rg)
             ratios = {pair: {} for pair in cfg.weak_exponents}
             dominance = 0.0
-            fam = _family(cfg, g)
-            radii = sorted({float(r) for r in (*rhog, *rg)})
-            conv = _ball_convolution_stack(g, np.abs(_stack(fam)), radii)
-            mfs = _ball_averages_max(g.params, conv[:, [radii.index(r) for r in rhog]], rhog)
-            for (fid, f), mf, profiles in zip(fam, mfs, conv[:, [radii.index(r) for r in rg]]):
+            for (fid, f), mf, bases in zip(fam, mfs, strong):
                 weak_mf = ws.weak_fofana(GridFunction(g, mf), cfg.weak_exponents)
                 dominated = fine and fid.startswith(("gaussian", "bump", "indicator_ball"))
                 weak_f = ws.weak_fofana(f, cfg.weak_exponents) if dominated else None
                 for j, pair in enumerate(cfg.weak_exponents):
-                    base = _fofana_sup(g, specs[j], profiles)
+                    base = bases[j]
                     if base == 0.0:
                         continue
                     ratios[pair][fid] = weak_mf[j] / base
