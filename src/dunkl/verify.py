@@ -1800,12 +1800,11 @@ def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig):
             )
 
 
-def _maximal_and_q1_fofana(grid: Grid, fam, rhog, specs):
+def _maximal_and_q1_fofana(grid: Grid, fam, rhog, rg, specs):
     """The Dunkl maximal functions (F, N) over rhog and, per family member,
-    its q = 1 Fofana norm at each spec (all on one radius grid), from one
+    its q = 1 Fofana norm at each spec (all on the radius grid rg), from one
     stack of ball convolutions of |f| over both radius grids.  Only the
     maximal functions and the norms outlive the call."""
-    rg = specs[0].r_grid
     radii = sorted({float(r) for r in (*rhog, *rg)})
     conv = _ball_convolution_stack(grid, np.abs(_stack(fam)), radii)
     cols = [radii.index(r) for r in rg]
@@ -1831,7 +1830,7 @@ def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig):
             rhog = _rho_grid(cfg, g)
             fam = _family(cfg, g)
             specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in cfg.weak_exponents]
-            mfs, strong = _maximal_and_q1_fofana(g, fam, rhog, specs)
+            mfs, strong = _maximal_and_q1_fofana(g, fam, rhog, rg, specs)
             ws = WeakWindowWorkspace(g, rg)
             ratios = {pair: {} for pair in cfg.weak_exponents}
             dominance = 0.0
