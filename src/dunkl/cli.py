@@ -44,7 +44,7 @@ from .norms import (
 )
 from .params import DunklParams
 from .report import ReportFormatError, diff_reports, load_cases
-from .verify import SuiteConfig, canonical_json, list_suites, run_suite
+from .verify import SuiteConfig, canonical_json, check_suite, list_suites, run_suite
 
 USAGE_EXIT = 2
 IO_EXIT = 3
@@ -206,6 +206,8 @@ def _cmd_verify(args, parser) -> int:
         kwargs["seed"] = seed
     try:
         cfg = SuiteConfig(**kwargs)
+        for name in names:
+            check_suite(name, cfg)
     except ValueError as exc:
         parser.error(str(exc))
 

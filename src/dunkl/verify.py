@@ -13,6 +13,17 @@ Each suite runs a list of cases.  A case is one of three kinds:
 Reports serialize to a canonical JSON form: fixed key order, floats with 17
 significant digits, no wall-clock content, so identical configurations yield
 byte-identical payloads.
+
+Eleven suites are bodies ``body(rec, cfg, kappa, params)`` registered with
+``_per_kappa``, whose one loop calls them per kappa of ``cfg.kappa_list``.
+A body records through ``rec.at(kappa)``: a view sharing the recorder's cases,
+name and random streams that puts ``"kappa"`` first in every case's inputs and
+carries the id label ``ktag`` (``k0.5``, ``km0.5``).  ``kernel`` (kappa-free
+cases between per-kappa ones, a maximum over all kappas) and
+``measure_lemmas`` (one doubling stream across all kappas) keep their own
+loops, since bodies would reorder their cases or move report bits.  Streams
+are seeded by (seed, suite, label), so labels such as ``f"pairs_{kappa}"``
+(the float's repr) are part of the report's determinism.
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ from .special import _series, bessel_normalized, dunkl_derivative, kernel_values
 from .translation import _ball_convolution_stack, convolve, translate, translate_indicator, translate_rows
 from .transform import forward, inverse, plancherel_defect
 
-__all__ = ["SuiteConfig", "Case", "VerificationReport", "list_suites", "run_suite"]
+__all__ = ["SuiteConfig", "Case", "VerificationReport", "check_suite", "list_suites", "run_suite"]
 
 INF = math.inf
 
@@ -193,7 +204,10 @@ class SuiteConfig:
             if not 0.0 <= v < math.inf:
                 raise ValueError(f"tolerances[{k!r}] must be finite and >= 0, got {v}")
         object.__setattr__(self, "tolerances", tol)
-        object.__setattr__(self, "seed", int(self.seed))
+        seed = int(self.seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
     def tolerance(self, key: str) -> float:
         for k, v in self.tolerances:
@@ -342,43 +356,44 @@ def canonical_json(obj) -> str:
 
 
 class _Recorder:
-    def __init__(self, name: str, cfg: SuiteConfig):
+    """A suite's cases, in order.  rec.at(kappa) is a view recording into the
+    same cases, with "kappa": kappa first in their inputs; ktag is its label."""
+
+    def __init__(self, name: str, cfg: SuiteConfig, cases=None, kappa=None):
         self.name = name
         self.cfg = cfg
-        self.cases: list[Case] = []
+        self.cases: list[Case] = [] if cases is None else cases
+        self._lead = {} if kappa is None else {"kappa": kappa}
+        self.ktag = None if kappa is None else "k" + ("%g" % kappa).replace("-", "m")
+
+    def at(self, kappa: float) -> _Recorder:
+        return _Recorder(self.name, self.cfg, self.cases, kappa)
 
     def rng(self, label: str = "") -> np.random.Generator:
         return np.random.default_rng(
             [self.cfg.seed, zlib.crc32(self.name.encode()), zlib.crc32(label.encode())]
         )
 
+    def _add(self, case_id, statement, kind, inputs, lhs, rhs, slack, ok):
+        inputs = {**self._lead, **inputs}
+        self.cases.append(Case(case_id, statement, kind, inputs, lhs, rhs, slack, ok))
+        return ok
+
     def bound(self, case_id, statement, lhs, rhs, slack=0.0, **inputs):
         lhs = float(lhs)
         rhs = float(rhs)
         ok = math.isfinite(lhs) and lhs <= rhs * (1.0 + slack)
-        self.cases.append(Case(case_id, statement, "bound", inputs, lhs, rhs, float(slack), ok))
-        return ok
+        return self._add(case_id, statement, "bound", inputs, lhs, rhs, float(slack), ok)
 
     def match(self, case_id, statement, value, expected, tol, **inputs):
         lhs = abs(float(value) - float(expected))
         ok = math.isfinite(lhs) and lhs <= tol
-        self.cases.append(
-            Case(
-                case_id,
-                statement,
-                "match",
-                {**inputs, "expected": float(expected)},
-                lhs,
-                float(tol),
-                0.0,
-                ok,
-            )
-        )
-        return ok
+        inputs = {**inputs, "expected": float(expected)}
+        return self._add(case_id, statement, "match", inputs, lhs, float(tol), 0.0, ok)
 
     def measure(self, case_id, statement, value, **inputs):
         v = float(value)
-        self.cases.append(Case(case_id, statement, "measure", inputs, v, None, 0.0, math.isfinite(v)))
+        self._add(case_id, statement, "measure", inputs, v, None, 0.0, math.isfinite(v))
         return v
 
     def stability(self, case_id, statement, value, reference, **inputs):
@@ -390,10 +405,6 @@ class _Recorder:
 
     def report(self) -> VerificationReport:
         return VerificationReport(self.name, self.cfg.echo(), self.cases)
-
-
-def _klabel(kappa: float) -> str:
-    return ("%g" % kappa).replace("-", "m")
 
 
 def _family(cfg: SuiteConfig, grid: Grid, names=None):
@@ -435,17 +446,37 @@ def _suite(fn):
     return fn
 
 
+def _per_kappa(body):
+    """Register body(rec, cfg, kappa, params) as a suite that runs it once per
+    kappa of the config, in order, recording through the view rec.at(kappa)."""
+
+    def run(rec: _Recorder, cfg: SuiteConfig):
+        for kappa in cfg.kappa_list:
+            body(rec.at(kappa), cfg, kappa, _params_for(kappa))
+
+    run.__name__ = body.__name__
+    return _suite(run)
+
+
 def list_suites():
     """Known suite ids in declaration order."""
     return list(_SUITES)
 
 
+def check_suite(name: str, cfg: SuiteConfig) -> None:
+    """Raise ValueError if the suite is unknown or cannot run on cfg (the
+    strong maximal theorem needs q > 1)."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(list_suites())}")
+    if name == "theorem_maxi" and any(q <= 1.0 for q, _, _ in cfg.exponents):
+        raise ValueError(f"suite {name!r}: the strong maximal theorem requires q > 1")
+
+
 def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationReport:
     """Execute one named suite.  Failed inequalities are recorded, never
     raised; the report carries every case."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {', '.join(list_suites())}")
     cfg = config if config is not None else SuiteConfig()
+    check_suite(name, cfg)
     rec = _Recorder(name, cfg)
     t0 = time.perf_counter()
     _SUITES[name](rec, cfg)
@@ -491,13 +522,13 @@ def _suite_kernel(rec: _Recorder, cfg: SuiteConfig):
 
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
-        rec.match(
-            f"kernel_at_zero_k{_klabel(kappa)}",
+        krec = rec.at(kappa)
+        krec.match(
+            f"kernel_at_zero_{krec.ktag}",
             "kernel_value_at_zero",
             abs(complex(kernel_values(p, 0.0)) - 1.0),
             0.0,
             0.0,
-            kappa=kappa,
         )
 
     rng3 = rec.rng("conjugate")
@@ -537,6 +568,7 @@ def _suite_kernel(rec: _Recorder, cfg: SuiteConfig):
     n0 = min(cfg.node_count, 1024)
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
+        krec = rec.at(kappa)
         for lam in (0.5, 1.0, 2.0):
             errs = []
             for n in (n0, 2 * n0):
@@ -545,13 +577,12 @@ def _suite_kernel(rec: _Recorder, cfg: SuiteConfig):
                 d = dunkl_derivative(p, GridFunction(g, kv.real))
                 sel = slice(4, -4)
                 errs.append(float(np.max(np.abs(d.values[sel] + lam * kv.imag[sel]))))
-            rec.bound(
-                f"eigenfunction_k{_klabel(kappa)}_lam{lam:g}",
+            krec.bound(
+                f"eigenfunction_{krec.ktag}_lam{lam:g}",
                 "eigenfunction_identity",
                 errs[1],
                 cfg.tolerance("eigenfunction_order") * errs[0],
                 0.0,
-                kappa=kappa,
                 lam=lam,
                 coarse_error=errs[0],
             )
@@ -598,20 +629,20 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
     rng2 = rec.rng("doubling")
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
+        krec = rec.at(kappa)
         xs = rng2.uniform(-30.0, 30.0, 2000)
         rs = np.exp(rng2.uniform(math.log(0.01), math.log(10.0), 2000))
         ratios = np.array([doubling_ratio(p, float(a), float(b)) for a, b in zip(xs, rs)])
         cap = 2.0 ** (2.0 * kappa + 2.0)
-        rec.bound(
-            f"doubling_k{_klabel(kappa)}",
+        krec.bound(
+            f"doubling_{krec.ktag}",
             "doubling",
             float(np.max(ratios)),
             cap,
             cfg.tolerance("doubling_slack"),
-            kappa=kappa,
         )
-        rec.measure(
-            f"doubling_constant_k{_klabel(kappa)}", "doubling", float(np.max(ratios)), kappa=kappa
+        krec.measure(
+            f"doubling_constant_{krec.ktag}", "doubling", float(np.max(ratios))
         )
         worst = 0.0
         for rho in (1.5, 2.0, 4.0):
@@ -625,23 +656,21 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
             )
             worst = max(worst, float(np.max(vals)))
         if kappa >= 0.0 or p.classical:
-            rec.bound(
-                f"reverse_doubling_k{_klabel(kappa)}",
+            krec.bound(
+                f"reverse_doubling_{krec.ktag}",
                 "reverse_doubling",
                 worst,
                 1.0,
                 cfg.tolerance("reverse_doubling_slack"),
-                kappa=kappa,
             )
         else:
             # the unit-constant, exponent-1 reverse doubling fails marginally
             # for -1/2 < kappa < 0; only existence of constants is claimed, so
             # the measured constant is reported instead
-            rec.measure(
-                f"reverse_doubling_constant_k{_klabel(kappa)}",
+            krec.measure(
+                f"reverse_doubling_constant_{krec.ktag}",
                 "reverse_doubling",
                 worst,
-                kappa=kappa,
             )
 
     qtol = cfg.tolerance("measure_quadrature")
@@ -649,6 +678,7 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
         p = _params_for(kappa)
         if kappa < 0.0 and not p.classical:
             continue  # trapezoid cannot reach 1e-8 against an unbounded-slope kink
+        krec = rec.at(kappa)
         worst = 0.0
         for (xc, rc) in ((0.0, 1.0), (0.5, 1.0), (2.0, 1.0), (-3.0, 2.5)):
             iv = interval_measure(p, xc, rc)
@@ -659,560 +689,504 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
             hi = abs(xc) + rc
             quad_b = 2.0 * _trapezoid_measure(p, lo, hi, 1_000_000)
             worst = max(worst, abs(bl - quad_b) / bl)
-        rec.bound(
-            f"measure_quadrature_k{_klabel(kappa)}",
+        krec.bound(
+            f"measure_quadrature_{krec.ktag}",
             "measure_closed_form",
             worst,
             qtol,
             0.0,
-            kappa=kappa,
         )
 
 
-@_suite
-def _suite_transform(rec: _Recorder, cfg: SuiteConfig):
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
-        tol = cfg.tolerance("plancherel_classical") if p.classical else cfg.tolerance("plancherel")
-        for a in (0.25, 0.5, 2.0):
-            coarse, fine = _refined(
-                cfg, p, lambda g: plancherel_defect(sample_family("gaussian", (a,), g))
-            )
-            rec.bound(
-                f"plancherel_k{_klabel(kappa)}_a{a:g}",
-                "plancherel",
-                fine,
-                tol,
-                0.0,
-                kappa=kappa,
-                family=f"gaussian({a:g})",
-            )
-            rec.bound(
-                f"plancherel_refine_k{_klabel(kappa)}_a{a:g}",
-                "plancherel",
-                fine,
-                1.05 * coarse + 1e-12,
-                0.0,
-                kappa=kappa,
-                family=f"gaussian({a:g})",
-                coarse_defect=coarse,
-            )
-        g = make_grid(p, cfg.half_width, cfg.node_count)
-        interior = np.abs(g.nodes) <= cfg.half_width / 2.0
-        for short, assert_up_to, f in (
-            ("gauss", 1.0, sample_family("gaussian", (0.5,), g)),
-            ("bump", 0.5, sample_family("bump", (0.0, 2.0), g)),
-        ):
-            rt = inverse(forward(f))
-            diff = np.abs(rt.values - f.values)
-            dev = float(np.max(diff)) if short == "gauss" else float(np.max(diff[interior]))
-            if kappa <= assert_up_to:
-                rec.match(
-                    f"roundtrip_k{_klabel(kappa)}_{short}",
-                    "inversion_roundtrip",
-                    dev,
-                    0.0,
-                    cfg.tolerance("roundtrip"),
-                    kappa=kappa,
-                )
-            else:
-                # band truncation of slowly decaying spectra grows with the
-                # weight exponent; beyond the validated range the round-trip
-                # defect is reported rather than bounded
-                rec.measure(
-                    f"roundtrip_k{_klabel(kappa)}_{short}",
-                    "inversion_roundtrip",
-                    dev,
-                    kappa=kappa,
-                )
-        f1 = sample_family("gaussian", (0.5,), g)
-        f2 = sample_family("bump", (0.0, 2.0), g)
-        combo = forward(GridFunction(g, 2.0 * f1.values + 3.0 * f2.values))
-        split = 2.0 * forward(f1).values + 3.0 * forward(f2).values
-        scale = float(np.max(np.abs(split)))
-        rec.match(
-            f"linearity_k{_klabel(kappa)}",
-            "transform_linearity",
-            float(np.max(np.abs(combo.values - split))) / scale,
-            0.0,
-            cfg.tolerance("linearity"),
-            kappa=kappa,
+@_per_kappa
+def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+    tol = cfg.tolerance("plancherel_classical") if p.classical else cfg.tolerance("plancherel")
+    for a in (0.25, 0.5, 2.0):
+        coarse, fine = _refined(
+            cfg, p, lambda g: plancherel_defect(sample_family("gaussian", (a,), g))
         )
-        even = f1
-        fe = forward(even)
         rec.bound(
-            f"parity_even_k{_klabel(kappa)}",
-            "transform_parity",
-            float(np.max(np.abs(fe.values.imag))),
-            cfg.tolerance("parity") * float(np.max(np.abs(fe.values))),
+            f"plancherel_{rec.ktag}_a{a:g}",
+            "plancherel",
+            fine,
+            tol,
             0.0,
-            kappa=kappa,
+            family=f"gaussian({a:g})",
         )
-        odd = GridFunction(g, g.nodes * even.values)
-        fo = forward(odd)
         rec.bound(
-            f"parity_odd_k{_klabel(kappa)}",
-            "transform_parity",
-            float(np.max(np.abs(fo.values.real))),
-            cfg.tolerance("parity") * float(np.max(np.abs(fo.values))),
+            f"plancherel_refine_{rec.ktag}_a{a:g}",
+            "plancherel",
+            fine,
+            1.05 * coarse + 1e-12,
             0.0,
-            kappa=kappa,
+            family=f"gaussian({a:g})",
+            coarse_defect=coarse,
         )
-        fixed = forward(even, g)  # frequencies on the spatial nodes
-        rec.match(
-            f"gaussian_fixed_point_k{_klabel(kappa)}",
-            "gaussian_fixed_point",
-            float(np.max(np.abs(fixed.values - np.exp(-(g.nodes**2) / 2.0)))),
-            0.0,
-            cfg.tolerance("gaussian_fixed_point"),
-            kappa=kappa,
-        )
-        fmin = fixed.values[np.argmin(np.abs(g.nodes))]
-        rec.match(
-            f"transform_at_zero_k{_klabel(kappa)}",
-            "transform_at_zero",
-            abs(complex(fmin) - integrate(even)),
-            0.0,
-            2.0 * float(np.min(np.abs(g.nodes))) * max(1.0, abs(integrate(even))),
-            kappa=kappa,
-        )
-        z = forward(GridFunction(g, np.zeros(g.node_count)))
-        rec.match(
-            f"transform_zero_k{_klabel(kappa)}",
-            "transform_linearity",
-            float(np.max(np.abs(z.values))),
-            0.0,
-            0.0,
-            kappa=kappa,
-        )
-
-
-@_suite
-def _suite_translation(rec: _Recorder, cfg: SuiteConfig):
-    smooth = ("gaussian", "bump", "trig_gauss")
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
-        g = make_grid(p, cfg.half_width, cfg.node_count)
-        fam = _family(cfg, g)
-        fam_smooth = [(fid, f) for fid, f in fam if fid.startswith(smooth)]
-        L = cfg.half_width
-
-        # identity at zero offset
-        worst = 0.0
-        for fid, f in fam_smooth[:3]:
-            worst = max(worst, float(np.max(np.abs(translate(f, 0.0).values - f.values))))
-        rec.match(
-            f"identity_k{_klabel(kappa)}",
-            "translation_identity",
-            worst,
-            0.0,
-            cfg.tolerance("translation_identity"),
-            kappa=kappa,
-        )
-
-        # symmetry on random node pairs
-        rng = rec.rng(f"pairs_{kappa}")
-        node_pool = np.where(np.abs(g.nodes) <= L / 2.0)[0]
-        pairs = rng.choice(node_pool, size=(50, 2), replace=True)
-        check_members = [m for m in fam_smooth if m[0] in ("gaussian(0.5)", "bump(0,2)")]
-        # tau[a, b] is the translate by node idx[a] at node idx[b]
-        idx = np.unique(pairs)
-        pos = np.searchsorted(idx, pairs)
-        worst = 0.0
-        for fid, f in check_members:
-            sup = float(np.max(np.abs(f.values)))
-            tau = translate_rows(f, g.nodes[idx])[:, idx]
-            gap = np.abs(tau[pos[:, 0], pos[:, 1]] - tau[pos[:, 1], pos[:, 0]]) / sup
-            worst = max(worst, float(np.max(gap)))
-        rec.bound(
-            f"symmetry_k{_klabel(kappa)}",
-            "translation_symmetry",
-            worst,
-            cfg.tolerance("translation_symmetry"),
-            0.0,
-            kappa=kappa,
-            pairs=50,
-        )
-
-        # composition commutes
-        f = check_members[0][1]
-        ab = translate(translate(f, 1.0), -2.5)
-        ba = translate(translate(f, -2.5), 1.0)
-        rec.match(
-            f"compose_k{_klabel(kappa)}",
-            "translation_commutes",
-            float(np.max(np.abs(ab.values - ba.values))),
-            0.0,
-            cfg.tolerance("translation_compose") * float(np.max(np.abs(f.values))),
-            kappa=kappa,
-        )
-
-        # contraction in L^p with constant 4
-        offsets = (-4.0, -1.0, 1.0, 4.0, L / 2.0)
-        worst = 0.0
-        worst_smooth = 0.0
-        for fid, f in fam:
-            norms = {q: lp_norm(f, q) for q in (1.0, 2.0, 4.0, INF)}
-            for row in translate_rows(f, offsets):
-                tf = GridFunction(g, row)
-                for q, base in norms.items():
-                    if base == 0.0:
-                        continue
-                    ratio = lp_norm(tf, q) / base
-                    worst = max(worst, ratio)
-                    if fid.startswith(smooth):
-                        worst_smooth = max(worst_smooth, ratio)
-        rec.bound(
-            f"contraction_k{_klabel(kappa)}",
-            "translation_contraction",
-            worst,
-            4.0,
-            cfg.tolerance("translation_contraction_slack"),
-            kappa=kappa,
-        )
-        rec.measure(
-            f"contraction_max_ratio_k{_klabel(kappa)}",
-            "translation_contraction",
-            worst,
-            kappa=kappa,
-        )
-        if p.classical:
-            rec.bound(
-                "classical_isometry",
-                "translation_contraction",
-                worst_smooth,
-                1.0,
-                cfg.tolerance("classical_isometry"),
-                kappa=kappa,
-                note="smooth family members",
-            )
-
-        # mass preservation of smooth translates
-        worst = 0.0
-        for fid, f in check_members:
-            base = integrate(f)
-            for row in translate_rows(f, (1.0, -3.0, L / 2.0)):
-                worst = max(worst, abs(integrate(GridFunction(g, row)) - base) / abs(base))
-        rec.bound(
-            f"mass_k{_klabel(kappa)}",
-            "translation_mass",
-            worst,
-            cfg.tolerance("translation_mass"),
-            0.0,
-            kappa=kappa,
-        )
-
-        # pointwise recovery by shrinking window averages
-        f = check_members[0][1]
-        for x0 in (0.5, 2.0):
-            idx = int(np.argmin(np.abs(g.nodes - x0)))
-            xv = float(g.nodes[idx])
-            tf = translate(f, xv)
-            mass = LineWindowMass.folded(g, tf.values)
-            etas = [8.0 * g.spacing * 2.0**k for k in range(8) if 8.0 * g.spacing * 2.0**k <= 1.0]
-            etas = sorted(etas, reverse=True)
-            errs = []
-            for eta in etas:
-                avg = float(mass.window(0.0, eta)) / ball_measure_origin(p, eta)
-                errs.append(abs(avg - float(f.values[idx])))
-            sup = float(np.max(np.abs(f.values)))
-            monotone_break = 0.0
-            for e0, e1 in zip(errs, errs[1:]):
-                if e0 > 1e-8:
-                    monotone_break = max(monotone_break, e1 / e0)
-            rec.bound(
-                f"differentiation_monotone_k{_klabel(kappa)}_x{x0:g}",
-                "lebesgue_differentiation",
-                monotone_break,
-                1.0,
-                cfg.tolerance("differentiation_monotone_slack"),
-                kappa=kappa,
-                x=xv,
-            )
-            rec.bound(
-                f"differentiation_final_k{_klabel(kappa)}_x{x0:g}",
-                "lebesgue_differentiation",
-                errs[-1],
-                cfg.tolerance("differentiation_final") * sup,
-                0.0,
-                kappa=kappa,
-                x=xv,
-                windows=len(errs),
-            )
-
-        # translated indicators: range, support, mass, decay profile
-        for (y, r) in ((2.0, 1.0), (4.0, 2.0), (3.0, 1.5)):
-            ti = translate_indicator(p, y, r, g)
+    g = make_grid(p, cfg.half_width, cfg.node_count)
+    interior = np.abs(g.nodes) <= cfg.half_width / 2.0
+    for short, assert_up_to, f in (
+        ("gauss", 1.0, sample_family("gaussian", (0.5,), g)),
+        ("bump", 0.5, sample_family("bump", (0.0, 2.0), g)),
+    ):
+        rt = inverse(forward(f))
+        diff = np.abs(rt.values - f.values)
+        dev = float(np.max(diff)) if short == "gauss" else float(np.max(diff[interior]))
+        if kappa <= assert_up_to:
             rec.match(
-                f"indicator_range_k{_klabel(kappa)}_y{y:g}_r{r:g}",
-                "indicator_translation_range",
-                float(np.max(np.clip(ti.values, None, 0.0)))
-                + float(np.max(np.clip(ti.values - 1.0, 0.0, None))),
+                f"roundtrip_{rec.ktag}_{short}",
+                "inversion_roundtrip",
+                dev,
                 0.0,
-                0.0,
-                kappa=kappa,
-                y=y,
-                r=r,
+                cfg.tolerance("roundtrip"),
             )
-            absx = np.abs(g.nodes)
-            outside = (absx <= max(0.0, y - r)) | (absx >= y + r)
-            rec.match(
-                f"indicator_support_k{_klabel(kappa)}_y{y:g}_r{r:g}",
-                "indicator_translation_support",
-                float(np.max(np.abs(ti.values[outside]))),
-                0.0,
-                0.0,
-                kappa=kappa,
-                y=y,
-                r=r,
-            )
-            mass_rel = abs(integrate(ti) - ball_measure_origin(p, r)) / ball_measure_origin(p, r)
-            if p.classical:
-                # sharp jumps: the clamped, support-restricted reconstruction
-                # carries a percent-level mass bias inherent to band limiting
-                rec.bound(
-                    f"indicator_mass_k{_klabel(kappa)}_y{y:g}_r{r:g}",
-                    "indicator_translation_mass",
-                    mass_rel,
-                    cfg.tolerance("indicator_mass_classical"),
-                    0.0,
-                    kappa=kappa,
-                    y=y,
-                    r=r,
-                )
-            else:
-                rec.bound(
-                    f"indicator_mass_k{_klabel(kappa)}_y{y:g}_r{r:g}",
-                    "indicator_translation_mass",
-                    mass_rel,
-                    cfg.tolerance("indicator_mass"),
-                    0.0,
-                    kappa=kappa,
-                    y=y,
-                    r=r,
-                )
-        # raw overshoot of the spectral translation before clamping
-        chi = sample_family("indicator_ball", (1.0,), g)
-        raw = translate(chi, 2.0)
-        rec.measure(
-            f"indicator_raw_overshoot_k{_klabel(kappa)}",
-            "indicator_translation_range",
-            max(float(np.max(raw.values - 1.0)), float(np.max(-raw.values))),
-            kappa=kappa,
-            y=2.0,
-            r=1.0,
-        )
-        if kappa > 0.0:
-            profile_c = 0.0
-            r = 1.0
-            ti = translate_indicator(p, 4.0, r, g)
-            sel = np.abs(g.nodes) > 2.0 * r
-            h = np.abs(ti.values[sel])
-            profile_c = float(np.max(h * (np.abs(g.nodes[sel]) / r) ** (2.0 * kappa + 1.0)))
+        else:
+            # band truncation of slowly decaying spectra grows with the
+            # weight exponent; beyond the validated range the round-trip
+            # defect is reported rather than bounded
             rec.measure(
-                f"indicator_decay_constant_k{_klabel(kappa)}",
-                "indicator_translation_decay",
-                profile_c,
-                kappa=kappa,
-                y=4.0,
-                r=r,
+                f"roundtrip_{rec.ktag}_{short}",
+                "inversion_roundtrip",
+                dev,
             )
+    f1 = sample_family("gaussian", (0.5,), g)
+    f2 = sample_family("bump", (0.0, 2.0), g)
+    combo = forward(GridFunction(g, 2.0 * f1.values + 3.0 * f2.values))
+    split = 2.0 * forward(f1).values + 3.0 * forward(f2).values
+    scale = float(np.max(np.abs(split)))
+    rec.match(
+        f"linearity_{rec.ktag}",
+        "transform_linearity",
+        float(np.max(np.abs(combo.values - split))) / scale,
+        0.0,
+        cfg.tolerance("linearity"),
+    )
+    even = f1
+    fe = forward(even)
+    rec.bound(
+        f"parity_even_{rec.ktag}",
+        "transform_parity",
+        float(np.max(np.abs(fe.values.imag))),
+        cfg.tolerance("parity") * float(np.max(np.abs(fe.values))),
+        0.0,
+    )
+    odd = GridFunction(g, g.nodes * even.values)
+    fo = forward(odd)
+    rec.bound(
+        f"parity_odd_{rec.ktag}",
+        "transform_parity",
+        float(np.max(np.abs(fo.values.real))),
+        cfg.tolerance("parity") * float(np.max(np.abs(fo.values))),
+        0.0,
+    )
+    fixed = forward(even, g)  # frequencies on the spatial nodes
+    rec.match(
+        f"gaussian_fixed_point_{rec.ktag}",
+        "gaussian_fixed_point",
+        float(np.max(np.abs(fixed.values - np.exp(-(g.nodes**2) / 2.0)))),
+        0.0,
+        cfg.tolerance("gaussian_fixed_point"),
+    )
+    fmin = fixed.values[np.argmin(np.abs(g.nodes))]
+    rec.match(
+        f"transform_at_zero_{rec.ktag}",
+        "transform_at_zero",
+        abs(complex(fmin) - integrate(even)),
+        0.0,
+        2.0 * float(np.min(np.abs(g.nodes))) * max(1.0, abs(integrate(even))),
+    )
+    z = forward(GridFunction(g, np.zeros(g.node_count)))
+    rec.match(
+        f"transform_zero_{rec.ktag}",
+        "transform_linearity",
+        float(np.max(np.abs(z.values))),
+        0.0,
+        0.0,
+    )
 
-        # translation commutes with convolution
-        fa = check_members[0][1]
-        fb = check_members[-1][1]
-        conv = convolve(fa, fb)
-        lhs_f = translate(conv, 1.5)
-        rhs_f = convolve(translate(fa, 1.5), fb)
-        rec.match(
-            f"convolution_commute_k{_klabel(kappa)}",
-            "translation_convolution_commute",
-            float(np.max(np.abs(lhs_f.values - rhs_f.values))),
-            0.0,
-            cfg.tolerance("convolution_commute") * float(np.max(np.abs(conv.values))),
-            kappa=kappa,
-        )
 
+@_per_kappa
+def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+    smooth = ("gaussian", "bump", "trig_gauss")
+    g = make_grid(p, cfg.half_width, cfg.node_count)
+    fam = _family(cfg, g)
+    fam_smooth = [(fid, f) for fid, f in fam if fid.startswith(smooth)]
+    L = cfg.half_width
 
-@_suite
-def _suite_young(rec: _Recorder, cfg: SuiteConfig):
-    triples = ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (2.0, 2.0, INF), (1.5, 3.0, INF))
-    for pq in triples:
-        pp, qq, rr = pq
-        if abs((1.0 / pp) + (1.0 / qq) - 1.0 - (0.0 if rr == INF else 1.0 / rr)) > 1e-12:
-            raise ValueError(f"triple {pq} violates the convolution scaling relation")
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
-        g = make_grid(p, cfg.half_width, cfg.node_count)
-        pairs = [
-            ("gaussian(0.5)", sample_family("gaussian", (0.5,), g), "bump(0,2)", sample_family("bump", (0.0, 2.0), g)),
-            ("gaussian(2)", sample_family("gaussian", (2.0,), g), "indicator_ball(1)", sample_family("indicator_ball", (1.0,), g)),
-            ("trig_gauss(1)", sample_family("trig_gauss", (1.0,), g), "gaussian(0.25)", sample_family("gaussian", (0.25,), g)),
-            ("indicator_ball(1)", sample_family("indicator_ball", (1.0,), g), "indicator_ball(1)", sample_family("indicator_ball", (1.0,), g)),
-        ]
-        worst = 0.0
-        for fid, f, gid, h in pairs:
-            conv = convolve(f, h)
-            for pp, qq, rr in triples:
-                denom = lp_norm(f, pp) * lp_norm(h, qq)
-                if denom == 0.0:
+    # identity at zero offset
+    worst = 0.0
+    for fid, f in fam_smooth[:3]:
+        worst = max(worst, float(np.max(np.abs(translate(f, 0.0).values - f.values))))
+    rec.match(
+        f"identity_{rec.ktag}",
+        "translation_identity",
+        worst,
+        0.0,
+        cfg.tolerance("translation_identity"),
+    )
+
+    # symmetry on random node pairs
+    rng = rec.rng(f"pairs_{kappa}")
+    node_pool = np.where(np.abs(g.nodes) <= L / 2.0)[0]
+    pairs = rng.choice(node_pool, size=(50, 2), replace=True)
+    check_members = [m for m in fam_smooth if m[0] in ("gaussian(0.5)", "bump(0,2)")]
+    # tau[a, b] is the translate by node idx[a] at node idx[b]
+    idx = np.unique(pairs)
+    pos = np.searchsorted(idx, pairs)
+    worst = 0.0
+    for fid, f in check_members:
+        sup = float(np.max(np.abs(f.values)))
+        tau = translate_rows(f, g.nodes[idx])[:, idx]
+        gap = np.abs(tau[pos[:, 0], pos[:, 1]] - tau[pos[:, 1], pos[:, 0]]) / sup
+        worst = max(worst, float(np.max(gap)))
+    rec.bound(
+        f"symmetry_{rec.ktag}",
+        "translation_symmetry",
+        worst,
+        cfg.tolerance("translation_symmetry"),
+        0.0,
+        pairs=50,
+    )
+
+    # composition commutes
+    f = check_members[0][1]
+    ab = translate(translate(f, 1.0), -2.5)
+    ba = translate(translate(f, -2.5), 1.0)
+    rec.match(
+        f"compose_{rec.ktag}",
+        "translation_commutes",
+        float(np.max(np.abs(ab.values - ba.values))),
+        0.0,
+        cfg.tolerance("translation_compose") * float(np.max(np.abs(f.values))),
+    )
+
+    # contraction in L^p with constant 4
+    offsets = (-4.0, -1.0, 1.0, 4.0, L / 2.0)
+    worst = 0.0
+    worst_smooth = 0.0
+    for fid, f in fam:
+        norms = {q: lp_norm(f, q) for q in (1.0, 2.0, 4.0, INF)}
+        for row in translate_rows(f, offsets):
+            tf = GridFunction(g, row)
+            for q, base in norms.items():
+                if base == 0.0:
                     continue
-                worst = max(worst, lp_norm(conv, rr) / denom)
+                ratio = lp_norm(tf, q) / base
+                worst = max(worst, ratio)
+                if fid.startswith(smooth):
+                    worst_smooth = max(worst_smooth, ratio)
+    rec.bound(
+        f"contraction_{rec.ktag}",
+        "translation_contraction",
+        worst,
+        4.0,
+        cfg.tolerance("translation_contraction_slack"),
+    )
+    rec.measure(
+        f"contraction_max_ratio_{rec.ktag}",
+        "translation_contraction",
+        worst,
+    )
+    if p.classical:
         rec.bound(
-            f"young_k{_klabel(kappa)}",
-            "young_inequality",
-            worst,
-            4.0,
-            cfg.tolerance("young_slack"),
-            kappa=kappa,
+            "classical_isometry",
+            "translation_contraction",
+            worst_smooth,
+            1.0,
+            cfg.tolerance("classical_isometry"),
+            note="smooth family members",
         )
-        rec.measure(f"young_max_ratio_k{_klabel(kappa)}", "young_inequality", worst, kappa=kappa)
 
-        f, h = pairs[0][1], pairs[0][3]
-        ab = convolve(f, h)
-        ba = convolve(h, f)
-        scale = lp_norm(f, 2.0) * lp_norm(h, 2.0)
+    # mass preservation of smooth translates
+    worst = 0.0
+    for fid, f in check_members:
+        base = integrate(f)
+        for row in translate_rows(f, (1.0, -3.0, L / 2.0)):
+            worst = max(worst, abs(integrate(GridFunction(g, row)) - base) / abs(base))
+    rec.bound(
+        f"mass_{rec.ktag}",
+        "translation_mass",
+        worst,
+        cfg.tolerance("translation_mass"),
+        0.0,
+    )
+
+    # pointwise recovery by shrinking window averages
+    f = check_members[0][1]
+    for x0 in (0.5, 2.0):
+        idx = int(np.argmin(np.abs(g.nodes - x0)))
+        xv = float(g.nodes[idx])
+        tf = translate(f, xv)
+        mass = LineWindowMass.folded(g, tf.values)
+        etas = [8.0 * g.spacing * 2.0**k for k in range(8) if 8.0 * g.spacing * 2.0**k <= 1.0]
+        etas = sorted(etas, reverse=True)
+        errs = []
+        for eta in etas:
+            avg = float(mass.window(0.0, eta)) / ball_measure_origin(p, eta)
+            errs.append(abs(avg - float(f.values[idx])))
+        sup = float(np.max(np.abs(f.values)))
+        monotone_break = 0.0
+        for e0, e1 in zip(errs, errs[1:]):
+            if e0 > 1e-8:
+                monotone_break = max(monotone_break, e1 / e0)
         rec.bound(
-            f"commutativity_k{_klabel(kappa)}",
-            "convolution_commutativity",
-            float(np.max(np.abs(ab.values - ba.values))),
-            1e-10 * scale,
-            0.0,
-            kappa=kappa,
+            f"differentiation_monotone_{rec.ktag}_x{x0:g}",
+            "lebesgue_differentiation",
+            monotone_break,
+            1.0,
+            cfg.tolerance("differentiation_monotone_slack"),
+            x=xv,
         )
-        zero = convolve(f, GridFunction(g, np.zeros(g.node_count)))
+        rec.bound(
+            f"differentiation_final_{rec.ktag}_x{x0:g}",
+            "lebesgue_differentiation",
+            errs[-1],
+            cfg.tolerance("differentiation_final") * sup,
+            0.0,
+            x=xv,
+            windows=len(errs),
+        )
+
+    # translated indicators: range, support, mass, decay profile
+    for (y, r) in ((2.0, 1.0), (4.0, 2.0), (3.0, 1.5)):
+        ti = translate_indicator(p, y, r, g)
         rec.match(
-            f"zero_k{_klabel(kappa)}",
-            "convolution_zero",
-            float(np.max(np.abs(zero.values))),
+            f"indicator_range_{rec.ktag}_y{y:g}_r{r:g}",
+            "indicator_translation_range",
+            float(np.max(np.clip(ti.values, None, 0.0)))
+            + float(np.max(np.clip(ti.values - 1.0, 0.0, None))),
             0.0,
             0.0,
-            kappa=kappa,
+            y=y,
+            r=r,
         )
-        if p.classical:
-            chi = sample_family("indicator_ball", (1.0,), g)
-            conv = convolve(chi, chi)
-            i0 = int(np.argmin(np.abs(g.nodes)))
-            x0 = abs(float(g.nodes[i0]))
-            rec.match(
-                "classical_convolution_peak",
-                "convolution_classical_value",
-                float(conv.values[i0]),
-                (2.0 - x0) / math.sqrt(2.0 * math.pi),
-                cfg.tolerance("classical_convolution"),
-                kappa=kappa,
-                node=x0,
-            )
+        absx = np.abs(g.nodes)
+        outside = (absx <= max(0.0, y - r)) | (absx >= y + r)
+        rec.match(
+            f"indicator_support_{rec.ktag}_y{y:g}_r{r:g}",
+            "indicator_translation_support",
+            float(np.max(np.abs(ti.values[outside]))),
+            0.0,
+            0.0,
+            y=y,
+            r=r,
+        )
+        mass_rel = abs(integrate(ti) - ball_measure_origin(p, r)) / ball_measure_origin(p, r)
+        # classical sharp jumps: the clamped, support-restricted reconstruction
+        # carries a percent-level mass bias inherent to band limiting
+        rec.bound(
+            f"indicator_mass_{rec.ktag}_y{y:g}_r{r:g}",
+            "indicator_translation_mass",
+            mass_rel,
+            cfg.tolerance("indicator_mass_classical" if p.classical else "indicator_mass"),
+            0.0,
+            y=y,
+            r=r,
+        )
+    # raw overshoot of the spectral translation before clamping
+    chi = sample_family("indicator_ball", (1.0,), g)
+    raw = translate(chi, 2.0)
+    rec.measure(
+        f"indicator_raw_overshoot_{rec.ktag}",
+        "indicator_translation_range",
+        max(float(np.max(raw.values - 1.0)), float(np.max(-raw.values))),
+        y=2.0,
+        r=1.0,
+    )
+    if kappa > 0.0:
+        profile_c = 0.0
+        r = 1.0
+        ti = translate_indicator(p, 4.0, r, g)
+        sel = np.abs(g.nodes) > 2.0 * r
+        h = np.abs(ti.values[sel])
+        profile_c = float(np.max(h * (np.abs(g.nodes[sel]) / r) ** (2.0 * kappa + 1.0)))
+        rec.measure(
+            f"indicator_decay_constant_{rec.ktag}",
+            "indicator_translation_decay",
+            profile_c,
+            y=4.0,
+            r=r,
+        )
+
+    # translation commutes with convolution
+    fa = check_members[0][1]
+    fb = check_members[-1][1]
+    conv = convolve(fa, fb)
+    lhs_f = translate(conv, 1.5)
+    rhs_f = convolve(translate(fa, 1.5), fb)
+    rec.match(
+        f"convolution_commute_{rec.ktag}",
+        "translation_convolution_commute",
+        float(np.max(np.abs(lhs_f.values - rhs_f.values))),
+        0.0,
+        cfg.tolerance("convolution_commute") * float(np.max(np.abs(conv.values))),
+    )
 
 
-@_suite
-def _suite_holder(rec: _Recorder, cfg: SuiteConfig):
+# (p, q, r) with 1/p + 1/q = 1 + 1/r
+_YOUNG_TRIPLES = ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (2.0, 2.0, INF), (1.5, 3.0, INF))
+
+
+@_per_kappa
+def _suite_young(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+    g = make_grid(p, cfg.half_width, cfg.node_count)
+    pairs = [
+        ("gaussian(0.5)", sample_family("gaussian", (0.5,), g), "bump(0,2)", sample_family("bump", (0.0, 2.0), g)),
+        ("gaussian(2)", sample_family("gaussian", (2.0,), g), "indicator_ball(1)", sample_family("indicator_ball", (1.0,), g)),
+        ("trig_gauss(1)", sample_family("trig_gauss", (1.0,), g), "gaussian(0.25)", sample_family("gaussian", (0.25,), g)),
+        ("indicator_ball(1)", sample_family("indicator_ball", (1.0,), g), "indicator_ball(1)", sample_family("indicator_ball", (1.0,), g)),
+    ]
+    worst = 0.0
+    for fid, f, gid, h in pairs:
+        conv = convolve(f, h)
+        for pp, qq, rr in _YOUNG_TRIPLES:
+            denom = lp_norm(f, pp) * lp_norm(h, qq)
+            if denom == 0.0:
+                continue
+            worst = max(worst, lp_norm(conv, rr) / denom)
+    rec.bound(
+        f"young_{rec.ktag}",
+        "young_inequality",
+        worst,
+        4.0,
+        cfg.tolerance("young_slack"),
+    )
+    rec.measure(f"young_max_ratio_{rec.ktag}", "young_inequality", worst)
+
+    f, h = pairs[0][1], pairs[0][3]
+    ab = convolve(f, h)
+    ba = convolve(h, f)
+    scale = lp_norm(f, 2.0) * lp_norm(h, 2.0)
+    rec.bound(
+        f"commutativity_{rec.ktag}",
+        "convolution_commutativity",
+        float(np.max(np.abs(ab.values - ba.values))),
+        1e-10 * scale,
+        0.0,
+    )
+    zero = convolve(f, GridFunction(g, np.zeros(g.node_count)))
+    rec.match(
+        f"zero_{rec.ktag}",
+        "convolution_zero",
+        float(np.max(np.abs(zero.values))),
+        0.0,
+        0.0,
+    )
+    if p.classical:
+        chi = sample_family("indicator_ball", (1.0,), g)
+        conv = convolve(chi, chi)
+        i0 = int(np.argmin(np.abs(g.nodes)))
+        x0 = abs(float(g.nodes[i0]))
+        rec.match(
+            "classical_convolution_peak",
+            "convolution_classical_value",
+            float(conv.values[i0]),
+            (2.0 - x0) / math.sqrt(2.0 * math.pi),
+            cfg.tolerance("classical_convolution"),
+            node=x0,
+        )
+
+
+@_per_kappa
+def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     q_pairs = ((2.0, 2.0), (4.0, 4.0 / 3.0))
     p_pairs = ((INF, INF), (4.0, 4.0))
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
-        g = make_grid(p, cfg.half_width, cfg.node_count)
-        pairs = [
-            ("gaussian(0.5)", sample_family("gaussian", (0.5,), g), "bump(0,2)", sample_family("bump", (0.0, 2.0), g)),
-            ("trig_gauss(2)", sample_family("trig_gauss", (2.0,), g), "gaussian(0.25)", sample_family("gaussian", (0.25,), g)),
-            ("indicator_ball(1)", sample_family("indicator_ball", (1.0,), g), "gaussian(2)", sample_family("gaussian", (2.0,), g)),
-        ]
-        # one stack of the products, the first and the second factors: each
-        # exponent q takes one spectral evaluation, shared by both p pairs
-        n = len(pairs)
-        prof = _ProfileStack(
-            g,
-            np.stack(
-                [f.values * h.values for _, f, _, h in pairs]
-                + [f.values for _, f, _, _ in pairs]
-                + [h.values for _, _, _, h in pairs]
-            ),
-            (1.0,),
-        )
-        worst = 0.0
-        for k in range(n):
-            for q1, q2 in q_pairs:
-                qq = 1.0 / (1.0 / q1 + 1.0 / q2)
-                for p1, p2 in p_pairs:
-                    pp = INF if (p1 == INF and p2 == INF) else 1.0 / (1.0 / p1 + 1.0 / p2)
-                    lhs = prof.amalgam(qq, pp, 1.0)[k]
-                    rhs = prof.amalgam(q1, p1, 1.0)[n + k] * prof.amalgam(q2, p2, 1.0)[2 * n + k]
-                    if rhs == 0.0:
-                        continue
-                    worst = max(worst, lhs / rhs)
-        rec.bound(
-            f"holder_k{_klabel(kappa)}",
-            "amalgam_holder",
-            worst,
-            1.0,
-            cfg.tolerance("holder_slack"),
-            kappa=kappa,
-        )
+    g = make_grid(p, cfg.half_width, cfg.node_count)
+    pairs = [
+        ("gaussian(0.5)", sample_family("gaussian", (0.5,), g), "bump(0,2)", sample_family("bump", (0.0, 2.0), g)),
+        ("trig_gauss(2)", sample_family("trig_gauss", (2.0,), g), "gaussian(0.25)", sample_family("gaussian", (0.25,), g)),
+        ("indicator_ball(1)", sample_family("indicator_ball", (1.0,), g), "gaussian(2)", sample_family("gaussian", (2.0,), g)),
+    ]
+    # one stack of the products, the first and the second factors: each
+    # exponent q takes one spectral evaluation, shared by both p pairs
+    n = len(pairs)
+    prof = _ProfileStack(
+        g,
+        np.stack(
+            [f.values * h.values for _, f, _, h in pairs]
+            + [f.values for _, f, _, _ in pairs]
+            + [h.values for _, _, _, h in pairs]
+        ),
+        (1.0,),
+    )
+    worst = 0.0
+    for k in range(n):
+        for q1, q2 in q_pairs:
+            qq = 1.0 / (1.0 / q1 + 1.0 / q2)
+            for p1, p2 in p_pairs:
+                pp = INF if (p1 == INF and p2 == INF) else 1.0 / (1.0 / p1 + 1.0 / p2)
+                lhs = prof.amalgam(qq, pp, 1.0)[k]
+                rhs = prof.amalgam(q1, p1, 1.0)[n + k] * prof.amalgam(q2, p2, 1.0)[2 * n + k]
+                if rhs == 0.0:
+                    continue
+                worst = max(worst, lhs / rhs)
+    rec.bound(
+        f"holder_{rec.ktag}",
+        "amalgam_holder",
+        worst,
+        1.0,
+        cfg.tolerance("holder_slack"),
+    )
 
-        # norm axioms at (q, p) = (2, 4), window radius 1: the family, its
-        # scaled members and the random combinations in one stack
-        fam = _family(cfg, g)
-        scales = [(fid, f, c) for fid, f in fam[:4] for c in (2.5, -3.0)]
-        rng = rec.rng(f"triangle_{kappa}")
-        combos = []
-        for _ in range(100):
-            i, j = rng.integers(0, len(fam), 2)
-            a, b = rng.uniform(-2.0, 2.0, 2)
-            combos.append((i, j, a, b))
-        norms = _ProfileStack(
-            g,
-            np.stack(
-                [f.values for _, f in fam]
-                + [(c * f).values for _, f, c in scales]
-                + [(a * fam[i][1] + b * fam[j][1]).values for i, j, a, b in combos]
-            ),
-            (1.0,),
-        ).amalgam(2.0, 4.0, 1.0)
-        base_norms = dict(zip((fid for fid, _ in fam), norms))
-        worst_h = 0.0
-        for (fid, _, c), scaled in zip(scales, norms[len(fam) :]):
-            worst_h = max(
-                worst_h, abs(scaled - abs(c) * base_norms[fid]) / (abs(c) * base_norms[fid])
-            )
-        rec.bound(
-            f"homogeneity_k{_klabel(kappa)}",
-            "amalgam_norm_axioms",
-            worst_h,
-            cfg.tolerance("homogeneity"),
-            0.0,
-            kappa=kappa,
+    # norm axioms at (q, p) = (2, 4), window radius 1: the family, its
+    # scaled members and the random combinations in one stack
+    fam = _family(cfg, g)
+    scales = [(fid, f, c) for fid, f in fam[:4] for c in (2.5, -3.0)]
+    rng = rec.rng(f"triangle_{kappa}")
+    combos = []
+    for _ in range(100):
+        i, j = rng.integers(0, len(fam), 2)
+        a, b = rng.uniform(-2.0, 2.0, 2)
+        combos.append((i, j, a, b))
+    norms = _ProfileStack(
+        g,
+        np.stack(
+            [f.values for _, f in fam]
+            + [(c * f).values for _, f, c in scales]
+            + [(a * fam[i][1] + b * fam[j][1]).values for i, j, a, b in combos]
+        ),
+        (1.0,),
+    ).amalgam(2.0, 4.0, 1.0)
+    base_norms = dict(zip((fid for fid, _ in fam), norms))
+    worst_h = 0.0
+    for (fid, _, c), scaled in zip(scales, norms[len(fam) :]):
+        worst_h = max(
+            worst_h, abs(scaled - abs(c) * base_norms[fid]) / (abs(c) * base_norms[fid])
         )
-        worst_t = -INF
-        for (i, j, a, b), lhs in zip(combos, norms[len(fam) + len(scales) :]):
-            rhs = abs(a) * base_norms[fam[i][0]] + abs(b) * base_norms[fam[j][0]]
-            scale = max(rhs, 1e-30)
-            worst_t = max(worst_t, (lhs - rhs) / scale)
-        rec.bound(
-            f"triangle_k{_klabel(kappa)}",
-            "amalgam_norm_axioms",
-            worst_t,
-            cfg.tolerance("triangle_slack"),
-            0.0,
-            kappa=kappa,
-            pairs=100,
-        )
-        zero_norm = amalgam_norm_r(GridFunction(g, np.zeros(g.node_count)), 2.0, 4.0, 1.0)
-        rec.match(
-            f"definiteness_zero_k{_klabel(kappa)}",
-            "amalgam_norm_axioms",
-            zero_norm,
-            0.0,
-            0.0,
-            kappa=kappa,
-        )
-        rec.bound(
-            f"definiteness_positive_k{_klabel(kappa)}",
-            "amalgam_norm_axioms",
-            1e-300,
-            min(base_norms.values()),
-            0.0,
-            kappa=kappa,
-        )
+    rec.bound(
+        f"homogeneity_{rec.ktag}",
+        "amalgam_norm_axioms",
+        worst_h,
+        cfg.tolerance("homogeneity"),
+        0.0,
+    )
+    worst_t = -INF
+    for (i, j, a, b), lhs in zip(combos, norms[len(fam) + len(scales) :]):
+        rhs = abs(a) * base_norms[fam[i][0]] + abs(b) * base_norms[fam[j][0]]
+        scale = max(rhs, 1e-30)
+        worst_t = max(worst_t, (lhs - rhs) / scale)
+    rec.bound(
+        f"triangle_{rec.ktag}",
+        "amalgam_norm_axioms",
+        worst_t,
+        cfg.tolerance("triangle_slack"),
+        0.0,
+        pairs=100,
+    )
+    zero_norm = amalgam_norm_r(GridFunction(g, np.zeros(g.node_count)), 2.0, 4.0, 1.0)
+    rec.match(
+        f"definiteness_zero_{rec.ktag}",
+        "amalgam_norm_axioms",
+        zero_norm,
+        0.0,
+        0.0,
+    )
+    rec.bound(
+        f"definiteness_positive_{rec.ktag}",
+        "amalgam_norm_axioms",
+        1e-300,
+        min(base_norms.values()),
+        0.0,
+    )
 
 
 _EMBEDDING_FAMILY = ("gaussian", "indicator_ball", "bump", "trig_gauss", "power_tail")
@@ -1234,219 +1208,200 @@ def _interval_translation_constants(cfg: SuiteConfig, fam, rg, prof: _ProfileSta
     return unscaled, scaled
 
 
-@_suite
-def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig):
+@_per_kappa
+def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     slack = cfg.tolerance("embedding_slack")
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
-        g = make_grid(p, cfg.half_width, cfg.node_count)
-        rg = _radius_grid(cfg, g)
-        mu1 = ball_measure_origin(p, 1.0)
-        fam = _family(cfg, g, names=_EMBEDDING_FAMILY)
-        # one profile stack per q over the radius grid and r = 1
-        prof = _ProfileStack(g, _stack(fam), (*rg, 1.0))
+    g = make_grid(p, cfg.half_width, cfg.node_count)
+    rg = _radius_grid(cfg, g)
+    mu1 = ball_measure_origin(p, 1.0)
+    fam = _family(cfg, g, names=_EMBEDDING_FAMILY)
+    # one profile stack per q over the radius grid and r = 1
+    prof = _ProfileStack(g, _stack(fam), (*rg, 1.0))
 
-        worst = 0.0
-        for (q, s, pp) in ((1.0, 2.0, 4.0), (2.0, 2.0, INF), (2.0, 4.0, 8.0), (1.0, 1.0, 2.0)):
-            const = 4.0 ** (1.0 / q) * mu1 ** (
-                (0.0 if pp == INF else 1.0 / pp) - 1.0 / s + 1.0 / q
-            )
-            for (fid, f), norm in zip(fam, prof.amalgam(q, pp, 1.0)):
-                denom = const * lp_norm(f, s)
-                if denom == 0.0:
-                    continue
-                worst = max(worst, norm / denom)
+    worst = 0.0
+    for (q, s, pp) in ((1.0, 2.0, 4.0), (2.0, 2.0, INF), (2.0, 4.0, 8.0), (1.0, 1.0, 2.0)):
+        const = 4.0 ** (1.0 / q) * mu1 ** (
+            (0.0 if pp == INF else 1.0 / pp) - 1.0 / s + 1.0 / q
+        )
+        for (fid, f), norm in zip(fam, prof.amalgam(q, pp, 1.0)):
+            denom = const * lp_norm(f, s)
+            if denom == 0.0:
+                continue
+            worst = max(worst, norm / denom)
+    rec.bound(
+        f"lebesgue_amalgam_{rec.ktag}",
+        "lebesgue_amalgam_embedding",
+        worst,
+        1.0,
+        slack,
+    )
+
+    worst = 0.0
+    for (q1, q2, pp) in ((1.0, 2.0, 4.0), (2.0, 4.0, 8.0), (1.0, 2.0, INF), (2.0, INF, INF)):
+        const = mu1 ** (1.0 / q1 - (0.0 if q2 == INF else 1.0 / q2))
+        for n1, n2 in zip(prof.amalgam(q1, pp, 1.0), prof.amalgam(q2, pp, 1.0)):
+            denom = const * n2
+            if denom == 0.0:
+                continue
+            worst = max(worst, n1 / denom)
+    rec.bound(
+        f"amalgam_q_monotone_{rec.ktag}",
+        "amalgam_q_monotonicity",
+        worst,
+        1.0,
+        slack,
+    )
+
+    worst = 0.0
+    for (q, pp, alpha) in cfg.exponents:
+        spec = NormSpec(q, pp, alpha, rg)
+        for (fid, f), norm in zip(fam, prof.fofana(spec)):
+            denom = 4.0 ** (1.0 / q) * lp_norm(f, alpha)
+            if denom == 0.0:
+                continue
+            worst = max(worst, norm / denom)
+    rec.bound(
+        f"lebesgue_fofana_{rec.ktag}",
+        "lebesgue_fofana_embedding",
+        worst,
+        1.0,
+        slack,
+    )
+
+    worst = 0.0
+    for (q1, q2, pp, alpha) in ((1.0, 2.0, 8.0, 4.0), (1.5, 2.0, 8.0, 2.0)):
+        s1 = NormSpec(q1, pp, alpha, rg)
+        s2 = NormSpec(q2, pp, alpha, rg)
+        for n1, denom in zip(prof.fofana(s1), prof.fofana(s2)):
+            if denom == 0.0:
+                continue
+            worst = max(worst, n1 / denom)
+    rec.bound(
+        f"fofana_q_monotone_{rec.ktag}",
+        "fofana_q_monotonicity",
+        worst,
+        1.0,
+        slack,
+    )
+
+    # Interval windows against translation windows.  Off the classical
+    # parameter the interval norm carries the factor
+    # (mu(I(y,r)) / mu(B_r))^(1/alpha - 1/p) >= 1, which grows with |y|:
+    # its constant is reported on the domain and on the half domain (same
+    # node spacing), and only the classical case, where the two window
+    # measures coincide, is bounded by 1.  The ball-scaled companion
+    # removes the factor and must not drift with the domain.
+    unscaled, scaled = _interval_translation_constants(cfg, fam, rg, prof)
+    gh = make_grid(p, cfg.half_width / 2.0, cfg.node_count // 2)
+    fam_h = _family(cfg, gh, names=_EMBEDDING_FAMILY)
+    rg_h = tuple(r for r in _radius_grid(cfg, gh) if r <= gh.half_width / 2.0)
+    unscaled_h, scaled_h = _interval_translation_constants(
+        cfg, fam_h, rg_h, _ProfileStack(gh, _stack(fam_h), rg_h)
+    )
+    if p.classical:
         rec.bound(
-            f"lebesgue_amalgam_k{_klabel(kappa)}",
-            "lebesgue_amalgam_embedding",
-            worst,
-            1.0,
-            slack,
-            kappa=kappa,
-        )
-
-        worst = 0.0
-        for (q1, q2, pp) in ((1.0, 2.0, 4.0), (2.0, 4.0, 8.0), (1.0, 2.0, INF), (2.0, INF, INF)):
-            const = mu1 ** (1.0 / q1 - (0.0 if q2 == INF else 1.0 / q2))
-            for n1, n2 in zip(prof.amalgam(q1, pp, 1.0), prof.amalgam(q2, pp, 1.0)):
-                denom = const * n2
-                if denom == 0.0:
-                    continue
-                worst = max(worst, n1 / denom)
-        rec.bound(
-            f"amalgam_q_monotone_k{_klabel(kappa)}",
-            "amalgam_q_monotonicity",
-            worst,
-            1.0,
-            slack,
-            kappa=kappa,
-        )
-
-        worst = 0.0
-        for (q, pp, alpha) in cfg.exponents:
-            spec = NormSpec(q, pp, alpha, rg)
-            for (fid, f), norm in zip(fam, prof.fofana(spec)):
-                denom = 4.0 ** (1.0 / q) * lp_norm(f, alpha)
-                if denom == 0.0:
-                    continue
-                worst = max(worst, norm / denom)
-        rec.bound(
-            f"lebesgue_fofana_k{_klabel(kappa)}",
-            "lebesgue_fofana_embedding",
-            worst,
-            1.0,
-            slack,
-            kappa=kappa,
-        )
-
-        worst = 0.0
-        for (q1, q2, pp, alpha) in ((1.0, 2.0, 8.0, 4.0), (1.5, 2.0, 8.0, 2.0)):
-            s1 = NormSpec(q1, pp, alpha, rg)
-            s2 = NormSpec(q2, pp, alpha, rg)
-            for n1, denom in zip(prof.fofana(s1), prof.fofana(s2)):
-                if denom == 0.0:
-                    continue
-                worst = max(worst, n1 / denom)
-        rec.bound(
-            f"fofana_q_monotone_k{_klabel(kappa)}",
-            "fofana_q_monotonicity",
-            worst,
-            1.0,
-            slack,
-            kappa=kappa,
-        )
-
-        # Interval windows against translation windows.  Off the classical
-        # parameter the interval norm carries the factor
-        # (mu(I(y,r)) / mu(B_r))^(1/alpha - 1/p) >= 1, which grows with |y|:
-        # its constant is reported on the domain and on the half domain (same
-        # node spacing), and only the classical case, where the two window
-        # measures coincide, is bounded by 1.  The ball-scaled companion
-        # removes the factor and must not drift with the domain.
-        unscaled, scaled = _interval_translation_constants(cfg, fam, rg, prof)
-        gh = make_grid(p, cfg.half_width / 2.0, cfg.node_count // 2)
-        fam_h = _family(cfg, gh, names=_EMBEDDING_FAMILY)
-        rg_h = tuple(r for r in _radius_grid(cfg, gh) if r <= gh.half_width / 2.0)
-        unscaled_h, scaled_h = _interval_translation_constants(
-            cfg, fam_h, rg_h, _ProfileStack(gh, _stack(fam_h), rg_h)
-        )
-        if p.classical:
-            rec.bound(
-                f"interval_le_translation_k{_klabel(kappa)}",
-                "interval_vs_translation_fofana",
-                unscaled,
-                1.0,
-                cfg.tolerance("interval_fofana_slack"),
-                kappa=kappa,
-            )
-        rec.measure(
-            f"interval_translation_constant_k{_klabel(kappa)}",
+            f"interval_le_translation_{rec.ktag}",
             "interval_vs_translation_fofana",
             unscaled,
-            kappa=kappa,
+            1.0,
+            cfg.tolerance("interval_fofana_slack"),
         )
+    rec.measure(
+        f"interval_translation_constant_{rec.ktag}",
+        "interval_vs_translation_fofana",
+        unscaled,
+    )
+    rec.measure(
+        f"interval_translation_constant_half_domain_{rec.ktag}",
+        "interval_vs_translation_fofana",
+        unscaled_h,
+        half_width=gh.half_width,
+        node_count=gh.node_count,
+    )
+    rec.measure(
+        f"interval_translation_scaled_{rec.ktag}",
+        "ball_scaled_interval_vs_translation_fofana",
+        scaled,
+    )
+    rec.stability(
+        f"interval_translation_scaled_stability_{rec.ktag}",
+        "ball_scaled_interval_vs_translation_fofana",
+        scaled,
+        scaled_h,
+        half_domain_constant=scaled_h,
+    )
+
+
+@_per_kappa
+def _suite_linfty_identity(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+    g = make_grid(p, cfg.half_width, cfg.node_count)
+    worst = 0.0
+    for fid, f in _family(cfg, g):
+        sup = lp_norm(f, INF)
+        if sup == 0.0:
+            continue
+        worst = max(worst, abs(amalgam_norm_r(f, INF, INF, 1.0) - sup) / sup)
+    rec.bound(
+        f"linfty_identity_{rec.ktag}",
+        "linfty_identity",
+        worst,
+        cfg.tolerance("linfty_identity"),
+        0.0,
+    )
+
+
+@_per_kappa
+def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+    labels = ((2.0, 8.0, 2.0, "alpha_eq_q"), (2.0, 8.0, 8.0, "alpha_eq_p"))
+
+    def windows(g):
+        """The window constant of each label, from one profile stack."""
+        rg = _radius_grid(cfg, g)
+        fam = _family(cfg, g, names=("gaussian", "indicator_ball", "bump", "trig_gauss"))
+        prof = _ProfileStack(g, _stack(fam), rg)
+        out = []
+        for (q, pp, alpha, _) in labels:
+            cmax = 0.0
+            for (fid, f), norm in zip(fam, prof.fofana(NormSpec(q, pp, alpha, rg))):
+                base = lp_norm(f, alpha)
+                if base == 0.0:
+                    continue
+                ratio = norm / base
+                cmax = max(cmax, ratio, 1.0 / ratio)
+            out.append(cmax)
+        return out
+
+    for (q, pp, alpha, label), c_coarse, c_fine in zip(labels, *_refined(cfg, p, windows)):
         rec.measure(
-            f"interval_translation_constant_half_domain_k{_klabel(kappa)}",
-            "interval_vs_translation_fofana",
-            unscaled_h,
-            kappa=kappa,
-            half_width=gh.half_width,
-            node_count=gh.node_count,
-        )
-        rec.measure(
-            f"interval_translation_scaled_k{_klabel(kappa)}",
-            "ball_scaled_interval_vs_translation_fofana",
-            scaled,
-            kappa=kappa,
+            f"fofana_lebesgue_window_{rec.ktag}_{label}",
+            "fofana_lebesgue_identity",
+            c_fine,
+            q=q,
+            p=pp,
+            alpha=alpha,
         )
         rec.stability(
-            f"interval_translation_scaled_stability_k{_klabel(kappa)}",
-            "ball_scaled_interval_vs_translation_fofana",
-            scaled,
-            scaled_h,
-            kappa=kappa,
-            half_domain_constant=scaled_h,
+            f"fofana_lebesgue_stability_{rec.ktag}_{label}",
+            "fofana_lebesgue_identity",
+            c_fine,
+            c_coarse,
+            coarse_window=c_coarse,
         )
-
-
-@_suite
-def _suite_linfty_identity(rec: _Recorder, cfg: SuiteConfig):
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
-        g = make_grid(p, cfg.half_width, cfg.node_count)
-        worst = 0.0
-        for fid, f in _family(cfg, g):
-            sup = lp_norm(f, INF)
-            if sup == 0.0:
-                continue
-            worst = max(worst, abs(amalgam_norm_r(f, INF, INF, 1.0) - sup) / sup)
-        rec.bound(
-            f"linfty_identity_k{_klabel(kappa)}",
-            "linfty_identity",
-            worst,
-            cfg.tolerance("linfty_identity"),
-            0.0,
-            kappa=kappa,
-        )
-
-
-@_suite
-def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig):
-    labels = ((2.0, 8.0, 2.0, "alpha_eq_q"), (2.0, 8.0, 8.0, "alpha_eq_p"))
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
-
-        def windows(g):
-            """The window constant of each label, from one profile stack."""
-            rg = _radius_grid(cfg, g)
-            fam = _family(cfg, g, names=("gaussian", "indicator_ball", "bump", "trig_gauss"))
-            prof = _ProfileStack(g, _stack(fam), rg)
-            out = []
-            for (q, pp, alpha, _) in labels:
-                cmax = 0.0
-                for (fid, f), norm in zip(fam, prof.fofana(NormSpec(q, pp, alpha, rg))):
-                    base = lp_norm(f, alpha)
-                    if base == 0.0:
-                        continue
-                    ratio = norm / base
-                    cmax = max(cmax, ratio, 1.0 / ratio)
-                out.append(cmax)
-            return out
-
-        for (q, pp, alpha, label), c_coarse, c_fine in zip(labels, *_refined(cfg, p, windows)):
-            rec.measure(
-                f"fofana_lebesgue_window_k{_klabel(kappa)}_{label}",
-                "fofana_lebesgue_identity",
-                c_fine,
-                kappa=kappa,
-                q=q,
-                p=pp,
-                alpha=alpha,
-            )
-            rec.stability(
-                f"fofana_lebesgue_stability_k{_klabel(kappa)}_{label}",
-                "fofana_lebesgue_identity",
-                c_fine,
-                c_coarse,
-                kappa=kappa,
-                coarse_window=c_coarse,
-            )
-        # interval-normed counterpart: reported lower-bound constant
-        g = make_grid(p, cfg.half_width, cfg.node_count)
-        rg = _radius_grid(cfg, g)
-        spec = NormSpec(2.0, 8.0, 2.0, rg)
-        cmax = 0.0
-        for fid, f in _family(cfg, g, names=("gaussian", "bump", "trig_gauss")):
-            base = interval_fofana_norm(f, spec)
-            if base == 0.0:
-                continue
-            cmax = max(cmax, lp_norm(f, 2.0) / base)
-        rec.measure(
-            f"interval_fofana_lower_k{_klabel(kappa)}",
-            "interval_fofana_lebesgue",
-            cmax,
-            kappa=kappa,
-        )
+    # interval-normed counterpart: reported lower-bound constant
+    g = make_grid(p, cfg.half_width, cfg.node_count)
+    rg = _radius_grid(cfg, g)
+    spec = NormSpec(2.0, 8.0, 2.0, rg)
+    cmax = 0.0
+    for fid, f in _family(cfg, g, names=("gaussian", "bump", "trig_gauss")):
+        base = interval_fofana_norm(f, spec)
+        if base == 0.0:
+            continue
+        cmax = max(cmax, lp_norm(f, 2.0) / base)
+    rec.measure(
+        f"interval_fofana_lower_{rec.ktag}",
+        "interval_fofana_lebesgue",
+        cmax,
+    )
 
 
 def _classical_maximal_oracle(f: GridFunction, rhos) -> np.ndarray:
@@ -1471,333 +1426,307 @@ def _classical_maximal_oracle(f: GridFunction, rhos) -> np.ndarray:
     return best
 
 
-@_suite
-def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig):
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
+@_per_kappa
+def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+    def windows(g):
+        """The two window constants, and the Dunkl maximal functions of
+        the family, by id, from one stack."""
+        rhog = _rho_grid(cfg, g)
+        sel = np.abs(g.nodes) <= cfg.half_width / 2.0
+        c1 = 0.0
+        c2 = 0.0
+        fam = _family(cfg, g)
+        mds = dict(zip((fid for fid, _ in fam), _dunkl_maximal_stack(g, _stack(fam), rhog)))
+        for fid, f in fam:
+            md = mds[fid]
+            mc = centered_maximal(f, rhog).values
+            mi = interval_maximal(f, rhog).values
+            mask = sel & (md > 1e-6) & (mc > 1e-6) & (mi > 1e-6)
+            if not np.any(mask):
+                continue
+            r1 = md[mask] / mc[mask]
+            r2 = mc[mask] / mi[mask]
+            c1 = max(c1, float(np.max(r1)), float(np.max(1.0 / r1)))
+            c2 = max(c2, float(np.max(r2)), float(np.max(1.0 / r2)))
+        return (c1, c2), mds
 
-        def windows(g):
-            """The two window constants, and the Dunkl maximal functions of
-            the family, by id, from one stack."""
-            rhog = _rho_grid(cfg, g)
-            sel = np.abs(g.nodes) <= cfg.half_width / 2.0
-            c1 = 0.0
-            c2 = 0.0
-            fam = _family(cfg, g)
-            mds = dict(zip((fid for fid, _ in fam), _dunkl_maximal_stack(g, _stack(fam), rhog)))
-            for fid, f in fam:
-                md = mds[fid]
-                mc = centered_maximal(f, rhog).values
-                mi = interval_maximal(f, rhog).values
-                mask = sel & (md > 1e-6) & (mc > 1e-6) & (mi > 1e-6)
-                if not np.any(mask):
-                    continue
-                r1 = md[mask] / mc[mask]
-                r2 = mc[mask] / mi[mask]
-                c1 = max(c1, float(np.max(r1)), float(np.max(1.0 / r1)))
-                c2 = max(c2, float(np.max(r2)), float(np.max(1.0 / r2)))
-            return (c1, c2), mds
+    (coarse, _), ((c1_fine, c2_fine), mds) = _refined(cfg, p, windows)
+    rec.measure(
+        f"equivalence_window_dunkl_centered_{rec.ktag}",
+        "maximal_equivalence",
+        c1_fine,
+    )
+    rec.measure(
+        f"equivalence_window_centered_interval_{rec.ktag}",
+        "maximal_equivalence",
+        c2_fine,
+    )
+    rec.stability(
+        f"equivalence_stability_{rec.ktag}",
+        "maximal_equivalence",
+        (c1_fine, c2_fine),
+        coarse,
+        coarse=coarse,
+    )
 
-        (coarse, _), ((c1_fine, c2_fine), mds) = _refined(cfg, p, windows)
-        rec.measure(
-            f"equivalence_window_dunkl_centered_k{_klabel(kappa)}",
-            "maximal_equivalence",
-            c1_fine,
-            kappa=kappa,
+    g = make_grid(p, cfg.half_width, cfg.node_count)
+    rhog = _rho_grid(cfg, g)
+    sel = np.abs(g.nodes) <= cfg.half_width / 2.0
+
+    if p.classical:
+        worst = 0.0
+        for fid, f in _family(cfg, g, names=("gaussian", "bump", "trig_gauss")):
+            md = mds[fid]
+            oracle = _classical_maximal_oracle(f, rhog)
+            mask = sel & (oracle > 1e-9)
+            worst = max(worst, float(np.max(np.abs(md[mask] - oracle[mask]) / oracle[mask])))
+        rec.bound(
+            "classical_maximal_oracle",
+            "classical_maximal_oracle",
+            worst,
+            cfg.tolerance("classical_maximal"),
+            0.0,
         )
+
+    # the indicator of the peak case and the ordered pairs of the
+    # monotonicity cases, in one stack
+    pairs = (
+        (sample_family("gaussian", (2.0,), g), sample_family("gaussian", (0.25,), g)),
+        (sample_family("indicator_ball", (0.5,), g), sample_family("indicator_ball", (1.0,), g)),
+    )
+    chi = sample_family("indicator_ball", (1.0,), g)
+    m_chi, *m_pairs = _dunkl_maximal_stack(
+        g, np.stack([chi.values] + [f.values for pair in pairs for f in pair]), rhog
+    )
+
+    # peak value on an indicator
+    i0 = int(np.argmin(np.abs(g.nodes)))
+    rec.match(
+        f"indicator_peak_{rec.ktag}",
+        "maximal_indicator_peak",
+        float(m_chi[i0]),
+        1.0,
+        cfg.tolerance("maximal_peak"),
+    )
+
+    # L^p boundedness ratios and weak (1,1) constant: measured
+    for q in (2.0, 4.0, INF):
+        worst = 0.0
+        for fid, f in _family(cfg, g):
+            base = lp_norm(f, q)
+            if base == 0.0:
+                continue
+            worst = max(worst, lp_norm(GridFunction(g, mds[fid]), q) / base)
         rec.measure(
-            f"equivalence_window_centered_interval_k{_klabel(kappa)}",
-            "maximal_equivalence",
-            c2_fine,
-            kappa=kappa,
+            f"lp_bound_{rec.ktag}_p{q:g}",
+            "maximal_lp_bounded",
+            worst,
+            p=q,
+        )
+    worst = 0.0
+    for fid, f in _family(cfg, g):
+        base = lp_norm(f, 1.0)
+        if base == 0.0:
+            continue
+        worst = max(worst, weak_l1_norm(GridFunction(g, mds[fid])) / base)
+    rec.measure(f"weak11_constant_{rec.ktag}", "maximal_weak_type", worst)
+
+    # monotonicity for ordered nonnegative pairs: exact for the two window
+    # routes; the transform route carries band-truncation wiggle, so its
+    # violation is bounded by a spectral tolerance instead
+    worst_exact = -INF
+    worst_spectral = -INF
+    for k, (lo_f, hi_f) in enumerate(pairs):
+        for op in (centered_maximal, interval_maximal):
+            worst_exact = max(
+                worst_exact, float(np.max(op(lo_f, rhog).values - op(hi_f, rhog).values))
+            )
+        worst_spectral = max(worst_spectral, float(np.max(m_pairs[2 * k] - m_pairs[2 * k + 1])))
+    rec.bound(
+        f"monotonicity_{rec.ktag}",
+        "maximal_monotonicity",
+        worst_exact,
+        cfg.tolerance("monotonicity_slack"),
+        0.0,
+    )
+    rec.bound(
+        f"monotonicity_spectral_{rec.ktag}",
+        "maximal_monotonicity",
+        worst_spectral,
+        cfg.tolerance("monotonicity_spectral"),
+        0.0,
+    )
+
+
+@_per_kappa
+def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+    for (q, pp, alpha) in cfg.exponents:
+        if q <= 1.0:
+            continue
+
+        def family_max(g):
+            rhog = _rho_grid(cfg, g)
+            spec = NormSpec(q, pp, alpha, _radius_grid(cfg, g))
+            fam_max = 0.0
+            for fid, f in _family(cfg, g):
+                base = interval_fofana_norm(f, spec)
+                if base == 0.0:
+                    continue
+                val = interval_fofana_norm(interval_maximal(f, rhog), spec)
+                fam_max = max(fam_max, val / base)
+            return fam_max
+
+        coarse, fine = _refined(cfg, p, family_max)
+        tag = f"{rec.ktag}_q{q:g}_p{pp:g}_a{alpha:g}"
+        rec.measure(
+            f"interval_maximal_ratio_{tag}",
+            "interval_fofana_maximal_bound",
+            fine,
+            q=q,
+            p=pp,
+            alpha=alpha,
         )
         rec.stability(
-            f"equivalence_stability_k{_klabel(kappa)}",
-            "maximal_equivalence",
-            (c1_fine, c2_fine),
+            f"interval_maximal_stability_{tag}",
+            "interval_fofana_maximal_bound",
+            fine,
             coarse,
-            kappa=kappa,
             coarse=coarse,
         )
 
-        g = make_grid(p, cfg.half_width, cfg.node_count)
-        rhog = _rho_grid(cfg, g)
-        sel = np.abs(g.nodes) <= cfg.half_width / 2.0
+    # indicator decay of the interval maximal function: the constant is
+    # measured at both grid levels and must be refinement-stable
+    def decay_constant(gn):
+        worst_c = 0.0
+        for (yc, rc) in ((0.0, 0.5), (1.0, 0.5), (2.0, 1.0)):
+            chi = GridFunction(gn, (np.abs(gn.nodes - yc) < rc).astype(float))
+            rhos = sorted(set(list(_rho_grid(cfg, gn)) + [rc * 2.0**k for k in range(1, 6)]))
+            rhos = [r for r in rhos if r <= gn.half_width]
+            mi = interval_maximal(chi, rhos).values
+            dist = np.abs(gn.nodes - yc)
+            sel = (dist > 2.0 * rc) & (np.abs(gn.nodes) <= gn.half_width / 2.0)
+            mu_r = interval_measure(p, yc, rc)
+            mu_d = np.array([interval_measure(p, yc, float(d)) for d in dist[sel]])
+            worst_c = max(worst_c, float(np.max(mi[sel] * mu_d / mu_r)))
+        return worst_c
 
+    decay_coarse, decay_fine = _refined(cfg, p, decay_constant)
+    rec.measure(
+        f"indicator_decay_constant_{rec.ktag}",
+        "maximal_indicator_decay",
+        decay_fine,
+    )
+    rec.stability(
+        f"indicator_decay_stability_{rec.ktag}",
+        "maximal_indicator_decay",
+        decay_fine,
+        decay_coarse,
+        coarse=decay_coarse,
+    )
+
+    g = make_grid(p, cfg.half_width, cfg.node_count)
+
+    # exact two-interval cover of the annular ball
+    rng = rec.rng(f"cover_{kappa}")
+    violations = 0
+    for _ in range(100):
+        y = float(rng.uniform(-6.0, 6.0))
+        r = float(np.exp(rng.uniform(math.log(0.05), math.log(3.0))))
+        absx = np.abs(g.nodes)
+        in_ball = (absx > max(0.0, abs(y) - r)) & (absx < abs(y) + r)
+        covered = (np.abs(g.nodes + y) < 3.0 * r) | (np.abs(g.nodes - y) < 3.0 * r)
+        violations += int(np.any(in_ball & ~covered))
+    rec.match(
+        f"annulus_cover_{rec.ktag}",
+        "annulus_interval_cover",
+        float(violations),
+        0.0,
+        0.0,
+        samples=100,
+    )
+
+    # interval maximal of a translated window indicator vs the sharp one
+    rhog = _rho_grid(cfg, g)
+    for (xc, rc) in ((1.0, 1.0),):
+        ti = translate_indicator(p, -xc, rc, g)
+        sharp = GridFunction(g, (np.abs(g.nodes - xc) < rc).astype(float))
+        m_t = interval_maximal(ti, rhog).values
+        m_s = interval_maximal(sharp, rhog).values
+        peak = float(np.max(m_s))
+        disc = float(np.max(np.abs(m_t - m_s))) / peak
         if p.classical:
-            worst = 0.0
-            for fid, f in _family(cfg, g, names=("gaussian", "bump", "trig_gauss")):
-                md = mds[fid]
-                oracle = _classical_maximal_oracle(f, rhog)
-                mask = sel & (oracle > 1e-9)
-                worst = max(worst, float(np.max(np.abs(md[mask] - oracle[mask]) / oracle[mask])))
             rec.bound(
-                "classical_maximal_oracle",
-                "classical_maximal_oracle",
-                worst,
-                cfg.tolerance("classical_maximal"),
+                f"translated_window_maximal_{rec.ktag}",
+                "maximal_translated_window",
+                disc,
+                cfg.tolerance("lem6_classical"),
                 0.0,
-                kappa=kappa,
+                x=xc,
+                r=rc,
             )
-
-        # the indicator of the peak case and the ordered pairs of the
-        # monotonicity cases, in one stack
-        pairs = (
-            (sample_family("gaussian", (2.0,), g), sample_family("gaussian", (0.25,), g)),
-            (sample_family("indicator_ball", (0.5,), g), sample_family("indicator_ball", (1.0,), g)),
-        )
-        chi = sample_family("indicator_ball", (1.0,), g)
-        m_chi, *m_pairs = _dunkl_maximal_stack(
-            g, np.stack([chi.values] + [f.values for pair in pairs for f in pair]), rhog
-        )
-
-        # peak value on an indicator
-        i0 = int(np.argmin(np.abs(g.nodes)))
-        rec.match(
-            f"indicator_peak_k{_klabel(kappa)}",
-            "maximal_indicator_peak",
-            float(m_chi[i0]),
-            1.0,
-            cfg.tolerance("maximal_peak"),
-            kappa=kappa,
-        )
-
-        # L^p boundedness ratios and weak (1,1) constant: measured
-        for q in (2.0, 4.0, INF):
-            worst = 0.0
-            for fid, f in _family(cfg, g):
-                base = lp_norm(f, q)
-                if base == 0.0:
-                    continue
-                worst = max(worst, lp_norm(GridFunction(g, mds[fid]), q) / base)
+        else:
+            # for kappa > -1/2 the translated window spreads its mass over
+            # the two-sided annulus, so the two maximal functions differ
+            # by design; the discrepancy is reported, not bounded
             rec.measure(
-                f"lp_bound_k{_klabel(kappa)}_p{q:g}",
-                "maximal_lp_bounded",
-                worst,
-                kappa=kappa,
-                p=q,
-            )
-        worst = 0.0
-        for fid, f in _family(cfg, g):
-            base = lp_norm(f, 1.0)
-            if base == 0.0:
-                continue
-            worst = max(worst, weak_l1_norm(GridFunction(g, mds[fid])) / base)
-        rec.measure(f"weak11_constant_k{_klabel(kappa)}", "maximal_weak_type", worst, kappa=kappa)
-
-        # monotonicity for ordered nonnegative pairs: exact for the two window
-        # routes; the transform route carries band-truncation wiggle, so its
-        # violation is bounded by a spectral tolerance instead
-        worst_exact = -INF
-        worst_spectral = -INF
-        for k, (lo_f, hi_f) in enumerate(pairs):
-            for op in (centered_maximal, interval_maximal):
-                worst_exact = max(
-                    worst_exact, float(np.max(op(lo_f, rhog).values - op(hi_f, rhog).values))
-                )
-            worst_spectral = max(worst_spectral, float(np.max(m_pairs[2 * k] - m_pairs[2 * k + 1])))
-        rec.bound(
-            f"monotonicity_k{_klabel(kappa)}",
-            "maximal_monotonicity",
-            worst_exact,
-            cfg.tolerance("monotonicity_slack"),
-            0.0,
-            kappa=kappa,
-        )
-        rec.bound(
-            f"monotonicity_spectral_k{_klabel(kappa)}",
-            "maximal_monotonicity",
-            worst_spectral,
-            cfg.tolerance("monotonicity_spectral"),
-            0.0,
-            kappa=kappa,
-        )
-
-
-@_suite
-def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig):
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
-        for (q, pp, alpha) in cfg.exponents:
-            if q <= 1.0:
-                continue
-
-            def family_max(g):
-                rhog = _rho_grid(cfg, g)
-                spec = NormSpec(q, pp, alpha, _radius_grid(cfg, g))
-                fam_max = 0.0
-                for fid, f in _family(cfg, g):
-                    base = interval_fofana_norm(f, spec)
-                    if base == 0.0:
-                        continue
-                    val = interval_fofana_norm(interval_maximal(f, rhog), spec)
-                    fam_max = max(fam_max, val / base)
-                return fam_max
-
-            coarse, fine = _refined(cfg, p, family_max)
-            tag = f"k{_klabel(kappa)}_q{q:g}_p{pp:g}_a{alpha:g}"
-            rec.measure(
-                f"interval_maximal_ratio_{tag}",
-                "interval_fofana_maximal_bound",
-                fine,
-                kappa=kappa,
-                q=q,
-                p=pp,
-                alpha=alpha,
-            )
-            rec.stability(
-                f"interval_maximal_stability_{tag}",
-                "interval_fofana_maximal_bound",
-                fine,
-                coarse,
-                kappa=kappa,
-                coarse=coarse,
+                f"translated_window_maximal_{rec.ktag}",
+                "maximal_translated_window",
+                disc,
+                x=xc,
+                r=rc,
             )
 
-        # indicator decay of the interval maximal function: the constant is
-        # measured at both grid levels and must be refinement-stable
-        def decay_constant(gn):
-            worst_c = 0.0
-            for (yc, rc) in ((0.0, 0.5), (1.0, 0.5), (2.0, 1.0)):
-                chi = GridFunction(gn, (np.abs(gn.nodes - yc) < rc).astype(float))
-                rhos = sorted(set(list(_rho_grid(cfg, gn)) + [rc * 2.0**k for k in range(1, 6)]))
-                rhos = [r for r in rhos if r <= gn.half_width]
-                mi = interval_maximal(chi, rhos).values
-                dist = np.abs(gn.nodes - yc)
-                sel = (dist > 2.0 * rc) & (np.abs(gn.nodes) <= gn.half_width / 2.0)
-                mu_r = interval_measure(p, yc, rc)
-                mu_d = np.array([interval_measure(p, yc, float(d)) for d in dist[sel]])
-                worst_c = max(worst_c, float(np.max(mi[sel] * mu_d / mu_r)))
-            return worst_c
 
-        decay_coarse, decay_fine = _refined(cfg, p, decay_constant)
-        rec.measure(
-            f"indicator_decay_constant_k{_klabel(kappa)}",
-            "maximal_indicator_decay",
-            decay_fine,
-            kappa=kappa,
-        )
-        rec.stability(
-            f"indicator_decay_stability_k{_klabel(kappa)}",
-            "maximal_indicator_decay",
-            decay_fine,
-            decay_coarse,
-            kappa=kappa,
-            coarse=decay_coarse,
-        )
-
-        g = make_grid(p, cfg.half_width, cfg.node_count)
-
-        # exact two-interval cover of the annular ball
-        rng = rec.rng(f"cover_{kappa}")
-        violations = 0
-        for _ in range(100):
-            y = float(rng.uniform(-6.0, 6.0))
-            r = float(np.exp(rng.uniform(math.log(0.05), math.log(3.0))))
-            absx = np.abs(g.nodes)
-            in_ball = (absx > max(0.0, abs(y) - r)) & (absx < abs(y) + r)
-            covered = (np.abs(g.nodes + y) < 3.0 * r) | (np.abs(g.nodes - y) < 3.0 * r)
-            violations += int(np.any(in_ball & ~covered))
-        rec.match(
-            f"annulus_cover_k{_klabel(kappa)}",
-            "annulus_interval_cover",
-            float(violations),
-            0.0,
-            0.0,
-            kappa=kappa,
-            samples=100,
-        )
-
-        # interval maximal of a translated window indicator vs the sharp one
-        rhog = _rho_grid(cfg, g)
-        for (xc, rc) in ((1.0, 1.0),):
-            ti = translate_indicator(p, -xc, rc, g)
-            sharp = GridFunction(g, (np.abs(g.nodes - xc) < rc).astype(float))
-            m_t = interval_maximal(ti, rhog).values
-            m_s = interval_maximal(sharp, rhog).values
-            peak = float(np.max(m_s))
-            disc = float(np.max(np.abs(m_t - m_s))) / peak
-            if p.classical:
-                rec.bound(
-                    f"translated_window_maximal_k{_klabel(kappa)}",
-                    "maximal_translated_window",
-                    disc,
-                    cfg.tolerance("lem6_classical"),
-                    0.0,
-                    kappa=kappa,
-                    x=xc,
-                    r=rc,
-                )
-            else:
-                # for kappa > -1/2 the translated window spreads its mass over
-                # the two-sided annulus, so the two maximal functions differ
-                # by design; the discrepancy is reported, not bounded
-                rec.measure(
-                    f"translated_window_maximal_k{_klabel(kappa)}",
-                    "maximal_translated_window",
-                    disc,
-                    kappa=kappa,
-                    x=xc,
-                    r=rc,
-                )
-
-
-def _record_member_ratios(rec, statement, tag, coarse, fine, kappa, **exponents):
+def _record_member_ratios(rec, statement, tag, coarse, fine, **exponents):
     """Record ratios per family member, given by id at both grid sizes: that
     each fine ratio is finite, the fine family maximum, and its drift from
     the coarse maximum."""
     for fid, ratio in fine.items():
         finite = 0.0 if math.isfinite(ratio) else INF
         rec.bound(
-            f"finite_{tag}_{fid}", statement, finite, 1.0, 0.0, kappa=kappa, family=fid, ratio=ratio
+            f"finite_{tag}_{fid}", statement, finite, 1.0, 0.0, family=fid, ratio=ratio
         )
     fam_fine = max([0.0, *fine.values()])
-    rec.measure(f"family_max_{tag}", statement, fam_fine, kappa=kappa, **exponents)
+    rec.measure(f"family_max_{tag}", statement, fam_fine, **exponents)
     fam_coarse = max([0.0, *coarse.values()])
     rec.stability(
-        f"stability_{tag}", statement, fam_fine, fam_coarse, kappa=kappa, coarse=fam_coarse
+        f"stability_{tag}", statement, fam_fine, fam_coarse, coarse=fam_coarse
     )
 
 
-@_suite
-def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig):
-    if any(q <= 1.0 for q, _, _ in cfg.exponents):
-        raise ValueError("the strong maximal theorem requires q > 1")
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
-
-        def member_ratios(g):
-            """Per exponent triple, the ratio of each family member, from the
-            profile stacks of |f| and of M f, one per q."""
-            rg = _radius_grid(cfg, g)
-            fam = _family(cfg, g)
-            rows = _stack(fam)
-            base = _ProfileStack(g, rows, rg)
-            maxi = _ProfileStack(g, _dunkl_maximal_stack(g, rows, _rho_grid(cfg, g)), rg)
-            out = []
-            for (q, pp, alpha) in cfg.exponents:
-                spec = NormSpec(q, pp, alpha, rg)
-                out.append(
-                    {
-                        fid: m / b
-                        for (fid, _), b, m in zip(fam, base.fofana(spec), maxi.fofana(spec))
-                        if b != 0.0
-                    }
-                )
-            return out
-
-        for (q, pp, alpha), coarse, fine in zip(cfg.exponents, *_refined(cfg, p, member_ratios)):
-            _record_member_ratios(
-                rec,
-                "fofana_maximal_bound",
-                f"k{_klabel(kappa)}_q{q:g}_p{pp:g}_a{alpha:g}",
-                coarse,
-                fine,
-                kappa=kappa,
-                q=q,
-                p=pp,
-                alpha=alpha,
+@_per_kappa
+def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+    def member_ratios(g):
+        """Per exponent triple, the ratio of each family member, from the
+        profile stacks of |f| and of M f, one per q."""
+        rg = _radius_grid(cfg, g)
+        fam = _family(cfg, g)
+        rows = _stack(fam)
+        base = _ProfileStack(g, rows, rg)
+        maxi = _ProfileStack(g, _dunkl_maximal_stack(g, rows, _rho_grid(cfg, g)), rg)
+        out = []
+        for (q, pp, alpha) in cfg.exponents:
+            spec = NormSpec(q, pp, alpha, rg)
+            out.append(
+                {
+                    fid: m / b
+                    for (fid, _), b, m in zip(fam, base.fofana(spec), maxi.fofana(spec))
+                    if b != 0.0
+                }
             )
+        return out
+
+    for (q, pp, alpha), coarse, fine in zip(cfg.exponents, *_refined(cfg, p, member_ratios)):
+        _record_member_ratios(
+            rec,
+            "fofana_maximal_bound",
+            f"{rec.ktag}_q{q:g}_p{pp:g}_a{alpha:g}",
+            coarse,
+            fine,
+            q=q,
+            p=pp,
+            alpha=alpha,
+        )
 
 
 def _maximal_and_q1_fofana(grid: Grid, fam, rhog, rg, specs):
@@ -1812,59 +1741,54 @@ def _maximal_and_q1_fofana(grid: Grid, fam, rhog, rg, specs):
     return _ball_averages_max(grid.params, conv, radii, rhog), norms
 
 
-@_suite
-def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig):
-    for kappa in cfg.kappa_list:
-        p = _params_for(kappa)
+@_per_kappa
+def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+    def member_ratios(g):
+        """Per (p, alpha) pair, the ratio of each family member, and the
+        worst weak/strong dominance ratio (on the fine grid only).  Window
+        rows, maximal functions, q = 1 window profiles and weak window
+        statistics are shared across pairs.  One stack of ball
+        convolutions of |f| over both radius grids gives the maximal
+        functions and the q = 1 Fofana norms, before the workspace is
+        built."""
+        fine = g.node_count == cfg.node_count
+        rg = default_radius_grid(g, ratio=2.0) if cfg.r_grid is None else cfg.r_grid
+        rhog = _rho_grid(cfg, g)
+        fam = _family(cfg, g)
+        specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in cfg.weak_exponents]
+        mfs, strong = _maximal_and_q1_fofana(g, fam, rhog, rg, specs)
+        ws = WeakWindowWorkspace(g, rg)
+        ratios = {pair: {} for pair in cfg.weak_exponents}
+        dominance = 0.0
+        for (fid, f), mf, bases in zip(fam, mfs, strong):
+            weak_mf = ws.weak_fofana(GridFunction(g, mf), cfg.weak_exponents)
+            dominated = fine and fid.startswith(("gaussian", "bump", "indicator_ball"))
+            weak_f = ws.weak_fofana(f, cfg.weak_exponents) if dominated else None
+            for j, pair in enumerate(cfg.weak_exponents):
+                base = bases[j]
+                if base == 0.0:
+                    continue
+                ratios[pair][fid] = weak_mf[j] / base
+                if dominated:
+                    dominance = max(dominance, weak_f[j] / base)
+        return ratios, dominance
 
-        def member_ratios(g):
-            """Per (p, alpha) pair, the ratio of each family member, and the
-            worst weak/strong dominance ratio (on the fine grid only).  Window
-            rows, maximal functions, q = 1 window profiles and weak window
-            statistics are shared across pairs.  One stack of ball
-            convolutions of |f| over both radius grids gives the maximal
-            functions and the q = 1 Fofana norms, before the workspace is
-            built."""
-            fine = g.node_count == cfg.node_count
-            rg = default_radius_grid(g, ratio=2.0) if cfg.r_grid is None else cfg.r_grid
-            rhog = _rho_grid(cfg, g)
-            fam = _family(cfg, g)
-            specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in cfg.weak_exponents]
-            mfs, strong = _maximal_and_q1_fofana(g, fam, rhog, rg, specs)
-            ws = WeakWindowWorkspace(g, rg)
-            ratios = {pair: {} for pair in cfg.weak_exponents}
-            dominance = 0.0
-            for (fid, f), mf, bases in zip(fam, mfs, strong):
-                weak_mf = ws.weak_fofana(GridFunction(g, mf), cfg.weak_exponents)
-                dominated = fine and fid.startswith(("gaussian", "bump", "indicator_ball"))
-                weak_f = ws.weak_fofana(f, cfg.weak_exponents) if dominated else None
-                for j, pair in enumerate(cfg.weak_exponents):
-                    base = bases[j]
-                    if base == 0.0:
-                        continue
-                    ratios[pair][fid] = weak_mf[j] / base
-                    if dominated:
-                        dominance = max(dominance, weak_f[j] / base)
-            return ratios, dominance
-
-        (coarse, _), (fine, dominance_worst) = _refined(cfg, p, member_ratios)
-        for (pp, alpha) in cfg.weak_exponents:
-            _record_member_ratios(
-                rec,
-                "weak_fofana_maximal_bound",
-                f"k{_klabel(kappa)}_p{pp:g}_a{alpha:g}",
-                coarse[(pp, alpha)],
-                fine[(pp, alpha)],
-                kappa=kappa,
-                p=pp,
-                alpha=alpha,
-            )
-        # dominance: the weak window statistic sits under the strong one at q=1
-        rec.bound(
-            f"weak_dominated_k{_klabel(kappa)}",
-            "weak_fofana_dominance",
-            dominance_worst,
-            1.0,
-            cfg.tolerance("weak_dominance_slack"),
-            kappa=kappa,
+    (coarse, _), (fine, dominance_worst) = _refined(cfg, p, member_ratios)
+    for (pp, alpha) in cfg.weak_exponents:
+        _record_member_ratios(
+            rec,
+            "weak_fofana_maximal_bound",
+            f"{rec.ktag}_p{pp:g}_a{alpha:g}",
+            coarse[(pp, alpha)],
+            fine[(pp, alpha)],
+            p=pp,
+            alpha=alpha,
         )
+    # dominance: the weak window statistic sits under the strong one at q=1
+    rec.bound(
+        f"weak_dominated_{rec.ktag}",
+        "weak_fofana_dominance",
+        dominance_worst,
+        1.0,
+        cfg.tolerance("weak_dominance_slack"),
+    )

@@ -313,3 +313,25 @@ def test_report_diff_on_verify_reports(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "diff", str(a), str(b)]) == 0
     assert capsys.readouterr().out.strip().endswith("0 moved, 0 verdict flips; 0 new, 0 missing")
+
+
+@pytest.mark.parametrize(
+    "env,argv,message",
+    [
+        ({}, ["--suite", "kernel", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ({"DUNKL_SEED": "-1"}, ["--suite", "kernel"], "seed must be >= 0, got -1"),
+        ({}, ["--suite", "theorem_maxi", "--exponents", "1,2,2"], "suite 'theorem_maxi'"),
+        ({}, ["--suite", "all", "--exponents", "2,8,4;1,2,2"], "suite 'theorem_maxi'"),
+    ],
+)
+def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv, "--grid-n", "256", "--domain-l", "8", "--report", str(report)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not report.exists()
