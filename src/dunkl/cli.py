@@ -206,10 +206,16 @@ def _cmd_verify(args, parser) -> int:
         kwargs["seed"] = seed
     try:
         cfg = SuiteConfig(**kwargs)
-        for name in names:
-            check_suite(name, cfg)
     except ValueError as exc:
         parser.error(str(exc))
+    problems = []
+    for name in names:
+        try:
+            check_suite(name, cfg)
+        except ValueError as exc:
+            problems.append(str(exc))
+    if problems:
+        parser.error("; ".join(problems))
 
     reports = []
     failed = 0
@@ -242,6 +248,17 @@ def _cmd_verify(args, parser) -> int:
     return 0 if failed == 0 else 1
 
 
+def _read_input(path: str, grid):
+    """The CSV function at path on grid, or None once why not is printed."""
+    try:
+        return read_csv_function(path, grid)
+    except CsvFormatError as exc:
+        print(f"error: malformed CSV: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    return None
+
+
 def _cmd_norm(args, parser) -> int:
     which = _resolve(args.which, "--which", None, _one_of(_NORM_KINDS))
     if which is None:
@@ -250,13 +267,8 @@ def _cmd_norm(args, parser) -> int:
     if path is None:
         parser.error("norm requires --input CSV")
     params, grid = _resolve_grid(args)
-    try:
-        f = read_csv_function(path, grid)
-    except CsvFormatError as exc:
-        print(f"error: malformed CSV: {exc}", file=sys.stderr)
-        return IO_EXIT
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+    f = _read_input(path, grid)
+    if f is None:
         return IO_EXIT
 
     q = _resolve(args.q, "--q", None, _parse_exponent)
@@ -311,13 +323,8 @@ def _cmd_maximal(args, parser) -> int:
     if out_path is None:
         parser.error("maximal requires --output CSV")
     params, grid = _resolve_grid(args)
-    try:
-        f = read_csv_function(in_path, grid)
-    except CsvFormatError as exc:
-        print(f"error: malformed CSV: {exc}", file=sys.stderr)
-        return IO_EXIT
-    except OSError as exc:
-        print(f"error: cannot read {in_path}: {exc}", file=sys.stderr)
+    f = _read_input(in_path, grid)
+    if f is None:
         return IO_EXIT
     rho = default_radius_grid(grid)
     fn = {"dunkl": dunkl_maximal, "centered": centered_maximal, "interval": interval_maximal}[op]

@@ -9,7 +9,8 @@ Three variants, pointwise equivalent on the weighted line:
   * centered_maximal: direct averages of |f| over the annular balls B(x, rho),
     exact on the grid via prefix sums in the |x| coordinate;
   * interval_maximal: direct averages over metric intervals I(x, rho), exact
-    via prefix sums in x.
+    via prefix sums in x: the q = 1 interval profiles of
+    `norms._interval_profiles`, one window mass serving every radius.
 
 All three take the supremum over a finite radius grid.  Windows reaching past
 the sampled domain [-L, L] are averaged over their clipped part while the
@@ -24,6 +25,7 @@ import numpy as np
 from ._windows import LineWindowMass
 from .grid import Grid, GridFunction
 from .measure import _check_radius, ball_measure, ball_measure_origin, interval_measure
+from .norms import _interval_profiles
 from .translation import _ball_convolution_stack
 
 __all__ = ["dunkl_maximal", "centered_maximal", "interval_maximal"]
@@ -79,10 +81,7 @@ def interval_maximal(f: GridFunction, rho_grid) -> GridFunction:
     """sup over rho of the average of |f| over the interval I(x, rho)."""
     rhos = _check_radii(rho_grid)
     grid = f.grid
-    x = grid.nodes
-    mass = LineWindowMass.line(grid, np.abs(f.values))
-    best = np.zeros(x.size)
-    for rho in rhos:
-        avg = mass.window(x - rho, x + rho) / interval_measure(grid.params, x, rho)
-        np.maximum(best, avg, out=best)
+    best = np.zeros(grid.node_count)
+    for rho, mass in zip(rhos, _interval_profiles(grid, f.values[None, :], 1.0, rhos)[0]):
+        np.maximum(best, mass / interval_measure(grid.params, grid.nodes, rho), out=best)
     return GridFunction(grid, best)

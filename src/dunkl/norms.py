@@ -8,12 +8,13 @@ at once.  The window profiles take a whole stack of functions on one grid
 (`_amalgam_profiles`): the stack of |f|^q goes through one stacked ball
 convolution for every radius.  `_ProfileStack` keeps them per q, and the
 amalgam and Fofana norms of the stack are read from them, the Fofana norms
-through `_fofana_sup`.  `amalgam_norm_r` and `fofana_norm` are the
-one-function cases.  For q = infinity the window statistic is a sliding
+through `_fofana_sup`.  For q = infinity the window statistic is a sliding
 maximum over the annular ball B(y, r) in the |x| coordinate.  Interval
-variants window with I(y, r) = (y-r, y+r) and need no translation: window
-integrals come from prefix sums, one window mass per function serving every
-radius.
+variants window with I(y, r) = (y-r, y+r) and need no translation:
+`_interval_profiles` takes window integrals from prefix sums, one window
+mass per function serving every radius, and `_IntervalProfileStack` reads
+the interval norms from them.  Every public windowed norm is the one-row
+case of its stack.
 """
 
 from __future__ import annotations
@@ -168,18 +169,6 @@ def _range_max(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _annulus_sliding_max(f: GridFunction, r: float) -> np.ndarray:
-    """u(y) = max of |f| over the annulus {max(0,|y|-r) < |x| < |y|+r}."""
-    half = f.grid.node_count // 2
-    s = f.grid.positive_nodes
-    a = np.abs(f.values)
-    g = np.maximum(a[half:], a[half - 1 :: -1])
-    lo = np.searchsorted(s, np.maximum(0.0, s - r), side="right")
-    hi = np.searchsorted(s, s + r, side="left")
-    upos = _range_max(g, lo, hi)
-    return np.concatenate([upos[::-1], upos])
-
-
 def _check_window_radius(grid: Grid, r: float) -> float:
     r = float(r)
     if not (0.0 < r <= grid.half_width / 2.0):
@@ -192,11 +181,19 @@ def _check_window_radius(grid: Grid, r: float) -> float:
 def _amalgam_profiles(grid: Grid, rows, q: float, radii) -> np.ndarray:
     """Window profiles u_r(y) of every function of a stack rows (F, N) on grid,
     for each radius: shape (F, R, N).  For finite q the stack of |f|^q takes
-    one spectral evaluation (see `translation._ball_convolution_stack`)."""
+    one spectral evaluation (see `translation._ball_convolution_stack`).  For
+    q = inf, u_r(y) is the maximum of |f| over the annulus
+    {max(0,|y|-r) < |x| < |y|+r}: a range maximum of max(|f(s)|, |f(-s)|)
+    over s = |x|."""
     a = np.abs(np.asarray(rows))
     if q == INF:
-        fs = [GridFunction(grid, v) for v in a]
-        return np.stack([[_annulus_sliding_max(f, r) for r in radii] for f in fs])
+        half = grid.node_count // 2
+        s = grid.positive_nodes
+        lo = [np.searchsorted(s, np.maximum(0.0, s - r), side="right") for r in radii]
+        hi = [np.searchsorted(s, s + r, side="left") for r in radii]
+        folded = np.maximum(a[:, half:], a[:, half - 1 :: -1])
+        upos = np.array([[_range_max(v, *ends) for ends in zip(lo, hi)] for v in folded])
+        return np.concatenate([upos[..., ::-1], upos], axis=-1)
     conv = _ball_convolution_stack(grid, a**q, radii)
     return conv ** (1.0 / q)
 
@@ -206,36 +203,38 @@ def amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> float:
     the local L^q content seen through translated ball windows."""
     q = _check_exponent(q, "q")
     p = _check_exponent(p, "p")
-    r = _check_window_radius(f.grid, r)
     return _ProfileStack(f.grid, f.values[None, :], [r]).amalgam(q, p, r)[0]
 
 
 def fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """sup over the radius grid of mu(B_r)^(1/alpha - 1/q - 1/p) times the
     r-windowed amalgam norm."""
-    radii = [_check_window_radius(f.grid, r) for r in spec.r_grid]
-    return _ProfileStack(f.grid, f.values[None, :], radii).fofana(spec)[0]
+    return _ProfileStack(f.grid, f.values[None, :], spec.r_grid).fofana(spec)[0]
 
 
 class _ProfileStack:
     """Window profiles of a stack of functions rows (F, N) on grid, evaluated
     once per exponent q over one list of window radii, from which the
     amalgam and Fofana norms of every function of the stack at that q are
-    read.  q = inf profiles are sliding maxima, not spectral, and are
-    evaluated at the radii asked for."""
+    read; the radii must be window radii in (0, L/2].  q = inf profiles
+    are sliding maxima, not spectral, and are evaluated at the radii asked
+    for."""
 
     def __init__(self, grid: Grid, rows, radii):
         self.grid = grid
         self.rows = rows
-        self.radii = sorted({float(r) for r in radii})
+        self.radii = sorted({_check_window_radius(grid, r) for r in radii})
         self._by_q = {}
+
+    def _profiles(self, q: float, radii) -> np.ndarray:
+        return _amalgam_profiles(self.grid, self.rows, q, radii)
 
     def at(self, q: float, radii) -> np.ndarray:
         """Profiles (F, len(radii), N) at exponent q."""
         if q == INF:
-            return _amalgam_profiles(self.grid, self.rows, q, radii)
+            return self._profiles(q, radii)
         if q not in self._by_q:
-            self._by_q[q] = _amalgam_profiles(self.grid, self.rows, q, self.radii)
+            self._by_q[q] = self._profiles(q, self.radii)
         return self._by_q[q][:, [self.radii.index(float(r)) for r in radii]]
 
     def amalgam(self, q: float, p: float, r: float) -> list:
@@ -428,67 +427,63 @@ def weak_fofana_norm(
     return WeakWindowWorkspace(f.grid, r_grid, y_stride).weak_fofana(f, [(p, alpha)])[0]
 
 
-def _interval_windows(f: GridFunction, q: float):
-    """r -> ||f chi_{I(y,r)}||_q for every node center y; the window mass of
-    |f|^q is built once and serves every radius."""
-    x = f.grid.nodes
+def _interval_profiles(grid: Grid, rows, q: float, radii) -> np.ndarray:
+    """Interval-window profiles ||f chi_{I(y,r)}||_q of every function of a
+    stack rows (F, N) on grid at every node center y, for each radius: shape
+    (F, R, N).  For finite q one window mass of |f|^q per function serves
+    every radius; for q = inf they are sliding maxima over the windows."""
+    x = grid.nodes
+    a = np.abs(np.asarray(rows))
     if q == INF:
-        a = np.abs(f.values)
-        return lambda r: _range_max(
-            a, np.searchsorted(x, x - r, side="right"), np.searchsorted(x, x + r, side="left")
-        )
-    mass = LineWindowMass.line(f.grid, np.abs(f.values) ** q)
-    return lambda r: mass.window(x - r, x + r) ** (1.0 / q)
+        lo = [np.searchsorted(x, x - r, side="right") for r in radii]
+        hi = [np.searchsorted(x, x + r, side="left") for r in radii]
+        return np.array([[_range_max(v, *ends) for ends in zip(lo, hi)] for v in a])
+    out = []
+    for v in a:
+        mass = LineWindowMass.line(grid, v**q)
+        out.append([mass.window(x - r, x + r) ** (1.0 / q) for r in radii])
+    return np.array(out)
 
 
-def _interval_window_lq(f: GridFunction, q: float, r: float) -> np.ndarray:
-    """||f chi_{I(y,r)}||_q for every node center y."""
-    return _interval_windows(f, q)(r)
+class _IntervalProfileStack(_ProfileStack):
+    """A profile stack windowed by the metric intervals I(y, r): its
+    amalgam norms are ``interval_amalgam_norm_r`` and its Fofana norms
+    ``interval_fofana_norm`` of every function of the stack."""
+
+    def _profiles(self, q: float, radii) -> np.ndarray:
+        return _interval_profiles(self.grid, self.rows, q, radii)
+
+    def fofana(self, spec: NormSpec, ball_scaled: bool = False) -> list:
+        """sup over spec.r_grid of ||w_r u_r||_p for the interval profiles
+        u_r at spec.q, with the center weight w_r = mu(I(y,r))^theta, which
+        ball_scaled multiplies by (mu(B_r) / mu(I(y,r)))^(1/alpha - 1/p)."""
+        grid = self.grid
+        theta = _scale_exponent(spec)
+        e = _inv(spec.alpha) - _inv(spec.p)
+        weights = []
+        for r in spec.r_grid:
+            mu_i = interval_measure(grid.params, grid.nodes, r)
+            w = mu_i**theta
+            if ball_scaled:
+                w = w * (ball_measure_origin(grid.params, r) / mu_i) ** e
+            weights.append(w)
+        return [
+            max([0.0] + [lp_norm(GridFunction(grid, w * v), spec.p) for w, v in zip(weights, u)])
+            for u in self.at(spec.q, spec.r_grid)
+        ]
 
 
 def interval_amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> float:
     """Interval-windowed amalgam: L^p over centers of ||f chi_{I(y,r)}||_q."""
     q = _check_exponent(q, "q")
     p = _check_exponent(p, "p")
-    r = _check_window_radius(f.grid, r)
-    u = _interval_window_lq(f, q, r)
-    return lp_norm(GridFunction(f.grid, u), p)
-
-
-def _interval_fofana(f: GridFunction, spec: NormSpec, center_weights) -> list:
-    """For each center weight, the radius supremum of the L^p size over
-    centers y of center_weight(r, mu(I(y,r))) * ||f chi_{I(y,r)}||_q; the
-    windows are computed once for all weights."""
-    grid = f.grid
-    radii = [_check_window_radius(grid, r) for r in spec.r_grid]
-    windows = _interval_windows(f, spec.q)
-    best = [0.0] * len(center_weights)
-    for r in radii:
-        local = windows(r)
-        mu_i = interval_measure(grid.params, grid.nodes, r)
-        for j, center_weight in enumerate(center_weights):
-            val = lp_norm(GridFunction(grid, center_weight(r, mu_i) * local), spec.p)
-            best[j] = max(best[j], val)
-    return best
-
-
-def _interval_weight(spec: NormSpec):
-    """Center weight mu(I(y,r))^theta of ``interval_fofana_norm``."""
-    theta = _scale_exponent(spec)
-    return lambda r, mu_i: mu_i**theta
-
-
-def _ball_scaled_weight(params, spec: NormSpec):
-    """Center weight of ``ball_scaled_interval_fofana_norm``."""
-    theta = _scale_exponent(spec)
-    e = _inv(spec.alpha) - _inv(spec.p)
-    return lambda r, mu_i: mu_i**theta * (ball_measure_origin(params, r) / mu_i) ** e
+    return _IntervalProfileStack(f.grid, f.values[None, :], [r]).amalgam(q, p, r)[0]
 
 
 def interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """Interval-windowed Fofana norm; the measure factor mu(I(y,r))^theta sits
     inside the center integral because it varies with the center."""
-    return _interval_fofana(f, spec, (_interval_weight(spec),))[0]
+    return _IntervalProfileStack(f.grid, f.values[None, :], spec.r_grid).fofana(spec)[0]
 
 
 def ball_scaled_interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
@@ -502,14 +497,5 @@ def ball_scaled_interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     factor.  It equals ``interval_fofana_norm`` at the classical parameter and
     when alpha = p, and is at most it otherwise.
     """
-    return _interval_fofana(f, spec, (_ball_scaled_weight(f.grid.params, spec),))[0]
-
-
-def _interval_fofana_pair(f: GridFunction, spec: NormSpec) -> tuple:
-    """(``interval_fofana_norm``, ``ball_scaled_interval_fofana_norm``) of f,
-    equal to the two calls to the bit, from one set of interval windows."""
-    return tuple(
-        _interval_fofana(
-            f, spec, (_interval_weight(spec), _ball_scaled_weight(f.grid.params, spec))
-        )
-    )
+    stack = _IntervalProfileStack(f.grid, f.values[None, :], spec.r_grid)
+    return stack.fofana(spec, ball_scaled=True)[0]

@@ -51,11 +51,10 @@ from .norms import (
     NormSpec,
     WeakWindowWorkspace,
     _fofana_sup,
+    _IntervalProfileStack,
     _ProfileStack,
-    _interval_fofana_pair,
     amalgam_norm_r,
     default_radius_grid,
-    interval_fofana_norm,
     lp_norm,
     weak_l1_norm,
 )
@@ -464,11 +463,12 @@ def list_suites():
 
 
 def check_suite(name: str, cfg: SuiteConfig) -> None:
-    """Raise ValueError if the suite is unknown or cannot run on cfg (the
-    strong maximal theorem needs q > 1)."""
+    """Raise ValueError if the suite is unknown or cannot run on cfg (both
+    suites of the strong maximal theorem need q > 1)."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(list_suites())}")
-    if name == "theorem_maxi" and any(q <= 1.0 for q, _, _ in cfg.exponents):
+    strong = name in ("theorem_maxi", "interval_fofana_maximal")
+    if strong and any(q <= 1.0 for q, _, _ in cfg.exponents):
         raise ValueError(f"suite {name!r}: the strong maximal theorem requires q > 1")
 
 
@@ -1192,17 +1192,20 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
 _EMBEDDING_FAMILY = ("gaussian", "indicator_ball", "bump", "trig_gauss", "power_tail")
 
 
-def _interval_translation_constants(cfg: SuiteConfig, fam, rg, prof: _ProfileStack):
-    """Worst ratios over family and exponents of the interval-window norm and
-    of its ball-scaled companion to the translation-window norm, read from
-    the window profiles prof of the family stack."""
+def _interval_translation_constants(cfg: SuiteConfig, rg, prof: _ProfileStack):
+    """Worst ratios over the family and exponents of the interval-window norm
+    and of its ball-scaled companion to the translation-window norm, read
+    from the window profiles prof of the family stack and from one interval
+    profile stack of the same rows."""
+    intervals = _IntervalProfileStack(prof.grid, prof.rows, rg)
     unscaled = scaled = 0.0
     for (q, pp, alpha) in cfg.exponents:
         spec = NormSpec(q, pp, alpha, rg)
-        for (fid, f), denom in zip(fam, prof.fofana(spec)):
+        for denom, interval, ball_scaled in zip(
+            prof.fofana(spec), intervals.fofana(spec), intervals.fofana(spec, ball_scaled=True)
+        ):
             if denom == 0.0:
                 continue
-            interval, ball_scaled = _interval_fofana_pair(f, spec)
             unscaled = max(unscaled, interval / denom)
             scaled = max(scaled, ball_scaled / denom)
     return unscaled, scaled
@@ -1291,12 +1294,12 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
     # node spacing), and only the classical case, where the two window
     # measures coincide, is bounded by 1.  The ball-scaled companion
     # removes the factor and must not drift with the domain.
-    unscaled, scaled = _interval_translation_constants(cfg, fam, rg, prof)
+    unscaled, scaled = _interval_translation_constants(cfg, rg, prof)
     gh = make_grid(p, cfg.half_width / 2.0, cfg.node_count // 2)
     fam_h = _family(cfg, gh, names=_EMBEDDING_FAMILY)
     rg_h = tuple(r for r in _radius_grid(cfg, gh) if r <= gh.half_width / 2.0)
     unscaled_h, scaled_h = _interval_translation_constants(
-        cfg, fam_h, rg_h, _ProfileStack(gh, _stack(fam_h), rg_h)
+        cfg, rg_h, _ProfileStack(gh, _stack(fam_h), rg_h)
     )
     if p.classical:
         rec.bound(
@@ -1390,10 +1393,10 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
     # interval-normed counterpart: reported lower-bound constant
     g = make_grid(p, cfg.half_width, cfg.node_count)
     rg = _radius_grid(cfg, g)
-    spec = NormSpec(2.0, 8.0, 2.0, rg)
+    fam = _family(cfg, g, names=("gaussian", "bump", "trig_gauss"))
+    bases = _IntervalProfileStack(g, _stack(fam), rg).fofana(NormSpec(2.0, 8.0, 2.0, rg))
     cmax = 0.0
-    for fid, f in _family(cfg, g, names=("gaussian", "bump", "trig_gauss")):
-        base = interval_fofana_norm(f, spec)
+    for (fid, f), base in zip(fam, bases):
         if base == 0.0:
             continue
         cmax = max(cmax, lp_norm(f, 2.0) / base)
@@ -1560,23 +1563,25 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
 
 @_per_kappa
 def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
-    for (q, pp, alpha) in cfg.exponents:
-        if q <= 1.0:
-            continue
+    def family_max(g):
+        """Per exponent triple, the family maximum of the ratio, from the
+        interval profile stacks of |f| and of its interval maximal
+        function, one per q."""
+        rg = _radius_grid(cfg, g)
+        rhog = _rho_grid(cfg, g)
+        fam = _family(cfg, g)
+        base = _IntervalProfileStack(g, _stack(fam), rg)
+        maxi = _IntervalProfileStack(
+            g, np.stack([interval_maximal(f, rhog).values for _, f in fam]), rg
+        )
+        out = []
+        for (q, pp, alpha) in cfg.exponents:
+            spec = NormSpec(q, pp, alpha, rg)
+            ratios = [m / b for b, m in zip(base.fofana(spec), maxi.fofana(spec)) if b != 0.0]
+            out.append(max([0.0, *ratios]))
+        return out
 
-        def family_max(g):
-            rhog = _rho_grid(cfg, g)
-            spec = NormSpec(q, pp, alpha, _radius_grid(cfg, g))
-            fam_max = 0.0
-            for fid, f in _family(cfg, g):
-                base = interval_fofana_norm(f, spec)
-                if base == 0.0:
-                    continue
-                val = interval_fofana_norm(interval_maximal(f, rhog), spec)
-                fam_max = max(fam_max, val / base)
-            return fam_max
-
-        coarse, fine = _refined(cfg, p, family_max)
+    for (q, pp, alpha), coarse, fine in zip(cfg.exponents, *_refined(cfg, p, family_max)):
         tag = f"{rec.ktag}_q{q:g}_p{pp:g}_a{alpha:g}"
         rec.measure(
             f"interval_maximal_ratio_{tag}",

@@ -322,6 +322,8 @@ def test_report_diff_on_verify_reports(tmp_path, capsys):
         ({"DUNKL_SEED": "-1"}, ["--suite", "kernel"], "seed must be >= 0, got -1"),
         ({}, ["--suite", "theorem_maxi", "--exponents", "1,2,2"], "suite 'theorem_maxi'"),
         ({}, ["--suite", "all", "--exponents", "2,8,4;1,2,2"], "suite 'theorem_maxi'"),
+        ({}, ["--suite", "interval_fofana_maximal", "--exponents", "1,2,2"], "suite 'interval_fofana_maximal'"),
+        ({}, ["--suite", "all", "--exponents", "2,8,4;1,2,2"], "suite 'interval_fofana_maximal'"),
     ],
 )
 def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatch, capsys):

@@ -21,7 +21,8 @@ from dunkl import (
 )
 from dunkl.measure import ball_measure_origin, interval_measure
 from dunkl import norms
-from dunkl.norms import _interval_window_lq
+from dunkl._windows import LineWindowMass
+from dunkl.norms import _interval_profiles, _IntervalProfileStack
 from dunkl.translation import translate_indicator_rows
 
 INF = math.inf
@@ -86,10 +87,15 @@ def test_amalgam_linf_identity(setup):
 def test_amalgam_window_radius_validation(setup):
     p, g = setup
     f = sample_family("gaussian", [0.5], g)
-    with pytest.raises(ValueError):
-        amalgam_norm_r(f, 2.0, 4.0, 9.0)
-    with pytest.raises(ValueError):
-        amalgam_norm_r(f, 0.9, 4.0, 1.0)
+    for norm in (amalgam_norm_r, interval_amalgam_norm_r):
+        with pytest.raises(ValueError, match="window radius"):
+            norm(f, 2.0, 4.0, 9.0)
+        with pytest.raises(ValueError, match="q must lie"):
+            norm(f, 0.9, 4.0, 9.0)
+    spec = NormSpec(2.0, 8.0, 4.0, (1.0, 9.0))
+    for norm in (fofana_norm, interval_fofana_norm, ball_scaled_interval_fofana_norm):
+        with pytest.raises(ValueError, match="window radius"):
+            norm(f, spec)
 
 
 def test_norm_spec_validation():
@@ -136,8 +142,7 @@ def test_fofana_classical_indicator_against_direct_shift_windows():
     spec = NormSpec(1.0, INF, 2.0, rg)
     val = fofana_norm(f, spec)
     direct = 0.0
-    for r in rg:
-        local = _interval_window_lq(f, 1.0, r)
+    for r, local in zip(rg, _interval_profiles(g, f.values[None, :], 1.0, rg)[0]):
         direct = max(
             direct,
             ball_measure_origin(p, r) ** (0.5 - 1.0) * float(np.max(local)),
@@ -167,7 +172,7 @@ def test_interval_amalgam_window_at_origin(setup):
     p, g = setup
     one = GridFunction(g, np.ones(2048))
     # the window content at the origin center equals mu(I(0,1))
-    local = _interval_window_lq(one, 1.0, 1.0)
+    local = _interval_profiles(g, one.values[None, :], 1.0, [1.0])[0, 0]
     i0 = int(np.argmin(np.abs(g.nodes)))
     assert local[i0] == pytest.approx(0.5, abs=1e-2)
     assert interval_amalgam_norm_r(GridFunction(g, np.zeros(2048)), 1.0, INF, 1.0) == 0.0
@@ -371,49 +376,48 @@ def test_weak_workspace_keeps_windows_not_full_rows():
     assert all(a.shape[-1] <= 132 for a in arrays if a.ndim == 2)
 
 
-def test_interval_fofana_pair_matches_both_norms():
-    g = make_grid(DunklParams(0.5), 16.0, 1024)
-    for spec in _interval_specs(g, ((2.0, 8.0, 4.0), (2.0, INF, 4.0))):
-        for name, ps in _INTERVAL_FAMILY:
-            f = sample_family(name, ps, g)
-            assert norms._interval_fofana_pair(f, spec) == (
-                interval_fofana_norm(f, spec),
-                ball_scaled_interval_fofana_norm(f, spec),
-            )
-
-
-def _per_radius_interval_fofana(f, spec, center_weight):
-    """The interval Fofana loop with a fresh window mass for every radius."""
-    g = f.grid
+def _per_radius_interval_fofana(f, spec, ball_scaled):
+    """The interval Fofana loop with a fresh window mass (or, at q = inf,
+    the per-node loop) for every radius."""
+    g, x, q = f.grid, f.grid.nodes, spec.q
+    theta = norms._scale_exponent(spec)
+    e = norms._inv(spec.alpha) - norms._inv(spec.p)
     best = 0.0
     for r in spec.r_grid:
-        local = _interval_window_lq(f, spec.q, r)
-        mu_i = interval_measure(g.params, g.nodes, r)
-        best = max(best, lp_norm(GridFunction(g, center_weight(r, mu_i) * local), spec.p))
+        if q == INF:
+            local = _loop_interval_max(f, r)
+        else:
+            mass = LineWindowMass.line(g, np.abs(f.values) ** q)
+            local = mass.window(x - r, x + r) ** (1.0 / q)
+        mu_i = interval_measure(g.params, x, r)
+        w = mu_i**theta
+        if ball_scaled:
+            w = w * (ball_measure_origin(g.params, r) / mu_i) ** e
+        best = max(best, lp_norm(GridFunction(g, w * local), spec.p))
     return best
 
 
 def test_interval_fofana_builds_one_window_mass_per_function(monkeypatch):
-    # the window mass of |f|^q is built once for all radii, with the bits of
-    # one build per radius
+    # the interval stack builds the window mass of |f|^q once per function
+    # and q for all radii and both center weights, with the bits of one
+    # build per radius
     g = make_grid(DunklParams(0.5), 16.0, 1024)
+    fam = [sample_family(name, ps, g) for name, ps in _INTERVAL_FAMILY]
     builds = []
-    init = norms.LineWindowMass.__init__
+    init = LineWindowMass.__init__
 
     def counted(self, *args):
         builds.append(1)
         init(self, *args)
 
     for spec in _interval_specs(g, ((1.0, 2.0, 1.0), (2.0, 8.0, 4.0), (INF, INF, INF))):
-        weights = (norms._interval_weight(spec), norms._ball_scaled_weight(g.params, spec))
-        for name, ps in _INTERVAL_FAMILY:
-            f = sample_family(name, ps, g)
-            want = tuple(_per_radius_interval_fofana(f, spec, w) for w in weights)
-            monkeypatch.setattr(norms.LineWindowMass, "__init__", counted)
-            builds.clear()
-            assert norms._interval_fofana_pair(f, spec) == want
-            assert len(builds) == (0 if spec.q == INF else 1)
-            monkeypatch.setattr(norms.LineWindowMass, "__init__", init)
+        want = [[_per_radius_interval_fofana(f, spec, scaled) for f in fam] for scaled in (False, True)]
+        stack = _IntervalProfileStack(g, np.stack([f.values for f in fam]), spec.r_grid)
+        monkeypatch.setattr(LineWindowMass, "__init__", counted)
+        builds.clear()
+        assert [stack.fofana(spec), stack.fofana(spec, ball_scaled=True)] == want
+        assert len(builds) == (0 if spec.q == INF else len(fam))
+        monkeypatch.setattr(LineWindowMass, "__init__", init)
 
 
 def _loop_range_max(vals, lo, hi):
@@ -450,9 +454,11 @@ def test_range_max_matches_per_node_loops(kappa, n):
     g = make_grid(DunklParams(kappa, classical=(kappa == -0.5)), 16.0, n)
     f = sample_family("trig_gauss", [1.0], g)
     radii = default_radius_grid(g) + default_radius_grid(g, ratio=2.0) + (1.0, 8.0, 100.0)
-    for r in radii:
-        assert np.array_equal(norms._annulus_sliding_max(f, r), _loop_annulus_max(f, r))
-        assert np.array_equal(_interval_window_lq(f, INF, r), _loop_interval_max(f, r))
+    balls = norms._amalgam_profiles(g, f.values[None, :], INF, radii)[0]
+    intervals = _interval_profiles(g, f.values[None, :], INF, radii)[0]
+    for r, u, v in zip(radii, balls, intervals):
+        assert np.array_equal(u, _loop_annulus_max(f, r))
+        assert np.array_equal(v, _loop_interval_max(f, r))
 
 
 def test_range_max_arbitrary_and_empty_windows():

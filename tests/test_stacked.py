@@ -1,6 +1,6 @@
-"""The stacked spectral path: ball convolutions, window profiles, amalgam
-and Fofana norms and Dunkl maximal functions of whole stacks of functions on
-one grid, and their one-function wrappers."""
+"""The stacked paths: ball convolutions, window profiles, amalgam and
+Fofana norms and Dunkl maximal functions of whole stacks of functions on one
+grid, the interval profile stack, and their one-function wrappers."""
 
 import math
 
@@ -12,9 +12,12 @@ from dunkl import (
     GridFunction,
     NormSpec,
     amalgam_norm_r,
+    ball_scaled_interval_fofana_norm,
     default_radius_grid,
     dunkl_maximal,
     fofana_norm,
+    interval_amalgam_norm_r,
+    interval_fofana_norm,
     lp_norm,
     make_grid,
     sample_family,
@@ -22,7 +25,7 @@ from dunkl import (
 from dunkl import transform, translation
 from dunkl.maximal import _dunkl_maximal_stack
 from dunkl.measure import ball_measure_origin
-from dunkl.norms import _ProfileStack
+from dunkl.norms import _IntervalProfileStack, _ProfileStack
 from dunkl.transform import band_grid, forward_pair, inverse_pair
 from dunkl.translation import _ball_convolution_stack, ball_convolutions, ball_multiplier
 
@@ -137,3 +140,20 @@ def test_stack_checks_its_input_before_any_transform(monkeypatch):
     for stack, rr, msg in bad:
         with pytest.raises(ValueError, match=msg):
             _ball_convolution_stack(g, stack, rr)
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+def test_interval_stack_rows_equal_one_function_norms(kappa, classical):
+    # every row of the interval stack is the one-function norm to the bit,
+    # for both center weights and across the exponents that take separate
+    # routes (q = 1, finite q, q = inf; finite p, p = inf)
+    g, fam, radii = _setup(kappa, classical)
+    stack = _IntervalProfileStack(g, np.stack([f.values for f in fam]), radii)
+    for q, pp, alpha in ((1.0, 2.0, 1.0), (1.0, INF, 2.0), (2.0, 8.0, 4.0), (2.0, INF, 4.0), (INF, INF, INF)):
+        spec = NormSpec(q, pp, alpha, radii)
+        assert stack.fofana(spec) == [interval_fofana_norm(f, spec) for f in fam]
+        assert stack.fofana(spec, ball_scaled=True) == [
+            ball_scaled_interval_fofana_norm(f, spec) for f in fam
+        ]
+        r = radii[3]
+        assert stack.amalgam(q, pp, r) == [interval_amalgam_norm_r(f, q, pp, r) for f in fam]

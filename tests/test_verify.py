@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dunkl import SuiteConfig, list_suites, run_suite
+from dunkl import SuiteConfig, list_suites, run_suite, verify
 from dunkl.verify import _YOUNG_TRIPLES, DEFAULT_KAPPAS, _Recorder, canonical_json, check_suite
 
 SMALL = dict(node_count=256, half_width=8.0)
@@ -90,9 +90,28 @@ def test_suite_requirements_name_the_suite():
         check_suite("theorem_maxi", cfg)
     with pytest.raises(ValueError, match="suite 'theorem_maxi'.*q > 1"):
         run_suite("theorem_maxi", cfg)
-    check_suite("interval_fofana_maximal", cfg)  # skips q = 1 triples
+    with pytest.raises(ValueError, match="suite 'interval_fofana_maximal'.*q > 1"):
+        check_suite("interval_fofana_maximal", cfg)
     with pytest.raises(ValueError, match="unknown suite"):
         check_suite("nosuch", cfg)
+
+
+def test_interval_fofana_maximal_takes_each_maximal_function_once(monkeypatch):
+    # per kappa: one interval maximal function per family member and grid,
+    # shared by every exponent triple, then the indicator-decay case (three
+    # indicators on two grids) and the translated-window case (two functions)
+    calls = []
+    interval_maximal = verify.interval_maximal
+
+    def counted(f, rho_grid):
+        calls.append(f.grid.node_count)
+        return interval_maximal(f, rho_grid)
+
+    monkeypatch.setattr(verify, "interval_maximal", counted)
+    cfg = SuiteConfig(**SMALL)
+    run_suite("interval_fofana_maximal", cfg)
+    assert len(cfg.exponents) == 3
+    assert len(calls) == len(cfg.kappa_list) * (2 * len(cfg.family) + 3 * 2 + 2)
 
 
 def test_young_triples_satisfy_the_scaling_relation():
