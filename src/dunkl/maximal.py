@@ -10,7 +10,8 @@ Three variants, pointwise equivalent on the weighted line:
     exact on the grid via prefix sums in the |x| coordinate;
   * interval_maximal: direct averages over metric intervals I(x, rho), exact
     via prefix sums in x: the q = 1 interval profiles of
-    `norms._interval_profiles`, one window mass serving every radius.
+    `norms._interval_profiles`, one window mass serving every radius, divided
+    by the interval measures of the same window geometry.
 
 All three take the supremum over a finite radius grid.  Windows reaching past
 the sampled domain [-L, L] are averaged over their clipped part while the
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._windows import LineWindowMass
+from ._windows import IntervalWindows, LineWindowMass
 from .grid import Grid, GridFunction
-from .measure import _check_radius, ball_measure, ball_measure_origin, interval_measure
+from .measure import _check_radius, ball_measure, ball_measure_origin
 from .norms import _interval_profiles
 from .translation import _ball_convolution_stack
 
@@ -81,7 +82,8 @@ def interval_maximal(f: GridFunction, rho_grid) -> GridFunction:
     """sup over rho of the average of |f| over the interval I(x, rho)."""
     rhos = _check_radii(rho_grid)
     grid = f.grid
+    windows = IntervalWindows(grid)
     best = np.zeros(grid.node_count)
-    for rho, mass in zip(rhos, _interval_profiles(grid, f.values[None, :], 1.0, rhos)[0]):
-        np.maximum(best, mass / interval_measure(grid.params, grid.nodes, rho), out=best)
+    for rho, mass in zip(rhos, _interval_profiles(windows, f.values[None, :], 1.0, rhos)[0]):
+        np.maximum(best, mass / windows.measure(rho), out=best)
     return GridFunction(grid, best)

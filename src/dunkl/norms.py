@@ -13,8 +13,10 @@ maximum over the annular ball B(y, r) in the |x| coordinate.  Interval
 variants window with I(y, r) = (y-r, y+r) and need no translation:
 `_interval_profiles` takes window integrals from prefix sums, one window
 mass per function serving every radius, and `_IntervalProfileStack` reads
-the interval norms from them.  Every public windowed norm is the one-row
-case of its stack.
+the interval norms from them.  The window ends and measures come from one
+`_windows.IntervalWindows` per stack, so a function costs gathers, not a
+search and an antiderivative per window.  Every public windowed norm is the
+one-row case of its stack.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._windows import LineWindowMass
+from ._windows import IntervalWindows
 from .grid import Grid, GridFunction
-from .measure import ball_measure_origin, interval_measure
-from .translation import _INDICATOR_BAND, _ball_convolution_stack, translate_indicator_rows
+from .measure import ball_measure_origin
+from .translation import _INDICATOR_BAND, _ball_convolution_stack, _indicator_row_chunks
 
 __all__ = [
     "NormSpec",
@@ -267,22 +269,16 @@ def _weak_rows(rows: np.ndarray, fvals: np.ndarray, weights: np.ndarray) -> np.n
     return np.max(gs * cw, axis=1)
 
 
-def _support_windows(
-    rows: np.ndarray,
-    weights: np.ndarray,
-    nodes: np.ndarray,
-    ys: np.ndarray,
-    r: float,
-) -> tuple:
-    """Column windows of rows supported on the annulus
-    {max(0,|y|-r) < |x| < |y|+r}: the two intervals (-hi,-lo) and (lo,hi),
-    each widened by one node and cut to the grid.
+def _support_columns(nodes: np.ndarray, ys: np.ndarray, r: float) -> tuple:
+    """Column windows of rows supported on the annuli
+    {max(0,|y|-r) < |x| < |y|+r} of the centers ys: the two intervals
+    (-hi,-lo) and (lo,hi), each widened by one node and cut to the grid.
 
     Returns the column indices of the negative then the positive window,
-    padded to a common width, and the rows and the weights gathered on them,
-    both zero on the padding.  Every column appears at most once: where the
-    widened windows meet (lo below half a cell, e.g. |y| < r), the positive
-    one starts where the negative one ends.
+    padded to a common width, and the mask of the padding.  Every column
+    appears at most once: where the widened windows meet (lo below half a
+    cell, e.g. |y| < r), the positive one starts where the negative one
+    ends.
     """
     n = nodes.size
     lo = np.maximum(0.0, np.abs(ys) - r)
@@ -297,17 +293,15 @@ def _support_windows(
         [np.clip(a[:, None] + offs, 0, n - 1), np.clip(c[:, None] + offs, 0, n - 1)], axis=1
     )
     pad = ~np.concatenate([offs < (b - a)[:, None], offs < (d - c)[:, None]], axis=1)
-    wrows = np.take_along_axis(rows, idx, axis=1)
-    wrows[pad] = 0.0
-    wweights = weights[idx]
-    wweights[pad] = 0.0
-    return idx, wrows, wweights
+    return idx, pad
 
 
 def _weak_window_rows(
     absf: np.ndarray, idx: np.ndarray, wrows: np.ndarray, wweights: np.ndarray
 ) -> np.ndarray:
-    """Weak-L1 norms of |f| times each window row of ``_support_windows``.
+    """Weak-L1 norms of |f| times each window row of a workspace, given by
+    its columns idx, its values wrows and its weights wweights (the last two
+    zero on the padding of ``_support_columns``).
 
     Rows are independent, so they are processed in chunks: the sort and
     gather temporaries then stay small enough for the allocator to reuse,
@@ -336,14 +330,18 @@ class WeakWindowWorkspace:
     radius grid keeps well above the node spacing, so decimation is a
     controlled discretization of the outer norm.
 
-    For each radius the rows tau_{-y} chi_{B_r} of the positive centers y cost
-    one dense product.  Each row is supported on the annulus
-    {max(0,|y|-r) < |x| < |y|+r}, so the workspace keeps only its two support
-    windows (see ``_support_windows``): their column indices, the row values
-    and the weights on them.  The full rows are dropped.  tau_{+y} chi is the
-    reflection of tau_{-y} chi, so the centers -y reuse the same windows
-    against the reflected samples of |f|; when |f| is mirror-symmetric those
-    are the same array, and its statistics are reused exactly.
+    The rows tau_{-y} chi_{B_r} of the positive centers y are made in one
+    pass over chunks of centers (``translation._indicator_row_chunks``): the
+    multiplier rows of a chunk are evaluated once for every radius, and each
+    radius costs one dense product per chunk.  Each row is supported on the
+    annulus {max(0,|y|-r) < |x| < |y|+r}, so the workspace keeps only its two
+    support windows (see ``_support_columns``), laid out from (y, r) before
+    any row is made: their column indices, the row values and the weights on
+    them.  Each chunk is gathered into them and dropped, so no full block of
+    rows is ever held.  tau_{+y} chi is the reflection of tau_{-y} chi, so
+    the centers -y reuse the same windows against the reflected samples of
+    |f|; when |f| is mirror-symmetric those are the same array, and its
+    statistics are reused exactly.
     """
 
     def __init__(self, grid: Grid, r_grid, y_stride: int | None = None):
@@ -363,16 +361,19 @@ class WeakWindowWorkspace:
         self.ypos = grid.nodes[pos_idx]
         self.wdec = grid.weights[pos_idx] * y_stride
         self.radii = tuple(_check_window_radius(grid, r) for r in r_grid)
-        self.windows = {
-            r: _support_windows(
-                translate_indicator_rows(grid.params, -self.ypos, r, grid),
-                grid.weights,
-                grid.nodes,
-                self.ypos,
-                r,
-            )
-            for r in self.radii
-        }
+        columns = {r: _support_columns(grid.nodes, self.ypos, r) for r in self.radii}
+        wrows = {r: np.empty(idx.shape) for r, (idx, _) in columns.items()}
+        for s, r, rows in _indicator_row_chunks(grid.params, -self.ypos, list(columns), grid):
+            idx, pad = columns[r]
+            wrows[r][s] = np.take_along_axis(rows, idx[s], axis=1)
+            wrows[r][s][pad[s]] = 0.0
+        # the weights come last: made before the chunks, they would sit under
+        # the chunk temporaries and raise the peak RSS
+        self.windows = {}
+        for r, (idx, pad) in columns.items():
+            wweights = grid.weights[idx]
+            wweights[pad] = 0.0
+            self.windows[r] = (idx, wrows[r], wweights)
 
     def _statistics(self, absf: np.ndarray) -> list:
         """Per radius, the weak statistics (w_pos, w_neg) of |f| at the
@@ -427,31 +428,33 @@ def weak_fofana_norm(
     return WeakWindowWorkspace(f.grid, r_grid, y_stride).weak_fofana(f, [(p, alpha)])[0]
 
 
-def _interval_profiles(grid: Grid, rows, q: float, radii) -> np.ndarray:
+def _interval_profiles(windows: IntervalWindows, rows, q: float, radii) -> np.ndarray:
     """Interval-window profiles ||f chi_{I(y,r)}||_q of every function of a
-    stack rows (F, N) on grid at every node center y, for each radius: shape
-    (F, R, N).  For finite q one window mass of |f|^q per function serves
-    every radius; for q = inf they are sliding maxima over the windows."""
-    x = grid.nodes
+    stack rows (F, N) on the grid of windows at every node center y, for each
+    radius: shape (F, R, N).  For finite q the window masses of |f|^q are
+    gathers over the geometry of windows, one per function and radius; for
+    q = inf they are sliding maxima over the windows."""
+    x = windows.grid.nodes
     a = np.abs(np.asarray(rows))
     if q == INF:
         lo = [np.searchsorted(x, x - r, side="right") for r in radii]
         hi = [np.searchsorted(x, x + r, side="left") for r in radii]
         return np.array([[_range_max(v, *ends) for ends in zip(lo, hi)] for v in a])
-    out = []
-    for v in a:
-        mass = LineWindowMass.line(grid, v**q)
-        out.append([mass.window(x - r, x + r) ** (1.0 / q) for r in radii])
-    return np.array(out)
+    return np.array([[m ** (1.0 / q) for m in windows.masses(v**q, radii)] for v in a])
 
 
 class _IntervalProfileStack(_ProfileStack):
     """A profile stack windowed by the metric intervals I(y, r): its
     amalgam norms are ``interval_amalgam_norm_r`` and its Fofana norms
-    ``interval_fofana_norm`` of every function of the stack."""
+    ``interval_fofana_norm`` of every function of the stack.  One window
+    geometry serves the profiles of every q and the center weights."""
+
+    def __init__(self, grid: Grid, rows, radii):
+        super().__init__(grid, rows, radii)
+        self.windows = IntervalWindows(grid)
 
     def _profiles(self, q: float, radii) -> np.ndarray:
-        return _interval_profiles(self.grid, self.rows, q, radii)
+        return _interval_profiles(self.windows, self.rows, q, radii)
 
     def fofana(self, spec: NormSpec, ball_scaled: bool = False) -> list:
         """sup over spec.r_grid of ||w_r u_r||_p for the interval profiles
@@ -462,7 +465,7 @@ class _IntervalProfileStack(_ProfileStack):
         e = _inv(spec.alpha) - _inv(spec.p)
         weights = []
         for r in spec.r_grid:
-            mu_i = interval_measure(grid.params, grid.nodes, r)
+            mu_i = self.windows.measure(r)
             w = mu_i**theta
             if ball_scaled:
                 w = w * (ball_measure_origin(grid.params, r) / mu_i) ** e

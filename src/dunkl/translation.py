@@ -6,8 +6,14 @@ Translating one real f by many offsets takes one forward transform of f and
 one multiplier row per offset, inverted as stacked rows (a matrix product per
 row chunk, not a matrix-vector product per offset); `translate` is that path
 with a single offset.  Translated indicators (a row per offset) and ball
-convolutions (a row per radius) invert the same way, through the one chunked
-`transform.inverse_rows`, so no temporary outgrows a kernel-block chunk.
+convolutions (a row per radius) invert the same way, in the chunks of
+`transform.row_chunks`, so no temporary outgrows a kernel-block chunk.
+Translated indicators come from one chunk generator,
+`_indicator_row_chunks`: per chunk of offsets the multiplier rows E(i l y)
+are evaluated once and serve every radius, each radius taking one inverse
+of the chunk.  `translate_indicator_rows` is its one-radius case, and the
+weak-window workspace of `norms` gathers its windows from the chunks as they
+come, without holding a full block of rows.
 Ball convolutions take whole stacks of functions on one grid: one forward
 matrix product for the stack, the ball multipliers built once, and one
 chunked inverse over every (function, radius) row; `ball_convolutions` is
@@ -32,7 +38,15 @@ from .grid import Grid, GridFunction
 from .measure import _check_radius, ball_measure_origin
 from .params import DunklParams
 from .special import bessel_normalized
-from .transform import band_grid, forward_pair, inverse_pair, inverse_rows, multiplier_pair, pair_multiply
+from .transform import (
+    band_grid,
+    forward_pair,
+    inverse_pair,
+    inverse_rows,
+    multiplier_pair,
+    pair_multiply,
+    row_chunks,
+)
 
 __all__ = ["translate", "translate_rows", "translate_indicator", "convolve"]
 
@@ -118,20 +132,37 @@ def translate_indicator(params: DunklParams, y: float, r: float, grid: Grid) -> 
 
 
 def translate_indicator_rows(params: DunklParams, ys, r: float, grid: Grid) -> np.ndarray:
-    """Stacked translated ball indicators, one row per offset in ys."""
+    """Stacked translated ball indicators, one row per offset in ys: the
+    one-radius case of `_indicator_row_chunks`."""
     r = _check_radius(r)
-    lg = band_grid(grid, _INDICATOR_BAND)
-    m = ball_multiplier(params, lg, r)
     ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
-    raw = inverse_rows(
-        params, lg, grid, ya.size, lambda s: [m * c for c in multiplier_pair(params, lg, ya[s])]
-    )
-    np.clip(raw, 0.0, 1.0, out=raw)
+    out = np.empty((ya.size, grid.node_count))
+    for s, _, rows in _indicator_row_chunks(params, ya, [r], grid):
+        out[s] = rows
+    return out
+
+
+def _indicator_row_chunks(params: DunklParams, ya: np.ndarray, radii, grid: Grid):
+    """Translated ball indicators tau_y chi_{B_r} of the checked offsets ya
+    for every radius, one chunk of offsets at a time: yields (s, r, rows),
+    the rows of the offsets ya[s] at radius r, clamped to [0, 1] and zeroed
+    outside their support annuli {max(0, |y|-r) < |x| < |y|+r}.
+
+    The multiplier rows of a chunk are evaluated once and serve every radius,
+    times that radius's ball multiplier; each radius then takes one inverse
+    of the chunk.  The chunks are those of `row_chunks`, so every matrix
+    product has the shape of a chunk of `inverse_rows`."""
+    lg = band_grid(grid, _INDICATOR_BAND)
+    mults = [(r, ball_multiplier(params, lg, r)) for r in radii]
     absx = np.abs(grid.nodes)
-    lo = np.maximum(0.0, np.abs(ya) - r)[:, None]
-    hi = (np.abs(ya) + r)[:, None]
-    raw[(absx <= lo) | (absx >= hi)] = 0.0
-    return raw
+    for s in row_chunks(ya.size, grid):
+        ea, eb = multiplier_pair(params, lg, ya[s])
+        ay = np.abs(ya[s])[:, None]
+        for r, m in mults:
+            rows = inverse_pair(params, lg, grid, m * ea, m * eb)
+            np.clip(rows, 0.0, 1.0, out=rows)
+            rows[(absx <= np.maximum(0.0, ay - r)) | (absx >= ay + r)] = 0.0
+            yield s, r, rows
 
 
 def _ball_convolution_stack(grid: Grid, rows, radii) -> np.ndarray:

@@ -462,14 +462,23 @@ def list_suites():
     return list(_SUITES)
 
 
+# Suites with the fixed window radius r = 1, which must lie in (0, L/2].
+_UNIT_WINDOW_SUITES = ("holder", "linfty_identity", "embeddings")
+
+
 def check_suite(name: str, cfg: SuiteConfig) -> None:
     """Raise ValueError if the suite is unknown or cannot run on cfg (both
-    suites of the strong maximal theorem need q > 1)."""
+    suites of the strong maximal theorem need q > 1, and the suites with
+    the window radius r = 1 need L >= 2)."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(list_suites())}")
     strong = name in ("theorem_maxi", "interval_fofana_maximal")
     if strong and any(q <= 1.0 for q, _, _ in cfg.exponents):
         raise ValueError(f"suite {name!r}: the strong maximal theorem requires q > 1")
+    if name in _UNIT_WINDOW_SUITES and cfg.half_width < 2.0:
+        raise ValueError(
+            f"suite {name!r}: the window radius r = 1 requires L >= 2, got L = {cfg.half_width:g}"
+        )
 
 
 def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationReport:

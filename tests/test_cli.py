@@ -337,3 +337,21 @@ def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatc
     assert message in captured.err
     assert captured.out == ""
     assert not report.exists()
+
+
+@pytest.mark.parametrize("suite", ["holder", "linfty_identity", "embeddings", "all"])
+def test_verify_unit_window_suites_need_half_width_2(suite, tmp_path, capsys):
+    # the window radius r = 1 of these suites lies in (0, L/2] only for
+    # L >= 2: a smaller domain is a usage error naming the suite, not a
+    # traceback from inside it
+    report = tmp_path / "r.json"
+    argv = ["verify", "--suite", suite, "--domain-l", "1.5", "--grid-n", "256", "--kappa", "0"]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--report", str(report)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    named = ("holder", "linfty_identity", "embeddings") if suite == "all" else (suite,)
+    for name in named:
+        assert f"suite {name!r}: the window radius r = 1 requires L >= 2, got L = 1.5" in captured.err
+    assert captured.out == ""
+    assert not report.exists()

@@ -21,11 +21,52 @@ from dunkl import (
 )
 from dunkl.measure import ball_measure_origin, interval_measure
 from dunkl import norms
-from dunkl._windows import LineWindowMass
+from dunkl._windows import IntervalWindows, LineWindowMass
 from dunkl.norms import _interval_profiles, _IntervalProfileStack
-from dunkl.translation import translate_indicator_rows
+from dunkl import translation
+from dunkl.transform import band_grid, inverse_rows, multiplier_pair
+from dunkl.translation import _INDICATOR_BAND, ball_multiplier, translate_indicator_rows
 
 INF = math.inf
+
+
+def _support_windows(rows, weights, nodes, ys, r):
+    """Column windows of dense rows supported on the annuli
+    {max(0,|y|-r) < |x| < |y|+r}: the two intervals (-hi,-lo) and (lo,hi),
+    each widened by one node and cut to the grid.  Returns the column
+    indices of the negative then the positive window, padded to a common
+    width, and the rows and the weights gathered on them, both zero on the
+    padding: the windows the workspace gathers chunk by chunk."""
+    n = nodes.size
+    lo = np.maximum(0.0, np.abs(ys) - r)
+    hi = np.abs(ys) + r
+    a = np.maximum(np.searchsorted(nodes, -hi, side="right") - 1, 0)
+    b = np.searchsorted(nodes, -lo, side="left") + 1
+    c = np.maximum(np.searchsorted(nodes, lo, side="right") - 1, b)
+    d = np.minimum(np.searchsorted(nodes, hi, side="left") + 1, n)
+    width = int(max(np.max(b - a), np.max(d - c), 1))
+    offs = np.arange(width)
+    idx = np.concatenate(
+        [np.clip(a[:, None] + offs, 0, n - 1), np.clip(c[:, None] + offs, 0, n - 1)], axis=1
+    )
+    pad = ~np.concatenate([offs < (b - a)[:, None], offs < (d - c)[:, None]], axis=1)
+    wrows = np.take_along_axis(rows, idx, axis=1)
+    wrows[pad] = 0.0
+    wweights = weights[idx]
+    wweights[pad] = 0.0
+    return idx, wrows, wweights
+
+
+def _whole_block_indicator_rows(p, ys, r, g):
+    """Translated indicators as one chunked inverse of the whole stack,
+    clamped and masked over the full block afterwards."""
+    lg = band_grid(g, _INDICATOR_BAND)
+    m = ball_multiplier(p, lg, r)
+    raw = inverse_rows(p, lg, g, ys.size, lambda s: [m * c for c in multiplier_pair(p, lg, ys[s])])
+    np.clip(raw, 0.0, 1.0, out=raw)
+    absx = np.abs(g.nodes)
+    raw[(absx <= np.maximum(0.0, np.abs(ys) - r)[:, None]) | (absx >= (np.abs(ys) + r)[:, None])] = 0.0
+    return raw
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +183,7 @@ def test_fofana_classical_indicator_against_direct_shift_windows():
     spec = NormSpec(1.0, INF, 2.0, rg)
     val = fofana_norm(f, spec)
     direct = 0.0
-    for r, local in zip(rg, _interval_profiles(g, f.values[None, :], 1.0, rg)[0]):
+    for r, local in zip(rg, _interval_profiles(IntervalWindows(g), f.values[None, :], 1.0, rg)[0]):
         direct = max(
             direct,
             ball_measure_origin(p, r) ** (0.5 - 1.0) * float(np.max(local)),
@@ -172,7 +213,7 @@ def test_interval_amalgam_window_at_origin(setup):
     p, g = setup
     one = GridFunction(g, np.ones(2048))
     # the window content at the origin center equals mu(I(0,1))
-    local = _interval_profiles(g, one.values[None, :], 1.0, [1.0])[0, 0]
+    local = _interval_profiles(IntervalWindows(g), one.values[None, :], 1.0, [1.0])[0, 0]
     i0 = int(np.argmin(np.abs(g.nodes)))
     assert local[i0] == pytest.approx(0.5, abs=1e-2)
     assert interval_amalgam_norm_r(GridFunction(g, np.zeros(2048)), 1.0, INF, 1.0) == 0.0
@@ -285,7 +326,7 @@ def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
         assert ys.size > 2 * norms._WEAK_CHUNK_ROWS
         assert np.any(ys < r)
         rows = translate_indicator_rows(p, -ys, r, g)
-        windows = norms._support_windows(rows, g.weights, g.nodes, ys, r)
+        windows = _support_windows(rows, g.weights, g.nodes, ys, r)
         absf = np.abs(f.values)
         got = norms._weak_window_rows(absf, *windows)
         with monkeypatch.context() as m:
@@ -304,7 +345,7 @@ def test_support_windows_take_each_column_once(r):
     ys = g.nodes[g.node_count // 2 :: 5]
     assert np.any(ys < r) and np.any(ys + r > g.half_width)
     rows = translate_indicator_rows(p, -ys, r, g)
-    idx, wrows, wweights = norms._support_windows(rows, g.weights, g.nodes, ys, r)
+    idx, wrows, wweights = _support_windows(rows, g.weights, g.nodes, ys, r)
     for i in range(ys.size):
         cols = idx[i][wweights[i] > 0.0]
         assert np.all(np.diff(cols) > 0)
@@ -329,6 +370,40 @@ def test_weak_workspace_statistics_match_dense_rows(name, ps):
         np.testing.assert_array_equal(w_pos, norms._weak_rows(rows, f.values, g.weights))
         np.testing.assert_array_equal(w_neg, norms._weak_rows(rows, f.values[::-1], g.weights))
         assert (w_neg is w_pos) == symmetric
+
+
+@pytest.mark.parametrize("n, stride", [(512, None), (2048, 3)])
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5, 1.5, 0.3])
+def test_weak_workspace_windows_equal_dense_row_windows(kappa, n, stride):
+    # the windows gathered chunk by chunk, every radius sharing the chunk's
+    # multipliers, are the windows of the dense rows, and those rows are the
+    # rows of one chunked inverse of the whole stack, to the bit; N = 512
+    # takes its 256 centers in one chunk, and stride 3 at N = 2048 gives
+    # 341 centers, two chunks of 128 and a short one
+    p = DunklParams(kappa, classical=(kappa == -0.5))
+    g = make_grid(p, 8.0, n)
+    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0), stride)
+    assert ws.ypos.size == (256 if stride is None else 341)
+    for r in ws.radii:
+        rows = translate_indicator_rows(p, -ws.ypos, r, g)
+        np.testing.assert_array_equal(rows, _whole_block_indicator_rows(p, -ws.ypos, r, g))
+        for got, want in zip(ws.windows[r], _support_windows(rows, g.weights, g.nodes, ws.ypos, r)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_weak_workspace_evaluates_multipliers_once_per_center_chunk(monkeypatch):
+    # one multiplier evaluation per chunk of centers serves every radius
+    calls = []
+
+    def counted(params, lg, ys):
+        calls.append(len(ys))
+        return multiplier_pair(params, lg, ys)
+
+    monkeypatch.setattr(translation, "multiplier_pair", counted)
+    g = make_grid(DunklParams(0.5), 8.0, 2048)
+    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0), y_stride=3)
+    assert len(ws.radii) > 1
+    assert calls == [128, 128, 85]
 
 
 def _dense_weak_fofana(ws, f, pp, alpha):
@@ -455,7 +530,7 @@ def test_range_max_matches_per_node_loops(kappa, n):
     f = sample_family("trig_gauss", [1.0], g)
     radii = default_radius_grid(g) + default_radius_grid(g, ratio=2.0) + (1.0, 8.0, 100.0)
     balls = norms._amalgam_profiles(g, f.values[None, :], INF, radii)[0]
-    intervals = _interval_profiles(g, f.values[None, :], INF, radii)[0]
+    intervals = _interval_profiles(IntervalWindows(g), f.values[None, :], INF, radii)[0]
     for r, u, v in zip(radii, balls, intervals):
         assert np.array_equal(u, _loop_annulus_max(f, r))
         assert np.array_equal(v, _loop_interval_max(f, r))

@@ -22,9 +22,10 @@ from dunkl import (
     make_grid,
     sample_family,
 )
-from dunkl import transform, translation
-from dunkl.maximal import _dunkl_maximal_stack
-from dunkl.measure import ball_measure_origin
+from dunkl import _windows, transform, translation
+from dunkl._windows import LineWindowMass
+from dunkl.maximal import _dunkl_maximal_stack, interval_maximal
+from dunkl.measure import ball_measure_origin, interval_measure
 from dunkl.norms import _IntervalProfileStack, _ProfileStack
 from dunkl.transform import band_grid, forward_pair, inverse_pair
 from dunkl.translation import _ball_convolution_stack, ball_convolutions, ball_multiplier
@@ -157,3 +158,42 @@ def test_interval_stack_rows_equal_one_function_norms(kappa, classical):
         ]
         r = radii[3]
         assert stack.amalgam(q, pp, r) == [interval_amalgam_norm_r(f, q, pp, r) for f in fam]
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, monkeypatch):
+    # one window geometry per radius serves the whole stack at every finite
+    # q and its center weights, with the bits of a fresh window mass per
+    # function and radius and of interval_measure; the windows of the edge
+    # nodes cross -L and L, and rho = 2L crosses both
+    g, fam, radii = _setup(kappa, classical)
+    x = g.nodes
+    assert x[-1] + radii[0] > g.half_width
+    ends = []
+    window_end = _windows._window_end
+
+    def counted(*args):
+        ends.append(1)
+        return window_end(*args)
+
+    monkeypatch.setattr(_windows, "_window_end", counted)
+    stack = _IntervalProfileStack(g, np.stack([f.values for f in fam]), radii)
+    profiles = {q: stack.at(q, radii) for q in (1.0, 1.5, 2.0)}
+    stack.fofana(NormSpec(2.0, 8.0, 4.0, radii), ball_scaled=True)
+    assert len(ends) == 2 * len(radii)
+    monkeypatch.undo()
+    for q, stacked in profiles.items():
+        for f, got in zip(fam, stacked):
+            mass = LineWindowMass.line(g, np.abs(f.values) ** q)
+            for r, u in zip(radii, got):
+                np.testing.assert_array_equal(u, mass.window(x - r, x + r) ** (1.0 / q))
+    for r in radii:
+        np.testing.assert_array_equal(stack.windows.measure(r), interval_measure(g.params, x, r))
+    rhos = (*radii, 2.0 * g.half_width)
+    for f in fam:
+        mass = LineWindowMass.line(g, np.abs(f.values))
+        best = np.zeros(g.node_count)
+        for rho in rhos:
+            avg = mass.window(x - rho, x + rho) / interval_measure(g.params, x, rho)
+            np.maximum(best, avg, out=best)
+        np.testing.assert_array_equal(interval_maximal(f, rhos).values, best)
