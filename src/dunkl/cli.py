@@ -9,8 +9,8 @@ environment values, which win over the built-in defaults.
 exits 1 on a verdict flip or a case id missing from NEW.
 
 Exit codes: 0 success (and zero failed suite cases), 1 suite failures,
-2 usage errors (including flag and environment values that do not parse),
-3 I/O or data-format errors.
+2 usage errors (including flag and environment values that do not parse or
+are out of range), 3 I/O or data-format errors.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from ._version import VERSION
 from .grid import (
     CsvFormatError,
     GridFunction,
+    _check_half_width,
+    _check_node_count,
     make_grid,
     read_csv_function,
     sample_family,
@@ -42,9 +44,8 @@ from .norms import (
     weak_fofana_norm,
     weak_l1_norm,
 )
-from .params import DunklParams
 from .report import ReportFormatError, diff_reports, load_cases
-from .verify import SuiteConfig, canonical_json, check_suite, list_suites, run_suite
+from .verify import SuiteConfig, _params_for, canonical_json, check_suite, list_suites, run_suite
 
 USAGE_EXIT = 2
 IO_EXIT = 3
@@ -117,10 +118,11 @@ def _add_grid_flags(sp, kappa_default=0.5):
 
 
 def _resolve_grid(args, kappa_default=0.5, n_default=2048, l_default=16.0):
-    kappa = _resolve(args.kappa, "--kappa", kappa_default, float)
-    n = _resolve(args.grid_n, "--grid-n", n_default, int)
-    half = _resolve(args.domain_l, "--domain-l", l_default, float)
-    params = DunklParams(kappa, classical=(kappa == -0.5))
+    """The parameters and grid of the grid flags; a value out of range is a
+    usage error naming the flag or variable it came from."""
+    params = _resolve(args.kappa, "--kappa", _params_for(kappa_default), lambda raw: _params_for(float(raw)))
+    n = _resolve(args.grid_n, "--grid-n", n_default, lambda raw: _check_node_count(int(raw)))
+    half = _resolve(args.domain_l, "--domain-l", l_default, lambda raw: _check_half_width(float(raw)))
     return params, make_grid(params, half, n)
 
 

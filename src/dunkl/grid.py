@@ -111,17 +111,27 @@ def _quadrature_weights(params: DunklParams, L: float, nodes: np.ndarray) -> np.
     return np.maximum(w, 0.0)
 
 
+def _check_half_width(half_width) -> float:
+    L = float(half_width)
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"half_width must be positive, got {half_width}")
+    return L
+
+
+def _check_node_count(node_count) -> int:
+    n = int(node_count)
+    if n != node_count or n < 4 or n % 2 != 0:
+        raise ValueError(f"node_count must be an even integer >= 4, got {node_count}")
+    return n
+
+
 def make_grid(params: DunklParams, half_width: float, node_count: int) -> Grid:
     """Build the midpoint grid with nodes at +-(j + 1/2) * dx.
 
     node_count must be even (so nodes pair off symmetrically) and at least 4.
     """
-    L = float(half_width)
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    n = int(node_count)
-    if n != node_count or n < 4 or n % 2 != 0:
-        raise ValueError(f"node_count must be an even integer >= 4, got {node_count}")
+    L = _check_half_width(half_width)
+    n = _check_node_count(node_count)
     half = n // 2
     dx = 2.0 * L / n
     pos = (np.arange(half) + 0.5) * dx

@@ -9,9 +9,11 @@ Three variants, pointwise equivalent on the weighted line:
   * centered_maximal: direct averages of |f| over the annular balls B(x, rho),
     exact on the grid via prefix sums in the |x| coordinate;
   * interval_maximal: direct averages over metric intervals I(x, rho), exact
-    via prefix sums in x: the q = 1 interval profiles of
-    `norms._interval_profiles`, one window mass serving every radius, divided
-    by the interval measures of the same window geometry.
+    via prefix sums in x.
+
+The direct two are the one-row cases of `_window_maximal`, which reads the
+window masses of a stack and their measures from one annulus or interval
+`_windows.WindowGeometry`.
 
 All three take the supremum over a finite radius grid.  Windows reaching past
 the sampled domain [-L, L] are averaged over their clipped part while the
@@ -23,10 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._windows import IntervalWindows, LineWindowMass
+from ._windows import WindowGeometry
 from .grid import Grid, GridFunction
-from .measure import _check_radius, ball_measure, ball_measure_origin
-from .norms import _interval_profiles
+from .measure import _check_radius, ball_measure_origin
 from .translation import _ball_convolution_stack
 
 __all__ = ["dunkl_maximal", "centered_maximal", "interval_maximal"]
@@ -65,25 +66,23 @@ def _ball_averages_max(params, conv: np.ndarray, radii, rhos) -> np.ndarray:
 
 def centered_maximal(f: GridFunction, rho_grid) -> GridFunction:
     """sup over rho of the average of |f| over the annular ball B(x, rho)."""
-    rhos = _check_radii(rho_grid)
-    grid = f.grid
-    half = grid.node_count // 2
-    s = grid.positive_nodes
-    mass = LineWindowMass.folded(grid, np.abs(f.values))
-    best = np.zeros(half)
-    for rho in rhos:
-        num = mass.window(np.maximum(0.0, s - rho), s + rho)
-        avg = num / ball_measure(grid.params, s, rho)
-        np.maximum(best, avg, out=best)
-    return GridFunction(grid, np.concatenate([best[::-1], best]))
+    rows = f.values[None, :]
+    return GridFunction(f.grid, _window_maximal(WindowGeometry.annulus(f.grid), rows, rho_grid)[0])
 
 
 def interval_maximal(f: GridFunction, rho_grid) -> GridFunction:
     """sup over rho of the average of |f| over the interval I(x, rho)."""
+    rows = f.values[None, :]
+    return GridFunction(f.grid, _window_maximal(WindowGeometry.interval(f.grid), rows, rho_grid)[0])
+
+
+def _window_maximal(windows: WindowGeometry, rows, rho_grid) -> np.ndarray:
+    """sup over rho, from zeros, of the window masses of |f| over the window
+    measures of the geometry windows, for every function of a stack rows
+    (F, N) on its grid: (F, N)."""
     rhos = _check_radii(rho_grid)
-    grid = f.grid
-    windows = IntervalWindows(grid)
-    best = np.zeros(grid.node_count)
-    for rho, mass in zip(rhos, _interval_profiles(windows, f.values[None, :], 1.0, rhos)[0]):
-        np.maximum(best, mass / windows.measure(rho), out=best)
-    return GridFunction(grid, best)
+    masses = windows.masses(np.abs(rows), rhos)
+    best = np.zeros(masses[:, 0].shape)
+    for k, rho in enumerate(rhos):
+        np.maximum(best, masses[:, k] / windows.measure(rho), out=best)
+    return windows.unfold(best)

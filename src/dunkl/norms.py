@@ -8,15 +8,16 @@ at once.  The window profiles take a whole stack of functions on one grid
 (`_amalgam_profiles`): the stack of |f|^q goes through one stacked ball
 convolution for every radius.  `_ProfileStack` keeps them per q, and the
 amalgam and Fofana norms of the stack are read from them, the Fofana norms
-through `_fofana_sup`.  For q = infinity the window statistic is a sliding
-maximum over the annular ball B(y, r) in the |x| coordinate.  Interval
-variants window with I(y, r) = (y-r, y+r) and need no translation:
-`_interval_profiles` takes window integrals from prefix sums, one window
-mass per function serving every radius, and `_IntervalProfileStack` reads
-the interval norms from them.  The window ends and measures come from one
-`_windows.IntervalWindows` per stack, so a function costs gathers, not a
-search and an antiderivative per window.  Every public windowed norm is the
-one-row case of its stack.
+through `_fofana_sup`.  For q = infinity the window statistic is the
+maximum over the annular ball B(y, r), read from the annulus
+`_windows.WindowGeometry`.  Interval variants window with
+I(y, r) = (y-r, y+r) and need no translation: `_interval_profiles` reads
+window integrals (finite q) and window maxima (q = inf) from an interval
+`WindowGeometry`, and `_IntervalProfileStack` reads the interval norms from
+them.  The geometry keeps the window ends, measures and node ranges per
+radius, so a function costs gathers, not a search per window, and one
+geometry may serve every stack on its grid.  Every public windowed norm is
+the one-row case of its stack.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._windows import IntervalWindows
+from ._windows import WindowGeometry
 from .grid import Grid, GridFunction
 from .measure import ball_measure_origin
 from .translation import _INDICATOR_BAND, _ball_convolution_stack, _indicator_row_chunks
@@ -149,28 +150,6 @@ def weak_l1_norm(f: GridFunction) -> float:
     return float(np.max(levels * cum))
 
 
-def _range_max(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """max(vals[lo[k]:hi[k]]) for every k, and 0.0 for an empty window.
-
-    A sparse table: level j holds the maxima of the 2**j-wide windows, and a
-    window of width w is covered by the two level-floor(log2 w) windows at its
-    two ends.  A maximum of maxima is exact, so this equals the direct loop.
-    """
-    width = hi - lo
-    table = [vals]
-    for j in range(1, int(width.max(initial=0)).bit_length()):
-        prev, step = table[-1], 2 ** (j - 1)
-        # entries past n - 2**j hold partial maxima; they are never read,
-        # because no window of width 2**j starts there
-        table.append(np.concatenate([np.maximum(prev[:-step], prev[step:]), prev[-step:]]))
-    table = np.array(table)
-    full = width > 0
-    level = np.frexp(width[full])[1] - 1
-    out = np.zeros(lo.shape)
-    out[full] = np.maximum(table[level, lo[full]], table[level, hi[full] - 2**level])
-    return out
-
-
 def _check_window_radius(grid: Grid, r: float) -> float:
     r = float(r)
     if not (0.0 < r <= grid.half_width / 2.0):
@@ -185,17 +164,11 @@ def _amalgam_profiles(grid: Grid, rows, q: float, radii) -> np.ndarray:
     for each radius: shape (F, R, N).  For finite q the stack of |f|^q takes
     one spectral evaluation (see `translation._ball_convolution_stack`).  For
     q = inf, u_r(y) is the maximum of |f| over the annulus
-    {max(0,|y|-r) < |x| < |y|+r}: a range maximum of max(|f(s)|, |f(-s)|)
-    over s = |x|."""
+    {max(0,|y|-r) < |x| < |y|+r}, read from the annulus window geometry."""
     a = np.abs(np.asarray(rows))
     if q == INF:
-        half = grid.node_count // 2
-        s = grid.positive_nodes
-        lo = [np.searchsorted(s, np.maximum(0.0, s - r), side="right") for r in radii]
-        hi = [np.searchsorted(s, s + r, side="left") for r in radii]
-        folded = np.maximum(a[:, half:], a[:, half - 1 :: -1])
-        upos = np.array([[_range_max(v, *ends) for ends in zip(lo, hi)] for v in folded])
-        return np.concatenate([upos[..., ::-1], upos], axis=-1)
+        windows = WindowGeometry.annulus(grid)
+        return windows.unfold(windows.maxima(a, radii))
     conv = _ball_convolution_stack(grid, a**q, radii)
     return conv ** (1.0 / q)
 
@@ -428,30 +401,27 @@ def weak_fofana_norm(
     return WeakWindowWorkspace(f.grid, r_grid, y_stride).weak_fofana(f, [(p, alpha)])[0]
 
 
-def _interval_profiles(windows: IntervalWindows, rows, q: float, radii) -> np.ndarray:
+def _interval_profiles(windows: WindowGeometry, rows, q: float, radii) -> np.ndarray:
     """Interval-window profiles ||f chi_{I(y,r)}||_q of every function of a
-    stack rows (F, N) on the grid of windows at every node center y, for each
-    radius: shape (F, R, N).  For finite q the window masses of |f|^q are
-    gathers over the geometry of windows, one per function and radius; for
-    q = inf they are sliding maxima over the windows."""
-    x = windows.grid.nodes
+    stack rows (F, N) on the grid of the interval geometry windows at every
+    node center y, for each radius: shape (F, R, N).  For finite q they are
+    the window masses of |f|^q, for q = inf the window maxima of |f|."""
     a = np.abs(np.asarray(rows))
     if q == INF:
-        lo = [np.searchsorted(x, x - r, side="right") for r in radii]
-        hi = [np.searchsorted(x, x + r, side="left") for r in radii]
-        return np.array([[_range_max(v, *ends) for ends in zip(lo, hi)] for v in a])
-    return np.array([[m ** (1.0 / q) for m in windows.masses(v**q, radii)] for v in a])
+        return windows.maxima(a, radii)
+    return windows.masses(a**q, radii) ** (1.0 / q)
 
 
 class _IntervalProfileStack(_ProfileStack):
     """A profile stack windowed by the metric intervals I(y, r): its
     amalgam norms are ``interval_amalgam_norm_r`` and its Fofana norms
-    ``interval_fofana_norm`` of every function of the stack.  One window
-    geometry serves the profiles of every q and the center weights."""
+    ``interval_fofana_norm`` of every function of the stack.  The interval
+    geometry windows serves the profiles of every q and the center weights,
+    and may serve other stacks on its grid."""
 
-    def __init__(self, grid: Grid, rows, radii):
-        super().__init__(grid, rows, radii)
-        self.windows = IntervalWindows(grid)
+    def __init__(self, windows: WindowGeometry, rows, radii):
+        super().__init__(windows.grid, rows, radii)
+        self.windows = windows
 
     def _profiles(self, q: float, radii) -> np.ndarray:
         return _interval_profiles(self.windows, self.rows, q, radii)
@@ -480,13 +450,15 @@ def interval_amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> fl
     """Interval-windowed amalgam: L^p over centers of ||f chi_{I(y,r)}||_q."""
     q = _check_exponent(q, "q")
     p = _check_exponent(p, "p")
-    return _IntervalProfileStack(f.grid, f.values[None, :], [r]).amalgam(q, p, r)[0]
+    stack = _IntervalProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], [r])
+    return stack.amalgam(q, p, r)[0]
 
 
 def interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """Interval-windowed Fofana norm; the measure factor mu(I(y,r))^theta sits
     inside the center integral because it varies with the center."""
-    return _IntervalProfileStack(f.grid, f.values[None, :], spec.r_grid).fofana(spec)[0]
+    stack = _IntervalProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], spec.r_grid)
+    return stack.fofana(spec)[0]
 
 
 def ball_scaled_interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
@@ -500,5 +472,5 @@ def ball_scaled_interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     factor.  It equals ``interval_fofana_norm`` at the classical parameter and
     when alpha = p, and is at most it otherwise.
     """
-    stack = _IntervalProfileStack(f.grid, f.values[None, :], spec.r_grid)
+    stack = _IntervalProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], spec.r_grid)
     return stack.fofana(spec, ball_scaled=True)[0]

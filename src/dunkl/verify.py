@@ -38,9 +38,9 @@ import numpy as np
 import scipy
 
 from ._version import VERSION
-from ._windows import LineWindowMass
+from ._windows import LineWindowMass, WindowGeometry
 from .grid import Grid, GridFunction, integrate, make_grid, sample_family
-from .maximal import _ball_averages_max, _dunkl_maximal_stack, centered_maximal, interval_maximal
+from .maximal import _ball_averages_max, _dunkl_maximal_stack, _window_maximal
 from .measure import (
     ball_measure,
     ball_measure_origin,
@@ -1206,7 +1206,7 @@ def _interval_translation_constants(cfg: SuiteConfig, rg, prof: _ProfileStack):
     and of its ball-scaled companion to the translation-window norm, read
     from the window profiles prof of the family stack and from one interval
     profile stack of the same rows."""
-    intervals = _IntervalProfileStack(prof.grid, prof.rows, rg)
+    intervals = _IntervalProfileStack(WindowGeometry.interval(prof.grid), prof.rows, rg)
     unscaled = scaled = 0.0
     for (q, pp, alpha) in cfg.exponents:
         spec = NormSpec(q, pp, alpha, rg)
@@ -1403,7 +1403,8 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
     g = make_grid(p, cfg.half_width, cfg.node_count)
     rg = _radius_grid(cfg, g)
     fam = _family(cfg, g, names=("gaussian", "bump", "trig_gauss"))
-    bases = _IntervalProfileStack(g, _stack(fam), rg).fofana(NormSpec(2.0, 8.0, 2.0, rg))
+    stack = _IntervalProfileStack(WindowGeometry.interval(g), _stack(fam), rg)
+    bases = stack.fofana(NormSpec(2.0, 8.0, 2.0, rg))
     cmax = 0.0
     for (fid, f), base in zip(fam, bases):
         if base == 0.0:
@@ -1442,17 +1443,19 @@ def _classical_maximal_oracle(f: GridFunction, rhos) -> np.ndarray:
 def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     def windows(g):
         """The two window constants, and the Dunkl maximal functions of
-        the family, by id, from one stack."""
+        the family, by id; each maximal operator takes the family as one
+        stack."""
         rhog = _rho_grid(cfg, g)
         sel = np.abs(g.nodes) <= cfg.half_width / 2.0
         c1 = 0.0
         c2 = 0.0
         fam = _family(cfg, g)
-        mds = dict(zip((fid for fid, _ in fam), _dunkl_maximal_stack(g, _stack(fam), rhog)))
-        for fid, f in fam:
+        rows = _stack(fam)
+        mds = dict(zip((fid for fid, _ in fam), _dunkl_maximal_stack(g, rows, rhog)))
+        mcs = _window_maximal(WindowGeometry.annulus(g), rows, rhog)
+        mis = _window_maximal(WindowGeometry.interval(g), rows, rhog)
+        for (fid, _), mc, mi in zip(fam, mcs, mis):
             md = mds[fid]
-            mc = centered_maximal(f, rhog).values
-            mi = interval_maximal(f, rhog).values
             mask = sel & (md > 1e-6) & (mc > 1e-6) & (mi > 1e-6)
             if not np.any(mask):
                 continue
@@ -1507,9 +1510,8 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
         (sample_family("indicator_ball", (0.5,), g), sample_family("indicator_ball", (1.0,), g)),
     )
     chi = sample_family("indicator_ball", (1.0,), g)
-    m_chi, *m_pairs = _dunkl_maximal_stack(
-        g, np.stack([chi.values] + [f.values for pair in pairs for f in pair]), rhog
-    )
+    pair_rows = np.stack([f.values for pair in pairs for f in pair])
+    m_chi, *m_pairs = _dunkl_maximal_stack(g, np.vstack([chi.values, pair_rows]), rhog)
 
     # peak value on an indicator
     i0 = int(np.argmin(np.abs(g.nodes)))
@@ -1545,15 +1547,13 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
 
     # monotonicity for ordered nonnegative pairs: exact for the two window
     # routes; the transform route carries band-truncation wiggle, so its
-    # violation is bounded by a spectral tolerance instead
+    # violation is bounded by a spectral tolerance instead; the pair rows
+    # alternate lower and upper members
     worst_exact = -INF
-    worst_spectral = -INF
-    for k, (lo_f, hi_f) in enumerate(pairs):
-        for op in (centered_maximal, interval_maximal):
-            worst_exact = max(
-                worst_exact, float(np.max(op(lo_f, rhog).values - op(hi_f, rhog).values))
-            )
-        worst_spectral = max(worst_spectral, float(np.max(m_pairs[2 * k] - m_pairs[2 * k + 1])))
+    for windows in (WindowGeometry.annulus(g), WindowGeometry.interval(g)):
+        m = _window_maximal(windows, pair_rows, rhog)
+        worst_exact = max(worst_exact, float(np.max(m[0::2] - m[1::2])))
+    worst_spectral = float(np.max(np.subtract(m_pairs[0::2], m_pairs[1::2])))
     rec.bound(
         f"monotonicity_{rec.ktag}",
         "maximal_monotonicity",
@@ -1575,14 +1575,13 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
     def family_max(g):
         """Per exponent triple, the family maximum of the ratio, from the
         interval profile stacks of |f| and of its interval maximal
-        function, one per q."""
+        function, one per q.  One interval geometry serves both stacks and
+        the maximal functions."""
         rg = _radius_grid(cfg, g)
-        rhog = _rho_grid(cfg, g)
-        fam = _family(cfg, g)
-        base = _IntervalProfileStack(g, _stack(fam), rg)
-        maxi = _IntervalProfileStack(
-            g, np.stack([interval_maximal(f, rhog).values for _, f in fam]), rg
-        )
+        windows = WindowGeometry.interval(g)
+        rows = _stack(_family(cfg, g))
+        base = _IntervalProfileStack(windows, rows, rg)
+        maxi = _IntervalProfileStack(windows, _window_maximal(windows, rows, _rho_grid(cfg, g)), rg)
         out = []
         for (q, pp, alpha) in cfg.exponents:
             spec = NormSpec(q, pp, alpha, rg)
@@ -1609,14 +1608,16 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
         )
 
     # indicator decay of the interval maximal function: the constant is
-    # measured at both grid levels and must be refinement-stable
+    # measured at both grid levels and must be refinement-stable; the
+    # indicators have radius grids of their own, and share one geometry
     def decay_constant(gn):
         worst_c = 0.0
+        windows = WindowGeometry.interval(gn)
         for (yc, rc) in ((0.0, 0.5), (1.0, 0.5), (2.0, 1.0)):
-            chi = GridFunction(gn, (np.abs(gn.nodes - yc) < rc).astype(float))
+            chi = (np.abs(gn.nodes - yc) < rc).astype(float)
             rhos = sorted(set(list(_rho_grid(cfg, gn)) + [rc * 2.0**k for k in range(1, 6)]))
             rhos = [r for r in rhos if r <= gn.half_width]
-            mi = interval_maximal(chi, rhos).values
+            mi = _window_maximal(windows, chi[None, :], rhos)[0]
             dist = np.abs(gn.nodes - yc)
             sel = (dist > 2.0 * rc) & (np.abs(gn.nodes) <= gn.half_width / 2.0)
             mu_r = interval_measure(p, yc, rc)
@@ -1663,9 +1664,8 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
     rhog = _rho_grid(cfg, g)
     for (xc, rc) in ((1.0, 1.0),):
         ti = translate_indicator(p, -xc, rc, g)
-        sharp = GridFunction(g, (np.abs(g.nodes - xc) < rc).astype(float))
-        m_t = interval_maximal(ti, rhog).values
-        m_s = interval_maximal(sharp, rhog).values
+        sharp = (np.abs(g.nodes - xc) < rc).astype(float)
+        m_t, m_s = _window_maximal(WindowGeometry.interval(g), np.stack([ti.values, sharp]), rhog)
         peak = float(np.max(m_s))
         disc = float(np.max(np.abs(m_t - m_s))) / peak
         if p.classical:

@@ -236,6 +236,39 @@ def test_unparsable_values_exit_2(env, argv, source, tmp_path, monkeypatch, caps
     assert not (tmp_path / "o.csv").exists()
 
 
+_GRID_COMMANDS = {
+    "norm": ["norm", "--which", "weak", "--input", "in.csv"],
+    "maximal": ["maximal", "--op", "centered", "--input", "in.csv", "--output", "o.csv"],
+    "sample": ["sample", "--family", "gaussian", "--params", "1", "--output", "o.csv"],
+}
+_GRID_VALUES = {
+    "--kappa": ("-0.7", "kappa must be >= -1/2"),
+    "--grid-n": ("255", "node_count must be an even integer >= 4"),
+    "--domain-l": ("nan", "half_width must be positive"),
+}
+
+
+@pytest.mark.parametrize("command", list(_GRID_COMMANDS))
+def test_out_of_range_grid_values_exit_2(command, tmp_path, monkeypatch, capsys):
+    # values that parse but that the parameters or the grid reject are usage
+    # errors naming the flag or the variable, given either way
+    monkeypatch.chdir(tmp_path)
+    _write_constant_csv(tmp_path / "in.csv")
+    for flag, (value, reason) in _GRID_VALUES.items():
+        variable = "DUNKL_" + flag.strip("-").replace("-", "_").upper()
+        for source, argv in ((flag, [flag, value]), (variable, [])):
+            with monkeypatch.context() as env:
+                if not argv:
+                    env.setenv(variable, value)
+                with pytest.raises(SystemExit) as err:
+                    main([*_GRID_COMMANDS[command], *argv])
+            assert err.value.code == 2
+            msg = capsys.readouterr().err
+            assert f"for {source}: {reason}" in msg and value in msg
+            assert "Traceback" not in msg
+    assert not (tmp_path / "o.csv").exists()
+
+
 def _report(suite, cases):
     """Hand-built report payload: cases are (id, lhs, rhs, ratio, pass)."""
     return {

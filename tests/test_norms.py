@@ -21,7 +21,7 @@ from dunkl import (
 )
 from dunkl.measure import ball_measure_origin, interval_measure
 from dunkl import norms
-from dunkl._windows import IntervalWindows, LineWindowMass
+from dunkl._windows import LineWindowMass, WindowGeometry, _range_max
 from dunkl.norms import _interval_profiles, _IntervalProfileStack
 from dunkl import translation
 from dunkl.transform import band_grid, inverse_rows, multiplier_pair
@@ -183,7 +183,7 @@ def test_fofana_classical_indicator_against_direct_shift_windows():
     spec = NormSpec(1.0, INF, 2.0, rg)
     val = fofana_norm(f, spec)
     direct = 0.0
-    for r, local in zip(rg, _interval_profiles(IntervalWindows(g), f.values[None, :], 1.0, rg)[0]):
+    for r, local in zip(rg, _interval_profiles(WindowGeometry.interval(g), f.values[None, :], 1.0, rg)[0]):
         direct = max(
             direct,
             ball_measure_origin(p, r) ** (0.5 - 1.0) * float(np.max(local)),
@@ -213,7 +213,7 @@ def test_interval_amalgam_window_at_origin(setup):
     p, g = setup
     one = GridFunction(g, np.ones(2048))
     # the window content at the origin center equals mu(I(0,1))
-    local = _interval_profiles(IntervalWindows(g), one.values[None, :], 1.0, [1.0])[0, 0]
+    local = _interval_profiles(WindowGeometry.interval(g), one.values[None, :], 1.0, [1.0])[0, 0]
     i0 = int(np.argmin(np.abs(g.nodes)))
     assert local[i0] == pytest.approx(0.5, abs=1e-2)
     assert interval_amalgam_norm_r(GridFunction(g, np.zeros(2048)), 1.0, INF, 1.0) == 0.0
@@ -487,7 +487,7 @@ def test_interval_fofana_builds_one_window_mass_per_function(monkeypatch):
 
     for spec in _interval_specs(g, ((1.0, 2.0, 1.0), (2.0, 8.0, 4.0), (INF, INF, INF))):
         want = [[_per_radius_interval_fofana(f, spec, scaled) for f in fam] for scaled in (False, True)]
-        stack = _IntervalProfileStack(g, np.stack([f.values for f in fam]), spec.r_grid)
+        stack = _IntervalProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), spec.r_grid)
         monkeypatch.setattr(LineWindowMass, "__init__", counted)
         builds.clear()
         assert [stack.fofana(spec), stack.fofana(spec, ball_scaled=True)] == want
@@ -530,7 +530,7 @@ def test_range_max_matches_per_node_loops(kappa, n):
     f = sample_family("trig_gauss", [1.0], g)
     radii = default_radius_grid(g) + default_radius_grid(g, ratio=2.0) + (1.0, 8.0, 100.0)
     balls = norms._amalgam_profiles(g, f.values[None, :], INF, radii)[0]
-    intervals = _interval_profiles(IntervalWindows(g), f.values[None, :], INF, radii)[0]
+    intervals = _interval_profiles(WindowGeometry.interval(g), f.values[None, :], INF, radii)[0]
     for r, u, v in zip(radii, balls, intervals):
         assert np.array_equal(u, _loop_annulus_max(f, r))
         assert np.array_equal(v, _loop_interval_max(f, r))
@@ -544,12 +544,38 @@ def test_range_max_arbitrary_and_empty_windows():
     hi[:50] = 1000  # windows reaching the end
     lo[50:100] = 0  # windows starting at 0
     hi[::7] = lo[::7]  # empty windows
-    got = norms._range_max(vals, lo, hi)
+    got, empty, none = _range_max(vals, [(lo, hi), (lo, lo), (lo[:0], hi[:0])])
     assert np.array_equal(got, _loop_range_max(vals, lo, hi))
     assert np.all(got[::7] == 0.0)
     # all windows empty, and no windows at all
-    assert np.array_equal(norms._range_max(vals, lo, lo), np.zeros(lo.size))
-    assert norms._range_max(vals, lo[:0], hi[:0]).size == 0
+    assert np.array_equal(empty, np.zeros(lo.size))
+    assert none.size == 0
+    # one table serves every range: the same answers one range at a time
+    assert np.array_equal(_range_max(vals, [(lo, hi)])[0], got)
+
+
+@pytest.mark.parametrize("kappa", [-0.5, 0.5])
+def test_window_maxima_match_brute_force_windows(kappa):
+    # each window maximum is the maximum of |f| over the nodes strictly
+    # inside the window, found by a mask per window; at r = 1e-20 both ends
+    # round onto the center node, so every window is empty (0.0), and r = 3
+    # and r = 100 clip the windows at -L and L
+    g = make_grid(DunklParams(kappa, classical=(kappa == -0.5)), 16.0, 256)
+    x = g.nodes
+    a = np.abs([sample_family(name, ps, g).values for name, ps in _INTERVAL_FAMILY])
+    radii = (1e-20, 0.3, 3.0, 100.0)
+    inside = {
+        "interval": lambda x0, r: (x > x0 - r) & (x < x0 + r),
+        "annulus": lambda x0, r: (np.abs(x) > max(0.0, abs(x0) - r)) & (np.abs(x) < abs(x0) + r),
+    }
+    for kind, window in inside.items():
+        windows = getattr(WindowGeometry, kind)(g)
+        got = windows.unfold(windows.maxima(a, radii))
+        for v, u in zip(a, got):
+            for r, ur in zip(radii, u):
+                want = [v[window(x0, r)].max(initial=0.0) for x0 in x]
+                assert np.array_equal(ur.view(np.uint64), np.array(want).view(np.uint64))
+        assert not np.any(got[:, 0])
 
 
 @pytest.mark.parametrize("stride", [-1, -3, 0, 2.5])

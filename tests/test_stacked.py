@@ -23,9 +23,9 @@ from dunkl import (
     sample_family,
 )
 from dunkl import _windows, transform, translation
-from dunkl._windows import LineWindowMass
-from dunkl.maximal import _dunkl_maximal_stack, interval_maximal
-from dunkl.measure import ball_measure_origin, interval_measure
+from dunkl._windows import LineWindowMass, WindowGeometry
+from dunkl.maximal import _dunkl_maximal_stack, _window_maximal, centered_maximal, interval_maximal
+from dunkl.measure import ball_measure, ball_measure_origin, interval_measure
 from dunkl.norms import _IntervalProfileStack, _ProfileStack
 from dunkl.transform import band_grid, forward_pair, inverse_pair
 from dunkl.translation import _ball_convolution_stack, ball_convolutions, ball_multiplier
@@ -149,7 +149,7 @@ def test_interval_stack_rows_equal_one_function_norms(kappa, classical):
     # for both center weights and across the exponents that take separate
     # routes (q = 1, finite q, q = inf; finite p, p = inf)
     g, fam, radii = _setup(kappa, classical)
-    stack = _IntervalProfileStack(g, np.stack([f.values for f in fam]), radii)
+    stack = _IntervalProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), radii)
     for q, pp, alpha in ((1.0, 2.0, 1.0), (1.0, INF, 2.0), (2.0, 8.0, 4.0), (2.0, INF, 4.0), (INF, INF, INF)):
         spec = NormSpec(q, pp, alpha, radii)
         assert stack.fofana(spec) == [interval_fofana_norm(f, spec) for f in fam]
@@ -177,7 +177,7 @@ def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, 
         return window_end(*args)
 
     monkeypatch.setattr(_windows, "_window_end", counted)
-    stack = _IntervalProfileStack(g, np.stack([f.values for f in fam]), radii)
+    stack = _IntervalProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), radii)
     profiles = {q: stack.at(q, radii) for q in (1.0, 1.5, 2.0)}
     stack.fofana(NormSpec(2.0, 8.0, 4.0, radii), ball_scaled=True)
     assert len(ends) == 2 * len(radii)
@@ -190,10 +190,32 @@ def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, 
     for r in radii:
         np.testing.assert_array_equal(stack.windows.measure(r), interval_measure(g.params, x, r))
     rhos = (*radii, 2.0 * g.half_width)
-    for f in fam:
+    stacked = _window_maximal(stack.windows, stack.rows, rhos)
+    for f, got in zip(fam, stacked):
         mass = LineWindowMass.line(g, np.abs(f.values))
         best = np.zeros(g.node_count)
         for rho in rhos:
             avg = mass.window(x - rho, x + rho) / interval_measure(g.params, x, rho)
             np.maximum(best, avg, out=best)
+        np.testing.assert_array_equal(got, best)
         np.testing.assert_array_equal(interval_maximal(f, rhos).values, best)
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+def test_annulus_window_maximal_matches_fresh_window_masses(kappa, classical):
+    # the annulus twin: the stacked centered maximal functions have the bits
+    # of a fresh folded window mass per function over ball_measure, and of
+    # the one-row calls; the windows of the inner nodes are cut at 0, those
+    # of the edge nodes cross L, and rho = 2L crosses L everywhere
+    g, fam, radii = _setup(kappa, classical)
+    s = g.positive_nodes
+    rhos = (*radii, 2.0 * g.half_width)
+    stacked = _window_maximal(WindowGeometry.annulus(g), np.stack([f.values for f in fam]), rhos)
+    for f, got in zip(fam, stacked):
+        mass = LineWindowMass.folded(g, np.abs(f.values))
+        best = np.zeros(s.size)
+        for rho in rhos:
+            avg = mass.window(np.maximum(0.0, s - rho), s + rho) / ball_measure(g.params, s, rho)
+            np.maximum(best, avg, out=best)
+        np.testing.assert_array_equal(got, np.concatenate([best[::-1], best]))
+        np.testing.assert_array_equal(centered_maximal(f, rhos).values, got)

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from dunkl import SuiteConfig, list_suites, run_suite, verify
+from dunkl import SuiteConfig, list_suites, run_suite
+from dunkl._windows import WindowGeometry
 from dunkl.verify import _YOUNG_TRIPLES, DEFAULT_KAPPAS, _Recorder, canonical_json, check_suite
 
 SMALL = dict(node_count=256, half_width=8.0)
@@ -96,22 +97,22 @@ def test_suite_requirements_name_the_suite():
         check_suite("nosuch", cfg)
 
 
-def test_interval_fofana_maximal_takes_each_maximal_function_once(monkeypatch):
-    # per kappa: one interval maximal function per family member and grid,
-    # shared by every exponent triple, then the indicator-decay case (three
-    # indicators on two grids) and the translated-window case (two functions)
-    calls = []
-    interval_maximal = verify.interval_maximal
+def test_interval_fofana_maximal_builds_one_window_geometry_per_grid(monkeypatch):
+    # per kappa and grid level: one interval geometry serves the |f| profile
+    # stack, the maximal-function stack and the maximal functions, and one
+    # the three decay indicators; then one serves the translated-window pair
+    builds = []
+    init = WindowGeometry.__init__
 
-    def counted(f, rho_grid):
-        calls.append(f.grid.node_count)
-        return interval_maximal(f, rho_grid)
+    def counted(self, grid, folded):
+        builds.append((grid.node_count, folded))
+        init(self, grid, folded)
 
-    monkeypatch.setattr(verify, "interval_maximal", counted)
+    monkeypatch.setattr(WindowGeometry, "__init__", counted)
     cfg = SuiteConfig(**SMALL)
     run_suite("interval_fofana_maximal", cfg)
-    assert len(cfg.exponents) == 3
-    assert len(calls) == len(cfg.kappa_list) * (2 * len(cfg.family) + 3 * 2 + 2)
+    n = cfg.node_count
+    assert builds == ([(n // 2, False), (n, False)] * 2 + [(n, False)]) * len(cfg.kappa_list)
 
 
 def test_young_triples_satisfy_the_scaling_relation():
