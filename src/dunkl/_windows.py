@@ -20,7 +20,9 @@ a grid, once per radius: the intervals I(x, r) at every node
 (`WindowGeometry.interval`) or the annuli B(s, r) at the positive nodes, in
 the folded coordinate (`WindowGeometry.annulus`).  The window masses of
 every function on that grid are then gathers, with the bits of
-`LineWindowMass.window`, and its window maxima range-maximum queries.
+`LineWindowMass.window`, and its window maxima range-maximum queries over
+the node ranges (`WindowGeometry.node_ranges`).  The annulus node ranges
+are also the support columns of the weak-window workspace of `norms`.
 """
 
 from __future__ import annotations
@@ -167,7 +169,10 @@ class WindowGeometry:
             self._ends[r] = (*ends, mu)
         return self._ends[r]
 
-    def _node_ranges(self, r: float) -> tuple:
+    def node_ranges(self, r: float) -> tuple:
+        """Per window center c, the range lo:hi of the centers s with
+        c - r < s < c + r; for annuli, by the float operations of the mask
+        of `translation._indicator_row_chunks`."""
         if r not in self._ranges:
             c = self._centers
             self._ranges[r] = (np.searchsorted(c, c - r, side="right"), np.searchsorted(c, c + r, side="left"))
@@ -201,5 +206,5 @@ class WindowGeometry:
         rows = np.asarray(rows)
         if self._folded:
             rows = _fold(self.grid, rows, np.maximum)
-        ranges = [self._node_ranges(r) for r in radii]
+        ranges = [self.node_ranges(r) for r in radii]
         return np.array([_range_max(v, ranges) for v in rows])

@@ -15,10 +15,14 @@ The direct two are the one-row cases of `_window_maximal`, which reads the
 window masses of a stack and their measures from one annulus or interval
 `_windows.WindowGeometry`.
 
-All three take the supremum over a finite radius grid.  Windows reaching past
-the sampled domain [-L, L] are averaged over their clipped part while the
-denominator keeps the full closed-form measure, so values within rho_max of
-the boundary are depressed; quantitative suites only consult |x| <= L/2.
+All three take the supremum over a finite radius grid through one
+reduction, `_sup_of_averages` (window mass over window measure, radius by
+radius), after one check, `_checked_radii`, which rejects a radius whose
+window measure is 0 anywhere before any transform or window mass.  Windows
+reaching past the sampled domain [-L, L] are averaged over their clipped
+part while the denominator keeps the full closed-form measure, so values
+within rho_max of the boundary are depressed; quantitative suites only
+consult |x| <= L/2.
 """
 
 from __future__ import annotations
@@ -33,12 +37,33 @@ from .translation import _ball_convolution_stack
 __all__ = ["dunkl_maximal", "centered_maximal", "interval_maximal"]
 
 
-def _check_radii(rho_grid) -> list:
+def _checked_radii(rho_grid, measure) -> tuple:
+    """The radii of rho_grid as floats and their window measures measure(rho).
+
+    One check for every operator, before any transform or window mass: the
+    grid is non-empty, every radius positive and finite, and its window
+    measure positive at every center, so no average divides by 0 (a radius
+    far below the node spacing, or one whose ball measure underflows).
+    """
     rhos = [float(r) for r in rho_grid]
     if not rhos:
         raise ValueError("rho_grid must be non-empty")
     _check_radius(np.array(rhos))
-    return rhos
+    measures = [measure(rho) for rho in rhos]
+    for rho, mu in zip(rhos, measures):
+        if not np.all(mu > 0.0):
+            raise ValueError(f"radius {rho} is too small: its window measure is 0 on this grid")
+    return rhos, measures
+
+
+def _sup_of_averages(masses: np.ndarray, measures) -> np.ndarray:
+    """sup over k of the averages masses[:, k] / measures[k], from the first
+    average, for window masses (F, R, ...) of |f| at R radii and their
+    window measures (scalars, or arrays at the window centers)."""
+    best = masses[:, 0] / measures[0]
+    for k in range(1, len(measures)):
+        np.maximum(best, masses[:, k] / measures[k], out=best)
+    return best
 
 
 def dunkl_maximal(f: GridFunction, rho_grid) -> GridFunction:
@@ -49,19 +74,8 @@ def dunkl_maximal(f: GridFunction, rho_grid) -> GridFunction:
 def _dunkl_maximal_stack(grid: Grid, rows, rho_grid) -> np.ndarray:
     """``dunkl_maximal`` of every function of a stack rows (F, N) on grid,
     stacked as (F, N), from one spectral evaluation of the stack of |f|."""
-    rhos = _check_radii(rho_grid)
-    return _ball_averages_max(grid.params, _ball_convolution_stack(grid, np.abs(rows), rhos), rhos, rhos)
-
-
-def _ball_averages_max(params, conv: np.ndarray, radii, rhos) -> np.ndarray:
-    """sup over rho in rhos of mu(B_rho)^{-1} * conv at rho, for ball
-    convolutions conv (F, R, N) of |f| at the radii, a list holding every
-    rho."""
-    best = None
-    for rho in rhos:
-        avg = conv[:, radii.index(rho)] / ball_measure_origin(params, rho)
-        best = avg if best is None else np.maximum(best, avg, out=best)
-    return best
+    rhos, measures = _checked_radii(rho_grid, lambda rho: ball_measure_origin(grid.params, rho))
+    return _sup_of_averages(_ball_convolution_stack(grid, np.abs(rows), rhos), measures)
 
 
 def centered_maximal(f: GridFunction, rho_grid) -> GridFunction:
@@ -77,12 +91,8 @@ def interval_maximal(f: GridFunction, rho_grid) -> GridFunction:
 
 
 def _window_maximal(windows: WindowGeometry, rows, rho_grid) -> np.ndarray:
-    """sup over rho, from zeros, of the window masses of |f| over the window
-    measures of the geometry windows, for every function of a stack rows
-    (F, N) on its grid: (F, N)."""
-    rhos = _check_radii(rho_grid)
-    masses = windows.masses(np.abs(rows), rhos)
-    best = np.zeros(masses[:, 0].shape)
-    for k, rho in enumerate(rhos):
-        np.maximum(best, masses[:, k] / windows.measure(rho), out=best)
-    return windows.unfold(best)
+    """sup over rho of the window masses of |f| over the window measures of
+    the geometry windows, for every function of a stack rows (F, N) on its
+    grid: (F, N)."""
+    rhos, measures = _checked_radii(rho_grid, windows.measure)
+    return windows.unfold(_sup_of_averages(windows.masses(np.abs(rows), rhos), measures))

@@ -17,7 +17,10 @@ window integrals (finite q) and window maxima (q = inf) from an interval
 them.  The geometry keeps the window ends, measures and node ranges per
 radius, so a function costs gathers, not a search per window, and one
 geometry may serve every stack on its grid.  Every public windowed norm is
-the one-row case of its stack.
+the one-row case of its stack.  The weak variant reads weak-L1 statistics
+of |f| against translated ball indicators, kept only on their support
+columns (`WeakWindowWorkspace`), which are the node ranges of the annulus
+geometry at the window centers.
 """
 
 from __future__ import annotations
@@ -233,40 +236,19 @@ def _fofana_sup(grid: Grid, spec: NormSpec, profiles) -> float:
     return best
 
 
-def _weak_rows(rows: np.ndarray, fvals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise weak-L1 norms of f * row."""
-    g = np.abs(fvals)[None, :] * rows
-    order = np.argsort(-g, axis=1, kind="stable")
-    gs = np.take_along_axis(g, order, axis=1)
-    cw = np.cumsum(weights[order], axis=1)
-    return np.max(gs * cw, axis=1)
-
-
-def _support_columns(nodes: np.ndarray, ys: np.ndarray, r: float) -> tuple:
-    """Column windows of rows supported on the annuli
-    {max(0,|y|-r) < |x| < |y|+r} of the centers ys: the two intervals
-    (-hi,-lo) and (lo,hi), each widened by one node and cut to the grid.
-
-    Returns the column indices of the negative then the positive window,
-    padded to a common width, and the mask of the padding.  Every column
-    appears at most once: where the widened windows meet (lo below half a
-    cell, e.g. |y| < r), the positive one starts where the negative one
-    ends.
-    """
-    n = nodes.size
-    lo = np.maximum(0.0, np.abs(ys) - r)
-    hi = np.abs(ys) + r
-    a = np.maximum(np.searchsorted(nodes, -hi, side="right") - 1, 0)
-    b = np.searchsorted(nodes, -lo, side="left") + 1
-    c = np.maximum(np.searchsorted(nodes, lo, side="right") - 1, b)
-    d = np.minimum(np.searchsorted(nodes, hi, side="left") + 1, n)
-    width = int(max(np.max(b - a), np.max(d - c), 1))
-    offs = np.arange(width)
+def _support_columns(annuli: WindowGeometry, centers: np.ndarray, r: float) -> tuple:
+    """Column indices of the translated indicator rows at the positive nodes
+    of annuli with indices centers, at radius r, and the mask of their
+    padding: each annulus node range mirrored onto the negative nodes, then
+    the range itself, padded to a common width.  These are the columns that
+    `_indicator_row_chunks` does not mask to zero, each once."""
+    half = annuli.grid.node_count // 2
+    lo, hi = (a[centers] for a in annuli.node_ranges(r))
+    offs = np.arange(max(int(np.max(hi - lo)), 1))
     idx = np.concatenate(
-        [np.clip(a[:, None] + offs, 0, n - 1), np.clip(c[:, None] + offs, 0, n - 1)], axis=1
+        [half - hi[:, None] + offs, np.minimum(half + lo[:, None] + offs, 2 * half - 1)], axis=1
     )
-    pad = ~np.concatenate([offs < (b - a)[:, None], offs < (d - c)[:, None]], axis=1)
-    return idx, pad
+    return idx, np.tile(offs >= (hi - lo)[:, None], 2)
 
 
 def _weak_window_rows(
@@ -308,13 +290,14 @@ class WeakWindowWorkspace:
     multiplier rows of a chunk are evaluated once for every radius, and each
     radius costs one dense product per chunk.  Each row is supported on the
     annulus {max(0,|y|-r) < |x| < |y|+r}, so the workspace keeps only its two
-    support windows (see ``_support_columns``), laid out from (y, r) before
-    any row is made: their column indices, the row values and the weights on
-    them.  Each chunk is gathered into them and dropped, so no full block of
-    rows is ever held.  tau_{+y} chi is the reflection of tau_{-y} chi, so
-    the centers -y reuse the same windows against the reflected samples of
-    |f|; when |f| is mirror-symmetric those are the same array, and its
-    statistics are reused exactly.
+    support windows, the node ranges of the annulus window geometry at y
+    (see ``_support_columns``), laid out before any row is made: their
+    column indices, the row values and the weights on them.  Each chunk is
+    gathered into them and dropped, so no full block of rows is ever held.
+    tau_{+y} chi is the reflection of tau_{-y} chi, so the centers -y reuse
+    the same windows against the reflected samples of |f|; when |f| is
+    mirror-symmetric those are the same array, and its statistics are
+    reused exactly.
     """
 
     def __init__(self, grid: Grid, r_grid, y_stride: int | None = None):
@@ -334,7 +317,8 @@ class WeakWindowWorkspace:
         self.ypos = grid.nodes[pos_idx]
         self.wdec = grid.weights[pos_idx] * y_stride
         self.radii = tuple(_check_window_radius(grid, r) for r in r_grid)
-        columns = {r: _support_columns(grid.nodes, self.ypos, r) for r in self.radii}
+        annuli = WindowGeometry.annulus(grid)
+        columns = {r: _support_columns(annuli, pos_idx - half, r) for r in self.radii}
         wrows = {r: np.empty(idx.shape) for r, (idx, _) in columns.items()}
         for s, r, rows in _indicator_row_chunks(grid.params, -self.ypos, list(columns), grid):
             idx, pad = columns[r]

@@ -40,7 +40,7 @@ import scipy
 from ._version import VERSION
 from ._windows import LineWindowMass, WindowGeometry
 from .grid import Grid, GridFunction, integrate, make_grid, sample_family
-from .maximal import _ball_averages_max, _dunkl_maximal_stack, _window_maximal
+from .maximal import _checked_radii, _dunkl_maximal_stack, _sup_of_averages, _window_maximal
 from .measure import (
     ball_measure,
     ball_measure_origin,
@@ -419,6 +419,13 @@ def _family(cfg: SuiteConfig, grid: Grid, names=None):
 def _stack(fam) -> np.ndarray:
     """The samples of (id, function) pairs as one (F, N) stack."""
     return np.stack([f.values for _, f in fam])
+
+
+def _worst_ratio(pairs) -> float:
+    """The worst constant of a family: the largest n / d over the (n, d)
+    pairs with d != 0, at least 0.0.  Ties keep the first, as a
+    ``worst = max(worst, n / d)`` loop from 0.0 does."""
+    return max([0.0, *(n / d for n, d in pairs if d != 0.0)])
 
 
 def _refined(cfg: SuiteConfig, params: DunklParams, evaluate):
@@ -1044,14 +1051,12 @@ def _suite_young(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams)
         ("trig_gauss(1)", sample_family("trig_gauss", (1.0,), g), "gaussian(0.25)", sample_family("gaussian", (0.25,), g)),
         ("indicator_ball(1)", sample_family("indicator_ball", (1.0,), g), "indicator_ball(1)", sample_family("indicator_ball", (1.0,), g)),
     ]
-    worst = 0.0
-    for fid, f, gid, h in pairs:
-        conv = convolve(f, h)
-        for pp, qq, rr in _YOUNG_TRIPLES:
-            denom = lp_norm(f, pp) * lp_norm(h, qq)
-            if denom == 0.0:
-                continue
-            worst = max(worst, lp_norm(conv, rr) / denom)
+    convs = [(f, h, convolve(f, h)) for _, f, _, h in pairs]
+    worst = _worst_ratio(
+        (lp_norm(conv, rr), lp_norm(f, pp) * lp_norm(h, qq))
+        for f, h, conv in convs
+        for pp, qq, rr in _YOUNG_TRIPLES
+    )
     rec.bound(
         f"young_{rec.ktag}",
         "young_inequality",
@@ -1117,7 +1122,7 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
         ),
         (1.0,),
     )
-    worst = 0.0
+    terms = []
     for k in range(n):
         for q1, q2 in q_pairs:
             qq = 1.0 / (1.0 / q1 + 1.0 / q2)
@@ -1125,13 +1130,11 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
                 pp = INF if (p1 == INF and p2 == INF) else 1.0 / (1.0 / p1 + 1.0 / p2)
                 lhs = prof.amalgam(qq, pp, 1.0)[k]
                 rhs = prof.amalgam(q1, p1, 1.0)[n + k] * prof.amalgam(q2, p2, 1.0)[2 * n + k]
-                if rhs == 0.0:
-                    continue
-                worst = max(worst, lhs / rhs)
+                terms.append((lhs, rhs))
     rec.bound(
         f"holder_{rec.ktag}",
         "amalgam_holder",
-        worst,
+        _worst_ratio(terms),
         1.0,
         cfg.tolerance("holder_slack"),
     )
@@ -1207,17 +1210,13 @@ def _interval_translation_constants(cfg: SuiteConfig, rg, prof: _ProfileStack):
     from the window profiles prof of the family stack and from one interval
     profile stack of the same rows."""
     intervals = _IntervalProfileStack(WindowGeometry.interval(prof.grid), prof.rows, rg)
-    unscaled = scaled = 0.0
+    unscaled, scaled = [], []
     for (q, pp, alpha) in cfg.exponents:
         spec = NormSpec(q, pp, alpha, rg)
-        for denom, interval, ball_scaled in zip(
-            prof.fofana(spec), intervals.fofana(spec), intervals.fofana(spec, ball_scaled=True)
-        ):
-            if denom == 0.0:
-                continue
-            unscaled = max(unscaled, interval / denom)
-            scaled = max(scaled, ball_scaled / denom)
-    return unscaled, scaled
+        denoms = prof.fofana(spec)
+        unscaled += zip(intervals.fofana(spec), denoms)
+        scaled += zip(intervals.fofana(spec, ball_scaled=True), denoms)
+    return _worst_ratio(unscaled), _worst_ratio(scaled)
 
 
 @_per_kappa
@@ -1230,48 +1229,39 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
     # one profile stack per q over the radius grid and r = 1
     prof = _ProfileStack(g, _stack(fam), (*rg, 1.0))
 
-    worst = 0.0
+    terms = []
     for (q, s, pp) in ((1.0, 2.0, 4.0), (2.0, 2.0, INF), (2.0, 4.0, 8.0), (1.0, 1.0, 2.0)):
         const = 4.0 ** (1.0 / q) * mu1 ** (
             (0.0 if pp == INF else 1.0 / pp) - 1.0 / s + 1.0 / q
         )
-        for (fid, f), norm in zip(fam, prof.amalgam(q, pp, 1.0)):
-            denom = const * lp_norm(f, s)
-            if denom == 0.0:
-                continue
-            worst = max(worst, norm / denom)
+        terms += [
+            (norm, const * lp_norm(f, s)) for (_, f), norm in zip(fam, prof.amalgam(q, pp, 1.0))
+        ]
     rec.bound(
         f"lebesgue_amalgam_{rec.ktag}",
         "lebesgue_amalgam_embedding",
-        worst,
+        _worst_ratio(terms),
         1.0,
         slack,
     )
 
-    worst = 0.0
+    terms = []
     for (q1, q2, pp) in ((1.0, 2.0, 4.0), (2.0, 4.0, 8.0), (1.0, 2.0, INF), (2.0, INF, INF)):
         const = mu1 ** (1.0 / q1 - (0.0 if q2 == INF else 1.0 / q2))
-        for n1, n2 in zip(prof.amalgam(q1, pp, 1.0), prof.amalgam(q2, pp, 1.0)):
-            denom = const * n2
-            if denom == 0.0:
-                continue
-            worst = max(worst, n1 / denom)
+        terms += zip(prof.amalgam(q1, pp, 1.0), [const * n for n in prof.amalgam(q2, pp, 1.0)])
     rec.bound(
         f"amalgam_q_monotone_{rec.ktag}",
         "amalgam_q_monotonicity",
-        worst,
+        _worst_ratio(terms),
         1.0,
         slack,
     )
 
-    worst = 0.0
-    for (q, pp, alpha) in cfg.exponents:
-        spec = NormSpec(q, pp, alpha, rg)
-        for (fid, f), norm in zip(fam, prof.fofana(spec)):
-            denom = 4.0 ** (1.0 / q) * lp_norm(f, alpha)
-            if denom == 0.0:
-                continue
-            worst = max(worst, norm / denom)
+    worst = _worst_ratio(
+        (norm, 4.0 ** (1.0 / q) * lp_norm(f, alpha))
+        for (q, pp, alpha) in cfg.exponents
+        for (_, f), norm in zip(fam, prof.fofana(NormSpec(q, pp, alpha, rg)))
+    )
     rec.bound(
         f"lebesgue_fofana_{rec.ktag}",
         "lebesgue_fofana_embedding",
@@ -1280,18 +1270,14 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
         slack,
     )
 
-    worst = 0.0
+    terms = []
     for (q1, q2, pp, alpha) in ((1.0, 2.0, 8.0, 4.0), (1.5, 2.0, 8.0, 2.0)):
-        s1 = NormSpec(q1, pp, alpha, rg)
-        s2 = NormSpec(q2, pp, alpha, rg)
-        for n1, denom in zip(prof.fofana(s1), prof.fofana(s2)):
-            if denom == 0.0:
-                continue
-            worst = max(worst, n1 / denom)
+        s1, s2 = NormSpec(q1, pp, alpha, rg), NormSpec(q2, pp, alpha, rg)
+        terms += zip(prof.fofana(s1), prof.fofana(s2))
     rec.bound(
         f"fofana_q_monotone_{rec.ktag}",
         "fofana_q_monotonicity",
-        worst,
+        _worst_ratio(terms),
         1.0,
         slack,
     )
@@ -1347,12 +1333,8 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
 @_per_kappa
 def _suite_linfty_identity(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     g = make_grid(p, cfg.half_width, cfg.node_count)
-    worst = 0.0
-    for fid, f in _family(cfg, g):
-        sup = lp_norm(f, INF)
-        if sup == 0.0:
-            continue
-        worst = max(worst, abs(amalgam_norm_r(f, INF, INF, 1.0) - sup) / sup)
+    sups = [(f, lp_norm(f, INF)) for _, f in _family(cfg, g)]
+    worst = _worst_ratio((abs(amalgam_norm_r(f, INF, INF, 1.0) - sup), sup) for f, sup in sups)
     rec.bound(
         f"linfty_identity_{rec.ktag}",
         "linfty_identity",
@@ -1405,15 +1387,10 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
     fam = _family(cfg, g, names=("gaussian", "bump", "trig_gauss"))
     stack = _IntervalProfileStack(WindowGeometry.interval(g), _stack(fam), rg)
     bases = stack.fofana(NormSpec(2.0, 8.0, 2.0, rg))
-    cmax = 0.0
-    for (fid, f), base in zip(fam, bases):
-        if base == 0.0:
-            continue
-        cmax = max(cmax, lp_norm(f, 2.0) / base)
     rec.measure(
         f"interval_fofana_lower_{rec.ktag}",
         "interval_fofana_lebesgue",
-        cmax,
+        _worst_ratio((lp_norm(f, 2.0), base) for (_, f), base in zip(fam, bases)),
     )
 
 
@@ -1525,24 +1502,18 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
 
     # L^p boundedness ratios and weak (1,1) constant: measured
     for q in (2.0, 4.0, INF):
-        worst = 0.0
-        for fid, f in _family(cfg, g):
-            base = lp_norm(f, q)
-            if base == 0.0:
-                continue
-            worst = max(worst, lp_norm(GridFunction(g, mds[fid]), q) / base)
+        worst = _worst_ratio(
+            (lp_norm(GridFunction(g, mds[fid]), q), lp_norm(f, q)) for fid, f in _family(cfg, g)
+        )
         rec.measure(
             f"lp_bound_{rec.ktag}_p{q:g}",
             "maximal_lp_bounded",
             worst,
             p=q,
         )
-    worst = 0.0
-    for fid, f in _family(cfg, g):
-        base = lp_norm(f, 1.0)
-        if base == 0.0:
-            continue
-        worst = max(worst, weak_l1_norm(GridFunction(g, mds[fid])) / base)
+    worst = _worst_ratio(
+        (weak_l1_norm(GridFunction(g, mds[fid])), lp_norm(f, 1.0)) for fid, f in _family(cfg, g)
+    )
     rec.measure(f"weak11_constant_{rec.ktag}", "maximal_weak_type", worst)
 
     # monotonicity for ordered nonnegative pairs: exact for the two window
@@ -1585,8 +1556,7 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
         out = []
         for (q, pp, alpha) in cfg.exponents:
             spec = NormSpec(q, pp, alpha, rg)
-            ratios = [m / b for b, m in zip(base.fofana(spec), maxi.fofana(spec)) if b != 0.0]
-            out.append(max([0.0, *ratios]))
+            out.append(_worst_ratio(zip(maxi.fofana(spec), base.fofana(spec))))
         return out
 
     for (q, pp, alpha), coarse, fine in zip(cfg.exponents, *_refined(cfg, p, family_max)):
@@ -1748,11 +1718,12 @@ def _maximal_and_q1_fofana(grid: Grid, fam, rhog, rg, specs):
     its q = 1 Fofana norm at each spec (all on the radius grid rg), from one
     stack of ball convolutions of |f| over both radius grids.  Only the
     maximal functions and the norms outlive the call."""
-    radii = sorted({float(r) for r in (*rhog, *rg)})
+    rhos, measures = _checked_radii(rhog, lambda rho: ball_measure_origin(grid.params, rho))
+    radii = sorted({float(r) for r in (*rhos, *rg)})
     conv = _ball_convolution_stack(grid, np.abs(_stack(fam)), radii)
     cols = [radii.index(r) for r in rg]
     norms = [[_fofana_sup(grid, spec, c[cols]) for spec in specs] for c in conv]
-    return _ball_averages_max(grid.params, conv, radii, rhog), norms
+    return _sup_of_averages(conv[:, [radii.index(r) for r in rhos]], measures), norms
 
 
 @_per_kappa

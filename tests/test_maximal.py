@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from dunkl import maximal
+from dunkl._windows import WindowGeometry
 from dunkl import (
     DunklParams,
     GridFunction,
@@ -120,3 +124,26 @@ def test_empty_rho_grid_rejected(grids):
             op(f, [])
         with pytest.raises(ValueError):
             op(f, [0.0])
+
+
+def test_zero_measure_radius_rejected_before_any_work(monkeypatch):
+    # far below the node spacing the window measures round to 0 away from
+    # the origin, and at kappa 3/2 mu(B_rho) underflows: every operator
+    # names the radius before any transform or window mass, with no 0 / 0
+    def no_work(*args):
+        raise AssertionError("work started before the radii were checked")
+
+    monkeypatch.setattr(maximal, "_ball_convolution_stack", no_work)
+    monkeypatch.setattr(WindowGeometry, "masses", no_work)
+    cases = []
+    for kappa, rho, ops in (
+        (-0.5, 1e-20, (centered_maximal, interval_maximal)),
+        (1.5, 1e-70, (dunkl_maximal,)),
+    ):
+        g = make_grid(DunklParams(kappa, classical=(kappa == -0.5)), 8.0, 64)
+        cases += [(op, sample_family("gaussian", [0.5], g), rho) for op in ops]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op, f, rho in cases:
+            with pytest.raises(ValueError, match=f"radius {rho} "):
+                op(f, [1.0, rho])

@@ -30,31 +30,37 @@ from dunkl.translation import _INDICATOR_BAND, ball_multiplier, translate_indica
 INF = math.inf
 
 
-def _support_windows(rows, weights, nodes, ys, r):
-    """Column windows of dense rows supported on the annuli
-    {max(0,|y|-r) < |x| < |y|+r}: the two intervals (-hi,-lo) and (lo,hi),
-    each widened by one node and cut to the grid.  Returns the column
-    indices of the negative then the positive window, padded to a common
-    width, and the rows and the weights gathered on them, both zero on the
-    padding: the windows the workspace gathers chunk by chunk."""
-    n = nodes.size
-    lo = np.maximum(0.0, np.abs(ys) - r)
-    hi = np.abs(ys) + r
-    a = np.maximum(np.searchsorted(nodes, -hi, side="right") - 1, 0)
-    b = np.searchsorted(nodes, -lo, side="left") + 1
-    c = np.maximum(np.searchsorted(nodes, lo, side="right") - 1, b)
-    d = np.minimum(np.searchsorted(nodes, hi, side="left") + 1, n)
-    width = int(max(np.max(b - a), np.max(d - c), 1))
-    offs = np.arange(width)
-    idx = np.concatenate(
-        [np.clip(a[:, None] + offs, 0, n - 1), np.clip(c[:, None] + offs, 0, n - 1)], axis=1
-    )
-    pad = ~np.concatenate([offs < (b - a)[:, None], offs < (d - c)[:, None]], axis=1)
-    wrows = np.take_along_axis(rows, idx, axis=1)
-    wrows[pad] = 0.0
-    wweights = weights[idx]
-    wweights[pad] = 0.0
-    return idx, wrows, wweights
+def _weak_rows(rows: np.ndarray, fvals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise weak-L1 norms of f * row on dense rows: the oracle of the
+    windowed weak statistics."""
+    g = np.abs(fvals)[None, :] * rows
+    order = np.argsort(-g, axis=1, kind="stable")
+    gs = np.take_along_axis(g, order, axis=1)
+    cw = np.cumsum(weights[order], axis=1)
+    return np.max(gs * cw, axis=1)
+
+
+def _assert_windows_hold_support(ws, r, rows):
+    """The workspace windows at radius r against the dense rows of its
+    centers: the entries of positive weight are the annulus columns
+    {max(0,|y|-r) < |x| < |y|+r}, ascending and so each once, holding the
+    row value and the weight of their own column; every nonzero row entry
+    lies among them; the padding (weight 0) has row value 0."""
+    g = ws.grid
+    assert np.all(g.weights > 0.0)
+    absx = np.abs(g.nodes)
+    idx, wrows, wweights = ws.windows[r]
+    for i, y in enumerate(ws.ypos):
+        kept = wweights[i] > 0.0
+        cols = idx[i][kept]
+        annulus = np.flatnonzero((absx > max(0.0, y - r)) & (absx < y + r))
+        np.testing.assert_array_equal(cols, annulus)
+        np.testing.assert_array_equal(wrows[i][kept], rows[i, cols])
+        np.testing.assert_array_equal(wweights[i][kept], g.weights[cols])
+        outside = np.ones(g.node_count, dtype=bool)
+        outside[cols] = False
+        assert not np.any(rows[i, outside])
+        assert not np.any(wrows[i][~kept])
 
 
 def _whole_block_indicator_rows(p, ys, r, g):
@@ -322,18 +328,18 @@ def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
         p = DunklParams(kappa, classical=(kappa == -0.5))
         g = make_grid(p, 8.0, 512)
         f = sample_family("gaussian", [0.6], g)
-        ys = g.nodes[g.node_count // 2 :: 5]
+        ws = norms.WeakWindowWorkspace(g, (r,), y_stride=5)
+        ys = ws.ypos
         assert ys.size > 2 * norms._WEAK_CHUNK_ROWS
         assert np.any(ys < r)
         rows = translate_indicator_rows(p, -ys, r, g)
-        windows = _support_windows(rows, g.weights, g.nodes, ys, r)
         absf = np.abs(f.values)
-        got = norms._weak_window_rows(absf, *windows)
+        got = norms._weak_window_rows(absf, *ws.windows[r])
         with monkeypatch.context() as m:
             m.setattr(norms, "_WEAK_CHUNK_ROWS", ys.size)
-            whole = norms._weak_window_rows(absf, *windows)
+            whole = norms._weak_window_rows(absf, *ws.windows[r])
         np.testing.assert_array_equal(got, whole)
-        np.testing.assert_array_equal(got, norms._weak_rows(rows, f.values, g.weights))
+        np.testing.assert_array_equal(got, _weak_rows(rows, f.values, g.weights))
 
 
 @pytest.mark.parametrize("r", [0.7, 3.0])
@@ -342,16 +348,9 @@ def test_support_windows_take_each_column_once(r):
     # central nodes +-dx/2 when |y| < r, the end nodes when |y| + r > L)
     p = DunklParams(0.5)
     g = make_grid(p, 8.0, 512)
-    ys = g.nodes[g.node_count // 2 :: 5]
-    assert np.any(ys < r) and np.any(ys + r > g.half_width)
-    rows = translate_indicator_rows(p, -ys, r, g)
-    idx, wrows, wweights = _support_windows(rows, g.weights, g.nodes, ys, r)
-    for i in range(ys.size):
-        cols = idx[i][wweights[i] > 0.0]
-        assert np.all(np.diff(cols) > 0)
-        outside = np.ones(g.node_count, dtype=bool)
-        outside[cols] = False
-        assert not np.any(rows[i, outside])
+    ws = norms.WeakWindowWorkspace(g, (r,), y_stride=5)
+    assert np.any(ws.ypos < r) and np.any(ws.ypos + r > g.half_width)
+    _assert_windows_hold_support(ws, r, translate_indicator_rows(p, -ws.ypos, r, g))
 
 
 @pytest.mark.parametrize("name, ps", [("gaussian", [0.6]), ("trig_gauss", [1.0])])
@@ -367,8 +366,8 @@ def test_weak_workspace_statistics_match_dense_rows(name, ps):
     ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0), y_stride=3)
     for r, (w_pos, w_neg) in zip(ws.radii, ws._statistics(absf)):
         rows = translate_indicator_rows(p, -ws.ypos, r, g)
-        np.testing.assert_array_equal(w_pos, norms._weak_rows(rows, f.values, g.weights))
-        np.testing.assert_array_equal(w_neg, norms._weak_rows(rows, f.values[::-1], g.weights))
+        np.testing.assert_array_equal(w_pos, _weak_rows(rows, f.values, g.weights))
+        np.testing.assert_array_equal(w_neg, _weak_rows(rows, f.values[::-1], g.weights))
         assert (w_neg is w_pos) == symmetric
 
 
@@ -376,8 +375,9 @@ def test_weak_workspace_statistics_match_dense_rows(name, ps):
 @pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5, 1.5, 0.3])
 def test_weak_workspace_windows_equal_dense_row_windows(kappa, n, stride):
     # the windows gathered chunk by chunk, every radius sharing the chunk's
-    # multipliers, are the windows of the dense rows, and those rows are the
-    # rows of one chunked inverse of the whole stack, to the bit; N = 512
+    # multipliers, hold the support of the dense rows at their own columns,
+    # and those rows are the rows of one chunked inverse of the whole stack,
+    # to the bit; N = 512
     # takes its 256 centers in one chunk, and stride 3 at N = 2048 gives
     # 341 centers, two chunks of 128 and a short one
     p = DunklParams(kappa, classical=(kappa == -0.5))
@@ -387,8 +387,7 @@ def test_weak_workspace_windows_equal_dense_row_windows(kappa, n, stride):
     for r in ws.radii:
         rows = translate_indicator_rows(p, -ws.ypos, r, g)
         np.testing.assert_array_equal(rows, _whole_block_indicator_rows(p, -ws.ypos, r, g))
-        for got, want in zip(ws.windows[r], _support_windows(rows, g.weights, g.nodes, ws.ypos, r)):
-            np.testing.assert_array_equal(got, want)
+        _assert_windows_hold_support(ws, r, rows)
 
 
 def test_weak_workspace_evaluates_multipliers_once_per_center_chunk(monkeypatch):
@@ -412,8 +411,8 @@ def _dense_weak_fofana(ws, f, pp, alpha):
     best = 0.0
     for r in ws.radii:
         rows = translate_indicator_rows(g.params, -ws.ypos, r, g)
-        w_pos = norms._weak_rows(rows, f.values, g.weights)
-        w_neg = norms._weak_rows(rows, f.values[::-1], g.weights)
+        w_pos = _weak_rows(rows, f.values, g.weights)
+        w_neg = _weak_rows(rows, f.values[::-1], g.weights)
         pref = ball_measure_origin(g.params, r) ** (1.0 / alpha - 1.0 - norms._inv(pp))
         if pp == INF:
             val = pref * max(float(np.max(w_pos)), float(np.max(w_neg)))
@@ -447,8 +446,8 @@ def test_weak_workspace_keeps_windows_not_full_rows():
     arrays = [a for w in ws.windows.values() for a in w]
     arrays += [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 3 * len(ws.radii) + 2
-    # two windows of at most 2r / dx + 2 = 66 nodes each, never a full row
-    assert all(a.shape[-1] <= 132 for a in arrays if a.ndim == 2)
+    # two windows of at most 2r / dx = 64 nodes each, never a full row
+    assert all(a.shape[-1] <= 128 for a in arrays if a.ndim == 2)
 
 
 def _per_radius_interval_fofana(f, spec, ball_scaled):

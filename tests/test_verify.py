@@ -8,7 +8,14 @@ import pytest
 
 from dunkl import SuiteConfig, list_suites, run_suite
 from dunkl._windows import WindowGeometry
-from dunkl.verify import _YOUNG_TRIPLES, DEFAULT_KAPPAS, _Recorder, canonical_json, check_suite
+from dunkl.verify import (
+    _YOUNG_TRIPLES,
+    DEFAULT_KAPPAS,
+    _Recorder,
+    _worst_ratio,
+    canonical_json,
+    check_suite,
+)
 
 SMALL = dict(node_count=256, half_width=8.0)
 
@@ -118,6 +125,29 @@ def test_interval_fofana_maximal_builds_one_window_geometry_per_grid(monkeypatch
 def test_young_triples_satisfy_the_scaling_relation():
     for pp, qq, rr in _YOUNG_TRIPLES:
         assert 1.0 / pp + 1.0 / qq == pytest.approx(1.0 + 1.0 / rr, abs=1e-12)
+
+
+def test_worst_ratio_skips_zero_denominators_and_equals_the_loop():
+    def loop(pairs):
+        worst = 0.0
+        for num, den in pairs:
+            if den == 0.0:
+                continue
+            worst = max(worst, num / den)
+        return worst
+
+    assert _worst_ratio([]) == 0.0
+    assert _worst_ratio([(1.0, 0.0), (-1.0, 2.0)]) == 0.0
+    rng = np.random.default_rng(5)
+    nums, dens = rng.uniform(0.0, 2.0, (2, 40))
+    dens[::7] = 0.0
+    # a nan ratio, a -0.0 ratio and two equal maxima of different types
+    pairs = [(-0.0, 1.0), (math.nan, 1.0), *zip(nums, dens), (np.float64(9.0), 1.0), (9.0, 1.0)]
+    for case in (pairs, pairs[:3], pairs[::-1]):
+        got, want = _worst_ratio(iter(case)), loop(case)
+        assert got == want and type(got) is type(want)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert type(_worst_ratio(pairs)) is np.float64
 
 
 def test_recorder_view_shares_cases_streams_and_leads_with_kappa():
