@@ -191,21 +191,16 @@ def _cmd_verify(args, parser) -> int:
         if name not in list_suites():
             parser.error(f"unknown suite {name!r}; valid suites: {', '.join(list_suites())} (or 'all')")
     kwargs = {}
-    kappa = _resolve(args.kappa, "--kappa", None, _parse_float_list)
-    if kappa is not None:
-        kwargs["kappa_list"] = kappa
-    n = _resolve(args.grid_n, "--grid-n", None, int)
-    if n is not None:
-        kwargs["node_count"] = n
-    half = _resolve(args.domain_l, "--domain-l", None, float)
-    if half is not None:
-        kwargs["half_width"] = half
-    exps = _resolve(args.exponents, "--exponents", None, _parse_exponent_triples)
-    if exps is not None:
-        kwargs["exponents"] = exps
-    seed = _resolve(args.seed, "--seed", None, int)
-    if seed is not None:
-        kwargs["seed"] = seed
+    for flag, name, cast in (
+        ("--kappa", "kappa_list", _parse_float_list),
+        ("--grid-n", "node_count", int),
+        ("--domain-l", "half_width", float),
+        ("--exponents", "exponents", _parse_exponent_triples),
+        ("--seed", "seed", int),
+    ):
+        value = _resolve(getattr(args, flag.strip("-").replace("-", "_")), flag, None, cast)
+        if value is not None:
+            kwargs[name] = value
     try:
         cfg = SuiteConfig(**kwargs)
     except ValueError as exc:

@@ -227,7 +227,8 @@ def sample_family(name: str, parameters, grid: Grid) -> GridFunction:
       bump(center, width)    smooth bump supported on (center-width, center+width)
       power_tail(beta, cutoff)  |x|**(-beta) for |x| > cutoff > 0, else 0
       trig_gauss(seed)       seeded random trig polynomial under a Gaussian
-                             envelope; identical seed gives identical samples
+                             envelope, seed a finite integer >= 0; identical
+                             seed gives identical samples
     """
     x = grid.nodes
     p = [float(v) for v in parameters]
@@ -253,6 +254,9 @@ def sample_family(name: str, parameters, grid: Grid) -> GridFunction:
         vals = np.where(np.abs(x) > cutoff, np.abs(x) ** -beta, 0.0)
     elif name == "trig_gauss":
         (seed,) = p
+        # nan fails the comparison, and inf is not an integer
+        if not (seed >= 0 and seed.is_integer()):
+            raise ValueError(f"trig_gauss seed must be a finite integer >= 0, got {seed}")
         rng = np.random.default_rng(int(seed))
         amp_c = rng.standard_normal(4)
         amp_s = rng.standard_normal(4)

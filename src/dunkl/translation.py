@@ -16,8 +16,7 @@ weak-window workspace of `norms` gathers its windows from the chunks as they
 come, without holding a full block of rows.
 Ball convolutions take whole stacks of functions on one grid: one forward
 matrix product for the stack, the ball multipliers built once, and one
-chunked inverse over every (function, radius) row; `ball_convolutions` is
-the one-function case, with the bits of a single-row transform.
+chunked inverse over every (function, radius) row.
 
 Convolution multiplies transforms pointwise.  Translated ball indicators use
 the closed form of the indicator transform,
@@ -198,16 +197,6 @@ def _ball_convolution_stack(grid: Grid, rows, radii) -> np.ndarray:
     out = inverse_rows(params, lg, grid, nf * nr, spectra)
     np.maximum(out, 0.0, out=out)
     return out.reshape(nf, nr, grid.node_count)
-
-
-def ball_convolutions(f: GridFunction, radii) -> np.ndarray:
-    """(f * chi_{B_r}) for each r in radii, stacked rows, via one transform.
-
-    f must be real; rows are clamped at 0 (spectral windows of non-negative
-    data may undershoot slightly).  Every radius is checked before the
-    transform.  This is the one-function case of the stacked kernel.
-    """
-    return _ball_convolution_stack(f.grid, f.values[None, :], radii)[0]
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -39,7 +39,7 @@ import scipy
 
 from ._version import VERSION
 from ._windows import LineWindowMass, WindowGeometry
-from .grid import Grid, GridFunction, integrate, make_grid, sample_family
+from .grid import Grid, GridFunction, _check_half_width, integrate, make_grid, sample_family
 from .maximal import _checked_radii, _dunkl_maximal_stack, _sup_of_averages, _window_maximal
 from .measure import (
     ball_measure,
@@ -128,32 +128,26 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _as_tuple_of_tuples(obj):
-    return tuple(tuple(float(v) for v in row) for row in obj)
-
-
 def _params_for(kappa: float) -> DunklParams:
     return DunklParams(kappa, classical=(kappa == -0.5))
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Run parameters shared by every suite.
+    """Run parameters shared by every suite: kappa_list, half_width,
+    node_count, exponents and seed.
 
     exponents are (q, p, alpha) triples with 1 <= q <= alpha <= p <= inf;
     suites that need q > 1 enforce it, the weak suite always uses q = 1.
-    r_grid / rho_grid default to the grid-adapted geometric radius grid.
+    The radius grids, the function family, the weak exponent pairs and the
+    tolerances are fixed: the suites read default_radius_grid,
+    DEFAULT_FAMILY, DEFAULT_WEAK_EXPONENTS and DEFAULT_TOLERANCES.
     """
 
     kappa_list: tuple = DEFAULT_KAPPAS
     half_width: float = 16.0
     node_count: int = 4096
-    r_grid: tuple | None = None
-    rho_grid: tuple | None = None
     exponents: tuple = DEFAULT_EXPONENTS
-    weak_exponents: tuple = DEFAULT_WEAK_EXPONENTS
-    family: tuple = DEFAULT_FAMILY
-    tolerances: tuple = ()
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -165,66 +159,34 @@ class SuiteConfig:
         for k in kl:
             _params_for(k)
         object.__setattr__(self, "kappa_list", kl)
-        if not (self.half_width > 0 and math.isfinite(self.half_width)):
-            raise ValueError("half_width must be positive")
+        object.__setattr__(self, "half_width", _check_half_width(self.half_width))
         n = int(self.node_count)
         # suites that halve the grid need an even node count at N/2 too
         if n < 64 or n % 4:
             raise ValueError(f"node_count must be a multiple of 4 and >= 64, got {n}")
         object.__setattr__(self, "node_count", n)
-        exps = _as_tuple_of_tuples(self.exponents)
+        exps = tuple(tuple(float(v) for v in row) for row in self.exponents)
         for q, p, a in exps:
             if not (1.0 <= q <= a <= p):
                 raise ValueError(f"exponent triple violates q <= alpha <= p: {(q, p, a)}")
         object.__setattr__(self, "exponents", exps)
-        wexps = _as_tuple_of_tuples(self.weak_exponents)
-        for p, a in wexps:
-            if not (1.0 <= a <= p):
-                raise ValueError(f"weak exponent pair violates alpha <= p: {(p, a)}")
-        object.__setattr__(self, "weak_exponents", wexps)
-        fam = tuple((str(name), tuple(float(v) for v in ps)) for name, ps in self.family)
-        object.__setattr__(self, "family", fam)
-        if self.r_grid is not None:
-            rg = tuple(float(r) for r in self.r_grid)
-            # window radii lie in (0, L/2]; the comparisons also reject nan
-            increasing = all(a < b for a, b in zip(rg, rg[1:]))
-            if not (rg and 0.0 < rg[0] and increasing and rg[-1] <= self.half_width / 2):
-                raise ValueError(f"r_grid must be positive, strictly increasing and at most L/2, got {rg}")
-            object.__setattr__(self, "r_grid", rg)
-        if self.rho_grid is not None:
-            rho = tuple(float(r) for r in self.rho_grid)
-            if not (rho and all(0.0 < r < math.inf for r in rho)):
-                raise ValueError(f"rho_grid must be non-empty, positive and finite, got {rho}")
-            object.__setattr__(self, "rho_grid", rho)
-        tol = tuple(sorted((str(k), float(v)) for k, v in dict(self.tolerances).items()))
-        for k, v in tol:
-            if k not in DEFAULT_TOLERANCES:
-                raise ValueError(f"tolerances has unknown key {k!r}")
-            if not 0.0 <= v < math.inf:
-                raise ValueError(f"tolerances[{k!r}] must be finite and >= 0, got {v}")
-        object.__setattr__(self, "tolerances", tol)
         seed = int(self.seed)
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "seed", seed)
 
-    def tolerance(self, key: str) -> float:
-        for k, v in self.tolerances:
-            if k == key:
-                return v
-        return DEFAULT_TOLERANCES[key]
-
     def echo(self) -> dict:
+        # the fixed keys keep the report schema of the settable config
         return {
             "kappa_list": list(self.kappa_list),
             "half_width": self.half_width,
             "node_count": self.node_count,
-            "r_grid": None if self.r_grid is None else list(self.r_grid),
-            "rho_grid": None if self.rho_grid is None else list(self.rho_grid),
+            "r_grid": None,
+            "rho_grid": None,
             "exponents": [list(t) for t in self.exponents],
-            "weak_exponents": [list(t) for t in self.weak_exponents],
-            "family": [[name, list(ps)] for name, ps in self.family],
-            "tolerances": [[k, v] for k, v in self.tolerances],
+            "weak_exponents": [list(t) for t in DEFAULT_WEAK_EXPONENTS],
+            "family": [[name, list(ps)] for name, ps in DEFAULT_FAMILY],
+            "tolerances": [],
             "seed": self.seed,
         }
 
@@ -400,15 +362,15 @@ class _Recorder:
         sizes (the largest one, for tuples) by the stability tolerance."""
         pairs = zip(value, reference) if isinstance(value, tuple) else [(value, reference)]
         drift = max(abs(v / r - 1.0) for v, r in pairs)
-        return self.bound(case_id, statement, drift, self.cfg.tolerance("stability"), 0.0, **inputs)
+        return self.bound(case_id, statement, drift, DEFAULT_TOLERANCES["stability"], 0.0, **inputs)
 
     def report(self) -> VerificationReport:
         return VerificationReport(self.name, self.cfg.echo(), self.cases)
 
 
-def _family(cfg: SuiteConfig, grid: Grid, names=None):
+def _family(grid: Grid, names=None):
     out = []
-    for name, ps in cfg.family:
+    for name, ps in DEFAULT_FAMILY:
         if names is not None and name not in names:
             continue
         fid = f"{name}({','.join('%g' % v for v in ps)})"
@@ -433,14 +395,6 @@ def _refined(cfg: SuiteConfig, params: DunklParams, evaluate):
     returns (coarse, fine)."""
     sizes = (cfg.node_count // 2, cfg.node_count)
     return tuple(evaluate(make_grid(params, cfg.half_width, n)) for n in sizes)
-
-
-def _radius_grid(cfg: SuiteConfig, grid: Grid):
-    return cfg.r_grid if cfg.r_grid is not None else default_radius_grid(grid)
-
-
-def _rho_grid(cfg: SuiteConfig, grid: Grid):
-    return cfg.rho_grid if cfg.rho_grid is not None else default_radius_grid(grid)
 
 
 _SUITES: dict = {}
@@ -519,7 +473,7 @@ def _suite_kernel(rec: _Recorder, cfg: SuiteConfig):
         "kernel_modulus_bound",
         worst,
         1.0,
-        cfg.tolerance("kernel_modulus_slack"),
+        DEFAULT_TOLERANCES["kernel_modulus_slack"],
         samples=10000,
     )
 
@@ -532,7 +486,7 @@ def _suite_kernel(rec: _Recorder, cfg: SuiteConfig):
         "kernel_classical_exponential",
         dev,
         0.0,
-        cfg.tolerance("kernel_classical"),
+        DEFAULT_TOLERANCES["kernel_classical"],
         samples=2000,
     )
 
@@ -576,7 +530,7 @@ def _suite_kernel(rec: _Recorder, cfg: SuiteConfig):
         "series_truncation",
         "bessel_series_truncation",
         worst,
-        cfg.tolerance("series_truncation"),
+        DEFAULT_TOLERANCES["series_truncation"],
         0.0,
     )
 
@@ -597,7 +551,7 @@ def _suite_kernel(rec: _Recorder, cfg: SuiteConfig):
                 f"eigenfunction_{krec.ktag}_lam{lam:g}",
                 "eigenfunction_identity",
                 errs[1],
-                cfg.tolerance("eigenfunction_order") * errs[0],
+                DEFAULT_TOLERANCES["eigenfunction_order"] * errs[0],
                 0.0,
                 lam=lam,
                 coarse_error=errs[0],
@@ -625,7 +579,7 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
     kap = rng.uniform(-0.499, 3.0, n)
     x = rng.uniform(-20.0, 20.0, n)
     r = np.exp(rng.uniform(math.log(0.01), math.log(10.0), n))
-    tol = cfg.tolerance("measure_identity")
+    tol = DEFAULT_TOLERANCES["measure_identity"]
     worst_b = 0.0
     worst_eq = 0.0
     worst_l5 = 0.0
@@ -655,7 +609,7 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
             "doubling",
             float(np.max(ratios)),
             cap,
-            cfg.tolerance("doubling_slack"),
+            DEFAULT_TOLERANCES["doubling_slack"],
         )
         krec.measure(
             f"doubling_constant_{krec.ktag}", "doubling", float(np.max(ratios))
@@ -677,7 +631,7 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
                 "reverse_doubling",
                 worst,
                 1.0,
-                cfg.tolerance("reverse_doubling_slack"),
+                DEFAULT_TOLERANCES["reverse_doubling_slack"],
             )
         else:
             # the unit-constant, exponent-1 reverse doubling fails marginally
@@ -689,7 +643,7 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
                 worst,
             )
 
-    qtol = cfg.tolerance("measure_quadrature")
+    qtol = DEFAULT_TOLERANCES["measure_quadrature"]
     for kappa in cfg.kappa_list:
         p = _params_for(kappa)
         if kappa < 0.0 and not p.classical:
@@ -716,7 +670,7 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
 
 @_per_kappa
 def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
-    tol = cfg.tolerance("plancherel_classical") if p.classical else cfg.tolerance("plancherel")
+    tol = DEFAULT_TOLERANCES["plancherel_classical" if p.classical else "plancherel"]
     for a in (0.25, 0.5, 2.0):
         coarse, fine = _refined(
             cfg, p, lambda g: plancherel_defect(sample_family("gaussian", (a,), g))
@@ -753,7 +707,7 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
                 "inversion_roundtrip",
                 dev,
                 0.0,
-                cfg.tolerance("roundtrip"),
+                DEFAULT_TOLERANCES["roundtrip"],
             )
         else:
             # band truncation of slowly decaying spectra grows with the
@@ -774,7 +728,7 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
         "transform_linearity",
         float(np.max(np.abs(combo.values - split))) / scale,
         0.0,
-        cfg.tolerance("linearity"),
+        DEFAULT_TOLERANCES["linearity"],
     )
     even = f1
     fe = forward(even)
@@ -782,7 +736,7 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
         f"parity_even_{rec.ktag}",
         "transform_parity",
         float(np.max(np.abs(fe.values.imag))),
-        cfg.tolerance("parity") * float(np.max(np.abs(fe.values))),
+        DEFAULT_TOLERANCES["parity"] * float(np.max(np.abs(fe.values))),
         0.0,
     )
     odd = GridFunction(g, g.nodes * even.values)
@@ -791,7 +745,7 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
         f"parity_odd_{rec.ktag}",
         "transform_parity",
         float(np.max(np.abs(fo.values.real))),
-        cfg.tolerance("parity") * float(np.max(np.abs(fo.values))),
+        DEFAULT_TOLERANCES["parity"] * float(np.max(np.abs(fo.values))),
         0.0,
     )
     fixed = forward(even, g)  # frequencies on the spatial nodes
@@ -800,7 +754,7 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
         "gaussian_fixed_point",
         float(np.max(np.abs(fixed.values - np.exp(-(g.nodes**2) / 2.0)))),
         0.0,
-        cfg.tolerance("gaussian_fixed_point"),
+        DEFAULT_TOLERANCES["gaussian_fixed_point"],
     )
     fmin = fixed.values[np.argmin(np.abs(g.nodes))]
     rec.match(
@@ -824,7 +778,7 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
 def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     smooth = ("gaussian", "bump", "trig_gauss")
     g = make_grid(p, cfg.half_width, cfg.node_count)
-    fam = _family(cfg, g)
+    fam = _family(g)
     fam_smooth = [(fid, f) for fid, f in fam if fid.startswith(smooth)]
     L = cfg.half_width
 
@@ -837,7 +791,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
         "translation_identity",
         worst,
         0.0,
-        cfg.tolerance("translation_identity"),
+        DEFAULT_TOLERANCES["translation_identity"],
     )
 
     # symmetry on random node pairs
@@ -858,7 +812,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
         f"symmetry_{rec.ktag}",
         "translation_symmetry",
         worst,
-        cfg.tolerance("translation_symmetry"),
+        DEFAULT_TOLERANCES["translation_symmetry"],
         0.0,
         pairs=50,
     )
@@ -872,7 +826,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
         "translation_commutes",
         float(np.max(np.abs(ab.values - ba.values))),
         0.0,
-        cfg.tolerance("translation_compose") * float(np.max(np.abs(f.values))),
+        DEFAULT_TOLERANCES["translation_compose"] * float(np.max(np.abs(f.values))),
     )
 
     # contraction in L^p with constant 4
@@ -895,7 +849,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
         "translation_contraction",
         worst,
         4.0,
-        cfg.tolerance("translation_contraction_slack"),
+        DEFAULT_TOLERANCES["translation_contraction_slack"],
     )
     rec.measure(
         f"contraction_max_ratio_{rec.ktag}",
@@ -908,7 +862,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
             "translation_contraction",
             worst_smooth,
             1.0,
-            cfg.tolerance("classical_isometry"),
+            DEFAULT_TOLERANCES["classical_isometry"],
             note="smooth family members",
         )
 
@@ -922,7 +876,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
         f"mass_{rec.ktag}",
         "translation_mass",
         worst,
-        cfg.tolerance("translation_mass"),
+        DEFAULT_TOLERANCES["translation_mass"],
         0.0,
     )
 
@@ -949,14 +903,14 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
             "lebesgue_differentiation",
             monotone_break,
             1.0,
-            cfg.tolerance("differentiation_monotone_slack"),
+            DEFAULT_TOLERANCES["differentiation_monotone_slack"],
             x=xv,
         )
         rec.bound(
             f"differentiation_final_{rec.ktag}_x{x0:g}",
             "lebesgue_differentiation",
             errs[-1],
-            cfg.tolerance("differentiation_final") * sup,
+            DEFAULT_TOLERANCES["differentiation_final"] * sup,
             0.0,
             x=xv,
             windows=len(errs),
@@ -993,7 +947,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
             f"indicator_mass_{rec.ktag}_y{y:g}_r{r:g}",
             "indicator_translation_mass",
             mass_rel,
-            cfg.tolerance("indicator_mass_classical" if p.classical else "indicator_mass"),
+            DEFAULT_TOLERANCES["indicator_mass_classical" if p.classical else "indicator_mass"],
             0.0,
             y=y,
             r=r,
@@ -1034,7 +988,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
         "translation_convolution_commute",
         float(np.max(np.abs(lhs_f.values - rhs_f.values))),
         0.0,
-        cfg.tolerance("convolution_commute") * float(np.max(np.abs(conv.values))),
+        DEFAULT_TOLERANCES["convolution_commute"] * float(np.max(np.abs(conv.values))),
     )
 
 
@@ -1062,7 +1016,7 @@ def _suite_young(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams)
         "young_inequality",
         worst,
         4.0,
-        cfg.tolerance("young_slack"),
+        DEFAULT_TOLERANCES["young_slack"],
     )
     rec.measure(f"young_max_ratio_{rec.ktag}", "young_inequality", worst)
 
@@ -1095,7 +1049,7 @@ def _suite_young(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams)
             "convolution_classical_value",
             float(conv.values[i0]),
             (2.0 - x0) / math.sqrt(2.0 * math.pi),
-            cfg.tolerance("classical_convolution"),
+            DEFAULT_TOLERANCES["classical_convolution"],
             node=x0,
         )
 
@@ -1136,12 +1090,12 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
         "amalgam_holder",
         _worst_ratio(terms),
         1.0,
-        cfg.tolerance("holder_slack"),
+        DEFAULT_TOLERANCES["holder_slack"],
     )
 
     # norm axioms at (q, p) = (2, 4), window radius 1: the family, its
     # scaled members and the random combinations in one stack
-    fam = _family(cfg, g)
+    fam = _family(g)
     scales = [(fid, f, c) for fid, f in fam[:4] for c in (2.5, -3.0)]
     rng = rec.rng(f"triangle_{kappa}")
     combos = []
@@ -1168,7 +1122,7 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
         f"homogeneity_{rec.ktag}",
         "amalgam_norm_axioms",
         worst_h,
-        cfg.tolerance("homogeneity"),
+        DEFAULT_TOLERANCES["homogeneity"],
         0.0,
     )
     worst_t = -INF
@@ -1180,7 +1134,7 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
         f"triangle_{rec.ktag}",
         "amalgam_norm_axioms",
         worst_t,
-        cfg.tolerance("triangle_slack"),
+        DEFAULT_TOLERANCES["triangle_slack"],
         0.0,
         pairs=100,
     )
@@ -1221,11 +1175,11 @@ def _interval_translation_constants(cfg: SuiteConfig, rg, prof: _ProfileStack):
 
 @_per_kappa
 def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
-    slack = cfg.tolerance("embedding_slack")
+    slack = DEFAULT_TOLERANCES["embedding_slack"]
     g = make_grid(p, cfg.half_width, cfg.node_count)
-    rg = _radius_grid(cfg, g)
+    rg = default_radius_grid(g)
     mu1 = ball_measure_origin(p, 1.0)
-    fam = _family(cfg, g, names=_EMBEDDING_FAMILY)
+    fam = _family(g, names=_EMBEDDING_FAMILY)
     # one profile stack per q over the radius grid and r = 1
     prof = _ProfileStack(g, _stack(fam), (*rg, 1.0))
 
@@ -1291,8 +1245,8 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
     # removes the factor and must not drift with the domain.
     unscaled, scaled = _interval_translation_constants(cfg, rg, prof)
     gh = make_grid(p, cfg.half_width / 2.0, cfg.node_count // 2)
-    fam_h = _family(cfg, gh, names=_EMBEDDING_FAMILY)
-    rg_h = tuple(r for r in _radius_grid(cfg, gh) if r <= gh.half_width / 2.0)
+    fam_h = _family(gh, names=_EMBEDDING_FAMILY)
+    rg_h = default_radius_grid(gh)
     unscaled_h, scaled_h = _interval_translation_constants(
         cfg, rg_h, _ProfileStack(gh, _stack(fam_h), rg_h)
     )
@@ -1302,7 +1256,7 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
             "interval_vs_translation_fofana",
             unscaled,
             1.0,
-            cfg.tolerance("interval_fofana_slack"),
+            DEFAULT_TOLERANCES["interval_fofana_slack"],
         )
     rec.measure(
         f"interval_translation_constant_{rec.ktag}",
@@ -1333,13 +1287,13 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
 @_per_kappa
 def _suite_linfty_identity(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     g = make_grid(p, cfg.half_width, cfg.node_count)
-    sups = [(f, lp_norm(f, INF)) for _, f in _family(cfg, g)]
+    sups = [(f, lp_norm(f, INF)) for _, f in _family(g)]
     worst = _worst_ratio((abs(amalgam_norm_r(f, INF, INF, 1.0) - sup), sup) for f, sup in sups)
     rec.bound(
         f"linfty_identity_{rec.ktag}",
         "linfty_identity",
         worst,
-        cfg.tolerance("linfty_identity"),
+        DEFAULT_TOLERANCES["linfty_identity"],
         0.0,
     )
 
@@ -1350,8 +1304,8 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
 
     def windows(g):
         """The window constant of each label, from one profile stack."""
-        rg = _radius_grid(cfg, g)
-        fam = _family(cfg, g, names=("gaussian", "indicator_ball", "bump", "trig_gauss"))
+        rg = default_radius_grid(g)
+        fam = _family(g, names=("gaussian", "indicator_ball", "bump", "trig_gauss"))
         prof = _ProfileStack(g, _stack(fam), rg)
         out = []
         for (q, pp, alpha, _) in labels:
@@ -1383,8 +1337,8 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
         )
     # interval-normed counterpart: reported lower-bound constant
     g = make_grid(p, cfg.half_width, cfg.node_count)
-    rg = _radius_grid(cfg, g)
-    fam = _family(cfg, g, names=("gaussian", "bump", "trig_gauss"))
+    rg = default_radius_grid(g)
+    fam = _family(g, names=("gaussian", "bump", "trig_gauss"))
     stack = _IntervalProfileStack(WindowGeometry.interval(g), _stack(fam), rg)
     bases = stack.fofana(NormSpec(2.0, 8.0, 2.0, rg))
     rec.measure(
@@ -1422,11 +1376,11 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
         """The two window constants, and the Dunkl maximal functions of
         the family, by id; each maximal operator takes the family as one
         stack."""
-        rhog = _rho_grid(cfg, g)
+        rhog = default_radius_grid(g)
         sel = np.abs(g.nodes) <= cfg.half_width / 2.0
         c1 = 0.0
         c2 = 0.0
-        fam = _family(cfg, g)
+        fam = _family(g)
         rows = _stack(fam)
         mds = dict(zip((fid for fid, _ in fam), _dunkl_maximal_stack(g, rows, rhog)))
         mcs = _window_maximal(WindowGeometry.annulus(g), rows, rhog)
@@ -1462,12 +1416,12 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
     )
 
     g = make_grid(p, cfg.half_width, cfg.node_count)
-    rhog = _rho_grid(cfg, g)
+    rhog = default_radius_grid(g)
     sel = np.abs(g.nodes) <= cfg.half_width / 2.0
 
     if p.classical:
         worst = 0.0
-        for fid, f in _family(cfg, g, names=("gaussian", "bump", "trig_gauss")):
+        for fid, f in _family(g, names=("gaussian", "bump", "trig_gauss")):
             md = mds[fid]
             oracle = _classical_maximal_oracle(f, rhog)
             mask = sel & (oracle > 1e-9)
@@ -1476,7 +1430,7 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
             "classical_maximal_oracle",
             "classical_maximal_oracle",
             worst,
-            cfg.tolerance("classical_maximal"),
+            DEFAULT_TOLERANCES["classical_maximal"],
             0.0,
         )
 
@@ -1497,13 +1451,13 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
         "maximal_indicator_peak",
         float(m_chi[i0]),
         1.0,
-        cfg.tolerance("maximal_peak"),
+        DEFAULT_TOLERANCES["maximal_peak"],
     )
 
     # L^p boundedness ratios and weak (1,1) constant: measured
     for q in (2.0, 4.0, INF):
         worst = _worst_ratio(
-            (lp_norm(GridFunction(g, mds[fid]), q), lp_norm(f, q)) for fid, f in _family(cfg, g)
+            (lp_norm(GridFunction(g, mds[fid]), q), lp_norm(f, q)) for fid, f in _family(g)
         )
         rec.measure(
             f"lp_bound_{rec.ktag}_p{q:g}",
@@ -1512,7 +1466,7 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
             p=q,
         )
     worst = _worst_ratio(
-        (weak_l1_norm(GridFunction(g, mds[fid])), lp_norm(f, 1.0)) for fid, f in _family(cfg, g)
+        (weak_l1_norm(GridFunction(g, mds[fid])), lp_norm(f, 1.0)) for fid, f in _family(g)
     )
     rec.measure(f"weak11_constant_{rec.ktag}", "maximal_weak_type", worst)
 
@@ -1529,14 +1483,14 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
         f"monotonicity_{rec.ktag}",
         "maximal_monotonicity",
         worst_exact,
-        cfg.tolerance("monotonicity_slack"),
+        DEFAULT_TOLERANCES["monotonicity_slack"],
         0.0,
     )
     rec.bound(
         f"monotonicity_spectral_{rec.ktag}",
         "maximal_monotonicity",
         worst_spectral,
-        cfg.tolerance("monotonicity_spectral"),
+        DEFAULT_TOLERANCES["monotonicity_spectral"],
         0.0,
     )
 
@@ -1548,11 +1502,11 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
         interval profile stacks of |f| and of its interval maximal
         function, one per q.  One interval geometry serves both stacks and
         the maximal functions."""
-        rg = _radius_grid(cfg, g)
+        rg = default_radius_grid(g)
         windows = WindowGeometry.interval(g)
-        rows = _stack(_family(cfg, g))
+        rows = _stack(_family(g))
         base = _IntervalProfileStack(windows, rows, rg)
-        maxi = _IntervalProfileStack(windows, _window_maximal(windows, rows, _rho_grid(cfg, g)), rg)
+        maxi = _IntervalProfileStack(windows, _window_maximal(windows, rows, rg), rg)
         out = []
         for (q, pp, alpha) in cfg.exponents:
             spec = NormSpec(q, pp, alpha, rg)
@@ -1585,7 +1539,7 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
         windows = WindowGeometry.interval(gn)
         for (yc, rc) in ((0.0, 0.5), (1.0, 0.5), (2.0, 1.0)):
             chi = (np.abs(gn.nodes - yc) < rc).astype(float)
-            rhos = sorted(set(list(_rho_grid(cfg, gn)) + [rc * 2.0**k for k in range(1, 6)]))
+            rhos = sorted(set(list(default_radius_grid(gn)) + [rc * 2.0**k for k in range(1, 6)]))
             rhos = [r for r in rhos if r <= gn.half_width]
             mi = _window_maximal(windows, chi[None, :], rhos)[0]
             dist = np.abs(gn.nodes - yc)
@@ -1631,7 +1585,7 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
     )
 
     # interval maximal of a translated window indicator vs the sharp one
-    rhog = _rho_grid(cfg, g)
+    rhog = default_radius_grid(g)
     for (xc, rc) in ((1.0, 1.0),):
         ti = translate_indicator(p, -xc, rc, g)
         sharp = (np.abs(g.nodes - xc) < rc).astype(float)
@@ -1643,7 +1597,7 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
                 f"translated_window_maximal_{rec.ktag}",
                 "maximal_translated_window",
                 disc,
-                cfg.tolerance("lem6_classical"),
+                DEFAULT_TOLERANCES["lem6_classical"],
                 0.0,
                 x=xc,
                 r=rc,
@@ -1683,11 +1637,11 @@ def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Dunkl
     def member_ratios(g):
         """Per exponent triple, the ratio of each family member, from the
         profile stacks of |f| and of M f, one per q."""
-        rg = _radius_grid(cfg, g)
-        fam = _family(cfg, g)
+        rg = default_radius_grid(g)
+        fam = _family(g)
         rows = _stack(fam)
         base = _ProfileStack(g, rows, rg)
-        maxi = _ProfileStack(g, _dunkl_maximal_stack(g, rows, _rho_grid(cfg, g)), rg)
+        maxi = _ProfileStack(g, _dunkl_maximal_stack(g, rows, rg), rg)
         out = []
         for (q, pp, alpha) in cfg.exponents:
             spec = NormSpec(q, pp, alpha, rg)
@@ -1737,19 +1691,19 @@ def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: D
         functions and the q = 1 Fofana norms, before the workspace is
         built."""
         fine = g.node_count == cfg.node_count
-        rg = default_radius_grid(g, ratio=2.0) if cfg.r_grid is None else cfg.r_grid
-        rhog = _rho_grid(cfg, g)
-        fam = _family(cfg, g)
-        specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in cfg.weak_exponents]
+        rg = default_radius_grid(g, ratio=2.0)
+        rhog = default_radius_grid(g)
+        fam = _family(g)
+        specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in DEFAULT_WEAK_EXPONENTS]
         mfs, strong = _maximal_and_q1_fofana(g, fam, rhog, rg, specs)
         ws = WeakWindowWorkspace(g, rg)
-        ratios = {pair: {} for pair in cfg.weak_exponents}
+        ratios = {pair: {} for pair in DEFAULT_WEAK_EXPONENTS}
         dominance = 0.0
         for (fid, f), mf, bases in zip(fam, mfs, strong):
-            weak_mf = ws.weak_fofana(GridFunction(g, mf), cfg.weak_exponents)
+            weak_mf = ws.weak_fofana(GridFunction(g, mf), DEFAULT_WEAK_EXPONENTS)
             dominated = fine and fid.startswith(("gaussian", "bump", "indicator_ball"))
-            weak_f = ws.weak_fofana(f, cfg.weak_exponents) if dominated else None
-            for j, pair in enumerate(cfg.weak_exponents):
+            weak_f = ws.weak_fofana(f, DEFAULT_WEAK_EXPONENTS) if dominated else None
+            for j, pair in enumerate(DEFAULT_WEAK_EXPONENTS):
                 base = bases[j]
                 if base == 0.0:
                     continue
@@ -1759,7 +1713,7 @@ def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: D
         return ratios, dominance
 
     (coarse, _), (fine, dominance_worst) = _refined(cfg, p, member_ratios)
-    for (pp, alpha) in cfg.weak_exponents:
+    for (pp, alpha) in DEFAULT_WEAK_EXPONENTS:
         _record_member_ratios(
             rec,
             "weak_fofana_maximal_bound",
@@ -1775,5 +1729,5 @@ def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: D
         "weak_fofana_dominance",
         dominance_worst,
         1.0,
-        cfg.tolerance("weak_dominance_slack"),
+        DEFAULT_TOLERANCES["weak_dominance_slack"],
     )

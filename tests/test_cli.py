@@ -196,6 +196,18 @@ def test_sample_writes_family(tmp_path):
     assert f.values[128] == pytest.approx(math.exp(-0.5 * g.nodes[128] ** 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", ["inf", "2.7", "-1"])
+def test_sample_trig_gauss_bad_seed_exits_2(seed, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--family", "trig_gauss", "--params", seed, "--grid-n", "64", "--output", str(out)])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert "trig_gauss seed must be a finite integer >= 0, got " + seed in msg
+    assert "Traceback" not in msg
+    assert not out.exists()
+
+
 def test_environment_variable_override(tmp_path, monkeypatch, capsys):
     csv = tmp_path / "one.csv"
     _write_constant_csv(csv)
@@ -369,6 +381,16 @@ def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatc
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("value", ["-2", "nan", "inf"])
+def test_verify_half_width_out_of_range_names_the_value(value, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "kernel", "--domain-l", value, "--report", str(report)])
+    assert err.value.code == 2
+    assert f"half_width must be positive, got {float(value)}" in capsys.readouterr().err
     assert not report.exists()
 
 

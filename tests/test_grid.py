@@ -107,6 +107,13 @@ def test_sample_family_rejects_bad_input():
     assert set(FAMILY_IDS) == {"gaussian", "indicator_ball", "bump", "power_tail", "trig_gauss"}
 
 
+@pytest.mark.parametrize("seed", [2.7, -1.0, math.inf, math.nan])
+def test_trig_gauss_rejects_a_seed_that_is_not_a_finite_integer(seed):
+    g = make_grid(DunklParams(0.5), 8.0, 64)
+    with pytest.raises(ValueError, match=f"trig_gauss seed must be a finite integer >= 0, got {seed}"):
+        sample_family("trig_gauss", [seed], g)
+
+
 def test_gridfunction_arithmetic_same_grid_only():
     p = DunklParams(0.5)
     g1 = make_grid(p, 8.0, 64)

@@ -17,24 +17,47 @@ def _names(node) -> set:
     return out
 
 
+def _exported(body) -> set:
+    """The names a module body lists in its __all__ (none without one)."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+def _uncalled(guarded) -> list:
+    """module:name of each module-level function or class of the package
+    for which guarded(stmt, exported) holds and that no other statement of
+    the package names; exported is its module's __all__."""
+    bodies = {path.name: ast.parse(path.read_text()).body for path in sorted(SRC.glob("*.py"))}
+    assert len(bodies) > 10
+    statements = [(module, stmt) for module, body in bodies.items() for stmt in body]
+    names = [(stmt, _names(stmt)) for _, stmt in statements]
+    return [
+        f"{module}:{stmt.name}"
+        for module, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and guarded(stmt, _exported(bodies[module]))
+        and not any(stmt.name in used for other, used in names if other is not stmt)
+    ]
+
+
 def test_private_module_functions_and_classes_have_a_caller():
     # an undecorated module-level private function or class that no other
     # statement of the package names is dead code (decorated ones register
     # themselves, e.g. the verify suites)
-    statements = [
-        (path.name, stmt)
-        for path in sorted(SRC.glob("*.py"))
-        for stmt in ast.parse(path.read_text()).body
-    ]
-    assert len({name for name, _ in statements}) > 10
-    names = [(stmt, _names(stmt)) for _, stmt in statements]
-    dead = [
-        f"{module}:{stmt.name}"
-        for module, stmt in statements
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and stmt.name.startswith("_")
+    dead = _uncalled(
+        lambda stmt, exported: stmt.name.startswith("_")
         and not stmt.name.startswith("__")
         and not stmt.decorator_list
-        and not any(stmt.name in used for other, used in names if other is not stmt)
-    ]
+    )
     assert not dead, f"private definitions with no caller in the package: {dead}"
+
+
+def test_public_definitions_outside_all_have_a_caller():
+    # a public module-level function or class that its module does not
+    # export and that no other statement of the package names is dead code
+    dead = _uncalled(lambda stmt, exported: not stmt.name.startswith("_") and stmt.name not in exported)
+    assert not dead, f"public definitions outside __all__ with no caller in the package: {dead}"

@@ -234,7 +234,10 @@ def test_translate_rows_chunks_equal_one_whole_chunk(monkeypatch):
     assert np.array_equal(translate_rows(f, ys), whole)
 
     def stacked():
-        return translation.translate_indicator_rows(p, ys, 1.5, g), translation.ball_convolutions(f, radii)
+        return (
+            translation.translate_indicator_rows(p, ys, 1.5, g),
+            translation._ball_convolution_stack(g, f.values[None, :], radii)[0],
+        )
 
     chunked = stacked()
     monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", ys.size * g.node_count)
@@ -279,7 +282,7 @@ def test_ball_convolutions_checks_radii_first(monkeypatch):
     monkeypatch.setattr(translation, "forward_pair", _refuse_forward)
     for radii, msg in (([], "no radii"), ([1.0, -1.0], "radius"), ([float("nan"), 1.0], "radius")):
         with pytest.raises(ValueError, match=msg):
-            translation.ball_convolutions(f, radii)
+            translation._ball_convolution_stack(f.grid, f.values[None, :], radii)
 
 
 def _complex_pair(g):
