@@ -14,9 +14,11 @@ where the step function is the sum of the samples at x and -x.
 
 A window end t enters a window mass only through its end cell j and the
 weight antiderivative over the covered part of that cell (`_window_end`),
-neither of which depends on the samples.  `WindowGeometry` keeps these, the
+neither of which depends on the samples.  `WindowGeometry` reads these, the
 window measures and the node ranges of the windows centered at the nodes of
-a grid, once per radius: the intervals I(x, r) at every node
+a grid from one bounded memo keyed by grid, kind and radius
+(`_radius_data`), so they are computed once per radius across calls: the
+intervals I(x, r) at every node
 (`WindowGeometry.interval`) or the annuli B(s, r) at the positive nodes, in
 the folded coordinate (`WindowGeometry.annulus`).  The window masses of
 every function on that grid are then gathers, with the bits of
@@ -26,6 +28,8 @@ are also the support columns of the weak-window workspace of `norms`.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -126,12 +130,49 @@ class LineWindowMass:
         return self._cum[j] + self._vals[j] * partial
 
 
+# Per-radius window data kept by `_radius_data`, least recently used first
+# out, for every WindowGeometry.  One library call sweeps a radius grid of
+# about a dozen radii per geometry, and a session uses both geometries on one
+# or two grids.  An interval entry holds 7 arrays of N values (two window
+# ends of two arrays each, the measures, the two node-range ends), 224 KB at
+# N = 4096; an annulus entry half that (7 MB for the bound at worst).
+_RADIUS_CACHE = 32
+
+
+def _frame(grid: Grid, folded: bool) -> tuple:
+    """The window centers, the cell edges and the weight antiderivative at
+    the edges of the interval (folded False) or annulus windows of grid."""
+    edges = _folded_edges(grid) if folded else _line_edges(grid)
+    centers = grid.positive_nodes if folded else grid.nodes
+    return centers, edges, weight_antiderivative(grid.params, edges)
+
+
+@functools.lru_cache(maxsize=_RADIUS_CACHE)
+def _radius_data(grid: Grid, folded: bool, r: float) -> tuple:
+    """The windows of radius r at the centers of the interval or annulus
+    geometry of grid: the two window ends of `_window_end`, the window
+    measures and the node ranges (lo, hi) of `WindowGeometry.node_ranges`,
+    every array read-only."""
+    centers, edges, anti = _frame(grid, folded)
+    params, lo, hi = grid.params, centers - r, centers + r
+    if folded:
+        mu = ball_measure(params, centers, r)
+    else:
+        mu = weight_antiderivative(params, hi) - weight_antiderivative(params, lo)
+    ends = [_window_end(params, edges, anti, t) for t in (lo, hi)]
+    ranges = (np.searchsorted(centers, lo, side="right"), np.searchsorted(centers, hi, side="left"))
+    for arr in (*ends[0], *ends[1], mu, *ranges):
+        arr.setflags(write=False)
+    return (*ends, mu, ranges)
+
+
 class WindowGeometry:
-    """The windows centered at the nodes of a grid, built per radius on first
-    use and kept: the ends of each window, clipped to the domain, its
-    measure, and, once a maximum is asked for, the range of the nodes inside
-    it.  Interval windows are centered at every node; annuli depend on |x|
-    only, so they are centered at the positive nodes s, in the folded
+    """The windows centered at the nodes of a grid: per radius, the ends of
+    each window, clipped to the domain, its measure and the range of the
+    nodes inside it, computed on first use and kept in one module-level
+    memo (`_radius_data`) shared by every geometry of the same grid and
+    kind.  Interval windows are centered at every node; annuli depend on
+    |x| only, so they are centered at the positive nodes s, in the folded
     coordinate, and `unfold` mirrors their results to every node.  In that
     coordinate B(s, r) is the interval (s - r, s + r) cut at 0, and clipping
     the window ends to the folded edges [0, L] makes the cut."""
@@ -139,11 +180,7 @@ class WindowGeometry:
     def __init__(self, grid: Grid, folded: bool):
         self.grid = grid
         self._folded = folded
-        self._centers = grid.positive_nodes if folded else grid.nodes
-        self._edges = _folded_edges(grid) if folded else _line_edges(grid)
-        self._anti = weight_antiderivative(grid.params, self._edges)
-        self._ends = {}
-        self._ranges = {}
+        self._centers, self._edges, self._anti = _frame(grid, folded)
 
     @classmethod
     def interval(cls, grid: Grid) -> "WindowGeometry":
@@ -158,25 +195,15 @@ class WindowGeometry:
         return cls(grid, folded=True)
 
     def _geometry(self, r: float) -> tuple:
-        """The two window ends of `_window_end`, then the window measures."""
-        if r not in self._ends:
-            params, lo, hi = self.grid.params, self._centers - r, self._centers + r
-            if self._folded:
-                mu = ball_measure(params, self._centers, r)
-            else:
-                mu = weight_antiderivative(params, hi) - weight_antiderivative(params, lo)
-            ends = [_window_end(params, self._edges, self._anti, t) for t in (lo, hi)]
-            self._ends[r] = (*ends, mu)
-        return self._ends[r]
+        """The two window ends of `_window_end`, the window measures, then
+        the node ranges."""
+        return _radius_data(self.grid, self._folded, float(r))
 
     def node_ranges(self, r: float) -> tuple:
         """Per window center c, the range lo:hi of the centers s with
         c - r < s < c + r; for annuli, by the float operations of the mask
         of `translation._indicator_row_chunks`."""
-        if r not in self._ranges:
-            c = self._centers
-            self._ranges[r] = (np.searchsorted(c, c - r, side="right"), np.searchsorted(c, c + r, side="left"))
-        return self._ranges[r]
+        return self._geometry(r)[3]
 
     def unfold(self, arr: np.ndarray) -> np.ndarray:
         """Results at the window centers (last axis) as results at every node."""
@@ -193,10 +220,11 @@ class WindowGeometry:
         rows = np.asarray(rows, dtype=float)
         if self._folded:
             rows = _fold(self.grid, rows, np.add)
+        ends = [self._geometry(r)[:2] for r in radii]
         out = []
         for v in rows:
             mass = LineWindowMass(self.grid.params, self._edges, v, self._anti)
-            out.append([mass.between(*self._geometry(r)[:2]) for r in radii])
+            out.append([mass.between(*e) for e in ends])
         return np.array(out)
 
     def maxima(self, rows, radii) -> np.ndarray:

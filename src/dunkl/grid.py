@@ -215,7 +215,22 @@ def _bump(u: np.ndarray) -> np.ndarray:
     return out
 
 
-FAMILY_IDS = ("gaussian", "indicator_ball", "bump", "power_tail", "trig_gauss")
+# The parameters each family takes, in order.
+_FAMILY_PARAMETERS = {
+    "gaussian": ("a",),
+    "indicator_ball": ("r",),
+    "bump": ("center", "width"),
+    "power_tail": ("beta", "cutoff"),
+    "trig_gauss": ("seed",),
+}
+FAMILY_IDS = tuple(_FAMILY_PARAMETERS)
+
+
+def _check_parameter(family: str, requirement: str, value: float, ok: bool) -> None:
+    """Reject a parameter that is not finite or fails its requirement (ok),
+    naming the family and the value."""
+    if not (math.isfinite(value) and ok):
+        raise ValueError(f"{family} {requirement}, got {value}")
 
 
 def sample_family(name: str, parameters, grid: Grid) -> GridFunction:
@@ -229,34 +244,42 @@ def sample_family(name: str, parameters, grid: Grid) -> GridFunction:
       trig_gauss(seed)       seeded random trig polynomial under a Gaussian
                              envelope, seed a finite integer >= 0; identical
                              seed gives identical samples
+
+    A wrong parameter count, a non-finite parameter or one out of its range
+    raises ValueError naming the family.
     """
+    if name not in _FAMILY_PARAMETERS:
+        raise ValueError(f"unknown family id {name!r}; known: {', '.join(FAMILY_IDS)}")
     x = grid.nodes
     p = [float(v) for v in parameters]
+    names = _FAMILY_PARAMETERS[name]
+    if len(p) != len(names):
+        raise ValueError(
+            f"{name} takes {len(names)} parameter(s) ({', '.join(names)}), got {len(p)}"
+        )
     if name == "gaussian":
         (a,) = p
-        if a <= 0:
-            raise ValueError(f"gaussian width parameter must be positive, got {a}")
+        _check_parameter(name, "width parameter must be positive and finite", a, a > 0)
         vals = np.exp(-a * x * x)
     elif name == "indicator_ball":
         (r,) = p
-        if r <= 0:
-            raise ValueError(f"indicator radius must be positive, got {r}")
+        _check_parameter(name, "radius must be positive and finite", r, r > 0)
         vals = (np.abs(x) < r).astype(float)
     elif name == "bump":
         center, width = p
-        if width <= 0:
-            raise ValueError(f"bump width must be positive, got {width}")
+        _check_parameter(name, "center must be finite", center, True)
+        _check_parameter(name, "width must be positive and finite", width, width > 0)
         vals = _bump((x - center) / width)
     elif name == "power_tail":
         beta, cutoff = p
-        if cutoff <= 0:
-            raise ValueError(f"power_tail cutoff must be positive, got {cutoff}")
+        _check_parameter(name, "exponent beta must be finite", beta, True)
+        _check_parameter(name, "cutoff must be positive and finite", cutoff, cutoff > 0)
         vals = np.where(np.abs(x) > cutoff, np.abs(x) ** -beta, 0.0)
-    elif name == "trig_gauss":
+    else:
         (seed,) = p
-        # nan fails the comparison, and inf is not an integer
-        if not (seed >= 0 and seed.is_integer()):
-            raise ValueError(f"trig_gauss seed must be a finite integer >= 0, got {seed}")
+        _check_parameter(
+            name, "seed must be a finite integer >= 0", seed, seed >= 0 and seed.is_integer()
+        )
         rng = np.random.default_rng(int(seed))
         amp_c = rng.standard_normal(4)
         amp_s = rng.standard_normal(4)
@@ -265,8 +288,6 @@ def sample_family(name: str, parameters, grid: Grid) -> GridFunction:
             a * np.cos(w * x) + b * np.sin(w * x)
             for a, b, w in zip(amp_c, amp_s, freqs)
         )
-    else:
-        raise ValueError(f"unknown family id {name!r}; known: {', '.join(FAMILY_IDS)}")
     return GridFunction(grid, vals)
 
 

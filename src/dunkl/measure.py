@@ -9,6 +9,8 @@ so quadrature enters only as an independent test oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .params import DunklParams
@@ -28,6 +30,8 @@ def weight_antiderivative(params: DunklParams, t):
 def _check_radius(r):
     """r as a float, or as a float array for array input; every entry must be
     positive and finite."""
+    if type(r) is float and math.isfinite(r) and r > 0.0:
+        return r  # the valid Python float: no numpy call on the commonest input
     r = np.asarray(r, dtype=float) if np.ndim(r) else float(r)
     if not np.all(np.isfinite(r) & (r > 0.0)):
         raise ValueError(f"radius must be positive and finite, got {r}")

@@ -18,6 +18,8 @@ its own argument, not on the other entries of the call: an input wholly on
 one side of the cutoff goes through its route whole, a mixed one is split,
 and the series' convergence cadence cannot change a converged entry (see
 `_series`).  Kernel blocks built from one triangle rely on this.
+`kernel_pair` evaluates both of its orders in one pass, through one split,
+with the bits of two separate `bessel_normalized` calls.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ def _series(order: float, z2: np.ndarray, tol: float = _SERIES_TOL) -> np.ndarra
     term changes its total, and every entry gets the bits it would get from a
     test on every term (or alone in its own call).
     """
+    neg_z2 = -z2
     term = np.ones_like(z2)
     total = np.ones_like(z2)
     for n in range(1, _MAX_TERMS):
-        term = term * (-z2) / (4.0 * n * (n + order))
+        term = term * neg_z2 / (4.0 * n * (n + order))
         total += term
         if n % _CHECK_EVERY:
             continue
@@ -67,24 +70,28 @@ def _series(order: float, z2: np.ndarray, tol: float = _SERIES_TOL) -> np.ndarra
     raise RuntimeError("bessel series did not converge; |z| too large for series path")
 
 
-def _half_integer(m: int, z: np.ndarray) -> np.ndarray:
-    """j_{m+1/2}(z) for -1 <= m from the sin/cos closed forms (DLMF 10.49).
+def _half_integers(m: int, z: np.ndarray) -> tuple:
+    """(j_{m-1/2}(z), j_{m+1/2}(z)) for 0 <= m from the sin/cos closed forms
+    (DLMF 10.49).
 
     With u_m = j_{m+1/2}: u_{-1} = cos z, u_0 = sin z / z and the spherical
     Bessel recurrence (DLMF 10.51.1) becomes
     u_{m+1} = (2m+1)(2m+3)/z^2 * (u_m - u_{m-1}).  Upward recurrence is
     stable while z exceeds the order, which the cutoff guarantees here.
     """
-    if m == -1:
-        return np.cos(z)
-    cur = np.sin(z) / z
-    if m == 0:
-        return cur
-    prev = np.cos(z)
-    inv_z2 = 1.0 / (z * z)
-    for n in range(m):
-        prev, cur = cur, (2 * n + 1) * (2 * n + 3) * inv_z2 * (cur - prev)
-    return cur
+    prev, cur = np.cos(z), np.sin(z) / z
+    if m:
+        inv_z2 = 1.0 / (z * z)
+        for n in range(m):
+            prev, cur = cur, (2 * n + 1) * (2 * n + 3) * inv_z2 * (cur - prev)
+    return prev, cur
+
+
+def _half_integer_index(order: float):
+    """m for a half-integer order m + 1/2 with -1 <= m <= _HALF_INTEGER_MAX,
+    which has a closed form; None for any other order."""
+    m = order - 0.5
+    return int(m) if m.is_integer() and -1 <= m <= _HALF_INTEGER_MAX else None
 
 
 def _large_argument(order: float, z: np.ndarray) -> np.ndarray:
@@ -96,11 +103,45 @@ def _large_argument(order: float, z: np.ndarray) -> np.ndarray:
         return _sp.j0(z)
     if order == 1.0:
         return 2.0 * _sp.j1(z) / z
-    m = order - 0.5
-    if m.is_integer() and -1 <= m <= _HALF_INTEGER_MAX:
-        return _half_integer(int(m), z)
+    m = _half_integer_index(order)
+    if m == -1:
+        return np.cos(z)
+    if m is not None:
+        return _half_integers(m, z)[1]
     scale = 2.0**order * math.gamma(order + 1.0)
     return scale * _sp.jv(order, z) / z**order
+
+
+def _large_pair(order: float, z: np.ndarray) -> tuple:
+    """(j_order(z), j_{order+1}(z)) for z > _SERIES_CUTOFF: one recurrence
+    for both when both orders have closed forms, else one route per order."""
+    m = _half_integer_index(order)
+    if m is not None and m + 1 <= _HALF_INTEGER_MAX:
+        return _half_integers(m + 1, z)
+    return _large_argument(order, z), _large_argument(order + 1.0, z)
+
+
+def _by_route(z, series, large) -> tuple:
+    """Values at every entry of z by the series route (series(z^2)) up to
+    |z| = _SERIES_CUTOFF and the large-argument route (large(|z|)) beyond:
+    one finiteness check, one abs and one split for every output of the
+    two routes (tuples of arrays of the same length)."""
+    z_arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z_arr)):
+        raise ValueError("z must be finite")
+    a = np.abs(z_arr)
+    small = a <= _SERIES_CUTOFF
+    if np.all(small):
+        return series(a * a)
+    if not np.any(small):
+        return large(a)
+    zs = a[small]
+    outs = []
+    for inner, outer in zip(series(zs * zs), large(a[~small])):
+        out = np.empty_like(a)
+        out[small], out[~small] = inner, outer
+        outs.append(out)
+    return tuple(outs)
 
 
 def bessel_normalized(order: float, z):
@@ -111,20 +152,7 @@ def bessel_normalized(order: float, z):
     order = float(order)
     if not math.isfinite(order) or order <= -1.0:
         raise ValueError(f"order must be a finite number > -1, got {order}")
-    z_arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z_arr)):
-        raise ValueError("z must be finite")
-    a = np.abs(z_arr)
-    small = a <= _SERIES_CUTOFF
-    if np.all(small):
-        out = _series(order, a * a)
-    elif not np.any(small):
-        out = _large_argument(order, a)
-    else:
-        out = np.empty_like(a)
-        zs = a[small]
-        out[small] = _series(order, zs * zs)
-        out[~small] = _large_argument(order, a[~small])
+    out = _by_route(z, lambda z2: (_series(order, z2),), lambda a: (_large_argument(order, a),))[0]
     return out if out.ndim else float(out)
 
 
@@ -133,7 +161,10 @@ def kernel_pair(params: DunklParams, s) -> tuple[np.ndarray, np.ndarray]:
     every kernel evaluation in the package goes through this function."""
     s = np.asarray(s, dtype=float)
     k = params.kappa
-    return bessel_normalized(k, s), s / (2.0 * k + 2.0) * bessel_normalized(k + 1.0, s)
+    even, odd = _by_route(
+        s, lambda z2: (_series(k, z2), _series(k + 1.0, z2)), lambda a: _large_pair(k, a)
+    )
+    return even, s / (2.0 * k + 2.0) * odd
 
 
 def kernel_values(params: DunklParams, s) -> np.ndarray:

@@ -18,11 +18,13 @@ samples (stacked rows allowed) to the halves (U, V) of a conjugate-symmetric
 spectrum, and `inverse_pair` maps such halves back to real samples.  Complex
 data goes through it by linearity, one pair call per real or imaginary part.
 Stacked spectra go back through `inverse_rows` in row chunks, and every grid
-derived from another (frequency bands and their inverse) through `band_grid`.
+derived from another (frequency bands and their inverse) through `band_grid`,
+which keeps the grids it builds in a bounded memo.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -229,9 +231,21 @@ def _check_compatible(params: DunklParams, other: Grid) -> None:
 DEFAULT_BAND = 4.0
 
 
+# Band grids kept by `band_grid`, least recently used first out.  A verify
+# run or a library session derives a handful; an entry holds the nodes and
+# weights of one grid, 64 KB at N = 4096 (1 MB for the bound).
+_BAND_GRID_CACHE = 16
+
+
 def band_grid(grid: Grid, factor: float) -> Grid:
-    """The grid of factor times the half-width of grid, at its node count."""
-    return make_grid(grid.params, factor * grid.half_width, grid.node_count)
+    """The grid of factor times the half-width of grid, at its node count;
+    built once per (params, half-width, node count, factor) and kept."""
+    return _band_grid(grid.params, grid.half_width, grid.node_count, float(factor))
+
+
+@functools.lru_cache(maxsize=_BAND_GRID_CACHE)
+def _band_grid(params: DunklParams, half_width: float, node_count: int, factor: float) -> Grid:
+    return make_grid(params, factor * half_width, node_count)
 
 
 def forward(f: GridFunction, lambda_grid: Grid | None = None) -> SpectralFunction:

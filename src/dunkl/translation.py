@@ -15,8 +15,9 @@ of the chunk.  `translate_indicator_rows` is its one-radius case, and the
 weak-window workspace of `norms` gathers its windows from the chunks as they
 come, without holding a full block of rows.
 Ball convolutions take whole stacks of functions on one grid: one forward
-matrix product for the stack, the ball multipliers built once, and one
-chunked inverse over every (function, radius) row.
+matrix product for the stack, the ball multipliers (memoized across calls
+per frequency grid and radius, see `ball_multiplier`), and one chunked
+inverse over every (function, radius) row.
 
 Convolution multiplies transforms pointwise.  Translated ball indicators use
 the closed form of the indicator transform,
@@ -29,6 +30,7 @@ sampling error from every windowed quantity built on them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -75,11 +77,24 @@ def _check_shift(grid: Grid, y: float) -> float:
     return y
 
 
+# Ball multipliers kept by `ball_multiplier`, least recently used first out.
+# A library session sweeps one or two radius grids of about a dozen radii on
+# each band grid.  An entry is N/2 floats, 16 KB at N = 4096 (1 MB for the
+# bound).
+_MULTIPLIER_CACHE = 64
+
+
 def ball_multiplier(params: DunklParams, lg: Grid, r: float) -> np.ndarray:
-    """Closed-form transform of the ball indicator on the positive frequency half."""
-    return ball_measure_origin(params, r) * bessel_normalized(
-        params.kappa + 1.0, lg.positive_nodes * float(r)
-    )
+    """Closed-form transform of the ball indicator on the positive frequency
+    half; computed once per (params, lg, r), kept and returned read-only."""
+    return _ball_multiplier(params, lg, float(r))
+
+
+@functools.lru_cache(maxsize=_MULTIPLIER_CACHE)
+def _ball_multiplier(params: DunklParams, lg: Grid, r: float) -> np.ndarray:
+    out = ball_measure_origin(params, r) * bessel_normalized(params.kappa + 1.0, lg.positive_nodes * r)
+    out.setflags(write=False)
+    return out
 
 
 def translate_rows(f: GridFunction, ys) -> np.ndarray:

@@ -208,6 +208,24 @@ def test_sample_trig_gauss_bad_seed_exits_2(seed, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ("inf", "gaussian width parameter must be positive and finite, got inf"),
+        ("1,2", "gaussian takes 1 parameter(s) (a), got 2"),
+    ],
+)
+def test_sample_bad_family_parameters_exit_2(params, message, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--family", "gaussian", "--params", params, "--grid-n", "64", "--output", str(out)])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert message in msg
+    assert "Traceback" not in msg
+    assert not out.exists()
+
+
 def test_environment_variable_override(tmp_path, monkeypatch, capsys):
     csv = tmp_path / "one.csv"
     _write_constant_csv(csv)

@@ -107,6 +107,44 @@ def test_sample_family_rejects_bad_input():
     assert set(FAMILY_IDS) == {"gaussian", "indicator_ball", "bump", "power_tail", "trig_gauss"}
 
 
+@pytest.mark.parametrize(
+    "name,params,value",
+    [
+        ("gaussian", [math.inf], "inf"),
+        ("gaussian", [math.nan], "nan"),
+        ("indicator_ball", [math.nan], "nan"),
+        ("indicator_ball", [math.inf], "inf"),
+        ("bump", [math.inf, 1.0], "inf"),
+        ("bump", [0.0, math.nan], "nan"),
+        ("power_tail", [math.nan, 1.0], "nan"),
+        ("power_tail", [1.0, math.inf], "inf"),
+    ],
+)
+def test_sample_family_rejects_nonfinite_parameters(name, params, value):
+    # nan fails no comparison test and inf passes positivity, but both gave
+    # a silently zero (or empty) sample: every family names itself and the value
+    g = make_grid(DunklParams(0.5), 8.0, 64)
+    with pytest.raises(ValueError, match=f"^{name} .*finite.*, got {value}$"):
+        sample_family(name, params, g)
+
+
+@pytest.mark.parametrize(
+    "name,params,takes",
+    [
+        ("gaussian", [1.0, 2.0], "1 parameter(s) (a), got 2"),
+        ("indicator_ball", [], "1 parameter(s) (r), got 0"),
+        ("bump", [1.0], "2 parameter(s) (center, width), got 1"),
+        ("power_tail", [1.0, 2.0, 3.0], "2 parameter(s) (beta, cutoff), got 3"),
+        ("trig_gauss", [1.0, 2.0], "1 parameter(s) (seed), got 2"),
+    ],
+)
+def test_sample_family_checks_the_parameter_count_first(name, params, takes):
+    g = make_grid(DunklParams(0.5), 8.0, 64)
+    with pytest.raises(ValueError) as err:
+        sample_family(name, params, g)
+    assert str(err.value) == f"{name} takes {takes}"
+
+
 @pytest.mark.parametrize("seed", [2.7, -1.0, math.inf, math.nan])
 def test_trig_gauss_rejects_a_seed_that_is_not_a_finite_integer(seed):
     g = make_grid(DunklParams(0.5), 8.0, 64)

@@ -12,6 +12,7 @@ from dunkl import (
     doubling_ratio,
     interval_measure,
 )
+from dunkl.measure import _check_radius
 
 
 def _quad_oracle(params, a, b, n=200_001):
@@ -139,6 +140,17 @@ def test_array_measures_match_scalar_calls(kappa):
         got = fn(p, x[:, None], rs[None, :])
         want = np.array([[fn(p, float(xi), float(r)) for r in rs] for xi in x])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, float("nan"), float("inf"), float("-inf")])
+def test_scalar_radius_paths_agree(bad):
+    # a Python float takes the fast path, a numpy scalar or an int the numpy
+    # one: the same value back, and the same message for a bad radius
+    assert _check_radius(2.5) == _check_radius(np.float64(2.5)) == _check_radius(np.array(2.5)) == 2.5
+    assert type(_check_radius(2.5)) is float and type(_check_radius(3)) is float
+    for r in (bad, np.float64(bad)):
+        with pytest.raises(ValueError, match=f"radius must be positive and finite, got {bad}"):
+            _check_radius(r)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])

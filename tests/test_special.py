@@ -124,6 +124,34 @@ def test_single_route_inputs_match_mixed_input(order):
         assert val == bessel_normalized(order, np.array([z, 100.0]))[0]
 
 
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5, 1.5, 2.5, 0.3, 3.5])
+def test_fused_kernel_pair_matches_separate_orders_bit_for_bit(kappa):
+    # one split and (for half-integer kappa) one recurrence for both orders
+    # give the bits of two separate bessel_normalized calls: on inputs wholly
+    # below or above the cutoff, on arrays that straddle |z| = 10, and on a
+    # kernel-block-shaped argument
+    p = DunklParams(kappa, classical=kappa == -0.5)
+    rng = np.random.default_rng(17)
+    inputs = [
+        rng.uniform(-_SERIES_CUTOFF, _SERIES_CUTOFF, 500),
+        rng.uniform(_SERIES_CUTOFF + 1e-9, 300.0, 500),
+        np.concatenate([np.linspace(9.0, 11.0, 401), -np.linspace(9.0, 11.0, 401)]),
+        np.array([_SERIES_CUTOFF, np.nextafter(_SERIES_CUTOFF, 11.0), 0.0, -25.0]),
+        np.outer(np.arange(1, 64) * 0.19, np.arange(1, 48) * 0.37),
+    ]
+    for s in inputs:
+        even, odd = kernel_pair(p, s)
+        assert np.array_equal(even, bessel_normalized(kappa, s))
+        assert np.array_equal(odd, s / (2.0 * kappa + 2.0) * bessel_normalized(kappa + 1.0, s))
+
+
+def test_fused_kernel_pair_rejects_nonfinite_arguments():
+    p = DunklParams(0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            kernel_pair(p, np.array([1.0, bad, 20.0]))
+
+
 @pytest.mark.parametrize("kappa", [-0.5, 0.0, 1.5, 0.3])
 def test_chunked_blocks_match_whole_array_evaluation(kappa, monkeypatch):
     # 1000 elements per chunk forces several row chunks and a short last one

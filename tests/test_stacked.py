@@ -171,6 +171,8 @@ def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, 
     assert x[-1] + radii[0] > g.half_width
     ends = []
     window_end = _windows._window_end
+    # the window ends are memoized across geometries; start from none kept
+    _windows._radius_data.cache_clear()
 
     def counted(*args):
         ends.append(1)
