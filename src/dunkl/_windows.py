@@ -1,30 +1,29 @@
 """Exact window integrals and window maxima of sampled functions.
 
 A grid function extends naturally to the step function that is constant on
-each grid cell.  One class integrates such a step function over intervals
-with arbitrary (off-node) endpoints: full cells contribute their exact
-measure, the two boundary cells contribute the exact measure of their covered
-part.  This keeps windowed averages of indicators at or below their peak and
-makes windowed averages of the constant function exactly 1 away from the
-domain boundary.
+each grid cell.  Its mass over an interval with arbitrary (off-node)
+endpoints is exact: full cells contribute their exact measure, the two
+boundary cells contribute the exact measure of their covered part.  This
+keeps windowed averages of indicators at or below their peak and makes
+windowed averages of the constant function exactly 1 away from the domain
+boundary.
 
-It has two constructors: `LineWindowMass.line` integrates over the line
-coordinate x, and `LineWindowMass.folded` over the folded coordinate s = |x|,
-where the step function is the sum of the samples at x and -x.
-
-A window end t enters a window mass only through its end cell j and the
-weight antiderivative over the covered part of that cell (`_window_end`),
-neither of which depends on the samples.  `WindowGeometry` reads these, the
-window measures and the node ranges of the windows centered at the nodes of
-a grid from one bounded memo keyed by grid, kind and radius
-(`_radius_data`), so they are computed once per radius across calls: the
-intervals I(x, r) at every node
-(`WindowGeometry.interval`) or the annuli B(s, r) at the positive nodes, in
-the folded coordinate (`WindowGeometry.annulus`).  The window masses of
-every function on that grid are then gathers, with the bits of
-`LineWindowMass.window`, and its window maxima range-maximum queries over
-the node ranges (`WindowGeometry.node_ranges`).  The annulus node ranges
-are also the support columns of the weak-window workspace of `norms`.
+One class, `WindowGeometry`, holds the windows centered at the nodes of a
+grid: the intervals I(x, r) at every node (`WindowGeometry.interval`) or
+the annuli B(s, r) at the positive nodes, in the folded coordinate s = |x|
+where the step function is the sum of the samples at x and -x
+(`WindowGeometry.annulus`).  A window end t enters a window mass only
+through its end cell j and the weight antiderivative over the covered part
+of that cell (`_window_end`), neither of which depends on the samples.  The
+geometry reads these, the window measures and the node ranges of each
+radius from one bounded memo keyed by grid, kind and radius
+(`_radius_data`), so they are computed once per radius across calls.  The
+window masses of a stack of functions are then one extended-precision
+prefix sum of the stack and a gather of both window ends
+(`WindowGeometry.masses`; `WindowGeometry.between` for arbitrary ends), and
+its window maxima range-maximum queries over the node ranges
+(`WindowGeometry.node_ranges`).  The annulus node ranges are also the
+support columns of the weak-window workspace of `norms`.
 """
 
 from __future__ import annotations
@@ -64,6 +63,14 @@ def _window_end(params, edges: np.ndarray, anti: np.ndarray, t) -> tuple:
     return j, weight_antiderivative(params, t) - anti[j]
 
 
+def _mass(vals: np.ndarray, cum: np.ndarray, lo: tuple, hi: tuple) -> np.ndarray:
+    """Masses M(hi) - M(lo) of one row between two window ends (j, partial)
+    of `_window_end`, from the row's cell values and prefix masses (a row
+    of `WindowGeometry._prefix`)."""
+    (jl, pl), (jh, ph) = lo, hi
+    return np.asarray((cum[jh] + vals[jh] * ph) - (cum[jl] + vals[jl] * pl), dtype=float)
+
+
 def _range_max(vals: np.ndarray, ranges) -> list:
     """For each (lo, hi) of ranges, max(vals[lo[k]:hi[k]]) for every k, and
     0.0 for an empty window.
@@ -89,45 +96,6 @@ def _range_max(vals: np.ndarray, ranges) -> list:
         row[full] = np.maximum(table[level, lo[full]], table[level, hi[full] - 2**level])
         out.append(row)
     return out
-
-
-class LineWindowMass:
-    """Window masses M(hi) - M(lo) of the cumulative mass M(t) = integral over
-    (edges[0], t) of the step function equal to values[i] on (edges[i], edges[i+1]).
-    anti, when given, holds the weight antiderivative at the edges."""
-
-    def __init__(self, params, edges: np.ndarray, values: np.ndarray, anti=None):
-        self._params = params
-        self._edges = edges
-        self._anti = weight_antiderivative(params, edges) if anti is None else anti
-        self._vals = np.asarray(values, dtype=float)
-        # extended precision: the measure spans many decades at large kappa,
-        # and plain float64 prefix sums would leak ~1e-7 relative error into
-        # narrow windows
-        masses = np.diff(self._anti).astype(np.longdouble)
-        self._cum = np.concatenate([[0.0], np.cumsum(self._vals * masses)])
-
-    @classmethod
-    def line(cls, grid: Grid, values) -> "LineWindowMass":
-        """Mass over (-L, t) of the step extension of samples on the grid."""
-        return cls(grid.params, _line_edges(grid), values)
-
-    @classmethod
-    def folded(cls, grid: Grid, values) -> "LineWindowMass":
-        """Mass over {|y| < t} of the step extension, in the coordinate s = |y|."""
-        folded = _fold(grid, np.asarray(values, dtype=float), np.add)
-        return cls(grid.params, _folded_edges(grid), folded)
-
-    def window(self, lo, hi) -> np.ndarray:
-        ends = [_window_end(self._params, self._edges, self._anti, t) for t in (lo, hi)]
-        return self.between(*ends)
-
-    def between(self, lo: tuple, hi: tuple) -> np.ndarray:
-        """The window mass between two window ends of `_window_end`."""
-        return np.asarray(self._raw(*hi) - self._raw(*lo), dtype=float)
-
-    def _raw(self, j, partial):
-        return self._cum[j] + self._vals[j] * partial
 
 
 # Per-radius window data kept by `_radius_data`, least recently used first
@@ -213,19 +181,36 @@ class WindowGeometry:
         """The window measures at the window centers."""
         return self._geometry(r)[2]
 
+    def _prefix(self, rows) -> tuple:
+        """The cell values of the step extension of every function of a
+        stack rows (F, N), folded for annuli, and their prefix masses
+        (F, cells + 1): the mass over (edges[0], edges[i]) in column i."""
+        vals = np.asarray(rows, dtype=float)
+        if self._folded:
+            vals = _fold(self.grid, vals, np.add)
+        # extended precision: the measure spans many decades at large kappa,
+        # and plain float64 prefix sums would leak ~1e-7 relative error into
+        # narrow windows
+        cum = np.zeros((vals.shape[0], vals.shape[1] + 1), dtype=np.longdouble)
+        np.cumsum(vals * np.diff(self._anti).astype(np.longdouble), axis=-1, out=cum[:, 1:])
+        return vals, cum
+
     def masses(self, rows, radii) -> np.ndarray:
         """Window masses of the step extension of every function of a stack
-        rows (F, N) at the window centers, one prefix sum per function for
-        every radius: (F, R, centers)."""
-        rows = np.asarray(rows, dtype=float)
-        if self._folded:
-            rows = _fold(self.grid, rows, np.add)
+        rows (F, N) at the window centers, from one prefix sum of the stack,
+        for every radius: (F, R, centers).  The ends are gathered row by
+        row: one row's gathers and extended-precision sums stay in cache,
+        and measured faster than the same operations on the whole stack."""
         ends = [self._geometry(r)[:2] for r in radii]
-        out = []
-        for v in rows:
-            mass = LineWindowMass(self.grid.params, self._edges, v, self._anti)
-            out.append([mass.between(*e) for e in ends])
-        return np.array(out)
+        return np.array([[_mass(v, c, *e) for e in ends] for v, c in zip(*self._prefix(rows))])
+
+    def between(self, rows, lo, hi) -> np.ndarray:
+        """Masses of the step extension of every function of a stack rows
+        (F, N) over the windows (lo, hi) of arbitrary ends, in the
+        coordinate of the geometry (|x| for annuli), clipped to the domain:
+        (F, *ends)."""
+        ends = [_window_end(self.grid.params, self._edges, self._anti, t) for t in (lo, hi)]
+        return np.array([_mass(v, c, *ends) for v, c in zip(*self._prefix(rows))])
 
     def maxima(self, rows, radii) -> np.ndarray:
         """Maxima of every function of a stack rows (F, N) over the nodes

@@ -4,7 +4,8 @@ Two window geometries appear throughout: the ball B(x, r), which in the
 rank-one setting is the annulus {max(0, |x|-r) < |y| < |x|+r} (an ordinary
 interval (-r, r) when x = 0), and the metric interval I(x, r) = (x-r, x+r).
 All evaluations go through the exact antiderivative of the weight density,
-so quadrature enters only as an independent test oracle.
+so quadrature enters only as an independent test oracle.  The ball measure
+has one array expression, which scalar input also takes.
 """
 
 from __future__ import annotations
@@ -51,19 +52,18 @@ def ball_measure(params: DunklParams, x, r):
     for |x| > r it is the two-sided annulus, giving
     c/(kappa+1) * [(|x|+r)**(2k+2) - (|x|-r)**(2k+2)].
 
-    x and r may be arrays (broadcast together); scalars give a float.
+    x and r may be arrays (broadcast together); scalars give a float, with
+    the bits of the one-entry array.
     """
     r = _check_radius(r)
     e = 2.0 * params.kappa + 2.0
     c = params.c_kappa / (params.kappa + 1.0)
-    if np.ndim(x) or np.ndim(r):
-        a = np.abs(np.asarray(x, dtype=float))
-        inner = np.where(a > r, np.abs(a - r) ** e, 0.0)
-        return c * ((a + r) ** e - inner)
-    a = abs(float(x))
-    if a <= r:
-        return c * (a + r) ** e
-    return c * ((a + r) ** e - (a - r) ** e)
+    # at least one entry: numpy's scalar power may differ from its array
+    # power in the last bit, so a 0-d x would take a second path
+    a = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
+    inner = np.where(a > r, np.abs(a - r) ** e, 0.0)
+    out = c * ((a + r) ** e - inner)
+    return out if np.ndim(x) or np.ndim(r) else float(out[0])
 
 
 def interval_measure(params: DunklParams, x, r):

@@ -51,6 +51,9 @@ __all__ = [
 INF = math.inf
 # Rows per chunk of the windowed weak-L1 statistic.
 _WEAK_CHUNK_ROWS = 16
+# The weak statistic takes every max(1, N // _WEAK_CENTERS)-th positive node
+# of an N-node grid as a center: about _WEAK_CENTERS centers in all.
+_WEAK_CENTERS = 512
 
 
 def _inv(p: float) -> float:
@@ -111,6 +114,8 @@ def default_radius_grid(grid: Grid, ratio: float = math.sqrt(2.0)) -> tuple:
     r**-(kappa+3/2) / band, so the usable radius floor scales like
     2**kappa * 8 / band.
     """
+    if not 1.0 < ratio < math.inf:
+        raise ValueError(f"radius grid ratio must be finite and > 1, got {ratio}")
     band = _INDICATOR_BAND * grid.half_width
     r_min = max(8.0 * grid.spacing, 8.0 * 2.0**max(grid.params.kappa, 0.0) / band)
     r_max = grid.half_width / 2.0
@@ -280,7 +285,7 @@ class WeakWindowWorkspace:
     weak-norm evaluations on one grid and radius grid.
 
     The center variable runs over a symmetric decimated subset of the nodes
-    (default: about 512 centers); the outer p-quadrature weights are scaled
+    (about _WEAK_CENTERS centers); the outer p-quadrature weights are scaled
     by the stride.  The window statistic varies on the scale of r, which the
     radius grid keeps well above the node spacing, so decimation is a
     controlled discretization of the outer norm.
@@ -300,23 +305,17 @@ class WeakWindowWorkspace:
     reused exactly.
     """
 
-    def __init__(self, grid: Grid, r_grid, y_stride: int | None = None):
+    def __init__(self, grid: Grid, r_grid):
         self.grid = grid
         n = grid.node_count
         half = n // 2
-        if y_stride is None:
-            y_stride = max(1, n // 512)
-        if not isinstance(y_stride, (int, np.integer)) or y_stride < 1:
-            raise ValueError(f"y_stride must be an integer >= 1, got {y_stride!r}")
-        if y_stride >= n:
-            raise ValueError(
-                f"y_stride {y_stride} leaves no center on {n} nodes; "
-                f"the largest valid stride is {n - 1}"
-            )
-        pos_idx = np.arange(half + y_stride // 2, n, y_stride, dtype=int)
+        stride = max(1, n // _WEAK_CENTERS)
+        pos_idx = np.arange(half + stride // 2, n, stride, dtype=int)
         self.ypos = grid.nodes[pos_idx]
-        self.wdec = grid.weights[pos_idx] * y_stride
+        self.wdec = grid.weights[pos_idx] * stride
         self.radii = tuple(_check_window_radius(grid, r) for r in r_grid)
+        if not self.radii:
+            raise ValueError("r_grid must be non-empty")
         annuli = WindowGeometry.annulus(grid)
         columns = {r: _support_columns(annuli, pos_idx - half, r) for r in self.radii}
         wrows = {r: np.empty(idx.shape) for r, (idx, _) in columns.items()}
@@ -372,17 +371,11 @@ class WeakWindowWorkspace:
         return best
 
 
-def weak_fofana_norm(
-    f: GridFunction,
-    p: float,
-    alpha: float,
-    r_grid,
-    y_stride: int | None = None,
-) -> float:
+def weak_fofana_norm(f: GridFunction, p: float, alpha: float, r_grid) -> float:
     """Weak variant at q = 1: the window statistic is the weak-L1 norm of
     f times the translated window indicator, scaled by
     mu(B_r)^(1/alpha - 1 - 1/p); the radius supremum runs over r_grid."""
-    return WeakWindowWorkspace(f.grid, r_grid, y_stride).weak_fofana(f, [(p, alpha)])[0]
+    return WeakWindowWorkspace(f.grid, r_grid).weak_fofana(f, [(p, alpha)])[0]
 
 
 def _interval_profiles(windows: WindowGeometry, rows, q: float, radii) -> np.ndarray:

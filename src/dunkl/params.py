@@ -44,8 +44,3 @@ class DunklParams:
     def b_kappa(self) -> float:
         """Origin-ball constant: mu(B_r) = b_kappa * r**(2*kappa+2)."""
         return self.c_kappa / (self.kappa + 1.0)
-
-    @property
-    def weight_exponent(self) -> float:
-        """Exponent 2*kappa+1 of the weight density."""
-        return 2.0 * self.kappa + 1.0

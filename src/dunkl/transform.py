@@ -283,11 +283,11 @@ def inverse(spectral: SpectralFunction, x_grid: Grid | None = None) -> GridFunct
     return GridFunction(xg, re + 1j * im)
 
 
-def plancherel_defect(f: GridFunction, lambda_grid: Grid | None = None) -> float:
+def plancherel_defect(f: GridFunction) -> float:
     """Relative defect | ||F||_2 - ||f||_2 | / ||f||_2 of the discrete isometry."""
     nf = float(np.sqrt(np.sum(f.grid.weights * np.abs(f.values) ** 2)))
     if nf == 0.0:
         raise ValueError("plancherel defect undefined for the zero function")
-    spec = forward(f, lambda_grid)
+    spec = forward(f)
     ns = float(np.sqrt(np.sum(spec.grid.weights * np.abs(spec.values) ** 2)))
     return abs(ns - nf) / nf

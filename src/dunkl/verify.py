@@ -38,7 +38,7 @@ import numpy as np
 import scipy
 
 from ._version import VERSION
-from ._windows import LineWindowMass, WindowGeometry
+from ._windows import WindowGeometry
 from .grid import Grid, GridFunction, _check_half_width, integrate, make_grid, sample_family
 from .maximal import _checked_radii, _dunkl_maximal_stack, _sup_of_averages, _window_maximal
 from .measure import (
@@ -886,12 +886,12 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
         idx = int(np.argmin(np.abs(g.nodes - x0)))
         xv = float(g.nodes[idx])
         tf = translate(f, xv)
-        mass = LineWindowMass.folded(g, tf.values)
         etas = [8.0 * g.spacing * 2.0**k for k in range(8) if 8.0 * g.spacing * 2.0**k <= 1.0]
         etas = sorted(etas, reverse=True)
+        masses = WindowGeometry.annulus(g).between(tf.values[None], 0.0, np.array(etas))[0]
         errs = []
-        for eta in etas:
-            avg = float(mass.window(0.0, eta)) / ball_measure_origin(p, eta)
+        for eta, mass in zip(etas, masses):
+            avg = float(mass) / ball_measure_origin(p, eta)
             errs.append(abs(avg - float(f.values[idx])))
         sup = float(np.max(np.abs(f.values)))
         monotone_break = 0.0

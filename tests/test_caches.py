@@ -44,7 +44,7 @@ def _calls(g):
         "dunkl_maximal": lambda: dunkl_maximal(f, rg).values,
         "centered_maximal": lambda: centered_maximal(f, rg).values,
         "interval_maximal": lambda: interval_maximal(f, rg).values,
-        "weak_fofana": lambda: weak_fofana_norm(f, 4.0, 2.0, rg[:4], y_stride=4),
+        "weak_fofana": lambda: weak_fofana_norm(f, 4.0, 2.0, rg[:4]),
     }
 
 

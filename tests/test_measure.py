@@ -142,6 +142,24 @@ def test_array_measures_match_scalar_calls(kappa):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+def test_scalar_ball_measure_has_the_bits_of_the_array_path():
+    # samples drawn like those of the measure_lemmas suite: a scalar center
+    # gives a float with the bits of the one-entry array
+    rng = np.random.default_rng(17)
+    n = 10_000
+    kap = rng.uniform(-0.499, 3.0, n)
+    x = rng.uniform(-20.0, 20.0, n)
+    r = np.exp(rng.uniform(math.log(0.01), math.log(10.0), n))
+    moved = []
+    for k, xi, ri in zip(kap, x, r):
+        p = DunklParams(float(k))
+        got = ball_measure(p, float(xi), float(ri))
+        assert type(got) is float
+        if got.hex() != float(ball_measure(p, np.array([xi]), float(ri))[0]).hex():
+            moved.append((k, xi, ri))
+    assert not moved, f"{len(moved)} samples differ, first {moved[0]}"
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.0, float("nan"), float("inf"), float("-inf")])
 def test_scalar_radius_paths_agree(bad):
     # a Python float takes the fast path, a numpy scalar or an int the numpy

@@ -21,7 +21,7 @@ from dunkl import (
 )
 from dunkl.measure import ball_measure_origin, interval_measure
 from dunkl import norms
-from dunkl._windows import LineWindowMass, WindowGeometry, _range_max
+from dunkl._windows import WindowGeometry, _range_max
 from dunkl.norms import _interval_profiles, _IntervalProfileStack
 from dunkl import translation
 from dunkl.transform import band_grid, inverse_rows, multiplier_pair
@@ -166,6 +166,13 @@ def test_default_radius_grid_properties(setup):
     assert all(b > a for a, b in zip(rg, rg[1:]))
 
 
+@pytest.mark.parametrize("ratio", [1.0, 0.5, 0.0, -2.0, math.inf, math.nan])
+def test_default_radius_grid_rejects_a_ratio_that_does_not_grow(ratio):
+    g = make_grid(DunklParams(0.5), 8.0, 256)
+    with pytest.raises(ValueError, match=f"ratio must be finite and > 1, got {ratio}$"):
+        default_radius_grid(g, ratio)
+
+
 def test_fofana_reduces_to_lebesgue_at_equal_exponents(setup):
     p, g = setup
     f = sample_family("gaussian", [0.5], g)
@@ -307,6 +314,19 @@ def test_weak_fofana_zero(setup):
     assert weak_fofana_norm(z, 8.0, 4.0, (1.0, 2.0)) == 0.0
 
 
+def test_weak_fofana_rejects_an_empty_radius_grid(setup):
+    # the message of NormSpec, which rejects an empty r_grid of every other norm
+    p, g = setup
+    f = sample_family("gaussian", [0.6], g)
+    for call in (
+        lambda: NormSpec(2.0, 8.0, 4.0, []),
+        lambda: weak_fofana_norm(f, 8.0, 4.0, []),
+        lambda: norms.WeakWindowWorkspace(g, ()),
+    ):
+        with pytest.raises(ValueError, match="^r_grid must be non-empty$"):
+            call()
+
+
 def test_weak_window_statistic_bounded_by_window_mass(setup):
     # the per-center weak statistic of an indicator is at most its mass
     p, g = setup
@@ -328,7 +348,7 @@ def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
         p = DunklParams(kappa, classical=(kappa == -0.5))
         g = make_grid(p, 8.0, 512)
         f = sample_family("gaussian", [0.6], g)
-        ws = norms.WeakWindowWorkspace(g, (r,), y_stride=5)
+        ws = norms.WeakWindowWorkspace(g, (r,))
         ys = ws.ypos
         assert ys.size > 2 * norms._WEAK_CHUNK_ROWS
         assert np.any(ys < r)
@@ -348,7 +368,7 @@ def test_support_windows_take_each_column_once(r):
     # central nodes +-dx/2 when |y| < r, the end nodes when |y| + r > L)
     p = DunklParams(0.5)
     g = make_grid(p, 8.0, 512)
-    ws = norms.WeakWindowWorkspace(g, (r,), y_stride=5)
+    ws = norms.WeakWindowWorkspace(g, (r,))
     assert np.any(ws.ypos < r) and np.any(ws.ypos + r > g.half_width)
     _assert_windows_hold_support(ws, r, translate_indicator_rows(p, -ws.ypos, r, g))
 
@@ -363,7 +383,7 @@ def test_weak_workspace_statistics_match_dense_rows(name, ps):
     absf = np.abs(f.values)
     symmetric = np.array_equal(absf, absf[::-1])
     assert symmetric == (name == "gaussian")
-    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0), y_stride=3)
+    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0))
     for r, (w_pos, w_neg) in zip(ws.radii, ws._statistics(absf)):
         rows = translate_indicator_rows(p, -ws.ypos, r, g)
         np.testing.assert_array_equal(w_pos, _weak_rows(rows, f.values, g.weights))
@@ -371,19 +391,18 @@ def test_weak_workspace_statistics_match_dense_rows(name, ps):
         assert (w_neg is w_pos) == symmetric
 
 
-@pytest.mark.parametrize("n, stride", [(512, None), (2048, 3)])
+@pytest.mark.parametrize("n", [512, 1536])
 @pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5, 1.5, 0.3])
-def test_weak_workspace_windows_equal_dense_row_windows(kappa, n, stride):
+def test_weak_workspace_windows_equal_dense_row_windows(kappa, n):
     # the windows gathered chunk by chunk, every radius sharing the chunk's
     # multipliers, hold the support of the dense rows at their own columns,
     # and those rows are the rows of one chunked inverse of the whole stack,
-    # to the bit; N = 512
-    # takes its 256 centers in one chunk, and stride 3 at N = 2048 gives
-    # 341 centers, two chunks of 128 and a short one
+    # to the bit; N = 512 takes its 256 centers in one chunk, and N = 1536
+    # (stride 3) its 256 centers in a chunk of 170 and a short one of 86
     p = DunklParams(kappa, classical=(kappa == -0.5))
     g = make_grid(p, 8.0, n)
-    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0), stride)
-    assert ws.ypos.size == (256 if stride is None else 341)
+    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0))
+    assert ws.ypos.size == 256
     for r in ws.radii:
         rows = translate_indicator_rows(p, -ws.ypos, r, g)
         np.testing.assert_array_equal(rows, _whole_block_indicator_rows(p, -ws.ypos, r, g))
@@ -399,10 +418,10 @@ def test_weak_workspace_evaluates_multipliers_once_per_center_chunk(monkeypatch)
         return multiplier_pair(params, lg, ys)
 
     monkeypatch.setattr(translation, "multiplier_pair", counted)
-    g = make_grid(DunklParams(0.5), 8.0, 2048)
-    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0), y_stride=3)
+    g = make_grid(DunklParams(0.5), 8.0, 1536)
+    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0))
     assert len(ws.radii) > 1
-    assert calls == [128, 128, 85]
+    assert calls == [170, 86]
 
 
 def _dense_weak_fofana(ws, f, pp, alpha):
@@ -451,8 +470,8 @@ def test_weak_workspace_keeps_windows_not_full_rows():
 
 
 def _per_radius_interval_fofana(f, spec, ball_scaled):
-    """The interval Fofana loop with a fresh window mass (or, at q = inf,
-    the per-node loop) for every radius."""
+    """The interval Fofana loop with masses over fresh window ends (or, at
+    q = inf, the per-node loop) for every radius."""
     g, x, q = f.grid, f.grid.nodes, spec.q
     theta = norms._scale_exponent(spec)
     e = norms._inv(spec.alpha) - norms._inv(spec.p)
@@ -461,8 +480,8 @@ def _per_radius_interval_fofana(f, spec, ball_scaled):
         if q == INF:
             local = _loop_interval_max(f, r)
         else:
-            mass = LineWindowMass.line(g, np.abs(f.values) ** q)
-            local = mass.window(x - r, x + r) ** (1.0 / q)
+            mass = WindowGeometry.interval(g).between(np.abs(f.values[None]) ** q, x - r, x + r)[0]
+            local = mass ** (1.0 / q)
         mu_i = interval_measure(g.params, x, r)
         w = mu_i**theta
         if ball_scaled:
@@ -472,26 +491,26 @@ def _per_radius_interval_fofana(f, spec, ball_scaled):
 
 
 def test_interval_fofana_builds_one_window_mass_per_function(monkeypatch):
-    # the interval stack builds the window mass of |f|^q once per function
-    # and q for all radii and both center weights, with the bits of one
-    # build per radius
+    # the interval stack builds the window mass of |f|^q of every function
+    # in one prefix sum per stack and q for all radii and both center
+    # weights, with the bits of fresh window ends per function and radius
     g = make_grid(DunklParams(0.5), 16.0, 1024)
     fam = [sample_family(name, ps, g) for name, ps in _INTERVAL_FAMILY]
-    builds = []
-    init = LineWindowMass.__init__
+    sums = []
+    prefix = WindowGeometry._prefix
 
-    def counted(self, *args):
-        builds.append(1)
-        init(self, *args)
+    def counted(self, rows):
+        sums.append(len(rows))
+        return prefix(self, rows)
 
     for spec in _interval_specs(g, ((1.0, 2.0, 1.0), (2.0, 8.0, 4.0), (INF, INF, INF))):
         want = [[_per_radius_interval_fofana(f, spec, scaled) for f in fam] for scaled in (False, True)]
         stack = _IntervalProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), spec.r_grid)
-        monkeypatch.setattr(LineWindowMass, "__init__", counted)
-        builds.clear()
+        monkeypatch.setattr(WindowGeometry, "_prefix", counted)
+        sums.clear()
         assert [stack.fofana(spec), stack.fofana(spec, ball_scaled=True)] == want
-        assert len(builds) == (0 if spec.q == INF else len(fam))
-        monkeypatch.setattr(LineWindowMass, "__init__", init)
+        assert sums == ([] if spec.q == INF else [len(fam)])
+        monkeypatch.setattr(WindowGeometry, "_prefix", prefix)
 
 
 def _loop_range_max(vals, lo, hi):
@@ -575,26 +594,3 @@ def test_window_maxima_match_brute_force_windows(kappa):
                 want = [v[window(x0, r)].max(initial=0.0) for x0 in x]
                 assert np.array_equal(ur.view(np.uint64), np.array(want).view(np.uint64))
         assert not np.any(got[:, 0])
-
-
-@pytest.mark.parametrize("stride", [-1, -3, 0, 2.5])
-def test_weak_fofana_rejects_bad_y_stride(stride):
-    g = make_grid(DunklParams(0.5), 8.0, 512)
-    f = sample_family("gaussian", [0.6], g)
-    rg = default_radius_grid(g)
-    with pytest.raises(ValueError, match=f"got {stride!r}$"):
-        weak_fofana_norm(f, 8.0, 4.0, rg, stride)
-    with pytest.raises(ValueError, match="y_stride"):
-        norms.WeakWindowWorkspace(g, rg, stride)
-
-
-def test_weak_fofana_rejects_stride_without_centers():
-    # a stride of N or more leaves no decimated center; N - 1 keeps one
-    g = make_grid(DunklParams(0.5), 8.0, 512)
-    f = sample_family("gaussian", [0.6], g)
-    rg = default_radius_grid(g)
-    for stride in (512, 1000, 100000):
-        with pytest.raises(ValueError, match="largest valid stride is 511$"):
-            weak_fofana_norm(f, 8.0, 4.0, rg, stride)
-    ws = norms.WeakWindowWorkspace(g, rg, 511)
-    assert ws.ypos.size == 1

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dunkl"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "dunkl"
 
 
 def _names(node) -> set:
@@ -61,3 +62,24 @@ def test_public_definitions_outside_all_have_a_caller():
     # export and that no other statement of the package names is dead code
     dead = _uncalled(lambda stmt, exported: not stmt.name.startswith("_") and stmt.name not in exported)
     assert not dead, f"public definitions outside __all__ with no caller in the package: {dead}"
+
+
+def test_class_methods_and_properties_are_named_somewhere():
+    # a method or property of a package class that no statement of the
+    # package or of its tests names is dead code (dunder methods are called
+    # by the language itself)
+    paths = [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    named = set().union(*map(_names, trees.values()))
+    dead = [
+        f"{path.name}:{cls.name}.{fn.name}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in named
+    ]
+    assert not dead, f"methods and properties named nowhere in src/ or tests/: {dead}"

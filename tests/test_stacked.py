@@ -23,7 +23,7 @@ from dunkl import (
     sample_family,
 )
 from dunkl import _windows, transform, translation
-from dunkl._windows import LineWindowMass, WindowGeometry
+from dunkl._windows import WindowGeometry
 from dunkl.maximal import _dunkl_maximal_stack, _window_maximal, centered_maximal, interval_maximal
 from dunkl.measure import ball_measure, ball_measure_origin, interval_measure
 from dunkl.norms import _IntervalProfileStack, _ProfileStack
@@ -163,8 +163,8 @@ def test_interval_stack_rows_equal_one_function_norms(kappa, classical):
 @pytest.mark.parametrize("kappa,classical", KAPPAS)
 def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, monkeypatch):
     # one window geometry per radius serves the whole stack at every finite
-    # q and its center weights, with the bits of a fresh window mass per
-    # function and radius and of interval_measure; the windows of the edge
+    # q and its center weights, with the bits of each function's masses
+    # over fresh window ends and of interval_measure; the windows of the edge
     # nodes cross -L and L, and rho = 2L crosses both
     g, fam, radii = _setup(kappa, classical)
     x = g.nodes
@@ -186,18 +186,18 @@ def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, 
     monkeypatch.undo()
     for q, stacked in profiles.items():
         for f, got in zip(fam, stacked):
-            mass = LineWindowMass.line(g, np.abs(f.values) ** q)
             for r, u in zip(radii, got):
-                np.testing.assert_array_equal(u, mass.window(x - r, x + r) ** (1.0 / q))
+                mass = stack.windows.between(np.abs(f.values[None]) ** q, x - r, x + r)[0]
+                np.testing.assert_array_equal(u, mass ** (1.0 / q))
     for r in radii:
         np.testing.assert_array_equal(stack.windows.measure(r), interval_measure(g.params, x, r))
     rhos = (*radii, 2.0 * g.half_width)
     stacked = _window_maximal(stack.windows, stack.rows, rhos)
     for f, got in zip(fam, stacked):
-        mass = LineWindowMass.line(g, np.abs(f.values))
         best = np.zeros(g.node_count)
         for rho in rhos:
-            avg = mass.window(x - rho, x + rho) / interval_measure(g.params, x, rho)
+            mass = stack.windows.between(np.abs(f.values[None]), x - rho, x + rho)[0]
+            avg = mass / interval_measure(g.params, x, rho)
             np.maximum(best, avg, out=best)
         np.testing.assert_array_equal(got, best)
         np.testing.assert_array_equal(interval_maximal(f, rhos).values, best)
@@ -206,18 +206,20 @@ def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, 
 @pytest.mark.parametrize("kappa,classical", KAPPAS)
 def test_annulus_window_maximal_matches_fresh_window_masses(kappa, classical):
     # the annulus twin: the stacked centered maximal functions have the bits
-    # of a fresh folded window mass per function over ball_measure, and of
+    # of each function's folded masses over fresh window ends over
+    # ball_measure, and of
     # the one-row calls; the windows of the inner nodes are cut at 0, those
     # of the edge nodes cross L, and rho = 2L crosses L everywhere
     g, fam, radii = _setup(kappa, classical)
     s = g.positive_nodes
     rhos = (*radii, 2.0 * g.half_width)
-    stacked = _window_maximal(WindowGeometry.annulus(g), np.stack([f.values for f in fam]), rhos)
+    annuli = WindowGeometry.annulus(g)
+    stacked = _window_maximal(annuli, np.stack([f.values for f in fam]), rhos)
     for f, got in zip(fam, stacked):
-        mass = LineWindowMass.folded(g, np.abs(f.values))
         best = np.zeros(s.size)
         for rho in rhos:
-            avg = mass.window(np.maximum(0.0, s - rho), s + rho) / ball_measure(g.params, s, rho)
+            mass = annuli.between(np.abs(f.values[None]), np.maximum(0.0, s - rho), s + rho)[0]
+            avg = mass / ball_measure(g.params, s, rho)
             np.maximum(best, avg, out=best)
         np.testing.assert_array_equal(got, np.concatenate([best[::-1], best]))
         np.testing.assert_array_equal(centered_maximal(f, rhos).values, got)
