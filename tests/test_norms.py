@@ -343,7 +343,10 @@ def test_weak_window_statistic_bounded_by_window_mass(setup):
 def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
     # row chunks reproduce the one-chunk statistic exactly, and every row
     # reproduces the dense row-wise reference, also where the two support
-    # windows meet (|y| < r)
+    # windows meet (|y| < r); chunks of 15 and 24 rows end in a short chunk
+    # (of 1 and 16 rows) at the 256 centers of N = 512, and each chunking
+    # takes the rows rolled by its own shift, so a row it left unset cannot
+    # hold its value by chance in a reused output buffer
     for kappa in (-0.5, 0.5):
         p = DunklParams(kappa, classical=(kappa == -0.5))
         g = make_grid(p, 8.0, 512)
@@ -354,12 +357,18 @@ def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
         assert np.any(ys < r)
         rows = translate_indicator_rows(p, -ys, r, g)
         absf = np.abs(f.values)
-        got = norms._weak_window_rows(absf, *ws.windows[r])
+        dense = _weak_rows(rows, f.values, g.weights)
         with monkeypatch.context() as m:
             m.setattr(norms, "_WEAK_CHUNK_ROWS", ys.size)
             whole = norms._weak_window_rows(absf, *ws.windows[r])
-        np.testing.assert_array_equal(got, whole)
-        np.testing.assert_array_equal(got, _weak_rows(rows, f.values, g.weights))
+        np.testing.assert_array_equal(whole, dense)
+        for chunk in (norms._WEAK_CHUNK_ROWS, 15, 24):
+            assert chunk == 16 or ys.size % chunk != 0
+            rolled = [np.roll(a, chunk, axis=0) for a in ws.windows[r]]
+            with monkeypatch.context() as m:
+                m.setattr(norms, "_WEAK_CHUNK_ROWS", chunk)
+                got = norms._weak_window_rows(absf, *rolled)
+            np.testing.assert_array_equal(got, np.roll(whole, chunk))
 
 
 @pytest.mark.parametrize("r", [0.7, 3.0])
