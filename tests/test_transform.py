@@ -200,12 +200,15 @@ def test_uncovered_request_replaces_its_entry(monkeypatch):
 
 def _counting_kernel_pair(monkeypatch, delay=0.0):
     """Route the block builds through a kernel_pair that records how many
-    calls and elements it evaluates, on an empty cache."""
+    calls and elements it evaluates, on an empty cache.  A block build runs
+    it on two threads, so it counts under a lock."""
     seen = {"calls": 0, "elements": 0}
+    lock = threading.Lock()
 
     def counted(params, s):
-        seen["calls"] += 1
-        seen["elements"] += np.size(s)
+        with lock:
+            seen["calls"] += 1
+            seen["elements"] += np.size(s)
         time.sleep(delay)
         return kernel_pair(params, s)
 
@@ -319,6 +322,135 @@ def test_failed_build_leaves_no_guard(monkeypatch):
     monkeypatch.setattr(transform, "kernel_pair", kernel_pair)
     a, _ = transform._blocks(p, lg, xg)
     assert a.shape == (32, 32)
+
+
+# (out half-width, out nodes, chunk, worker piece, mirrored) on input
+# half-width 8/3 at 256 nodes: a mirrored block (spacing ratio 4) and an
+# unmirrored one (ratio 3) whose spans and pieces do not divide the rows, a
+# non-square block, and an unmirrored block of one span
+THREADED_BLOCKS = [
+    (32.0 / 3.0, 256, 1000, 300, True),
+    (8.0, 256, 1000, 300, False),
+    (24.0, 200, 1000, 300, False),
+    (8.0, 256, transform._CHUNK_ELEMENTS, transform._WORKER_PIECE_ELEMENTS, False),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kappa", BLOCK_KAPPAS)
+@pytest.mark.parametrize("out_width,out_nodes,chunk,piece,mirrored", THREADED_BLOCKS)
+def test_threaded_blocks_equal_direct_evaluation(
+    kappa, threads, out_width, out_nodes, chunk, piece, mirrored, monkeypatch
+):
+    # the calling thread and the worker share the spans, the worker in
+    # smaller pieces; the blocks are the bits of one direct evaluation at
+    # either thread count, and no thread outlives the build
+    p = DunklParams(kappa, classical=kappa == -0.5)
+    xg, lg = make_grid(p, 8.0 / 3.0, 256), make_grid(p, out_width, out_nodes)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    monkeypatch.setattr(transform, "_build_threads", lambda: threads)
+    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(transform, "_WORKER_PIECE_ELEMENTS", piece)
+    idents = set()
+
+    def pair(params, s):
+        idents.add(threading.get_ident())
+        time.sleep(0.002)  # lets the worker take spans of a small block
+        return kernel_pair(params, s)
+
+    monkeypatch.setattr(transform, "kernel_pair", pair)
+    before = threading.active_count()
+    a, b = transform._blocks(p, lg, xg)
+    assert threading.active_count() == before
+    ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
+    assert np.array_equal(a, ea)
+    assert np.array_equal(b, eb)
+    assert transform._power_of_two_multiple(lg.positive_nodes, xg.positive_nodes) == mirrored
+    if chunk >= a.size:  # a block of one span starts no worker
+        assert idents == {threading.get_ident()}
+    else:
+        assert len(idents) == threads
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_failed_piece_stops_both_threads(failing, error, monkeypatch):
+    # one thread's first piece raises while the other thread is inside its
+    # own first piece: that piece completes, no further piece starts, and
+    # the exception reaches the caller of _blocks unchanged
+    p = DunklParams(0.5)
+    xg, lg = make_grid(p, 8.0 / 3.0, 256), make_grid(p, 8.0, 256)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    monkeypatch.setattr(transform, "_build_threads", lambda: 2)
+    # spans of 8 rows, which the worker takes in pieces of 2
+    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", 1024)
+    monkeypatch.setattr(transform, "_WORKER_PIECE_ELEMENTS", 256)
+    caller = threading.get_ident()
+    inside = {"caller": threading.Event(), "worker": threading.Event()}
+    raised = threading.Event()
+    calls = []
+    failure = error("no room for the block")
+
+    def pair(params, s):
+        who = "caller" if threading.get_ident() == caller else "worker"
+        calls.append(who)
+        inside[who].set()
+        inside["worker" if who == "caller" else "caller"].wait(timeout=30)
+        if who == failing:
+            raised.set()
+            raise failure
+        raised.wait(timeout=30)
+        time.sleep(0.1)  # the failing thread records its failure meanwhile
+        return kernel_pair(params, s)
+
+    monkeypatch.setattr(transform, "kernel_pair", pair)
+    before = threading.active_count()
+    with pytest.raises(error) as info:
+        transform._blocks(p, lg, xg)
+    assert info.value is failure
+    assert sorted(calls) == ["caller", "worker"]
+    assert not transform._building
+    assert threading.active_count() == before
+
+
+# Blocks of three kappas (0.3 takes the jv route) at two spacing ratios,
+# 768 x 768 so that each takes several row spans at the default chunk,
+# hashed, and the thread count of the build.
+_CHILD_BLOCKS = """
+import hashlib
+from dunkl import DunklParams, make_grid, transform
+h = hashlib.sha256()
+for kappa in (0.0, 0.3, 1.5):
+    p = DunklParams(kappa)
+    for ratio in (2.0, 3.0):
+        a, b = transform._blocks(p, make_grid(p, 16.0 * ratio, 1536), make_grid(p, 16.0, 1536))
+        h.update(a.tobytes())
+        h.update(b.tobytes())
+print(transform._build_threads(), h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_blocks_do_not_depend_on_the_cpu_count():
+    # a child pinned to one CPU builds alone; an unpinned one uses a worker
+    # where a second CPU is usable; the blocks are the same bytes
+    src = os.path.dirname(os.path.dirname(transform.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    cpu = min(os.sched_getaffinity(0))
+
+    def child(preexec_fn):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD_BLOCKS],
+            env=env, capture_output=True, text=True, timeout=300, preexec_fn=preexec_fn,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    pinned = child(lambda: os.sched_setaffinity(0, {cpu}))
+    free = child(None)
+    assert pinned[0] == "1"
+    assert free[0] == str(min(transform._BUILD_THREADS, len(os.sched_getaffinity(0))))
+    assert pinned[1] == free[1]
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])
