@@ -33,7 +33,7 @@ import functools
 import numpy as np
 
 from .grid import Grid
-from .measure import ball_measure, weight_antiderivative
+from .measure import ball_measure, interval_measure, weight_antiderivative
 
 
 def _line_edges(grid: Grid) -> np.ndarray:
@@ -123,10 +123,7 @@ def _radius_data(grid: Grid, folded: bool, r: float) -> tuple:
     every array read-only."""
     centers, edges, anti = _frame(grid, folded)
     params, lo, hi = grid.params, centers - r, centers + r
-    if folded:
-        mu = ball_measure(params, centers, r)
-    else:
-        mu = weight_antiderivative(params, hi) - weight_antiderivative(params, lo)
+    mu = (ball_measure if folded else interval_measure)(params, centers, r)
     ends = [_window_end(params, edges, anti, t) for t in (lo, hi)]
     ranges = (np.searchsorted(centers, lo, side="right"), np.searchsorted(centers, hi, side="left"))
     for arr in (*ends[0], *ends[1], mu, *ranges):
@@ -153,7 +150,7 @@ class WindowGeometry:
     @classmethod
     def interval(cls, grid: Grid) -> "WindowGeometry":
         """The intervals I(x, r) = (x - r, x + r), measured by
-        W(x + r) - W(x - r): the bits of `measure.interval_measure`."""
+        `measure.interval_measure`."""
         return cls(grid, folded=False)
 
     @classmethod

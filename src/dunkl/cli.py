@@ -111,18 +111,18 @@ def _parse_exponent_triples(text: str):
     return tuple(out)
 
 
-def _add_grid_flags(sp, kappa_default=0.5):
-    sp.add_argument("--kappa", type=float, default=None, help=f"deformation parameter (default {kappa_default})")
+def _add_grid_flags(sp):
+    sp.add_argument("--kappa", type=float, default=None, help="deformation parameter (default 0.5)")
     sp.add_argument("--grid-n", type=int, default=None, help="node count (default 2048)")
     sp.add_argument("--domain-l", type=float, default=None, help="domain half-width (default 16)")
 
 
-def _resolve_grid(args, kappa_default=0.5, n_default=2048, l_default=16.0):
+def _resolve_grid(args):
     """The parameters and grid of the grid flags; a value out of range is a
     usage error naming the flag or variable it came from."""
-    params = _resolve(args.kappa, "--kappa", _params_for(kappa_default), lambda raw: _params_for(float(raw)))
-    n = _resolve(args.grid_n, "--grid-n", n_default, lambda raw: _check_node_count(int(raw)))
-    half = _resolve(args.domain_l, "--domain-l", l_default, lambda raw: _check_half_width(float(raw)))
+    params = _resolve(args.kappa, "--kappa", _params_for(0.5), lambda raw: _params_for(float(raw)))
+    n = _resolve(args.grid_n, "--grid-n", 2048, lambda raw: _check_node_count(int(raw)))
+    half = _resolve(args.domain_l, "--domain-l", 16.0, lambda raw: _check_half_width(float(raw)))
     return params, make_grid(params, half, n)
 
 

@@ -61,9 +61,9 @@ def _inv(p: float) -> float:
     return 0.0 if p == INF else 1.0 / p
 
 
-def _scale_exponent(spec: NormSpec) -> float:
+def _scale_exponent(q: float, p: float, alpha: float) -> float:
     """theta = 1/alpha - 1/q - 1/p, the exponent of the window measure."""
-    return _inv(spec.alpha) - _inv(spec.q) - _inv(spec.p)
+    return _inv(alpha) - _inv(q) - _inv(p)
 
 
 def _check_exponent(p: float, name: str = "exponent") -> float:
@@ -73,13 +73,19 @@ def _check_exponent(p: float, name: str = "exponent") -> float:
     return p
 
 
+def _check_triple(q: float, p: float, alpha: float) -> tuple:
+    """(q, p, alpha) as floats, each in [1, inf]; the scaled space is
+    nontrivial only for q <= alpha <= p, so that ordering is enforced."""
+    q, p, alpha = _check_exponent(q, "q"), _check_exponent(p, "p"), _check_exponent(alpha, "alpha")
+    if not (q <= alpha <= p):
+        raise ValueError(f"exponents must satisfy q <= alpha <= p, got q={q}, alpha={alpha}, p={p}")
+    return q, p, alpha
+
+
 @dataclass(frozen=True)
 class NormSpec:
-    """Exponent triple (q, p, alpha) with the radius grid for suprema.
-
-    The scaled space is nontrivial only for q <= alpha <= p, so construction
-    enforces that ordering.
-    """
+    """Exponent triple (q, p, alpha), checked by `_check_triple`, with the
+    finite, positive, strictly increasing radius grid for suprema."""
 
     q: float
     p: float
@@ -87,18 +93,12 @@ class NormSpec:
     r_grid: tuple
 
     def __post_init__(self) -> None:
-        q = _check_exponent(self.q, "q")
-        p = _check_exponent(self.p, "p")
-        alpha = _check_exponent(self.alpha, "alpha")
-        if not (q <= alpha <= p):
-            raise ValueError(
-                f"exponents must satisfy q <= alpha <= p, got q={q}, alpha={alpha}, p={p}"
-            )
+        q, p, alpha = _check_triple(self.q, self.p, self.alpha)
         rg = tuple(float(r) for r in self.r_grid)
         if not rg:
             raise ValueError("r_grid must be non-empty")
-        if any(r <= 0 for r in rg) or any(b <= a for a, b in zip(rg, rg[1:])):
-            raise ValueError("r_grid must be strictly increasing and positive")
+        if not all(0.0 < r < INF for r in rg) or any(b <= a for a, b in zip(rg, rg[1:])):
+            raise ValueError(f"r_grid must be finite, positive and strictly increasing, got {rg}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "alpha", alpha)
@@ -147,15 +147,9 @@ def weak_l1_norm(f: GridFunction) -> float:
 
     For grid simple functions the supremum of t * mu({|f| > t}) over t > 0 is
     attained in the limit from the left at a sampled level, where the strict
-    superlevel set becomes the closed one; the finite maximum below is exact.
+    superlevel set becomes the closed one; the finite maximum is exact.
     """
-    a = np.abs(f.values)
-    if not np.any(a > 0.0):
-        return 0.0
-    order = np.argsort(-a, kind="stable")
-    levels = a[order]
-    cum = np.cumsum(f.grid.weights[order])
-    return float(np.max(levels * cum))
+    return float(_weak_l1_rows(np.abs(f.values)[None], f.grid.weights[None])[0])
 
 
 def _check_window_radius(grid: Grid, r: float) -> float:
@@ -233,7 +227,7 @@ def _fofana_sup(grid: Grid, spec: NormSpec, profiles) -> float:
     """sup over spec.r_grid of mu(B_r)^(1/alpha - 1/q - 1/p) * ||u_r||_p,
     for the window profiles u_r of one function (a row of
     ``_amalgam_profiles`` at exponent spec.q)."""
-    theta = _scale_exponent(spec)
+    theta = _scale_exponent(spec.q, spec.p, spec.alpha)
     best = 0.0
     for r, u in zip(spec.r_grid, profiles):
         val = ball_measure_origin(grid.params, r) ** theta * lp_norm(GridFunction(grid, u), spec.p)
@@ -256,6 +250,17 @@ def _support_columns(annuli: WindowGeometry, centers: np.ndarray, r: float) -> t
     return idx, np.tile(offs >= (hi - lo)[:, None], 2)
 
 
+def _weak_l1_rows(levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sup_t t * w({levels >= t}) of each row of levels (M, W) >= 0 against
+    the weights (M, W) of that row: a stable descending sort of the row,
+    then cumulative weights.  ``weak_l1_norm`` is its one-row case."""
+    order = np.argsort(-levels, axis=1, kind="stable")
+    # one flat index gathers both the levels and their weights
+    order += np.arange(0, levels.size, levels.shape[1])[:, None]
+    cw = np.cumsum(weights.ravel()[order], axis=1)
+    return np.max(levels.ravel()[order] * cw, axis=1)
+
+
 def _weak_window_rows(
     absf: np.ndarray, idx: np.ndarray, wrows: np.ndarray, wweights: np.ndarray
 ) -> np.ndarray:
@@ -267,16 +272,11 @@ def _weak_window_rows(
     gather temporaries then stay small enough for the allocator to reuse,
     instead of mapping (and faulting in) fresh pages on every call.
     """
-    m, width = idx.shape
+    m = idx.shape[0]
     out = np.empty(m)
     for i in range(0, m, _WEAK_CHUNK_ROWS):
         k = slice(i, i + _WEAK_CHUNK_ROWS)
-        g = absf[idx[k]] * wrows[k]
-        order = np.argsort(-g, axis=1, kind="stable")
-        # one flat index gathers both the levels and their weights
-        order += np.arange(0, g.size, width)[:, None]
-        cw = np.cumsum(wweights[k].ravel()[order], axis=1)
-        out[k] = np.max(g.ravel()[order] * cw, axis=1)
+        out[k] = _weak_l1_rows(absf[idx[k]] * wrows[k], wweights[k])
     return out
 
 
@@ -346,20 +346,14 @@ class WeakWindowWorkspace:
     def weak_fofana(self, f: GridFunction, pairs) -> list:
         """Weak Fofana norm of f for each (p, alpha) pair, in order, from one
         set of window statistics."""
-        checked = []
-        for p, alpha in pairs:
-            p = _check_exponent(p, "p")
-            alpha = _check_exponent(alpha, "alpha")
-            if not (1.0 <= alpha <= p):
-                raise ValueError(f"need 1 <= alpha <= p, got alpha={alpha}, p={p}")
-            checked.append((p, alpha))
+        checked = [_check_triple(1.0, p, alpha) for p, alpha in pairs]
         if f.grid != self.grid:
             raise ValueError("function lives on a different grid than the workspace")
         best = [0.0] * len(checked)
         for r, (w_pos, w_neg) in zip(self.radii, self._statistics(np.abs(f.values))):
             mu = ball_measure_origin(self.grid.params, r)
-            for j, (p, alpha) in enumerate(checked):
-                pref = mu ** (_inv(alpha) - 1.0 - _inv(p))
+            for j, (q, p, alpha) in enumerate(checked):
+                pref = mu ** _scale_exponent(q, p, alpha)
                 if p == INF:
                     val = pref * max(float(np.max(w_pos)), float(np.max(w_neg)))
                 else:
@@ -408,7 +402,7 @@ class _IntervalProfileStack(_ProfileStack):
         u_r at spec.q, with the center weight w_r = mu(I(y,r))^theta, which
         ball_scaled multiplies by (mu(B_r) / mu(I(y,r)))^(1/alpha - 1/p)."""
         grid = self.grid
-        theta = _scale_exponent(spec)
+        theta = _scale_exponent(spec.q, spec.p, spec.alpha)
         e = _inv(spec.alpha) - _inv(spec.p)
         weights = []
         for r in spec.r_grid:

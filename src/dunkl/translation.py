@@ -148,6 +148,10 @@ def translate_indicator(params: DunklParams, y: float, r: float, grid: Grid) -> 
 def translate_indicator_rows(params: DunklParams, ys, r: float, grid: Grid) -> np.ndarray:
     """Stacked translated ball indicators, one row per offset in ys: the
     one-radius case of `_indicator_row_chunks`."""
+    if params.kappa != grid.params.kappa:
+        raise ValueError(
+            f"indicator kappa {params.kappa:g} differs from the grid's kappa {grid.params.kappa:g}"
+        )
     r = _check_radius(r)
     ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
     out = np.empty((ya.size, grid.node_count))

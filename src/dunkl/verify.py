@@ -50,6 +50,7 @@ from .measure import (
 from .norms import (
     NormSpec,
     WeakWindowWorkspace,
+    _check_triple,
     _fofana_sup,
     _IntervalProfileStack,
     _ProfileStack,
@@ -132,6 +133,14 @@ def _params_for(kappa: float) -> DunklParams:
     return DunklParams(kappa, classical=(kappa == -0.5))
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a value that is not a whole number, such as 2.7 or
+    nan, is a ValueError naming it."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Run parameters shared by every suite: kappa_list, half_width,
@@ -160,17 +169,14 @@ class SuiteConfig:
             _params_for(k)
         object.__setattr__(self, "kappa_list", kl)
         object.__setattr__(self, "half_width", _check_half_width(self.half_width))
-        n = int(self.node_count)
+        n = _integer(self.node_count, "node_count")
         # suites that halve the grid need an even node count at N/2 too
         if n < 64 or n % 4:
             raise ValueError(f"node_count must be a multiple of 4 and >= 64, got {n}")
         object.__setattr__(self, "node_count", n)
-        exps = tuple(tuple(float(v) for v in row) for row in self.exponents)
-        for q, p, a in exps:
-            if not (1.0 <= q <= a <= p):
-                raise ValueError(f"exponent triple violates q <= alpha <= p: {(q, p, a)}")
+        exps = tuple(_check_triple(q, p, a) for q, p, a in self.exponents)
         object.__setattr__(self, "exponents", exps)
-        seed = int(self.seed)
+        seed = _integer(self.seed, "seed")
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         object.__setattr__(self, "seed", seed)
@@ -368,19 +374,19 @@ class _Recorder:
         return VerificationReport(self.name, self.cfg.echo(), self.cases)
 
 
-def _family(grid: Grid, names=None):
-    out = []
-    for name, ps in DEFAULT_FAMILY:
-        if names is not None and name not in names:
-            continue
-        fid = f"{name}({','.join('%g' % v for v in ps)})"
-        out.append((fid, sample_family(name, ps, grid)))
-    return out
+def _family(grid: Grid, names=None) -> dict:
+    """The DEFAULT_FAMILY members sampled on grid, or those of the family
+    names, by id (``gaussian(0.5)``, ``bump(0,2)``), in their order."""
+    return {
+        f"{name}({','.join('%g' % v for v in ps)})": sample_family(name, ps, grid)
+        for name, ps in DEFAULT_FAMILY
+        if names is None or name in names
+    }
 
 
-def _stack(fam) -> np.ndarray:
-    """The samples of (id, function) pairs as one (F, N) stack."""
-    return np.stack([f.values for _, f in fam])
+def _stack(fam: dict) -> np.ndarray:
+    """The samples of a family of `_family` as one (F, N) stack."""
+    return np.stack([f.values for f in fam.values()])
 
 
 def _worst_ratio(pairs) -> float:
@@ -671,10 +677,9 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
 @_per_kappa
 def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     tol = DEFAULT_TOLERANCES["plancherel_classical" if p.classical else "plancherel"]
+    coarse_fam, fam = _refined(cfg, p, _family)
     for a in (0.25, 0.5, 2.0):
-        coarse, fine = _refined(
-            cfg, p, lambda g: plancherel_defect(sample_family("gaussian", (a,), g))
-        )
+        coarse, fine = (plancherel_defect(m[f"gaussian({a:g})"]) for m in (coarse_fam, fam))
         rec.bound(
             f"plancherel_{rec.ktag}_a{a:g}",
             "plancherel",
@@ -692,12 +697,10 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
             family=f"gaussian({a:g})",
             coarse_defect=coarse,
         )
-    g = make_grid(p, cfg.half_width, cfg.node_count)
+    f1, f2 = fam["gaussian(0.5)"], fam["bump(0,2)"]
+    g = f1.grid
     interior = np.abs(g.nodes) <= cfg.half_width / 2.0
-    for short, assert_up_to, f in (
-        ("gauss", 1.0, sample_family("gaussian", (0.5,), g)),
-        ("bump", 0.5, sample_family("bump", (0.0, 2.0), g)),
-    ):
+    for short, assert_up_to, f in (("gauss", 1.0, f1), ("bump", 0.5, f2)):
         rt = inverse(forward(f))
         diff = np.abs(rt.values - f.values)
         dev = float(np.max(diff)) if short == "gauss" else float(np.max(diff[interior]))
@@ -718,8 +721,6 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
                 "inversion_roundtrip",
                 dev,
             )
-    f1 = sample_family("gaussian", (0.5,), g)
-    f2 = sample_family("bump", (0.0, 2.0), g)
     combo = forward(GridFunction(g, 2.0 * f1.values + 3.0 * f2.values))
     split = 2.0 * forward(f1).values + 3.0 * forward(f2).values
     scale = float(np.max(np.abs(split)))
@@ -779,12 +780,11 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
     smooth = ("gaussian", "bump", "trig_gauss")
     g = make_grid(p, cfg.half_width, cfg.node_count)
     fam = _family(g)
-    fam_smooth = [(fid, f) for fid, f in fam if fid.startswith(smooth)]
     L = cfg.half_width
 
     # identity at zero offset
     worst = 0.0
-    for fid, f in fam_smooth[:3]:
+    for f in (fam["gaussian(0.25)"], fam["gaussian(0.5)"], fam["gaussian(2)"]):
         worst = max(worst, float(np.max(np.abs(translate(f, 0.0).values - f.values))))
     rec.match(
         f"identity_{rec.ktag}",
@@ -798,12 +798,12 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
     rng = rec.rng(f"pairs_{kappa}")
     node_pool = np.where(np.abs(g.nodes) <= L / 2.0)[0]
     pairs = rng.choice(node_pool, size=(50, 2), replace=True)
-    check_members = [m for m in fam_smooth if m[0] in ("gaussian(0.5)", "bump(0,2)")]
+    check_members = (fam["gaussian(0.5)"], fam["bump(0,2)"])
     # tau[a, b] is the translate by node idx[a] at node idx[b]
     idx = np.unique(pairs)
     pos = np.searchsorted(idx, pairs)
     worst = 0.0
-    for fid, f in check_members:
+    for f in check_members:
         sup = float(np.max(np.abs(f.values)))
         tau = translate_rows(f, g.nodes[idx])[:, idx]
         gap = np.abs(tau[pos[:, 0], pos[:, 1]] - tau[pos[:, 1], pos[:, 0]]) / sup
@@ -818,7 +818,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
     )
 
     # composition commutes
-    f = check_members[0][1]
+    f = check_members[0]
     ab = translate(translate(f, 1.0), -2.5)
     ba = translate(translate(f, -2.5), 1.0)
     rec.match(
@@ -833,7 +833,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
     offsets = (-4.0, -1.0, 1.0, 4.0, L / 2.0)
     worst = 0.0
     worst_smooth = 0.0
-    for fid, f in fam:
+    for fid, f in fam.items():
         norms = {q: lp_norm(f, q) for q in (1.0, 2.0, 4.0, INF)}
         for row in translate_rows(f, offsets):
             tf = GridFunction(g, row)
@@ -868,7 +868,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
 
     # mass preservation of smooth translates
     worst = 0.0
-    for fid, f in check_members:
+    for f in check_members:
         base = integrate(f)
         for row in translate_rows(f, (1.0, -3.0, L / 2.0)):
             worst = max(worst, abs(integrate(GridFunction(g, row)) - base) / abs(base))
@@ -881,7 +881,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
     )
 
     # pointwise recovery by shrinking window averages
-    f = check_members[0][1]
+    f = check_members[0]
     for x0 in (0.5, 2.0):
         idx = int(np.argmin(np.abs(g.nodes - x0)))
         xv = float(g.nodes[idx])
@@ -953,8 +953,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
             r=r,
         )
     # raw overshoot of the spectral translation before clamping
-    chi = sample_family("indicator_ball", (1.0,), g)
-    raw = translate(chi, 2.0)
+    raw = translate(fam["indicator_ball(1)"], 2.0)
     rec.measure(
         f"indicator_raw_overshoot_{rec.ktag}",
         "indicator_translation_range",
@@ -978,8 +977,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
         )
 
     # translation commutes with convolution
-    fa = check_members[0][1]
-    fb = check_members[-1][1]
+    fa, fb = check_members
     conv = convolve(fa, fb)
     lhs_f = translate(conv, 1.5)
     rhs_f = convolve(translate(fa, 1.5), fb)
@@ -999,13 +997,15 @@ _YOUNG_TRIPLES = ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (2.0, 2.0, INF), (1.5, 3.0, 
 @_per_kappa
 def _suite_young(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     g = make_grid(p, cfg.half_width, cfg.node_count)
+    fam = _family(g)
+    chi = fam["indicator_ball(1)"]
     pairs = [
-        ("gaussian(0.5)", sample_family("gaussian", (0.5,), g), "bump(0,2)", sample_family("bump", (0.0, 2.0), g)),
-        ("gaussian(2)", sample_family("gaussian", (2.0,), g), "indicator_ball(1)", sample_family("indicator_ball", (1.0,), g)),
-        ("trig_gauss(1)", sample_family("trig_gauss", (1.0,), g), "gaussian(0.25)", sample_family("gaussian", (0.25,), g)),
-        ("indicator_ball(1)", sample_family("indicator_ball", (1.0,), g), "indicator_ball(1)", sample_family("indicator_ball", (1.0,), g)),
+        (fam["gaussian(0.5)"], fam["bump(0,2)"]),
+        (fam["gaussian(2)"], chi),
+        (fam["trig_gauss(1)"], fam["gaussian(0.25)"]),
+        (chi, chi),
     ]
-    convs = [(f, h, convolve(f, h)) for _, f, _, h in pairs]
+    convs = [(f, h, convolve(f, h)) for f, h in pairs]
     worst = _worst_ratio(
         (lp_norm(conv, rr), lp_norm(f, pp) * lp_norm(h, qq))
         for f, h, conv in convs
@@ -1020,7 +1020,7 @@ def _suite_young(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams)
     )
     rec.measure(f"young_max_ratio_{rec.ktag}", "young_inequality", worst)
 
-    f, h = pairs[0][1], pairs[0][3]
+    f, h = pairs[0]
     ab = convolve(f, h)
     ba = convolve(h, f)
     scale = lp_norm(f, 2.0) * lp_norm(h, 2.0)
@@ -1040,7 +1040,6 @@ def _suite_young(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams)
         0.0,
     )
     if p.classical:
-        chi = sample_family("indicator_ball", (1.0,), g)
         conv = convolve(chi, chi)
         i0 = int(np.argmin(np.abs(g.nodes)))
         x0 = abs(float(g.nodes[i0]))
@@ -1059,10 +1058,11 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
     q_pairs = ((2.0, 2.0), (4.0, 4.0 / 3.0))
     p_pairs = ((INF, INF), (4.0, 4.0))
     g = make_grid(p, cfg.half_width, cfg.node_count)
+    fam = _family(g)
     pairs = [
-        ("gaussian(0.5)", sample_family("gaussian", (0.5,), g), "bump(0,2)", sample_family("bump", (0.0, 2.0), g)),
-        ("trig_gauss(2)", sample_family("trig_gauss", (2.0,), g), "gaussian(0.25)", sample_family("gaussian", (0.25,), g)),
-        ("indicator_ball(1)", sample_family("indicator_ball", (1.0,), g), "gaussian(2)", sample_family("gaussian", (2.0,), g)),
+        (fam["gaussian(0.5)"], fam["bump(0,2)"]),
+        (fam["trig_gauss(2)"], fam["gaussian(0.25)"]),
+        (fam["indicator_ball(1)"], fam["gaussian(2)"]),
     ]
     # one stack of the products, the first and the second factors: each
     # exponent q takes one spectral evaluation, shared by both p pairs
@@ -1070,9 +1070,9 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
     prof = _ProfileStack(
         g,
         np.stack(
-            [f.values * h.values for _, f, _, h in pairs]
-            + [f.values for _, f, _, _ in pairs]
-            + [h.values for _, _, _, h in pairs]
+            [f.values * h.values for f, h in pairs]
+            + [f.values for f, _ in pairs]
+            + [h.values for _, h in pairs]
         ),
         (1.0,),
     )
@@ -1095,29 +1095,27 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
 
     # norm axioms at (q, p) = (2, 4), window radius 1: the family, its
     # scaled members and the random combinations in one stack
-    fam = _family(g)
-    scales = [(fid, f, c) for fid, f in fam[:4] for c in (2.5, -3.0)]
+    members = list(fam.values())
+    scales = [(k, c) for k in range(4) for c in (2.5, -3.0)]
     rng = rec.rng(f"triangle_{kappa}")
     combos = []
     for _ in range(100):
-        i, j = rng.integers(0, len(fam), 2)
+        i, j = rng.integers(0, len(members), 2)
         a, b = rng.uniform(-2.0, 2.0, 2)
         combos.append((i, j, a, b))
     norms = _ProfileStack(
         g,
         np.stack(
-            [f.values for _, f in fam]
-            + [(c * f).values for _, f, c in scales]
-            + [(a * fam[i][1] + b * fam[j][1]).values for i, j, a, b in combos]
+            [f.values for f in members]
+            + [(c * members[k]).values for k, c in scales]
+            + [(a * members[i] + b * members[j]).values for i, j, a, b in combos]
         ),
         (1.0,),
     ).amalgam(2.0, 4.0, 1.0)
-    base_norms = dict(zip((fid for fid, _ in fam), norms))
+    base = norms[: len(members)]
     worst_h = 0.0
-    for (fid, _, c), scaled in zip(scales, norms[len(fam) :]):
-        worst_h = max(
-            worst_h, abs(scaled - abs(c) * base_norms[fid]) / (abs(c) * base_norms[fid])
-        )
+    for (k, c), scaled in zip(scales, norms[len(members) :]):
+        worst_h = max(worst_h, abs(scaled - abs(c) * base[k]) / (abs(c) * base[k]))
     rec.bound(
         f"homogeneity_{rec.ktag}",
         "amalgam_norm_axioms",
@@ -1126,8 +1124,8 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
         0.0,
     )
     worst_t = -INF
-    for (i, j, a, b), lhs in zip(combos, norms[len(fam) + len(scales) :]):
-        rhs = abs(a) * base_norms[fam[i][0]] + abs(b) * base_norms[fam[j][0]]
+    for (i, j, a, b), lhs in zip(combos, norms[len(members) + len(scales) :]):
+        rhs = abs(a) * base[i] + abs(b) * base[j]
         scale = max(rhs, 1e-30)
         worst_t = max(worst_t, (lhs - rhs) / scale)
     rec.bound(
@@ -1150,12 +1148,9 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
         f"definiteness_positive_{rec.ktag}",
         "amalgam_norm_axioms",
         1e-300,
-        min(base_norms.values()),
+        min(base),
         0.0,
     )
-
-
-_EMBEDDING_FAMILY = ("gaussian", "indicator_ball", "bump", "trig_gauss", "power_tail")
 
 
 def _interval_translation_constants(cfg: SuiteConfig, rg, prof: _ProfileStack):
@@ -1179,7 +1174,7 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
     g = make_grid(p, cfg.half_width, cfg.node_count)
     rg = default_radius_grid(g)
     mu1 = ball_measure_origin(p, 1.0)
-    fam = _family(g, names=_EMBEDDING_FAMILY)
+    fam = _family(g)
     # one profile stack per q over the radius grid and r = 1
     prof = _ProfileStack(g, _stack(fam), (*rg, 1.0))
 
@@ -1189,7 +1184,7 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
             (0.0 if pp == INF else 1.0 / pp) - 1.0 / s + 1.0 / q
         )
         terms += [
-            (norm, const * lp_norm(f, s)) for (_, f), norm in zip(fam, prof.amalgam(q, pp, 1.0))
+            (norm, const * lp_norm(f, s)) for f, norm in zip(fam.values(), prof.amalgam(q, pp, 1.0))
         ]
     rec.bound(
         f"lebesgue_amalgam_{rec.ktag}",
@@ -1214,7 +1209,7 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
     worst = _worst_ratio(
         (norm, 4.0 ** (1.0 / q) * lp_norm(f, alpha))
         for (q, pp, alpha) in cfg.exponents
-        for (_, f), norm in zip(fam, prof.fofana(NormSpec(q, pp, alpha, rg)))
+        for f, norm in zip(fam.values(), prof.fofana(NormSpec(q, pp, alpha, rg)))
     )
     rec.bound(
         f"lebesgue_fofana_{rec.ktag}",
@@ -1245,10 +1240,9 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
     # removes the factor and must not drift with the domain.
     unscaled, scaled = _interval_translation_constants(cfg, rg, prof)
     gh = make_grid(p, cfg.half_width / 2.0, cfg.node_count // 2)
-    fam_h = _family(gh, names=_EMBEDDING_FAMILY)
     rg_h = default_radius_grid(gh)
     unscaled_h, scaled_h = _interval_translation_constants(
-        cfg, rg_h, _ProfileStack(gh, _stack(fam_h), rg_h)
+        cfg, rg_h, _ProfileStack(gh, _stack(_family(gh)), rg_h)
     )
     if p.classical:
         rec.bound(
@@ -1287,7 +1281,7 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
 @_per_kappa
 def _suite_linfty_identity(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     g = make_grid(p, cfg.half_width, cfg.node_count)
-    sups = [(f, lp_norm(f, INF)) for _, f in _family(g)]
+    sups = [(f, lp_norm(f, INF)) for f in _family(g).values()]
     worst = _worst_ratio((abs(amalgam_norm_r(f, INF, INF, 1.0) - sup), sup) for f, sup in sups)
     rec.bound(
         f"linfty_identity_{rec.ktag}",
@@ -1310,7 +1304,7 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
         out = []
         for (q, pp, alpha, _) in labels:
             cmax = 0.0
-            for (fid, f), norm in zip(fam, prof.fofana(NormSpec(q, pp, alpha, rg))):
+            for f, norm in zip(fam.values(), prof.fofana(NormSpec(q, pp, alpha, rg))):
                 base = lp_norm(f, alpha)
                 if base == 0.0:
                     continue
@@ -1344,7 +1338,7 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
     rec.measure(
         f"interval_fofana_lower_{rec.ktag}",
         "interval_fofana_lebesgue",
-        _worst_ratio((lp_norm(f, 2.0), base) for (_, f), base in zip(fam, bases)),
+        _worst_ratio((lp_norm(f, 2.0), base) for f, base in zip(fam.values(), bases)),
     )
 
 
@@ -1373,19 +1367,19 @@ def _classical_maximal_oracle(f: GridFunction, rhos) -> np.ndarray:
 @_per_kappa
 def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     def windows(g):
-        """The two window constants, and the Dunkl maximal functions of
-        the family, by id; each maximal operator takes the family as one
-        stack."""
+        """The two window constants, the family, and the Dunkl maximal
+        functions of the family, by id; each maximal operator takes the
+        family as one stack."""
         rhog = default_radius_grid(g)
         sel = np.abs(g.nodes) <= cfg.half_width / 2.0
         c1 = 0.0
         c2 = 0.0
         fam = _family(g)
         rows = _stack(fam)
-        mds = dict(zip((fid for fid, _ in fam), _dunkl_maximal_stack(g, rows, rhog)))
+        mds = dict(zip(fam, _dunkl_maximal_stack(g, rows, rhog)))
         mcs = _window_maximal(WindowGeometry.annulus(g), rows, rhog)
         mis = _window_maximal(WindowGeometry.interval(g), rows, rhog)
-        for (fid, _), mc, mi in zip(fam, mcs, mis):
+        for fid, mc, mi in zip(fam, mcs, mis):
             md = mds[fid]
             mask = sel & (md > 1e-6) & (mc > 1e-6) & (mi > 1e-6)
             if not np.any(mask):
@@ -1394,9 +1388,9 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
             r2 = mc[mask] / mi[mask]
             c1 = max(c1, float(np.max(r1)), float(np.max(1.0 / r1)))
             c2 = max(c2, float(np.max(r2)), float(np.max(1.0 / r2)))
-        return (c1, c2), mds
+        return (c1, c2), fam, mds
 
-    (coarse, _), ((c1_fine, c2_fine), mds) = _refined(cfg, p, windows)
+    (coarse, _, _), ((c1_fine, c2_fine), fam, mds) = _refined(cfg, p, windows)
     rec.measure(
         f"equivalence_window_dunkl_centered_{rec.ktag}",
         "maximal_equivalence",
@@ -1421,7 +1415,9 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
 
     if p.classical:
         worst = 0.0
-        for fid, f in _family(g, names=("gaussian", "bump", "trig_gauss")):
+        for fid, f in fam.items():
+            if not fid.startswith(("gaussian", "bump", "trig_gauss")):
+                continue
             md = mds[fid]
             oracle = _classical_maximal_oracle(f, rhog)
             mask = sel & (oracle > 1e-9)
@@ -1436,11 +1432,8 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
 
     # the indicator of the peak case and the ordered pairs of the
     # monotonicity cases, in one stack
-    pairs = (
-        (sample_family("gaussian", (2.0,), g), sample_family("gaussian", (0.25,), g)),
-        (sample_family("indicator_ball", (0.5,), g), sample_family("indicator_ball", (1.0,), g)),
-    )
-    chi = sample_family("indicator_ball", (1.0,), g)
+    chi = fam["indicator_ball(1)"]
+    pairs = ((fam["gaussian(2)"], fam["gaussian(0.25)"]), (fam["indicator_ball(0.5)"], chi))
     pair_rows = np.stack([f.values for pair in pairs for f in pair])
     m_chi, *m_pairs = _dunkl_maximal_stack(g, np.vstack([chi.values, pair_rows]), rhog)
 
@@ -1457,7 +1450,7 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
     # L^p boundedness ratios and weak (1,1) constant: measured
     for q in (2.0, 4.0, INF):
         worst = _worst_ratio(
-            (lp_norm(GridFunction(g, mds[fid]), q), lp_norm(f, q)) for fid, f in _family(g)
+            (lp_norm(GridFunction(g, mds[fid]), q), lp_norm(f, q)) for fid, f in fam.items()
         )
         rec.measure(
             f"lp_bound_{rec.ktag}_p{q:g}",
@@ -1466,7 +1459,7 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
             p=q,
         )
     worst = _worst_ratio(
-        (weak_l1_norm(GridFunction(g, mds[fid])), lp_norm(f, 1.0)) for fid, f in _family(g)
+        (weak_l1_norm(GridFunction(g, mds[fid])), lp_norm(f, 1.0)) for fid, f in fam.items()
     )
     rec.measure(f"weak11_constant_{rec.ktag}", "maximal_weak_type", worst)
 
@@ -1648,7 +1641,7 @@ def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Dunkl
             out.append(
                 {
                     fid: m / b
-                    for (fid, _), b, m in zip(fam, base.fofana(spec), maxi.fofana(spec))
+                    for fid, b, m in zip(fam, base.fofana(spec), maxi.fofana(spec))
                     if b != 0.0
                 }
             )
@@ -1699,7 +1692,7 @@ def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: D
         ws = WeakWindowWorkspace(g, rg)
         ratios = {pair: {} for pair in DEFAULT_WEAK_EXPONENTS}
         dominance = 0.0
-        for (fid, f), mf, bases in zip(fam, mfs, strong):
+        for (fid, f), mf, bases in zip(fam.items(), mfs, strong):
             weak_mf = ws.weak_fofana(GridFunction(g, mf), DEFAULT_WEAK_EXPONENTS)
             dominated = fine and fid.startswith(("gaussian", "bump", "indicator_ball"))
             weak_f = ws.weak_fofana(f, DEFAULT_WEAK_EXPONENTS) if dominated else None

@@ -26,6 +26,7 @@ from dunkl.norms import _interval_profiles, _IntervalProfileStack
 from dunkl import translation
 from dunkl.transform import band_grid, inverse_rows, multiplier_pair
 from dunkl.translation import _INDICATOR_BAND, ball_multiplier, translate_indicator_rows
+from dunkl.verify import DEFAULT_FAMILY
 
 INF = math.inf
 
@@ -154,6 +155,9 @@ def test_norm_spec_validation():
         NormSpec(1.0, 4.0, 2.0, ())
     with pytest.raises(ValueError):
         NormSpec(1.0, 4.0, 2.0, (2.0, 1.0))
+    for r_grid in ((1.0, float("nan")), (INF,), (1.0, INF)):
+        with pytest.raises(ValueError, match=r"^r_grid must be finite"):
+            NormSpec(1.0, 4.0, 2.0, r_grid)
     spec = NormSpec(1, INF, 2, (0.5, 1.0))
     assert spec.q == 1.0 and spec.p == INF
 
@@ -339,6 +343,19 @@ def test_weak_window_statistic_bounded_by_window_mass(setup):
         assert w <= mu1 * (1.0 + 1e-6)
 
 
+@pytest.mark.parametrize("n", [256, 2048, 4096])
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5, 1.5, 0.3])
+def test_weak_l1_norm_is_the_one_row_windowed_statistic(kappa, n):
+    # a window row over every column, with unit values and the grid
+    # weights, gives the bits of weak_l1_norm
+    g = make_grid(DunklParams(kappa, classical=(kappa == -0.5)), 16.0, n)
+    fs = [c * sample_family(name, ps, g) for name, ps in DEFAULT_FAMILY for c in (1.0, -2.5)]
+    cols, ones, weights = np.arange(n)[None], np.ones((1, n)), g.weights[None]
+    for f in [*fs, GridFunction(g, np.zeros(n))]:
+        row = norms._weak_window_rows(np.abs(f.values), cols, ones, weights)
+        assert float(row[0]) == weak_l1_norm(f)
+
+
 @pytest.mark.parametrize("r", [0.7, 3.0])
 def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
     # row chunks reproduce the one-chunk statistic exactly, and every row
@@ -482,7 +499,7 @@ def _per_radius_interval_fofana(f, spec, ball_scaled):
     """The interval Fofana loop with masses over fresh window ends (or, at
     q = inf, the per-node loop) for every radius."""
     g, x, q = f.grid, f.grid.nodes, spec.q
-    theta = norms._scale_exponent(spec)
+    theta = norms._scale_exponent(spec.q, spec.p, spec.alpha)
     e = norms._inv(spec.alpha) - norms._inv(spec.p)
     best = 0.0
     for r in spec.r_grid:

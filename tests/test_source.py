@@ -83,3 +83,32 @@ def test_class_methods_and_properties_are_named_somewhere():
         and fn.name not in named
     ]
     assert not dead, f"methods and properties named nowhere in src/ or tests/: {dead}"
+
+
+def _reads(node) -> set:
+    """Every name a node reads, as a bare name or an attribute."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_private_module_constants_are_read():
+    # a private module-level constant that no statement of the package
+    # reads is a leftover
+    bodies = [(path.name, ast.parse(path.read_text()).body) for path in sorted(SRC.glob("*.py"))]
+    read = set().union(*(_reads(stmt) for _, body in bodies for stmt in body))
+    private = [
+        (module, target.id)
+        for module, body in bodies
+        for stmt in body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name)
+        and target.id.startswith("_")
+        and not target.id.startswith("__")
+    ]
+    assert len(private) > 5
+    unread = [f"{module}:{name}" for module, name in private if name not in read]
+    assert not unread, f"private module constants that the package never reads: {unread}"

@@ -268,6 +268,13 @@ def test_translate_rows_checks_every_offset_first(bad, monkeypatch):
         translate_rows(f, [])
 
 
+def test_translate_indicator_rejects_params_of_another_kappa():
+    g = make_grid(DunklParams(0.5), 8.0, 256)
+    with pytest.raises(ValueError, match=r"kappa 1\.5 .* kappa 0\.5"):
+        translate_indicator(DunklParams(1.5), 1.0, 1.0, g)
+    assert np.max(translate_indicator(DunklParams(0.5), 1.0, 1.0, g).values) > 0.5
+
+
 def test_translate_rows_rejects_complex():
     p = DunklParams(0.5)
     g = make_grid(p, 8.0, 256)

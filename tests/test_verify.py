@@ -72,6 +72,10 @@ def test_config_validation():
         ({"half_width": nan}, r"half_width.*nan"),
         ({"half_width": inf}, r"half_width.*inf"),
         ({"seed": -1}, r"seed.*-1"),
+        ({"seed": 2.7}, r"seed.*2\.7"),
+        ({"seed": nan}, r"seed.*nan"),
+        ({"node_count": 4096.7}, r"node_count.*4096\.7"),
+        ({"node_count": inf}, r"node_count.*inf"),
     ]:
         with pytest.raises(ValueError, match=message):
             SuiteConfig(**kwargs)
