@@ -166,8 +166,8 @@ class WindowGeometry:
 
     def node_ranges(self, r: float) -> tuple:
         """Per window center c, the range lo:hi of the centers s with
-        c - r < s < c + r; for annuli, by the float operations of the mask
-        of `translation._indicator_row_chunks`."""
+        c - r < s < c + r; for annuli, by the float operations of the
+        support mask of `translation._indicator_values`."""
         return self._geometry(r)[3]
 
     def unfold(self, arr: np.ndarray) -> np.ndarray:

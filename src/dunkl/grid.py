@@ -118,9 +118,17 @@ def _check_half_width(half_width) -> float:
     return L
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a value that is not a whole number, such as 2.7,
+    inf or nan, is a ValueError naming it."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _check_node_count(node_count) -> int:
-    n = int(node_count)
-    if n != node_count or n < 4 or n % 2 != 0:
+    n = _integer(node_count, "node_count")
+    if n < 4 or n % 2 != 0:
         raise ValueError(f"node_count must be an even integer >= 4, got {node_count}")
     return n
 

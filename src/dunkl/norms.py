@@ -18,9 +18,10 @@ them.  The geometry keeps the window ends, measures and node ranges per
 radius, so a function costs gathers, not a search per window, and one
 geometry may serve every stack on its grid.  Every public windowed norm is
 the one-row case of its stack.  The weak variant reads weak-L1 statistics
-of |f| against translated ball indicators, kept only on their support
-columns (`WeakWindowWorkspace`), which are the node ranges of the annulus
-geometry at the window centers.
+of |f| against translated ball indicators, evaluated in closed form
+(`translation._indicator_values`) only on their support columns
+(`WeakWindowWorkspace`), which are the node ranges of the annulus geometry
+at the window centers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from ._windows import WindowGeometry
 from .grid import Grid, GridFunction
 from .measure import ball_measure_origin
-from .translation import _INDICATOR_BAND, _ball_convolution_stack, _indicator_row_chunks
+from .translation import _INDICATOR_BAND, _ball_convolution_stack, _indicator_values
 
 __all__ = [
     "NormSpec",
@@ -49,7 +50,8 @@ __all__ = [
 ]
 
 INF = math.inf
-# Rows per chunk of the windowed weak-L1 statistic.
+# Rows per chunk of the weak workspace's window rows and of their weak-L1
+# statistics.
 _WEAK_CHUNK_ROWS = 16
 # The weak statistic takes every max(1, N // _WEAK_CENTERS)-th positive node
 # of an N-node grid as a center: about _WEAK_CENTERS centers in all.
@@ -240,7 +242,7 @@ def _support_columns(annuli: WindowGeometry, centers: np.ndarray, r: float) -> t
     of annuli with indices centers, at radius r, and the mask of their
     padding: each annulus node range mirrored onto the negative nodes, then
     the range itself, padded to a common width.  These are the columns that
-    `_indicator_row_chunks` does not mask to zero, each once."""
+    `translation._indicator_values` does not set to zero, each once."""
     half = annuli.grid.node_count // 2
     lo, hi = (a[centers] for a in annuli.node_ranges(r))
     offs = np.arange(max(int(np.max(hi - lo)), 1))
@@ -290,15 +292,12 @@ class WeakWindowWorkspace:
     radius grid keeps well above the node spacing, so decimation is a
     controlled discretization of the outer norm.
 
-    The rows tau_{-y} chi_{B_r} of the positive centers y are made in one
-    pass over chunks of centers (``translation._indicator_row_chunks``): the
-    multiplier rows of a chunk are evaluated once for every radius, and each
-    radius costs one dense product per chunk.  Each row is supported on the
-    annulus {max(0,|y|-r) < |x| < |y|+r}, so the workspace keeps only its two
-    support windows, the node ranges of the annulus window geometry at y
-    (see ``_support_columns``), laid out before any row is made: their
-    column indices, the row values and the weights on them.  Each chunk is
-    gathered into them and dropped, so no full block of rows is ever held.
+    The rows tau_{-y} chi_{B_r} of the positive centers y are supported on
+    the annuli {max(0,|y|-r) < |x| < |y|+r}, so the workspace keeps only
+    their two support windows, the node ranges of the annulus window
+    geometry at y (``_support_columns``): their column indices, the row
+    values (``translation._indicator_values``, evaluated there alone, in
+    chunks of _WEAK_CHUNK_ROWS rows) and the weights on them.
     tau_{+y} chi is the reflection of tau_{-y} chi, so the centers -y reuse
     the same windows against the reflected samples of |f|; when |f| is
     mirror-symmetric those are the same array, and its statistics are
@@ -317,19 +316,16 @@ class WeakWindowWorkspace:
         if not self.radii:
             raise ValueError("r_grid must be non-empty")
         annuli = WindowGeometry.annulus(grid)
-        columns = {r: _support_columns(annuli, pos_idx - half, r) for r in self.radii}
-        wrows = {r: np.empty(idx.shape) for r, (idx, _) in columns.items()}
-        for s, r, rows in _indicator_row_chunks(grid.params, -self.ypos, list(columns), grid):
-            idx, pad = columns[r]
-            wrows[r][s] = np.take_along_axis(rows, idx[s], axis=1)
-            wrows[r][s][pad[s]] = 0.0
-        # the weights come last: made before the chunks, they would sit under
-        # the chunk temporaries and raise the peak RSS
         self.windows = {}
-        for r, (idx, pad) in columns.items():
+        for r in self.radii:
+            idx, pad = _support_columns(annuli, pos_idx - half, r)
+            vals = np.empty(idx.shape)
+            for i in range(0, idx.shape[0], _WEAK_CHUNK_ROWS):
+                s = slice(i, i + _WEAK_CHUNK_ROWS)
+                vals[s] = _indicator_values(grid.params, grid.nodes[idx[s]], -self.ypos[s, None], r)
             wweights = grid.weights[idx]
-            wweights[pad] = 0.0
-            self.windows[r] = (idx, wrows[r], wweights)
+            vals[pad] = wweights[pad] = 0.0
+            self.windows[r] = (idx, vals, wweights)
 
     def _statistics(self, absf: np.ndarray) -> list:
         """Per radius, the weak statistics (w_pos, w_neg) of |f| at the

@@ -274,19 +274,14 @@ def inverse_pair(params: DunklParams, lg: Grid, xg: Grid, u: np.ndarray, v: np.n
     return _join(ev, od)
 
 
-def row_chunks(count: int, xg: Grid) -> list:
-    """Slices of count stacked rows on xg, at most _CHUNK_ELEMENTS output
-    values each: the chunks in which stacked spectra are made and inverted."""
-    step = max(1, _CHUNK_ELEMENTS // xg.node_count)
-    return [slice(i, i + step) for i in range(0, count, step)]
-
-
 def inverse_rows(params: DunklParams, lg: Grid, xg: Grid, count: int, rows) -> np.ndarray:
     """Invert count stacked spectral pairs to real rows; rows(s) gives the
-    pair (U, V) of the rows in slice s, made and inverted per `row_chunks`
-    chunk."""
+    pair (U, V) of the rows in slice s, made and inverted in row chunks of
+    at most _CHUNK_ELEMENTS output values."""
     out = np.empty((count, xg.node_count))
-    for s in row_chunks(count, xg):
+    step = max(1, _CHUNK_ELEMENTS // xg.node_count)
+    for i in range(0, count, step):
+        s = slice(i, i + step)
         out[s] = inverse_pair(params, lg, xg, *rows(s))
     return out
 

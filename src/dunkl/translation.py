@@ -1,31 +1,29 @@
-"""Generalized translation and convolution, realized spectrally.
+"""Generalized translation and convolution.
 
 Translation by y multiplies the transform by the kernel factor E(i l y); at
 kappa = -1/2 this reduces to the classical shift f(x) -> f(x + y).
 Translating one real f by many offsets takes one forward transform of f and
 one multiplier row per offset, inverted as stacked rows (a matrix product per
 row chunk, not a matrix-vector product per offset); `translate` is that path
-with a single offset.  Translated indicators (a row per offset) and ball
-convolutions (a row per radius) invert the same way, in the chunks of
-`transform.row_chunks`, so no temporary outgrows a kernel-block chunk.
-Translated indicators come from one chunk generator,
-`_indicator_row_chunks`: per chunk of offsets the multiplier rows E(i l y)
-are evaluated once and serve every radius, each radius taking one inverse
-of the chunk.  `translate_indicator_rows` is its one-radius case, and the
-weak-window workspace of `norms` gathers its windows from the chunks as they
-come, without holding a full block of rows.
-Ball convolutions take whole stacks of functions on one grid: one forward
-matrix product for the stack, the ball multipliers (memoized across calls
-per frequency grid and radius, see `ball_multiplier`), and one chunked
+with a single offset.  Ball convolutions (a row per radius) invert the same
+way, in the row chunks of `transform.inverse_rows`, so no temporary outgrows
+a kernel-block chunk.  They take whole stacks of functions on one grid: one
+forward matrix product for the stack, the ball multipliers (memoized across
+calls per frequency grid and radius, see `ball_multiplier`), and one chunked
 inverse over every (function, radius) row.
 
-Convolution multiplies transforms pointwise.  Translated ball indicators use
-the closed form of the indicator transform,
+Convolution multiplies transforms pointwise.  Ball convolutions use the
+closed form of the indicator transform,
 
     F[chi_{B_r}](l) = mu(B_r) * j_{k+1}(l r),
 
 instead of transforming a sampled indicator, which removes one layer of
 sampling error from every windowed quantity built on them.
+
+Translated ball indicators need no transform: in rank one the translate of
+a radial function is a positive average, which `_indicator_values` evaluates
+in closed form for `translate_indicator`, `translate_indicator_rows` and the
+weak-window workspace of `norms`.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.special import betainc
 
 from .grid import Grid, GridFunction
 from .measure import _check_radius, ball_measure_origin
@@ -46,7 +45,6 @@ from .transform import (
     inverse_rows,
     multiplier_pair,
     pair_multiply,
-    row_chunks,
 )
 
 __all__ = ["translate", "translate_rows", "translate_indicator", "convolve"]
@@ -132,55 +130,57 @@ def translate(f: GridFunction, y: float) -> GridFunction:
 
 
 def translate_indicator(params: DunklParams, y: float, r: float, grid: Grid) -> GridFunction:
-    """Translated ball indicator tau_y chi_{B_r}, clamped to [0, 1] and zeroed
-    outside its support annulus {max(0, |y|-r) < |x| < |y|+r}.
-
-    Pointwise caveat: on the few nodes nearest the origin the band-limited
-    reconstruction does not settle (the inversion integrand fails to decay at
-    the measure's degenerate point for kappa > 0), so values there can be off
-    by order one.  Those nodes carry measure O(|x|**(2*kappa+1)) and do not
-    move any integrated quantity; window masses stay accurate.
-    """
+    """Translated ball indicator tau_y chi_{B_r} at the nodes of grid, in
+    [0, 1] and zero outside its support annulus
+    {max(0, |y|-r) < |x| < |y|+r} (see `_indicator_values`)."""
     rows = translate_indicator_rows(params, [y], r, grid)
     return GridFunction(grid, rows[0])
 
 
 def translate_indicator_rows(params: DunklParams, ys, r: float, grid: Grid) -> np.ndarray:
-    """Stacked translated ball indicators, one row per offset in ys: the
-    one-radius case of `_indicator_row_chunks`."""
+    """Stacked translated ball indicators, one row per offset in ys, from
+    `_indicator_values` at every node."""
     if params.kappa != grid.params.kappa:
         raise ValueError(
             f"indicator kappa {params.kappa:g} differs from the grid's kappa {grid.params.kappa:g}"
         )
     r = _check_radius(r)
     ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
-    out = np.empty((ya.size, grid.node_count))
-    for s, _, rows in _indicator_row_chunks(params, ya, [r], grid):
-        out[s] = rows
-    return out
+    return _indicator_values(params, grid.nodes[None, :], ya[:, None], r)
 
 
-def _indicator_row_chunks(params: DunklParams, ya: np.ndarray, radii, grid: Grid):
-    """Translated ball indicators tau_y chi_{B_r} of the checked offsets ya
-    for every radius, one chunk of offsets at a time: yields (s, r, rows),
-    the rows of the offsets ya[s] at radius r, clamped to [0, 1] and zeroed
-    outside their support annuli {max(0, |y|-r) < |x| < |y|+r}.
+def _indicator_values(params: DunklParams, x, y, r: float) -> np.ndarray:
+    """tau_y chi_{B_r}(x) at the broadcast points x and offsets y, from the
+    rank-one product formula (Rosler, "Bessel-type signed hypergroups on R",
+    1995), with c_k = Gamma(k+1) / (sqrt(pi) Gamma(k+1/2)):
 
-    The multiplier rows of a chunk are evaluated once and serve every radius,
-    times that radius's ball multiplier; each radius then takes one inverse
-    of the chunk.  The chunks are those of `row_chunks`, so every matrix
-    product has the shape of a chunk of `inverse_rows`."""
-    lg = band_grid(grid, _INDICATOR_BAND)
-    mults = [(r, ball_multiplier(params, lg, r)) for r in radii]
-    absx = np.abs(grid.nodes)
-    for s in row_chunks(ya.size, grid):
-        ea, eb = multiplier_pair(params, lg, ya[s])
-        ay = np.abs(ya[s])[:, None]
-        for r, m in mults:
-            rows = inverse_pair(params, lg, grid, m * ea, m * eb)
-            np.clip(rows, 0.0, 1.0, out=rows)
-            rows[(absx <= np.maximum(0.0, ay - r)) | (absx >= ay + r)] = 0.0
-            yield s, r, rows
+        c_k * int_{-1}^{1} 1[x^2 + y^2 + 2xyt < r^2] (1 + t)(1 - t^2)^(k-1/2) dt.
+
+    With a = k + 1/2, T = (r^2 - x^2 - y^2) / (2|xy|) clipped to [-1, 1] and
+    u = (1 + T)/2 this is I_u(a, a) -+ c_k (1 - T^2)^a / (2k + 1), minus for
+    xy > 0 and plus for xy < 0 (where t -> -t turns t > -T into t < T, so
+    the two terms add instead of cancelling), I_u the regularized incomplete
+    beta function.  y = 0 gives 1[|x| < r], kappa = -1/2 1[|x + y| < r].
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ax, ay = np.abs(x), np.abs(y)
+    # zero outside the support annulus by the float comparisons of the
+    # annulus node ranges, which lay out the weak workspace's columns: on
+    # the float ends |x| = |y| -+ r the rounded T leaves up to 3e-7 (kappa 0)
+    inside = (ax > np.maximum(0.0, ay - r)) & (ax < ay + r)
+    if params.classical:
+        return (inside & (np.abs(x + y) < r)).astype(float)
+    a = params.kappa + 0.5
+    # c_k / (2k + 1)
+    c = math.exp(math.lgamma(a + 0.5) - math.lgamma(a)) / (math.sqrt(math.pi) * 2.0 * a)
+    xy2 = 2.0 * ax * ay
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip((r * r - x * x - y * y) / xy2, -1.0, 1.0)
+    vals = betainc(a, a, 0.5 * (1.0 + t)) - np.sign(x * y) * c * ((1.0 - t) * (1.0 + t)) ** a
+    vals = np.where(xy2 > 0.0, vals, x * x + y * y < r * r)
+    # the exact values lie in [0, 1]; the difference near T = -1 rounds to
+    # -1e-46 (kappa 1.5) and the sum near T = 1 to 1 + 5e-9 (kappa 0)
+    return np.where(inside, np.clip(vals, 0.0, 1.0), 0.0)
 
 
 def _ball_convolution_stack(grid: Grid, rows, radii) -> np.ndarray:

@@ -53,6 +53,13 @@ def test_make_grid_validation():
         make_grid(p, 1.0, 2)
 
 
+@pytest.mark.parametrize("node_count", [math.inf, math.nan, 2.5, 64.5])
+def test_make_grid_names_a_node_count_that_is_not_whole(node_count):
+    # checked before any int() conversion, which raised OverflowError at inf
+    with pytest.raises(ValueError, match=f"node_count must be an integer, got {node_count}"):
+        make_grid(DunklParams(0.5), 16.0, node_count)
+
+
 def test_integrate_constant_and_odd():
     p = DunklParams(0.0)
     g = make_grid(p, 1.0, 2048)

@@ -24,8 +24,7 @@ from dunkl import norms
 from dunkl._windows import WindowGeometry, _range_max
 from dunkl.norms import _interval_profiles, _IntervalProfileStack
 from dunkl import translation
-from dunkl.transform import band_grid, inverse_rows, multiplier_pair
-from dunkl.translation import _INDICATOR_BAND, ball_multiplier, translate_indicator_rows
+from dunkl.translation import translate_indicator_rows
 from dunkl.verify import DEFAULT_FAMILY
 
 INF = math.inf
@@ -62,18 +61,6 @@ def _assert_windows_hold_support(ws, r, rows):
         outside[cols] = False
         assert not np.any(rows[i, outside])
         assert not np.any(wrows[i][~kept])
-
-
-def _whole_block_indicator_rows(p, ys, r, g):
-    """Translated indicators as one chunked inverse of the whole stack,
-    clamped and masked over the full block afterwards."""
-    lg = band_grid(g, _INDICATOR_BAND)
-    m = ball_multiplier(p, lg, r)
-    raw = inverse_rows(p, lg, g, ys.size, lambda s: [m * c for c in multiplier_pair(p, lg, ys[s])])
-    np.clip(raw, 0.0, 1.0, out=raw)
-    absx = np.abs(g.nodes)
-    raw[(absx <= np.maximum(0.0, np.abs(ys) - r)[:, None]) | (absx >= (np.abs(ys) + r)[:, None])] = 0.0
-    return raw
 
 
 @pytest.fixture(scope="module")
@@ -420,34 +407,36 @@ def test_weak_workspace_statistics_match_dense_rows(name, ps):
 @pytest.mark.parametrize("n", [512, 1536])
 @pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5, 1.5, 0.3])
 def test_weak_workspace_windows_equal_dense_row_windows(kappa, n):
-    # the windows gathered chunk by chunk, every radius sharing the chunk's
-    # multipliers, hold the support of the dense rows at their own columns,
-    # and those rows are the rows of one chunked inverse of the whole stack,
-    # to the bit; N = 512 takes its 256 centers in one chunk, and N = 1536
-    # (stride 3) its 256 centers in a chunk of 170 and a short one of 86
+    # the windows, evaluated on the support columns alone, hold every
+    # nonzero entry of the dense rows of translate_indicator_rows at its own
+    # column, to the bit; N = 512 takes every other positive node as a
+    # center, N = 1536 every third
     p = DunklParams(kappa, classical=(kappa == -0.5))
     g = make_grid(p, 8.0, n)
     ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0))
     assert ws.ypos.size == 256
     for r in ws.radii:
-        rows = translate_indicator_rows(p, -ws.ypos, r, g)
-        np.testing.assert_array_equal(rows, _whole_block_indicator_rows(p, -ws.ypos, r, g))
-        _assert_windows_hold_support(ws, r, rows)
+        _assert_windows_hold_support(ws, r, translate_indicator_rows(p, -ws.ypos, r, g))
 
 
-def test_weak_workspace_evaluates_multipliers_once_per_center_chunk(monkeypatch):
-    # one multiplier evaluation per chunk of centers serves every radius
-    calls = []
+def test_weak_workspace_evaluates_indicators_on_support_columns_only(monkeypatch):
+    # radius by radius, in chunks of _WEAK_CHUNK_ROWS rows, the indicators
+    # are evaluated on the window columns and nowhere else
+    sizes = []
 
-    def counted(params, lg, ys):
-        calls.append(len(ys))
-        return multiplier_pair(params, lg, ys)
+    def counted(params, x, y, r):
+        sizes.append((r, x.shape))
+        return translation._indicator_values(params, x, y, r)
 
-    monkeypatch.setattr(translation, "multiplier_pair", counted)
+    monkeypatch.setattr(norms, "_indicator_values", counted)
     g = make_grid(DunklParams(0.5), 8.0, 1536)
     ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0))
     assert len(ws.radii) > 1
-    assert calls == [170, 86]
+    k = norms._WEAK_CHUNK_ROWS
+    assert ws.ypos.size % k == 0
+    chunks = ws.ypos.size // k
+    assert sizes == [(r, (k, ws.windows[r][0].shape[1])) for r in ws.radii for _ in range(chunks)]
+    assert all(ws.windows[r][0].shape[1] < g.node_count for r in ws.radii[:-1])
 
 
 def _dense_weak_fofana(ws, f, pp, alpha):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dunkl import (
     DunklParams,
@@ -16,7 +17,14 @@ from dunkl import (
 )
 from dunkl import transform, translation
 from dunkl.measure import ball_measure_origin
-from dunkl.transform import band_grid, forward_pair, inverse_pair, multiplier_pair, pair_multiply
+from dunkl.transform import (
+    band_grid,
+    forward_pair,
+    inverse_pair,
+    inverse_rows,
+    multiplier_pair,
+    pair_multiply,
+)
 
 KAPPAS = [(-0.5, True), (0.0, False), (0.5, False), (1.5, False)]
 
@@ -95,21 +103,86 @@ def test_translation_contraction_constant_four(kappa, classical):
 
 
 def test_translate_indicator_support_and_bounds():
-    p = DunklParams(0.5)
-    g = make_grid(p, 16.0, 2048)
-    t = translate_indicator(p, 2.0, 1.0, g)
-    assert np.all(t.values >= 0.0)
-    assert np.all(t.values <= 1.0)
-    absx = np.abs(g.nodes)
-    assert np.all(t.values[(absx <= 1.0) | (absx >= 3.0)] == 0.0)
-    # identity at zero offset: the window itself away from the jump and away
-    # from the origin (pointwise band-limited reconstruction of an indicator
-    # is O(1)-wrong on the few nodes nearest the measure's degenerate point,
-    # which carry vanishing mass)
-    t0 = translate_indicator(p, 0.0, 1.0, g)
-    chi = sample_family("indicator_ball", [1.0], g)
-    inner = (np.abs(np.abs(g.nodes) - 1.0) > 0.25) & (np.abs(g.nodes) > 0.25)
-    assert np.max(np.abs(t0.values - chi.values)[inner]) < 0.05
+    # values in [0, 1], exactly 0 outside the annulus by the float
+    # comparisons of the annulus node ranges, and the window itself at
+    # offset 0; at r = 1 + ulp, nodes with |x| - |y| = 1 took -1.3e-46
+    # (kappa 1.5) before the clip
+    for kappa in (0.0, 0.3, 0.5, 1.5):
+        p = DunklParams(kappa)
+        g = make_grid(p, 16.0, 2048)
+        rows = translation.translate_indicator_rows(p, g.nodes[::8], np.nextafter(1.0, 2.0), g)
+        assert np.all((rows >= 0.0) & (rows <= 1.0))
+        absx = np.abs(g.nodes)
+        for y, r in ((2.0, 1.0), (-3.0, 1.5), (0.3, 1.1), (5.0, 8.0)):
+            t = translate_indicator(p, y, r, g)
+            assert np.all((t.values >= 0.0) & (t.values <= 1.0))
+            outside = (absx <= max(0.0, abs(y) - r)) | (absx >= abs(y) + r)
+            assert np.all(t.values[outside] == 0.0)
+            assert np.all(t.values[~outside] > 0.0)
+        chi = sample_family("indicator_ball", [1.0], g)
+        np.testing.assert_array_equal(translate_indicator(p, 0.0, 1.0, g).values, chi.values)
+
+
+def test_indicator_values_on_the_float_ends_of_the_annulus():
+    # points on the float ends |y| - r and |y| + r, which the annulus node
+    # ranges count as outside: without the support mask the rounded T left
+    # values there in about one case of six, up to 2.6e-7 (kappa 0, xy < 0);
+    # and on the inner end x = -(r - y), where the value is 1, it rounded up
+    # to 1 + 4.7e-9 (kappa 0) before the clip
+    rng = np.random.default_rng(3)
+    y, r = rng.uniform(0.5, 16.0, 2000), rng.uniform(0.01, 8.0, 2000)
+    for kappa in (0.0, 0.3, 0.5, 1.5):
+        p = DunklParams(kappa)
+        for end in (y - r, y + r):
+            keep = end > 0.0
+            for x in (end[keep], -end[keep]):
+                assert not np.any(translation._indicator_values(p, x, y[keep], r[keep]))
+        keep = r > y
+        assert np.all(translation._indicator_values(p, y[keep] - r[keep], y[keep], r[keep]) <= 1.0)
+
+
+def _product_formula(kappa, x, y, r):
+    """c_k times the t-integral of the product formula by adaptive
+    quadrature, with the endpoint singularity (1 -+ t)^(k - 1/2) taken as
+    the algebraic weight of `quad`."""
+    ck = math.gamma(kappa + 1.0) / (math.sqrt(math.pi) * math.gamma(kappa + 0.5))
+    b = kappa - 0.5
+    t = (r * r - x * x - y * y) / (2.0 * x * y)
+    if x * y > 0.0:  # x^2 + y^2 + 2xyt < r^2 for t < T
+        if not -1.0 < t < 1.0:
+            return float(t >= 1.0)
+        return ck * quad(lambda s: (1.0 + s) * (1.0 - s) ** b, -1.0, t, weight="alg", wvar=(b, 0.0))[0]
+    if not -1.0 < t < 1.0:  # for t > T
+        return float(t <= -1.0)
+    return ck * quad(lambda s: (1.0 + s) ** (b + 1.0), t, 1.0, weight="alg", wvar=(0.0, b))[0]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 0.5, 1.5, 3.0])
+def test_indicator_values_match_quadrature_of_the_product_formula(kappa):
+    p = DunklParams(kappa)
+    rng = np.random.default_rng(int(10 * kappa))
+    for _ in range(300):
+        x, y = rng.uniform(-6.0, 6.0, 2)
+        r = rng.uniform(0.1, 4.0)
+        got = float(translation._indicator_values(p, x, y, r))
+        assert got == pytest.approx(_product_formula(kappa, x, y, r), rel=0.0, abs=1e-11)
+
+
+def test_indicator_values_classical_limit():
+    # at kappa = -1/2 the shifted indicator exactly; as kappa -> -1/2 the
+    # values converge to it away from its jumps, like kappa + 1/2
+    g = make_grid(DunklParams(-0.5, classical=True), 16.0, 1024)
+    ys, r = np.array([-3.0, -0.5, 0.0, 1.0, 4.0]), 1.5
+    shifted = np.abs(g.nodes[None, :] + ys[:, None])
+    sharp = (shifted < r).astype(float)
+    rows = translation.translate_indicator_rows(g.params, ys, r, g)
+    np.testing.assert_array_equal(rows, sharp)
+    far = np.abs(shifted - r) > 0.25
+    for eps in (1e-3, 1e-4, 1e-6):
+        p = DunklParams(-0.5 + eps)
+        rows = translation.translate_indicator_rows(p, ys, r, make_grid(p, 16.0, 1024))
+        # measured 4.7e-3, 4.8e-4 and 4.8e-6
+        assert np.max(np.abs(rows - sharp)[far]) < 10.0 * eps
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.5])
@@ -119,6 +192,39 @@ def test_translate_indicator_mass(kappa):
     for (y, r) in ((2.0, 1.0), (4.0, 2.0)):
         m = integrate(translate_indicator(p, y, r, g))
         assert m == pytest.approx(ball_measure_origin(p, r), rel=2e-3)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 0.5, 1.5])
+def test_translate_indicator_mass_converges_under_refinement(kappa):
+    # the relative mass error of the sampled rows (a quadrature of a
+    # function with jumps) falls at every doubling of N; the largest at
+    # N = 4096 was 1.6e-4 (kappa 0, y = 0.4, r = 1.1)
+    p = DunklParams(kappa)
+    for y, r in ((2.0, 1.0), (-1.3, 0.7), (0.4, 1.1)):
+        mu = ball_measure_origin(p, r)
+        errs = [
+            abs(integrate(translate_indicator(p, y, r, make_grid(p, 16.0, n))) - mu) / mu
+            for n in (1024, 2048, 4096)
+        ]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 2e-4
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3, 0.5, 1.5])
+def test_translate_indicator_rows_agree_with_spectral_rows_at_large_radius(kappa):
+    # the band-limited inverse of the ball multiplier times E(i l y) against
+    # the closed form, in weighted L1 relative to mu(B_r); at N = 2048 the
+    # largest was 3.0e-3 (kappa 0, r = 4), and at y = 0, left out here, the
+    # spectral rows carry their own Gibbs error of the ball (up to 0.12)
+    p = DunklParams(kappa)
+    g = make_grid(p, 16.0, 2048)
+    lg = band_grid(g, translation._INDICATOR_BAND)
+    ys = np.array([-6.0, -2.5, 1.0, 3.5, 7.0])
+    for r in (4.0, 8.0):
+        m = translation.ball_multiplier(p, lg, r)
+        spectral = inverse_rows(p, lg, g, ys.size, lambda s: [m * c for c in multiplier_pair(p, lg, ys[s])])
+        rows = translation.translate_indicator_rows(p, ys, r, g)
+        assert np.max(np.abs(rows - spectral) @ g.weights) < 5e-3 * ball_measure_origin(p, r)
 
 
 def test_translate_indicator_rejects_bad_radius():
@@ -233,16 +339,9 @@ def test_translate_rows_chunks_equal_one_whole_chunk(monkeypatch):
     whole = inverse_pair(p, lg, g, *pair_multiply(u, v, a, b))
     assert np.array_equal(translate_rows(f, ys), whole)
 
-    def stacked():
-        return (
-            translation.translate_indicator_rows(p, ys, 1.5, g),
-            translation._ball_convolution_stack(g, f.values[None, :], radii)[0],
-        )
-
-    chunked = stacked()
+    chunked = translation._ball_convolution_stack(g, f.values[None, :], radii)
     monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", ys.size * g.node_count)
-    for rows, one_chunk in zip(chunked, stacked()):
-        assert np.array_equal(rows, one_chunk)
+    assert np.array_equal(chunked, translation._ball_convolution_stack(g, f.values[None, :], radii))
 
 
 def test_translate_rows_classical_shift():
