@@ -21,7 +21,9 @@ the one-row case of its stack.  The weak variant reads weak-L1 statistics
 of |f| against translated ball indicators, evaluated in closed form
 (`translation._indicator_values`) only on their support columns
 (`WeakWindowWorkspace`), which are the node ranges of the annulus geometry
-at the window centers.
+at the window centers.  Its statistics are one job per radius and side,
+shared by the calling thread and at most one worker through the package's
+one thread runner (`_threads.run`), with the same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -31,10 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from ._windows import WindowGeometry
 from .grid import Grid, GridFunction
 from .measure import ball_measure_origin
-from .translation import _INDICATOR_BAND, _ball_convolution_stack, _indicator_values
+from .translation import (
+    _INDICATOR_BAND,
+    _INDICATOR_CHUNK_ROWS,
+    _ball_convolution_stack,
+    _indicator_values,
+)
 
 __all__ = [
     "NormSpec",
@@ -50,9 +58,6 @@ __all__ = [
 ]
 
 INF = math.inf
-# Rows per chunk of the weak workspace's window rows and of their weak-L1
-# statistics.
-_WEAK_CHUNK_ROWS = 16
 # The weak statistic takes every max(1, N // _WEAK_CENTERS)-th positive node
 # of an N-node grid as a center: about _WEAK_CENTERS centers in all.
 _WEAK_CENTERS = 512
@@ -276,8 +281,8 @@ def _weak_window_rows(
     """
     m = idx.shape[0]
     out = np.empty(m)
-    for i in range(0, m, _WEAK_CHUNK_ROWS):
-        k = slice(i, i + _WEAK_CHUNK_ROWS)
+    for i in range(0, m, _INDICATOR_CHUNK_ROWS):
+        k = slice(i, i + _INDICATOR_CHUNK_ROWS)
         out[k] = _weak_l1_rows(absf[idx[k]] * wrows[k], wweights[k])
     return out
 
@@ -297,11 +302,12 @@ class WeakWindowWorkspace:
     their two support windows, the node ranges of the annulus window
     geometry at y (``_support_columns``): their column indices, the row
     values (``translation._indicator_values``, evaluated there alone, in
-    chunks of _WEAK_CHUNK_ROWS rows) and the weights on them.
+    chunks of _INDICATOR_CHUNK_ROWS rows) and the weights on them.
     tau_{+y} chi is the reflection of tau_{-y} chi, so the centers -y reuse
     the same windows against the reflected samples of |f|; when |f| is
     mirror-symmetric those are the same array, and its statistics are
-    reused exactly.
+    reused exactly.  The statistics run on the calling thread and at most
+    one worker (`_threads.run`), with the same bits at any thread count.
     """
 
     def __init__(self, grid: Grid, r_grid):
@@ -320,8 +326,8 @@ class WeakWindowWorkspace:
         for r in self.radii:
             idx, pad = _support_columns(annuli, pos_idx - half, r)
             vals = np.empty(idx.shape)
-            for i in range(0, idx.shape[0], _WEAK_CHUNK_ROWS):
-                s = slice(i, i + _WEAK_CHUNK_ROWS)
+            for i in range(0, idx.shape[0], _INDICATOR_CHUNK_ROWS):
+                s = slice(i, i + _INDICATOR_CHUNK_ROWS)
                 vals[s] = _indicator_values(grid.params, grid.nodes[idx[s]], -self.ypos[s, None], r)
             wweights = grid.weights[idx]
             vals[pad] = wweights[pad] = 0.0
@@ -329,15 +335,20 @@ class WeakWindowWorkspace:
 
     def _statistics(self, absf: np.ndarray) -> list:
         """Per radius, the weak statistics (w_pos, w_neg) of |f| at the
-        centers +y and -y."""
+        centers +y and -y: one job per radius and side (one side for a
+        mirror-symmetric |f|), largest radius (widest windows) first, so
+        that both threads finish together."""
         mirrored = absf[::-1]
-        symmetric = np.array_equal(absf, mirrored)
-        out = []
-        for r in self.radii:
-            w_pos = _weak_window_rows(absf, *self.windows[r])
-            w_neg = w_pos if symmetric else _weak_window_rows(mirrored, *self.windows[r])
-            out.append((w_pos, w_neg))
-        return out
+        sides = (absf,) if np.array_equal(absf, mirrored) else (absf, mirrored)
+        stats = {}
+
+        def job(key, worker, stopped):
+            r, side = key
+            stats[key] = _weak_window_rows(sides[side], *self.windows[r])
+
+        radii = sorted(self.windows, reverse=True)
+        _threads.run([(r, side) for r in radii for side in range(len(sides))], job)
+        return [(stats[r, 0], stats[r, len(sides) - 1]) for r in self.radii]
 
     def weak_fofana(self, f: GridFunction, pairs) -> list:
         """Weak Fofana norm of f for each (p, alpha) pair, in order, from one

@@ -12,7 +12,8 @@ stay pure and reentrant), and all transforms reduce to BLAS matrix products.
 A square block whose two node sets differ by an exact power of two is
 exactly symmetric, so it is built from one triangle.  A block is built by
 the calling thread and, where a second CPU is usable, one worker thread that
-ends with the build, with the same bits at any thread count (see `_build`).
+ends with the build, with the same bits at any thread count: `_build` runs
+its row spans through the package's one thread runner, `_threads.run`.
 
 There is one computational path, the real pair: `forward_pair` maps real
 samples (stacked rows allowed) to the halves (U, V) of a conjugate-symmetric
@@ -33,6 +34,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from . import _threads
 from .grid import Grid, GridFunction, make_grid
 from .params import DunklParams
 from .special import kernel_pair
@@ -55,11 +57,6 @@ _CACHE_SIZE = _cache_size()
 # Kernel blocks are built in row chunks of about this many elements, so the
 # Bessel temporaries stay small next to the cached blocks themselves.
 _CHUNK_ELEMENTS = 1 << 18
-# Threads that build one block at most: the calling thread and one worker.
-# Every thread that allocates Bessel temporaries gets its own glibc malloc
-# arena, and one worker arena already adds about 2-3 MB to the peak RSS of
-# a 127 MB library session, whose benchmark bound is 5%.
-_BUILD_THREADS = 2
 # The worker evaluates in row pieces of at most this many elements, which
 # keeps its temporaries and its arena small: 2^15 in place of 2^16 cut the
 # peak RSS of a two-block verify run by about 2.5 MB at the same speed.
@@ -98,15 +95,6 @@ def _power_of_two_multiple(p: np.ndarray, q: np.ndarray) -> bool:
     return bool(np.array_equal(np.ldexp(q, e), p))
 
 
-def _build_threads() -> int:
-    """Threads that build one block: min(_BUILD_THREADS, usable CPUs)."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(_BUILD_THREADS, cpus)
-
-
 def _build(params: DunklParams, p: np.ndarray, q: np.ndarray):
     """Evaluate the blocks on the positive nodes p (rows) and q (columns).
 
@@ -119,10 +107,10 @@ def _build(params: DunklParams, p: np.ndarray, q: np.ndarray):
     it fits in one chunk, so that at most 9/16 of it is evaluated.  Other
     blocks (another spacing ratio, non-square) evaluate every entry.
 
-    The calling thread and, given a second usable CPU and a second span, one
-    worker thread share the spans, then the mirror copies, taking them one
-    at a time from a shared iterator.  The caller evaluates a span in one
-    `kernel_pair` call, the worker in row pieces of at most
+    The spans, then the mirror copies, run through `_threads.run`: the
+    calling thread and, given a second usable CPU and a second span, one
+    worker thread take them one at a time.  The caller evaluates a span in
+    one `kernel_pair` call, the worker in row pieces of at most
     _WORKER_PIECE_ELEMENTS.  Every entry depends only on its own argument
     (see `special`), so the blocks are the same bits at any thread count and
     any split.  The first exception or interrupt in either thread stops both
@@ -141,61 +129,25 @@ def _build(params: DunklParams, p: np.ndarray, q: np.ndarray):
         j = min(m, i + max(1, min(rows, _CHUNK_ELEMENTS // (n - c))))
         spans.append((i, j, c))
         i = j
-    # fill every span, then (mirrored) copy the lower triangle of every span
-    phases = [iter(spans), iter(spans[1:])] if mirror else [iter(spans)]
-    threads = min(_build_threads(), len(spans))
-    lock = threading.Lock()
-    barrier = threading.Barrier(threads)
-    failed = []  # the first exception of either thread
 
-    def stop(exc: BaseException) -> None:
-        with lock:
-            failed.append(exc)
-        barrier.abort()
+    def fill(span, worker, stopped):
+        i, j, c = span
+        piece = _WORKER_PIECE_ELEMENTS if worker else _CHUNK_ELEMENTS
+        step = max(1, min(j - i, piece // (n - c)))
+        for k in range(i, j, step):
+            if stopped():
+                break
+            r = slice(k, min(j, k + step))
+            a[r, c:], b[r, c:] = kernel_pair(params, np.outer(p[r], q[c:]))
 
-    def work(piece: int) -> None:
-        try:
-            for copying, spans_left in enumerate(phases):
-                if copying:
-                    barrier.wait()  # every span is filled
-                while True:
-                    with lock:
-                        span = None if failed else next(spans_left, None)
-                    if span is None:
-                        break
-                    i, j, c = span
-                    if copying:
-                        a[i:j, :i] = a[:i, i:j].T
-                        b[i:j, :i] = b[:i, i:j].T
-                        continue
-                    step = max(1, min(j - i, piece // (n - c)))
-                    for k in range(i, j, step):
-                        if failed:
-                            break
-                        r = slice(k, min(j, k + step))
-                        a[r, c:], b[r, c:] = kernel_pair(params, np.outer(p[r], q[c:]))
-        except threading.BrokenBarrierError:
-            pass  # the other thread failed
-        except BaseException as exc:  # raised again by the calling thread
-            stop(exc)
+    def copy(span, worker, stopped):
+        i, j, _ = span
+        a[i:j, :i] = a[:i, i:j].T
+        b[i:j, :i] = b[:i, i:j].T
 
-    workers = [
-        threading.Thread(target=work, args=(_WORKER_PIECE_ELEMENTS,), name="dunkl-block-build")
-        for _ in range(threads - 1)
-    ]
-    for worker in workers:
-        worker.start()
-    try:
-        work(_CHUNK_ELEMENTS)
-        for worker in workers:
-            worker.join()
-    except BaseException as exc:  # an interrupt outside work: stop the worker first
-        stop(exc)
-        for worker in workers:
-            worker.join()
-        raise
-    if failed:
-        raise failed[0]
+    _threads.run(spans, fill)
+    if mirror:  # every span is filled: copy the lower triangle of every span
+        _threads.run(spans[1:], copy)
     return a, b
 
 

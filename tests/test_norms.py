@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from dunkl import (
     weak_l1_norm,
 )
 from dunkl.measure import ball_measure_origin, interval_measure
-from dunkl import norms
+from dunkl import _threads, norms
 from dunkl._windows import WindowGeometry, _range_max
 from dunkl.norms import _interval_profiles, _IntervalProfileStack
 from dunkl import translation
@@ -357,20 +359,20 @@ def test_windowed_weak_rows_chunking_is_exact(r, monkeypatch):
         f = sample_family("gaussian", [0.6], g)
         ws = norms.WeakWindowWorkspace(g, (r,))
         ys = ws.ypos
-        assert ys.size > 2 * norms._WEAK_CHUNK_ROWS
+        assert ys.size > 2 * norms._INDICATOR_CHUNK_ROWS
         assert np.any(ys < r)
         rows = translate_indicator_rows(p, -ys, r, g)
         absf = np.abs(f.values)
         dense = _weak_rows(rows, f.values, g.weights)
         with monkeypatch.context() as m:
-            m.setattr(norms, "_WEAK_CHUNK_ROWS", ys.size)
+            m.setattr(norms, "_INDICATOR_CHUNK_ROWS", ys.size)
             whole = norms._weak_window_rows(absf, *ws.windows[r])
         np.testing.assert_array_equal(whole, dense)
-        for chunk in (norms._WEAK_CHUNK_ROWS, 15, 24):
+        for chunk in (norms._INDICATOR_CHUNK_ROWS, 15, 24):
             assert chunk == 16 or ys.size % chunk != 0
             rolled = [np.roll(a, chunk, axis=0) for a in ws.windows[r]]
             with monkeypatch.context() as m:
-                m.setattr(norms, "_WEAK_CHUNK_ROWS", chunk)
+                m.setattr(norms, "_INDICATOR_CHUNK_ROWS", chunk)
                 got = norms._weak_window_rows(absf, *rolled)
             np.testing.assert_array_equal(got, np.roll(whole, chunk))
 
@@ -404,6 +406,111 @@ def test_weak_workspace_statistics_match_dense_rows(name, ps):
         assert (w_neg is w_pos) == symmetric
 
 
+def _weak_statistics_setup(name):
+    # a workspace at N = 512 with six radii, and |f| of the named family
+    g = make_grid(DunklParams(0.5), 8.0, 512)
+    ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0))
+    assert len(ws.radii) > 3
+    absf = np.abs(sample_family(name, [0.6 if name == "gaussian" else 1.0], g).values)
+    assert np.array_equal(absf, absf[::-1]) == (name == "gaussian")
+    return ws, absf
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", ["gaussian", "trig_gauss"])
+def test_threaded_weak_statistics_equal_a_serial_loop(name, threads, monkeypatch):
+    # one job per radius and side (one side when |f| is mirror-symmetric),
+    # largest radius first: every (w_pos, w_neg) is the bits of the serial
+    # loop at its own radius and side, either thread count takes part, and
+    # no thread outlives the call
+    ws, absf = _weak_statistics_setup(name)
+    symmetric = name == "gaussian"
+    rows = norms._weak_window_rows
+    serial = [(rows(absf, *ws.windows[r]), rows(absf[::-1], *ws.windows[r])) for r in ws.radii]
+    idents, widths = set(), []
+
+    def timed(*args):
+        idents.add(threading.get_ident())
+        widths.append(args[1].shape[1])
+        time.sleep(0.002)  # lets the worker take jobs
+        return rows(*args)
+
+    monkeypatch.setattr(_threads, "thread_count", lambda: threads)
+    monkeypatch.setattr(norms, "_weak_window_rows", timed)
+    before = threading.active_count()
+    stats = ws._statistics(absf)
+    assert threading.active_count() == before
+    assert len(stats) == len(ws.radii)
+    for (w_pos, w_neg), (s_pos, s_neg) in zip(stats, serial):
+        np.testing.assert_array_equal(w_pos, s_pos)
+        np.testing.assert_array_equal(w_neg, s_neg)
+        assert (w_neg is w_pos) == symmetric
+    assert len(widths) == len(ws.radii) * (1 if symmetric else 2)
+    assert len(idents) == threads
+    if threads == 1:
+        assert widths == sorted(widths, reverse=True)
+
+
+def test_weak_statistics_of_one_job_start_no_worker(monkeypatch):
+    # one radius and a mirror-symmetric |f| make one job, which the calling
+    # thread runs alone
+    g = make_grid(DunklParams(0.5), 8.0, 512)
+    ws = norms.WeakWindowWorkspace(g, (1.0,))
+    absf = np.abs(sample_family("gaussian", [0.6], g).values)
+    rows = norms._weak_window_rows
+    idents = []
+
+    def recorded(*args):
+        idents.append(threading.get_ident())
+        return rows(*args)
+
+    monkeypatch.setattr(_threads, "thread_count", lambda: 2)
+    monkeypatch.setattr(norms, "_weak_window_rows", recorded)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+    [(w_pos, w_neg)] = ws._statistics(absf)
+    assert w_neg is w_pos
+    assert idents == [threading.get_ident()]
+    assert started == []
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_failed_weak_statistics_job_stops_both_threads(failing, error, monkeypatch):
+    # one thread's first job raises while the other thread is inside its
+    # own first job: that job completes, no further job starts, and the
+    # exception reaches the caller of _statistics unchanged
+    ws, absf = _weak_statistics_setup("trig_gauss")
+    monkeypatch.setattr(_threads, "thread_count", lambda: 2)
+    caller = threading.get_ident()
+    inside = {"caller": threading.Event(), "worker": threading.Event()}
+    raised = threading.Event()
+    calls = []
+    failure = error("no room for the sort")
+    rows = norms._weak_window_rows
+
+    def job(*args):
+        who = "caller" if threading.get_ident() == caller else "worker"
+        calls.append(who)
+        inside[who].set()
+        inside["worker" if who == "caller" else "caller"].wait(timeout=30)
+        if who == failing:
+            raised.set()
+            raise failure
+        raised.wait(timeout=30)
+        time.sleep(0.1)  # the failing thread records its failure meanwhile
+        return rows(*args)
+
+    monkeypatch.setattr(norms, "_weak_window_rows", job)
+    before = threading.active_count()
+    with pytest.raises(error) as info:
+        ws._statistics(absf)
+    assert info.value is failure
+    assert sorted(calls) == ["caller", "worker"]
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("n", [512, 1536])
 @pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.5, 1.5, 0.3])
 def test_weak_workspace_windows_equal_dense_row_windows(kappa, n):
@@ -420,7 +527,7 @@ def test_weak_workspace_windows_equal_dense_row_windows(kappa, n):
 
 
 def test_weak_workspace_evaluates_indicators_on_support_columns_only(monkeypatch):
-    # radius by radius, in chunks of _WEAK_CHUNK_ROWS rows, the indicators
+    # radius by radius, in chunks of _INDICATOR_CHUNK_ROWS rows, the indicators
     # are evaluated on the window columns and nowhere else
     sizes = []
 
@@ -432,7 +539,7 @@ def test_weak_workspace_evaluates_indicators_on_support_columns_only(monkeypatch
     g = make_grid(DunklParams(0.5), 8.0, 1536)
     ws = norms.WeakWindowWorkspace(g, default_radius_grid(g, ratio=2.0))
     assert len(ws.radii) > 1
-    k = norms._WEAK_CHUNK_ROWS
+    k = norms._INDICATOR_CHUNK_ROWS
     assert ws.ypos.size % k == 0
     chunks = ws.ypos.size // k
     assert sizes == [(r, (k, ws.windows[r][0].shape[1])) for r in ws.radii for _ in range(chunks)]

@@ -19,7 +19,7 @@ from dunkl import (
     plancherel_defect,
     sample_family,
 )
-from dunkl import transform
+from dunkl import _threads, transform
 from dunkl.special import kernel_pair
 from dunkl.transform import band_grid
 
@@ -348,7 +348,7 @@ def test_threaded_blocks_equal_direct_evaluation(
     p = DunklParams(kappa, classical=kappa == -0.5)
     xg, lg = make_grid(p, 8.0 / 3.0, 256), make_grid(p, out_width, out_nodes)
     monkeypatch.setattr(transform, "_cache", type(transform._cache)())
-    monkeypatch.setattr(transform, "_build_threads", lambda: threads)
+    monkeypatch.setattr(_threads, "thread_count", lambda: threads)
     monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", chunk)
     monkeypatch.setattr(transform, "_WORKER_PIECE_ELEMENTS", piece)
     idents = set()
@@ -381,7 +381,7 @@ def test_failed_piece_stops_both_threads(failing, error, monkeypatch):
     p = DunklParams(0.5)
     xg, lg = make_grid(p, 8.0 / 3.0, 256), make_grid(p, 8.0, 256)
     monkeypatch.setattr(transform, "_cache", type(transform._cache)())
-    monkeypatch.setattr(transform, "_build_threads", lambda: 2)
+    monkeypatch.setattr(_threads, "thread_count", lambda: 2)
     # spans of 8 rows, which the worker takes in pieces of 2
     monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", 1024)
     monkeypatch.setattr(transform, "_WORKER_PIECE_ELEMENTS", 256)
@@ -413,12 +413,39 @@ def test_failed_piece_stops_both_threads(failing, error, monkeypatch):
     assert threading.active_count() == before
 
 
-# Blocks of three kappas (0.3 takes the jv route) at two spacing ratios,
-# 768 x 768 so that each takes several row spans at the default chunk,
-# hashed, and the thread count of the build.
+def test_runner_takes_every_job_once_under_contention(monkeypatch):
+    # more threads than cores (the cap patched to 4) and a short switch
+    # interval: every job of the shared iterator runs exactly once, and
+    # no thread outlives the call
+    monkeypatch.setattr(_threads, "thread_count", lambda: 4)
+    done = []
+    idents = set()
+
+    def job(k, worker, stopped):
+        idents.add(threading.get_ident())
+        done.append(k)
+        time.sleep(0)
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _threads.run(list(range(2000)), job)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(done) == list(range(2000))
+    assert len(idents) > 1
+    assert threading.active_count() == before
+
+
+# The thread count of the runner; blocks of three kappas (0.3 takes the jv
+# route) at two spacing ratios, 768 x 768 so that each takes several row
+# spans at the default chunk, hashed; and the weak-window statistics of a
+# non-symmetric function at N = 1024 (a job per radius and side), hashed.
 _CHILD_BLOCKS = """
 import hashlib
-from dunkl import DunklParams, make_grid, transform
+import numpy as np
+from dunkl import DunklParams, _threads, make_grid, norms, sample_family, transform
 h = hashlib.sha256()
 for kappa in (0.0, 0.3, 1.5):
     p = DunklParams(kappa)
@@ -426,14 +453,23 @@ for kappa in (0.0, 0.3, 1.5):
         a, b = transform._blocks(p, make_grid(p, 16.0 * ratio, 1536), make_grid(p, 16.0, 1536))
         h.update(a.tobytes())
         h.update(b.tobytes())
-print(transform._build_threads(), h.hexdigest())
+g = make_grid(DunklParams(0.5), 16.0, 1024)
+absf = np.abs(sample_family("trig_gauss", [1.0], g).values)
+assert not np.array_equal(absf, absf[::-1])
+ws = norms.WeakWindowWorkspace(g, norms.default_radius_grid(g))
+w = hashlib.sha256()
+for w_pos, w_neg in ws._statistics(absf):
+    w.update(w_pos.tobytes())
+    w.update(w_neg.tobytes())
+print(_threads.thread_count(), h.hexdigest(), w.hexdigest())
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_blocks_do_not_depend_on_the_cpu_count():
-    # a child pinned to one CPU builds alone; an unpinned one uses a worker
-    # where a second CPU is usable; the blocks are the same bytes
+    # a child pinned to one CPU builds and sorts alone; an unpinned one uses
+    # a worker where a second CPU is usable; the blocks and the weak-window
+    # statistics are the same bytes
     src = os.path.dirname(os.path.dirname(transform.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     cpu = min(os.sched_getaffinity(0))
@@ -449,8 +485,9 @@ def test_blocks_do_not_depend_on_the_cpu_count():
     pinned = child(lambda: os.sched_setaffinity(0, {cpu}))
     free = child(None)
     assert pinned[0] == "1"
-    assert free[0] == str(min(transform._BUILD_THREADS, len(os.sched_getaffinity(0))))
+    assert free[0] == str(min(_threads._THREADS, len(os.sched_getaffinity(0))))
     assert pinned[1] == free[1]
+    assert pinned[2] == free[2]
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])

@@ -185,6 +185,32 @@ def test_indicator_values_classical_limit():
         assert np.max(np.abs(rows - sharp)[far]) < 10.0 * eps
 
 
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.3, 1.5])
+def test_translate_indicator_rows_chunking_is_exact(kappa, monkeypatch):
+    # 40 offsets (y = 0 among them) take chunks of 16, 16 and 8 rows, or of
+    # 15, 15 and 10; either way the rows are the bits of one evaluation
+    # over the whole (offsets, N) block
+    p = DunklParams(kappa, classical=kappa == -0.5)
+    g = make_grid(p, 8.0, 512)
+    ys, r = np.append(np.linspace(-7.5, 7.5, 39), 0.0), 1.3
+    values = translation._indicator_values
+    whole = values(p, g.nodes[None, :], ys[:, None], r)
+    assert np.count_nonzero(whole) > 0
+    shapes = []
+
+    def counted(params, x, y, radius):
+        shapes.append(np.broadcast_shapes(x.shape, y.shape))
+        return values(params, x, y, radius)
+
+    monkeypatch.setattr(translation, "_indicator_values", counted)
+    for chunk, sizes in ((translation._INDICATOR_CHUNK_ROWS, [16, 16, 8]), (15, [15, 15, 10])):
+        monkeypatch.setattr(translation, "_INDICATOR_CHUNK_ROWS", chunk)
+        shapes.clear()
+        rows = translation.translate_indicator_rows(p, ys, r, g)
+        assert shapes == [(k, g.node_count) for k in sizes]
+        np.testing.assert_array_equal(rows, whole)
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.5])
 def test_translate_indicator_mass(kappa):
     p = DunklParams(kappa)
