@@ -2,9 +2,10 @@
 list of independent jobs.
 
 Kernel blocks (`transform._build`) and weak-window statistics
-(`norms.WeakWindowWorkspace`) run through `run`.  The thread count is
-min(_THREADS, usable CPUs) and nothing else sets it.  Each job writes only
-its own output, so the results are the same bits at any thread count.
+(`norms.WeakWindowWorkspace`) run through `run`, one call work(job) per job
+on either thread.  The thread count is min(_THREADS, usable CPUs) and
+nothing else sets it.  Each job writes only its own output, so the results
+are the same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -29,16 +30,14 @@ def thread_count() -> int:
 
 
 def run(jobs, work) -> None:
-    """Call work(job, worker, stopped) once for every job of the list jobs
-    (none of them None), on the calling thread and, given a second usable
-    CPU and a second job, one worker thread that ends with the call.
+    """Call work(job) once for every job of the list jobs (none of them
+    None), on the calling thread and, given a second usable CPU and a second
+    job, one worker thread that ends with the call.
 
     Both threads take jobs one at a time, in list order, from one shared
-    iterator.  worker is True on the worker thread.  stopped() turns true
-    once either thread has failed; a job made of several pieces checks it
-    between them.  The first exception or interrupt in either thread stops
-    both after their current piece and is raised here, after the worker
-    has ended.
+    iterator, and run them alike.  The first exception or interrupt in
+    either thread stops both before their next job and is raised here,
+    after the worker has ended.
     """
     jobs_left = iter(jobs)
     lock = threading.Lock()
@@ -48,28 +47,25 @@ def run(jobs, work) -> None:
         with lock:
             failed.append(exc)
 
-    def stopped() -> bool:
-        return bool(failed)
-
-    def loop(worker: bool) -> None:
+    def loop() -> None:
         try:
             while True:
                 with lock:
                     job = None if failed else next(jobs_left, None)
                 if job is None:
                     return
-                work(job, worker, stopped)
+                work(job)
         except BaseException as exc:  # raised again by the calling thread
             stop(exc)
 
     workers = [
-        threading.Thread(target=loop, args=(True,), name="dunkl-worker")
+        threading.Thread(target=loop, name="dunkl-worker")
         for _ in range(min(thread_count(), len(jobs)) - 1)
     ]
     for thread in workers:
         thread.start()
     try:
-        loop(False)
+        loop()
         for thread in workers:
             thread.join()
     except BaseException as exc:  # an interrupt outside loop: stop the worker first

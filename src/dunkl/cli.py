@@ -325,7 +325,10 @@ def _cmd_maximal(args, parser) -> int:
         return IO_EXIT
     rho = default_radius_grid(grid)
     fn = {"dunkl": dunkl_maximal, "centered": centered_maximal, "interval": interval_maximal}[op]
-    result = fn(GridFunction(grid, np.abs(f.values)), rho)
+    try:
+        result = fn(GridFunction(grid, np.abs(f.values)), rho)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         write_csv_function(out_path, result)
     except OSError as exc:

@@ -160,11 +160,14 @@ def weak_l1_norm(f: GridFunction) -> float:
 
 
 def _check_window_radius(grid: Grid, r: float) -> float:
+    """r as a float in (0, L/2] whose origin ball has a positive measure."""
     r = float(r)
     if not (0.0 < r <= grid.half_width / 2.0):
         raise ValueError(
             f"window radius must lie in (0, L/2] = (0, {grid.half_width / 2.0}], got {r}"
         )
+    if ball_measure_origin(grid.params, r) == 0.0:
+        raise ValueError(f"radius {r} is too small: its ball measure is 0")
     return r
 
 
@@ -342,7 +345,7 @@ class WeakWindowWorkspace:
         sides = (absf,) if np.array_equal(absf, mirrored) else (absf, mirrored)
         stats = {}
 
-        def job(key, worker, stopped):
+        def job(key):
             r, side = key
             stats[key] = _weak_window_rows(sides[side], *self.windows[r])
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -17,7 +18,8 @@ class DunklParams:
     The boundary value kappa = -1/2 reduces everything to classical Fourier
     analysis (uniform weight, ordinary translation).  It is admitted only when
     ``classical=True``: it sits outside the usual parameter range but provides
-    exact closed-form oracles for validation.
+    exact closed-form oracles for validation.  A kappa whose constants are
+    not positive normal floats (from about kappa = 149 on) is rejected.
     """
 
     kappa: float
@@ -34,6 +36,12 @@ class DunklParams:
                 "kappa = -1/2 is the classical limit; construct with classical=True"
             )
         object.__setattr__(self, "kappa", k)
+        try:
+            normal = min(self.c_kappa, self.b_kappa) >= sys.float_info.min
+        except OverflowError:  # math.gamma(kappa + 1) past the float range
+            normal = False
+        if not normal:
+            raise ValueError(f"kappa = {k} is too large: c_kappa or b_kappa is not a normal float")
 
     @property
     def c_kappa(self) -> float:

@@ -10,10 +10,10 @@ half-grid matrices are needed per pair of grids.  They are cached behind a
 lock by kappa and the two node spacings (see `_blocks`; all public functions
 stay pure and reentrant), and all transforms reduce to BLAS matrix products.
 A square block whose two node sets differ by an exact power of two is
-exactly symmetric, so it is built from one triangle.  A block is built by
-the calling thread and, where a second CPU is usable, one worker thread that
-ends with the build, with the same bits at any thread count: `_build` runs
-its row spans through the package's one thread runner, `_threads.run`.
+exactly symmetric, so it is built from one triangle.  `_build` evaluates a
+block in equal row pieces, the jobs of the package's one thread runner
+`_threads.run` (the calling thread and, where a second CPU is usable, one
+worker), with the same bits at any thread count.
 
 There is one computational path, the real pair: `forward_pair` maps real
 samples (stacked rows allowed) to the halves (U, V) of a conjugate-symmetric
@@ -54,15 +54,13 @@ def _cache_size() -> int:
 
 
 _CACHE_SIZE = _cache_size()
-# Kernel blocks are built in row chunks of about this many elements, so the
-# Bessel temporaries stay small next to the cached blocks themselves.
+# Output values per row chunk of `inverse_rows`.
 _CHUNK_ELEMENTS = 1 << 18
-# The worker evaluates in row pieces of at most this many elements, which
-# keeps its temporaries and its arena small: 2^15 in place of 2^16 cut the
-# peak RSS of a two-block verify run by about 2.5 MB at the same speed.
-# The calling thread keeps whole chunks: 2^16 chunks there slowed the later
-# calls of a library session by about 12%.
-_WORKER_PIECE_ELEMENTS = 1 << 15
+# Kernel blocks are built in row pieces of at most this many elements (one
+# row at least) on either thread.  Nine 2048 x 2048 blocks took 0.93-0.95 s
+# on one CPU of a 2-CPU box and 0.57-0.58 s on two in pieces of 2^15; 2^14
+# was slower on two CPUs, and 2^16 to 2^18 on either (1.17-1.40 s on one).
+_BUILD_PIECE_ELEMENTS = 1 << 15
 _cache: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
 _cache_lock = threading.Lock()
 # Blocks being built, by key: a thread that misses a key another thread is
@@ -96,58 +94,49 @@ def _power_of_two_multiple(p: np.ndarray, q: np.ndarray) -> bool:
 
 
 def _build(params: DunklParams, p: np.ndarray, q: np.ndarray):
-    """Evaluate the blocks on the positive nodes p (rows) and q (columns).
+    """Evaluate the blocks on the positive nodes p (rows) and q (columns),
+    in row pieces of at most _BUILD_PIECE_ELEMENTS entries.
 
     When p == 2^e q exactly (square blocks on midpoint grids whose spacings
     differ by a power of two), fl(p_j q_i) == fl(p_i q_j), so both blocks are
-    exactly symmetric: each row span evaluates only its columns from the
-    diagonal on, and once every span is filled the rest is copied from the
+    exactly symmetric: each piece evaluates only its columns from its own
+    diagonal on, and once every piece is filled the rest is copied from the
     rows above, which halves the Bessel work and gives the bits of the full
-    evaluation.  A mirrored block takes at least eight row spans, even when
-    it fits in one chunk, so that at most 9/16 of it is evaluated.  Other
-    blocks (another spacing ratio, non-square) evaluate every entry.
+    evaluation.  A mirrored block takes at least eight pieces, even when it
+    fits in one, so that at most 9/16 of it is evaluated.  Other blocks
+    (another spacing ratio, non-square) evaluate every entry.
 
-    The spans, then the mirror copies, run through `_threads.run`: the
-    calling thread and, given a second usable CPU and a second span, one
-    worker thread take them one at a time.  The caller evaluates a span in
-    one `kernel_pair` call, the worker in row pieces of at most
-    _WORKER_PIECE_ELEMENTS.  Every entry depends only on its own argument
-    (see `special`), so the blocks are the same bits at any thread count and
-    any split.  The first exception or interrupt in either thread stops both
-    after their current piece and is raised here, after the worker has
-    ended.
+    The pieces, then the mirror copies, are the jobs of `_threads.run`, one
+    `kernel_pair` call per piece on either thread.  Every entry depends only
+    on its own argument (see `special`), so the blocks are the same bits at
+    any thread count and any split.  A failure in either thread stops both
+    before their next piece and is raised here, after the worker has ended.
     """
     m, n = p.size, q.size
     a = np.empty((m, n))
     b = np.empty((m, n))
     mirror = _power_of_two_multiple(p, q)
     rows = -(-m // 8) if mirror else m
-    spans = []  # (first row, end row, first column)
+    pieces = []  # (first row, end row, first column)
     i = 0
     while i < m:
         c = i if mirror else 0
-        j = min(m, i + max(1, min(rows, _CHUNK_ELEMENTS // (n - c))))
-        spans.append((i, j, c))
+        j = min(m, i + max(1, min(rows, _BUILD_PIECE_ELEMENTS // (n - c))))
+        pieces.append((i, j, c))
         i = j
 
-    def fill(span, worker, stopped):
-        i, j, c = span
-        piece = _WORKER_PIECE_ELEMENTS if worker else _CHUNK_ELEMENTS
-        step = max(1, min(j - i, piece // (n - c)))
-        for k in range(i, j, step):
-            if stopped():
-                break
-            r = slice(k, min(j, k + step))
-            a[r, c:], b[r, c:] = kernel_pair(params, np.outer(p[r], q[c:]))
+    def fill(piece):
+        i, j, c = piece
+        a[i:j, c:], b[i:j, c:] = kernel_pair(params, np.outer(p[i:j], q[c:]))
 
-    def copy(span, worker, stopped):
-        i, j, _ = span
+    def copy(piece):
+        i, j, _ = piece
         a[i:j, :i] = a[:i, i:j].T
         b[i:j, :i] = b[:i, i:j].T
 
-    _threads.run(spans, fill)
-    if mirror:  # every span is filled: copy the lower triangle of every span
-        _threads.run(spans[1:], copy)
+    _threads.run(pieces, fill)
+    if mirror:  # every piece is filled: copy the lower triangle of every piece
+        _threads.run(pieces[1:], copy)
     return a, b
 
 

@@ -299,6 +299,45 @@ def test_out_of_range_grid_values_exit_2(command, tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", list(_GRID_COMMANDS))
+def test_kappa_past_the_float_range_exits_2(command, tmp_path, monkeypatch, capsys):
+    # math.gamma overflows in c_kappa at kappa = 200: a usage error naming
+    # kappa, not a traceback
+    monkeypatch.chdir(tmp_path)
+    _write_constant_csv(tmp_path / "in.csv")
+    with pytest.raises(SystemExit) as err:
+        main([*_GRID_COMMANDS[command], "--kappa", "200"])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert "for --kappa: kappa = 200.0 is too large" in msg
+    assert "Traceback" not in msg
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximal", "--op", "dunkl", "--input", "in.csv", "--output", "o.csv"],
+        ["norm", "--which", "fofana", "--q", "1", "--p", "2", "--alpha", "1.5", "--input", "in.csv"],
+    ],
+)
+def test_zero_measure_window_radius_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # at kappa 140 on (-1, 1) the origin ball of the radius 0.5 has measure
+    # 0.0 in floating point: a usage error naming the radius
+    monkeypatch.chdir(tmp_path)
+    grid = ["--kappa", "140", "--grid-n", "64", "--domain-l", "1"]
+    write_csv_function(
+        tmp_path / "in.csv", sample_family("gaussian", [1.0], make_grid(DunklParams(140.0), 1.0, 64))
+    )
+    with pytest.raises(SystemExit) as err:
+        main([*argv, *grid])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert "radius 0.5 is too small" in msg
+    assert "Traceback" not in msg
+    assert not (tmp_path / "o.csv").exists()
+
+
 def _report(suite, cases):
     """Hand-built report payload: cases are (id, lhs, rhs, ratio, pass)."""
     return {
@@ -387,6 +426,8 @@ def test_report_diff_on_verify_reports(tmp_path, capsys):
         ({}, ["--suite", "all", "--exponents", "2,8,4;1,2,2"], "suite 'theorem_maxi'"),
         ({}, ["--suite", "interval_fofana_maximal", "--exponents", "1,2,2"], "suite 'interval_fofana_maximal'"),
         ({}, ["--suite", "all", "--exponents", "2,8,4;1,2,2"], "suite 'interval_fofana_maximal'"),
+        ({}, ["--suite", "kernel", "--kappa", "200"], "kappa = 200.0 is too large"),
+        ({"DUNKL_KAPPA": "0.5,200"}, ["--suite", "kernel"], "kappa = 200.0 is too large"),
     ],
 )
 def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatch, capsys):

@@ -135,6 +135,17 @@ def test_amalgam_window_radius_validation(setup):
             norm(f, spec)
 
 
+def test_window_radius_of_zero_ball_measure_is_rejected():
+    # at kappa 140 the origin ball of radius 0.5 has measure 0.0 in floating
+    # point, so its Fofana scale 0.0 ** theta (theta < 0) would divide by 0
+    p = DunklParams(140.0)
+    g = make_grid(p, 1.0, 64)
+    assert ball_measure_origin(p, 0.5) == 0.0
+    f = sample_family("gaussian", [1.0], g)
+    with pytest.raises(ValueError, match="radius 0.5 is too small"):
+        fofana_norm(f, NormSpec(1.0, 2.0, 1.5, (0.5,)))
+
+
 def test_norm_spec_validation():
     with pytest.raises(ValueError):
         NormSpec(4.0, 8.0, 2.0, (1.0,))  # q > alpha

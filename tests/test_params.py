@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -36,3 +37,17 @@ def test_classical_needs_flag():
     with pytest.raises(ValueError):
         DunklParams(-0.5)
     DunklParams(-0.5, classical=True)
+
+
+@pytest.mark.parametrize("kappa", [150.0, 171.0, 200.0, 1e6])
+def test_rejects_a_kappa_whose_constants_leave_the_float_range(kappa):
+    # b_kappa is subnormal at 150 and math.gamma overflows from 171 on;
+    # either way the error names kappa
+    with pytest.raises(ValueError, match=f"kappa = {kappa}"):
+        DunklParams(kappa)
+
+
+def test_largest_accepted_kappa_has_normal_constants():
+    p = DunklParams(148.0)
+    assert p.b_kappa >= sys.float_info.min
+    assert p.c_kappa >= sys.float_info.min

@@ -154,11 +154,11 @@ def test_fused_kernel_pair_rejects_nonfinite_arguments():
 
 @pytest.mark.parametrize("kappa", [-0.5, 0.0, 1.5, 0.3])
 def test_chunked_blocks_match_whole_array_evaluation(kappa, monkeypatch):
-    # 1000 elements per chunk forces several row chunks and a short last one
+    # 1000 elements per piece forces several row pieces and a short last one
     p = DunklParams(kappa, classical=kappa == -0.5)
     xg, lg = make_grid(p, 8.0, 256), make_grid(p, 32.0, 200)
     monkeypatch.setattr(transform, "_cache", type(transform._cache)())
-    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(transform, "_BUILD_PIECE_ELEMENTS", 1000)
     a, b = transform._blocks(p, lg, xg)
     ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
     np.testing.assert_allclose(a, ea, rtol=0.0, atol=1e-15)

@@ -222,33 +222,33 @@ BLOCK_KAPPAS = [-0.5, 0.0, 0.5, 1.5, 0.3]
 
 @pytest.mark.parametrize("kappa", BLOCK_KAPPAS)
 @pytest.mark.parametrize("ratio", [1, 2, 4])
-@pytest.mark.parametrize("chunk", [500, 4000])
-def test_mirrored_blocks_equal_direct_evaluation(kappa, ratio, chunk, monkeypatch):
+@pytest.mark.parametrize("piece", [500, 4000])
+def test_mirrored_blocks_equal_direct_evaluation(kappa, ratio, piece, monkeypatch):
     # square blocks whose spacings differ by a power of two are exactly
     # symmetric; the mirrored build evaluates about half the entries and
-    # reproduces the full evaluation bit for bit, whatever the row chunks
+    # reproduces the full evaluation bit for bit, whatever the row pieces
     p = DunklParams(kappa, classical=kappa == -0.5)
     xg, lg = make_grid(p, 8.0, 256), make_grid(p, 8.0 * ratio, 256)
     seen = _counting_kernel_pair(monkeypatch)
-    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(transform, "_BUILD_PIECE_ELEMENTS", piece)
     a, b = transform._blocks(p, lg, xg)
     ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
     assert np.array_equal(a, ea)
     assert np.array_equal(b, eb)
-    assert seen["elements"] <= a.size // 2 + 2 * chunk
+    assert seen["elements"] <= a.size // 2 + 2 * piece
     assert seen["calls"] >= 3
 
 
 @pytest.mark.parametrize("kappa", BLOCK_KAPPAS)
 @pytest.mark.parametrize("ratio", [1, 4])
 def test_small_mirrored_block_evaluates_about_half(kappa, ratio, monkeypatch):
-    # a 128 x 128 block fits in one default chunk, and is still built from
+    # a 128 x 128 block fits in one default piece, and is still built from
     # its triangle
     p = DunklParams(kappa, classical=kappa == -0.5)
     xg, lg = make_grid(p, 8.0, 256), make_grid(p, 8.0 * ratio, 256)
     seen = _counting_kernel_pair(monkeypatch)
     a, b = transform._blocks(p, lg, xg)
-    assert a.shape == (128, 128) and a.size <= transform._CHUNK_ELEMENTS
+    assert a.shape == (128, 128) and a.size <= transform._BUILD_PIECE_ELEMENTS
     ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
     assert np.array_equal(a, ea)
     assert np.array_equal(b, eb)
@@ -264,7 +264,7 @@ def test_unmirrored_blocks_equal_direct_evaluation(kappa, out_width, out_nodes, 
     p = DunklParams(kappa, classical=kappa == -0.5)
     xg, lg = make_grid(p, 8.0 / 3.0, 256), make_grid(p, out_width, out_nodes)
     seen = _counting_kernel_pair(monkeypatch)
-    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(transform, "_BUILD_PIECE_ELEMENTS", 1000)
     a, b = transform._blocks(p, lg, xg)
     ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
     assert np.array_equal(a, ea)
@@ -324,15 +324,17 @@ def test_failed_build_leaves_no_guard(monkeypatch):
     assert a.shape == (32, 32)
 
 
-# (out half-width, out nodes, chunk, worker piece, mirrored) on input
+# (out half-width, out nodes, row chunk, build piece, mirrored) on input
 # half-width 8/3 at 256 nodes: a mirrored block (spacing ratio 4) and an
-# unmirrored one (ratio 3) whose spans and pieces do not divide the rows, a
-# non-square block, and an unmirrored block of one span
+# unmirrored one (ratio 3) whose pieces do not divide the rows, a
+# non-square block, and an unmirrored block of one piece at the default
+# sizes.  The row chunk of `inverse_rows` is patched too, larger than the
+# piece, and does not shape the build.
 THREADED_BLOCKS = [
     (32.0 / 3.0, 256, 1000, 300, True),
     (8.0, 256, 1000, 300, False),
     (24.0, 200, 1000, 300, False),
-    (8.0, 256, transform._CHUNK_ELEMENTS, transform._WORKER_PIECE_ELEMENTS, False),
+    (8.0, 256, transform._CHUNK_ELEMENTS, transform._BUILD_PIECE_ELEMENTS, False),
 ]
 
 
@@ -342,20 +344,22 @@ THREADED_BLOCKS = [
 def test_threaded_blocks_equal_direct_evaluation(
     kappa, threads, out_width, out_nodes, chunk, piece, mirrored, monkeypatch
 ):
-    # the calling thread and the worker share the spans, the worker in
-    # smaller pieces; the blocks are the bits of one direct evaluation at
-    # either thread count, and no thread outlives the build
+    # the calling thread and the worker share the pieces, each one
+    # kernel_pair call of at most one piece; the blocks are the bits of one
+    # direct evaluation at either thread count, and no thread outlives the
+    # build
     p = DunklParams(kappa, classical=kappa == -0.5)
     xg, lg = make_grid(p, 8.0 / 3.0, 256), make_grid(p, out_width, out_nodes)
     monkeypatch.setattr(transform, "_cache", type(transform._cache)())
     monkeypatch.setattr(_threads, "thread_count", lambda: threads)
     monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", chunk)
-    monkeypatch.setattr(transform, "_WORKER_PIECE_ELEMENTS", piece)
-    idents = set()
+    monkeypatch.setattr(transform, "_BUILD_PIECE_ELEMENTS", piece)
+    idents, sizes = set(), []
 
     def pair(params, s):
         idents.add(threading.get_ident())
-        time.sleep(0.002)  # lets the worker take spans of a small block
+        sizes.append(np.size(s))
+        time.sleep(0.002)  # lets the worker take pieces of a small block
         return kernel_pair(params, s)
 
     monkeypatch.setattr(transform, "kernel_pair", pair)
@@ -366,7 +370,8 @@ def test_threaded_blocks_equal_direct_evaluation(
     assert np.array_equal(a, ea)
     assert np.array_equal(b, eb)
     assert transform._power_of_two_multiple(lg.positive_nodes, xg.positive_nodes) == mirrored
-    if chunk >= a.size:  # a block of one span starts no worker
+    assert max(sizes) <= piece
+    if piece >= a.size:  # a block of one piece starts no worker
         assert idents == {threading.get_ident()}
     else:
         assert len(idents) == threads
@@ -382,9 +387,8 @@ def test_failed_piece_stops_both_threads(failing, error, monkeypatch):
     xg, lg = make_grid(p, 8.0 / 3.0, 256), make_grid(p, 8.0, 256)
     monkeypatch.setattr(transform, "_cache", type(transform._cache)())
     monkeypatch.setattr(_threads, "thread_count", lambda: 2)
-    # spans of 8 rows, which the worker takes in pieces of 2
-    monkeypatch.setattr(transform, "_CHUNK_ELEMENTS", 1024)
-    monkeypatch.setattr(transform, "_WORKER_PIECE_ELEMENTS", 256)
+    # pieces of 2 rows, on either thread
+    monkeypatch.setattr(transform, "_BUILD_PIECE_ELEMENTS", 256)
     caller = threading.get_ident()
     inside = {"caller": threading.Event(), "worker": threading.Event()}
     raised = threading.Event()
@@ -413,6 +417,31 @@ def test_failed_piece_stops_both_threads(failing, error, monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("ratio,mirrored", [(3, False), (4, True)])
+def test_every_build_call_covers_at_most_one_piece(threads, ratio, mirrored, monkeypatch):
+    # both threads evaluate a 1024 x 1024 block, mirrored or not, in
+    # kernel_pair calls of at most one build piece each
+    p = DunklParams(0.5)
+    xg, lg = make_grid(p, 8.0, 2048), make_grid(p, 8.0 * ratio, 2048)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    monkeypatch.setattr(_threads, "thread_count", lambda: threads)
+    sizes = []
+    lock = threading.Lock()
+
+    def pair(params, s):
+        with lock:
+            sizes.append(np.size(s))
+        return kernel_pair(params, s)
+
+    monkeypatch.setattr(transform, "kernel_pair", pair)
+    a, _ = transform._blocks(p, lg, xg)
+    assert a.size == 1 << 20
+    assert transform._power_of_two_multiple(lg.positive_nodes, xg.positive_nodes) == mirrored
+    assert max(sizes) <= transform._BUILD_PIECE_ELEMENTS
+    assert sum(sizes) < 0.6 * a.size if mirrored else sum(sizes) == a.size
+
+
 def test_runner_takes_every_job_once_under_contention(monkeypatch):
     # more threads than cores (the cap patched to 4) and a short switch
     # interval: every job of the shared iterator runs exactly once, and
@@ -421,7 +450,7 @@ def test_runner_takes_every_job_once_under_contention(monkeypatch):
     done = []
     idents = set()
 
-    def job(k, worker, stopped):
+    def job(k):
         idents.add(threading.get_ident())
         done.append(k)
         time.sleep(0)
