@@ -118,12 +118,15 @@ def _add_grid_flags(sp):
 
 
 def _resolve_grid(args):
-    """The parameters and grid of the grid flags; a value out of range is a
-    usage error naming the flag or variable it came from."""
+    """The parameters and grid of the grid flags; a value out of range, or a
+    kappa too large for the half-width, is a usage error."""
     params = _resolve(args.kappa, "--kappa", _params_for(0.5), lambda raw: _params_for(float(raw)))
     n = _resolve(args.grid_n, "--grid-n", 2048, lambda raw: _check_node_count(int(raw)))
     half = _resolve(args.domain_l, "--domain-l", 16.0, lambda raw: _check_half_width(float(raw)))
-    return params, make_grid(params, half, n)
+    try:
+        return params, make_grid(params, half, n)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

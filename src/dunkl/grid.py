@@ -31,30 +31,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+def _midpoints(count: int, spacing: float) -> np.ndarray:
+    """The first count positive midpoint nodes (j + 1/2) * spacing, ascending;
+    every grid and every kernel block takes its nodes from here."""
+    return (np.arange(count) + 0.5) * spacing
+
+
+@dataclass(frozen=True)
 class Grid:
-    """Immutable midpoint grid on [-L, L] with per-node masses for the measure."""
+    """Immutable midpoint grid on [-L, L] with per-node masses for the measure.
+
+    (params, half_width, node_count) are its whole state: the nodes
+    +-(j + 1/2) * 2L/N and their masses derive from them, and grids compare
+    and hash by them.  Masses past the float range are a ValueError.
+    """
 
     params: DunklParams
     half_width: float
     node_count: int
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.params.kappa == other.params.kappa
-            and self.half_width == other.half_width
-            and self.node_count == other.node_count
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.params.kappa, self.half_width, self.node_count))
+        L = _check_half_width(self.half_width)
+        n = _check_node_count(self.node_count)
+        object.__setattr__(self, "half_width", L)
+        object.__setattr__(self, "node_count", n)
+        pos = _midpoints(n // 2, self.spacing)
+        nodes = np.concatenate([-pos[::-1], pos])
+        # |t| ** (2 kappa + 2) overflows once L ** (2 kappa + 2) leaves the
+        # float range; a mass is then inf or nan, and so is their sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = _quadrature_weights(self.params, L, nodes)
+            finite = math.isfinite(np.sum(weights))
+        if not finite:
+            raise ValueError(
+                f"kappa = {self.params.kappa} is too large for half_width {L}: "
+                "the grid's measure leaves the float range"
+            )
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def spacing(self) -> float:
@@ -134,18 +152,8 @@ def _check_node_count(node_count) -> int:
 
 
 def make_grid(params: DunklParams, half_width: float, node_count: int) -> Grid:
-    """Build the midpoint grid with nodes at +-(j + 1/2) * dx.
-
-    node_count must be even (so nodes pair off symmetrically) and at least 4.
-    """
-    L = _check_half_width(half_width)
-    n = _check_node_count(node_count)
-    half = n // 2
-    dx = 2.0 * L / n
-    pos = (np.arange(half) + 0.5) * dx
-    nodes = np.concatenate([-pos[::-1], pos])
-    weights = _quadrature_weights(params, L, nodes)
-    return Grid(params, L, n, nodes, weights)
+    """The midpoint grid with nodes at +-(j + 1/2) * dx; see Grid."""
+    return Grid(params, half_width, node_count)
 
 
 @dataclass(frozen=True, eq=False)

@@ -189,12 +189,15 @@ def dunkl_derivative(params: DunklParams, f: GridFunction) -> GridFunction:
 
         f'(x) + (2k+1)/x * (f(x) - f(-x)) / 2,
 
-    with f' by central differences (one-sided at the two boundary nodes).  At
-    a node exactly at 0 (not produced by make_grid) the singular quotient is
-    replaced by its limit (2k+1) * d/dx[odd part](0).
+    with f' by central differences (one-sided at the two boundary nodes).
+    Midpoint grids have no node at 0.  params must carry the kappa of f's
+    grid.
     """
+    if params.kappa != f.grid.params.kappa:
+        raise ValueError(
+            f"derivative kappa {params.kappa:g} differs from the grid's kappa {f.grid.params.kappa:g}"
+        )
     x = f.grid.nodes
-    n = f.grid.node_count
     if not np.allclose(x, -x[::-1], rtol=0.0, atol=0.0):
         raise ValueError("grid is not symmetric about 0")
     v = f.values
@@ -204,16 +207,5 @@ def dunkl_derivative(params: DunklParams, f: GridFunction) -> GridFunction:
     fprime[0] = (v[1] - v[0]) / dx
     fprime[-1] = (v[-1] - v[-2]) / dx
     odd = 0.5 * (v - v[::-1])
-    mult = 2.0 * params.kappa + 1.0
-    out = fprime.astype(v.dtype, copy=True)
-    nonzero = x != 0.0
-    out[nonzero] += mult * odd[nonzero] / x[nonzero]
-    if np.any(~nonzero):
-        # limit of the difference quotient at the origin via the odd part
-        i = int(np.nonzero(~nonzero)[0][0])
-        if 0 < i < n - 1:
-            odd_slope = (odd[i + 1] - odd[i - 1]) / (2.0 * dx)
-        else:
-            odd_slope = (odd[min(i + 1, n - 1)] - odd[max(i - 1, 0)]) / dx
-        out[i] += mult * odd_slope
+    out = fprime + (2.0 * params.kappa + 1.0) * odd / x
     return GridFunction(f.grid, out)

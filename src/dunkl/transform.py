@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from collections import OrderedDict
 
 import numpy as np
 
 from . import _threads
-from .grid import Grid, GridFunction, make_grid
+from .grid import Grid, GridFunction, _midpoints, make_grid
 from .params import DunklParams
 from .special import kernel_pair
 
@@ -45,15 +44,9 @@ __all__ = ["SpectralFunction", "forward", "inverse", "plancherel_defect"]
 SpectralFunction = GridFunction
 
 
-def _cache_size() -> int:
-    """Kernel-cache capacity in entries from DUNKL_KERNEL_CACHE (default 16)."""
-    raw = os.environ.get("DUNKL_KERNEL_CACHE", "16")
-    if not raw.strip().isdecimal():
-        raise ValueError(f"DUNKL_KERNEL_CACHE must be an integer >= 0, got {raw!r}")
-    return int(raw)
-
-
-_CACHE_SIZE = _cache_size()
+# Block pairs kept by `_blocks`, least recently used first out.  An entry
+# holds two N/2 x N/2 float64 blocks, 64 MB at N = 4096.
+_KERNEL_CACHE = 16
 # Output values per row chunk of `inverse_rows`.
 _CHUNK_ELEMENTS = 1 << 18
 # Kernel blocks are built in row pieces of at most this many elements (one
@@ -169,12 +162,11 @@ def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
         if blocks is not None:
             return blocks
     try:
-        # the positive midpoint nodes of these spacings, bit for bit make_grid's
-        built = _build(params, (np.arange(rows) + 0.5) * key[1], (np.arange(cols) + 0.5) * key[2])
+        built = _build(params, _midpoints(rows, key[1]), _midpoints(cols, key[2]))
         with _cache_lock:
             _cache[key] = built
             _cache.move_to_end(key)
-            while len(_cache) > _CACHE_SIZE:
+            while len(_cache) > _KERNEL_CACHE:
                 _cache.popitem(last=False)
         build.blocks = built
     finally:

@@ -157,8 +157,6 @@ class SuiteConfig:
             raise ValueError("kappa_list must be non-empty")
         if len(set(kl)) != len(kl):
             raise ValueError(f"kappa_list must not repeat a kappa, got {kl}")
-        for k in kl:
-            _params_for(k)
         object.__setattr__(self, "kappa_list", kl)
         object.__setattr__(self, "half_width", _check_half_width(self.half_width))
         n = _integer(self.node_count, "node_count")
@@ -166,6 +164,8 @@ class SuiteConfig:
         if n < 64 or n % 4:
             raise ValueError(f"node_count must be a multiple of 4 and >= 64, got {n}")
         object.__setattr__(self, "node_count", n)
+        for k in kl:  # the grid the suites sample their functions on
+            Grid(_params_for(k), self.half_width, n)
         exps = tuple(_check_triple(q, p, a) for q, p, a in self.exponents)
         object.__setattr__(self, "exponents", exps)
         seed = _integer(self.seed, "seed")

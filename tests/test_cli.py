@@ -314,6 +314,21 @@ def test_kappa_past_the_float_range_exits_2(command, tmp_path, monkeypatch, caps
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", list(_GRID_COMMANDS))
+def test_grid_measure_past_the_float_range_exits_2(command, tmp_path, monkeypatch, capsys):
+    # at L = 16, |t| ** (2 kappa + 2) overflows from kappa = 127 on: the norm
+    # printed nan and exited 0 on the grid's nan masses
+    monkeypatch.chdir(tmp_path)
+    _write_constant_csv(tmp_path / "in.csv")
+    with pytest.raises(SystemExit) as err:
+        main([*_GRID_COMMANDS[command], "--kappa", "148", "--grid-n", "256"])
+    assert err.value.code == 2
+    msg = capsys.readouterr().err
+    assert "kappa = 148.0 is too large for half_width 16.0" in msg
+    assert "Traceback" not in msg
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -428,6 +443,7 @@ def test_report_diff_on_verify_reports(tmp_path, capsys):
         ({}, ["--suite", "all", "--exponents", "2,8,4;1,2,2"], "suite 'interval_fofana_maximal'"),
         ({}, ["--suite", "kernel", "--kappa", "200"], "kappa = 200.0 is too large"),
         ({"DUNKL_KAPPA": "0.5,200"}, ["--suite", "kernel"], "kappa = 200.0 is too large"),
+        ({}, ["--suite", "young", "--kappa", "127", "--domain-l", "16"], "kappa = 127.0 is too large for half_width 16.0"),
     ],
 )
 def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatch, capsys):
@@ -435,7 +451,7 @@ def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatc
         monkeypatch.setenv(name, value)
     report = tmp_path / "r.json"
     with pytest.raises(SystemExit) as err:
-        main(["verify", *argv, "--grid-n", "256", "--domain-l", "8", "--report", str(report)])
+        main(["verify", "--grid-n", "256", "--domain-l", "8", *argv, "--report", str(report)])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err

@@ -12,7 +12,7 @@ from dunkl import (
     sample_family,
     write_csv_function,
 )
-from dunkl.grid import CsvFormatError, FAMILY_IDS
+from dunkl.grid import CsvFormatError, FAMILY_IDS, Grid, _quadrature_weights
 
 
 def test_small_grid_nodes():
@@ -58,6 +58,59 @@ def test_make_grid_names_a_node_count_that_is_not_whole(node_count):
     # checked before any int() conversion, which raised OverflowError at inf
     with pytest.raises(ValueError, match=f"node_count must be an integer, got {node_count}"):
         make_grid(DunklParams(0.5), 16.0, node_count)
+
+
+@pytest.mark.parametrize("kappa", [-0.5, 0.0, 1.5])
+def test_grid_is_its_three_values(kappa):
+    # the nodes and weights follow from (params, L, N): grids built apart are
+    # equal, hash alike and carry the bits of the midpoint formula
+    p = DunklParams(kappa, classical=kappa == -0.5)
+    g, h = Grid(p, 8, 64.0), make_grid(p, 8.0, 64)
+    assert g == h and hash(g) == hash(h) and g is not h
+    assert (g.half_width, g.node_count) == (8.0, 64)
+    assert g != make_grid(p, 8.0, 128) and g != make_grid(p, 4.0, 64)
+    assert g != make_grid(DunklParams(0.5), 8.0, 64)
+    dx = 2.0 * 8.0 / 64
+    pos = (np.arange(32) + 0.5) * dx
+    nodes = np.concatenate([-pos[::-1], pos])
+    assert np.array_equal(g.nodes, nodes)
+    assert np.array_equal(g.weights, _quadrature_weights(p, 8.0, nodes))
+    for arr in (g.nodes, g.weights):
+        assert not arr.flags.writeable
+
+
+def test_grid_takes_no_nodes_or_weights():
+    # nodes and weights given apart from (params, L, N) could disagree with
+    # the values grids compare by
+    p = DunklParams(0.5)
+    g = make_grid(p, 8.0, 64)
+    with pytest.raises(TypeError):
+        Grid(p, 8.0, 64, g.nodes * 0.5, g.weights.copy())
+
+
+@pytest.mark.parametrize(
+    "half_width,node_count,message",
+    [
+        (0.0, 64, "half_width must be positive, got 0.0"),
+        (-1.0, 64, "half_width must be positive, got -1.0"),
+        (math.nan, 64, "half_width must be positive, got nan"),
+        (8.0, 63, "node_count must be an even integer >= 4, got 63"),
+        (8.0, 2, "node_count must be an even integer >= 4, got 2"),
+    ],
+)
+def test_grid_rejects_invalid_sizes(half_width, node_count, message):
+    with pytest.raises(ValueError, match=message):
+        Grid(DunklParams(0.5), half_width, node_count)
+
+
+def test_grid_rejects_a_measure_past_the_float_range():
+    # |t| ** (2 kappa + 2) overflows at L = 16 from kappa = 127 on; the
+    # masses would hold inf and nan
+    with pytest.raises(ValueError, match="kappa = 127.0 is too large for half_width 16.0"):
+        make_grid(DunklParams(127), 16, 256)
+    for kappa, half_width in ((126, 16), (148, 1)):
+        g = make_grid(DunklParams(kappa), half_width, 256)
+        assert np.all(np.isfinite(g.weights)) and math.isfinite(np.sum(g.weights))
 
 
 def test_integrate_constant_and_odd():

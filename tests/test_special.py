@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl import DunklParams, GridFunction, bessel_normalized, dunkl_derivative, dunkl_kernel, make_grid
+from dunkl import (
+    DunklParams,
+    GridFunction,
+    bessel_normalized,
+    dunkl_derivative,
+    dunkl_kernel,
+    make_grid,
+    sample_family,
+)
 from dunkl import transform
 from dunkl import special
 from dunkl.special import _SERIES_CUTOFF, kernel_pair, kernel_values
@@ -259,6 +267,15 @@ def test_derivative_eigenfunction_second_order(kappa, lam):
         errs.append(np.max(np.abs(d.values[sel] + lam * kv.imag[sel])))
     assert errs[1] < 0.3 * errs[0]
     assert errs[2] < 0.3 * errs[1]
+
+
+def test_derivative_rejects_another_kappa():
+    # the (2k + 1)/x term takes kappa from params: on a kappa = 1/2 grid the
+    # kappa = 3/2 derivative of a bump was off by up to 2.64
+    g = make_grid(DunklParams(0.5), 8.0, 256)
+    f = sample_family("bump", [0.5, 1.0], g)
+    with pytest.raises(ValueError, match="derivative kappa 1.5 differs from the grid's kappa 0.5"):
+        dunkl_derivative(DunklParams(1.5), f)
 
 
 def test_derivative_rejects_asymmetric_grid():

@@ -66,6 +66,8 @@ def test_config_validation():
         SuiteConfig(kappa_list=(-0.7,))
     with pytest.raises(ValueError, match="kappa = 200.0 is too large"):
         SuiteConfig(kappa_list=(0.5, 200.0))
+    with pytest.raises(ValueError, match="kappa = 127.0 is too large for half_width 16.0"):
+        SuiteConfig(kappa_list=(127.0,))
     nan, inf = float("nan"), float("inf")
     for kwargs, message in [
         ({"kappa_list": (0.0, 0.0)}, r"kappa_list.*\(0.0, 0.0\)"),
