@@ -11,14 +11,15 @@ Three variants, pointwise equivalent on the weighted line:
   * interval_maximal: direct averages over metric intervals I(x, rho), exact
     via prefix sums in x.
 
-The direct two are the one-row cases of `_window_maximal`, which reads the
-window masses of a stack and their measures from one annulus or interval
-`_windows.WindowGeometry`.
+All three are the one-row cases of `_window_maximal`, which reads the window
+masses of a stack and their measures from one window family: the translated
+balls tau_x chi_{B_rho} (`translation.TranslatedBalls`), or an annulus or
+interval `_windows.WindowGeometry`.
 
-All three take the supremum over a finite radius grid through one
-reduction, `_sup_of_averages` (window mass over window measure, radius by
-radius), after one check, `_checked_radii`, which rejects a radius whose
-window measure is 0 anywhere before any transform or window mass.  Windows
+It takes the supremum over a finite radius grid through one reduction,
+`_sup_of_averages` (window mass over window measure, radius by radius),
+after one check, `_checked_radii`, which rejects a radius whose window
+measure is 0 anywhere before any transform or window mass.  Windows
 reaching past the sampled domain [-L, L] are averaged over their clipped
 part while the denominator keeps the full closed-form measure, so values
 within rho_max of the boundary are depressed; quantitative suites only
@@ -30,9 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from ._windows import WindowGeometry
-from .grid import Grid, GridFunction
-from .measure import _check_radius, ball_measure_origin
-from .translation import _ball_convolution_stack
+from .grid import GridFunction
+from .measure import _check_radius
+from .translation import TranslatedBalls
 
 __all__ = ["dunkl_maximal", "centered_maximal", "interval_maximal"]
 
@@ -68,14 +69,8 @@ def _sup_of_averages(masses: np.ndarray, measures) -> np.ndarray:
 
 def dunkl_maximal(f: GridFunction, rho_grid) -> GridFunction:
     """sup over rho of mu(B_rho)^{-1} * (|f| * chi_{B_rho})(x), clamped at 0."""
-    return GridFunction(f.grid, _dunkl_maximal_stack(f.grid, f.values[None, :], rho_grid)[0])
-
-
-def _dunkl_maximal_stack(grid: Grid, rows, rho_grid) -> np.ndarray:
-    """``dunkl_maximal`` of every function of a stack rows (F, N) on grid,
-    stacked as (F, N), from one spectral evaluation of the stack of |f|."""
-    rhos, measures = _checked_radii(rho_grid, lambda rho: ball_measure_origin(grid.params, rho))
-    return _sup_of_averages(_ball_convolution_stack(grid, np.abs(rows), rhos), measures)
+    rows = f.values[None, :]
+    return GridFunction(f.grid, _window_maximal(TranslatedBalls(f.grid), rows, rho_grid)[0])
 
 
 def centered_maximal(f: GridFunction, rho_grid) -> GridFunction:
@@ -90,9 +85,10 @@ def interval_maximal(f: GridFunction, rho_grid) -> GridFunction:
     return GridFunction(f.grid, _window_maximal(WindowGeometry.interval(f.grid), rows, rho_grid)[0])
 
 
-def _window_maximal(windows: WindowGeometry, rows, rho_grid) -> np.ndarray:
+def _window_maximal(windows, rows, rho_grid) -> np.ndarray:
     """sup over rho of the window masses of |f| over the window measures of
-    the geometry windows, for every function of a stack rows (F, N) on its
-    grid: (F, N)."""
+    the window family windows (a `translation.TranslatedBalls` or a
+    `_windows.WindowGeometry`), for every function of a stack rows (F, N)
+    on its grid: (F, N)."""
     rhos, measures = _checked_radii(rho_grid, windows.measure)
     return windows.unfold(_sup_of_averages(windows.masses(np.abs(rows), rhos), measures))

@@ -1,25 +1,26 @@
 """Function-space norms: Lebesgue, weak-L1, translation-averaged amalgams,
 their Fofana (radius-scaled supremum) versions, and interval-windowed variants.
 
-For finite q the local amalgam ingredient is the integral of tau_y |f|^q
-over the origin ball of radius r, which equals the convolution
-(|f|^q * chi_{B_r})(y); it is computed spectrally for all window centers y
-at once.  The window profiles take a whole stack of functions on one grid
-(`_amalgam_profiles`): the stack of |f|^q goes through one stacked ball
-convolution for every radius.  `_ProfileStack` keeps them per q, and the
-amalgam and Fofana norms of the stack are read from them, the Fofana norms
-through `_fofana_sup`.  For q = infinity the window statistic is the
-maximum over the annular ball B(y, r), read from the annulus
-`_windows.WindowGeometry`.  Interval variants window with
-I(y, r) = (y-r, y+r) and need no translation: `_interval_profiles` reads
-window integrals (finite q) and window maxima (q = inf) from an interval
-`WindowGeometry`, and `_IntervalProfileStack` reads the interval norms from
-them.  The geometry keeps the window ends, measures and node ranges per
-radius, so a function costs gathers, not a search per window, and one
-geometry may serve every stack on its grid.  Every public windowed norm is
-the one-row case of its stack.  The weak variant reads weak-L1 statistics
-of |f| against translated ball indicators, evaluated in closed form
-(`translation._indicator_values`) only on their support columns
+Every windowed norm is read from the profiles of one window family: the
+translated balls tau_y chi_{B_r} at every node y
+(`translation.TranslatedBalls`), or the metric intervals I(y, r) =
+(y-r, y+r) (`_windows.WindowGeometry.interval`).  The profile of a function
+at radius r is ||f chi_W||_q over the window W of each center: for finite q
+the window masses of |f|^q, which for the translated balls are the ball
+convolutions (|f|^q * chi_{B_r})(y), computed spectrally for a whole stack
+of functions and every radius at once, and for the intervals exact prefix-sum
+window integrals; for q = inf the window maxima of |f|, over the support
+annuli B(y, r) of the translated balls or over the intervals.  `_profiles`
+evaluates them and `_ProfileStack` keeps them per q, and the amalgam and
+Fofana norms of the stack are read from them, the Fofana norms with the
+window measure mu(W_r)^theta: a scalar mu(B_r) for the translated balls,
+which multiplies the L^p norm, and one per center for the intervals, which
+goes inside it.  The interval geometry keeps the window ends, measures and
+node ranges per radius, so a function costs gathers, not a search per
+window, and one geometry may serve every stack on its grid.  Every public
+windowed norm is the one-row case of its stack.  The weak variant reads
+weak-L1 statistics of |f| against translated ball indicators, evaluated in
+closed form (`translation._indicator_values`) only on their support columns
 (`WeakWindowWorkspace`), which are the node ranges of the annulus geometry
 at the window centers.  Its statistics are one job per radius and side,
 shared by the calling thread and at most one worker through the package's
@@ -37,12 +38,7 @@ from . import _threads
 from ._windows import WindowGeometry
 from .grid import Grid, GridFunction
 from .measure import ball_measure_origin
-from .translation import (
-    _INDICATOR_BAND,
-    _INDICATOR_CHUNK_ROWS,
-    _ball_convolution_stack,
-    _indicator_values,
-)
+from .translation import _INDICATOR_BAND, _INDICATOR_CHUNK_ROWS, TranslatedBalls, _indicator_values
 
 __all__ = [
     "NormSpec",
@@ -171,18 +167,16 @@ def _check_window_radius(grid: Grid, r: float) -> float:
     return r
 
 
-def _amalgam_profiles(grid: Grid, rows, q: float, radii) -> np.ndarray:
-    """Window profiles u_r(y) of every function of a stack rows (F, N) on grid,
-    for each radius: shape (F, R, N).  For finite q the stack of |f|^q takes
-    one spectral evaluation (see `translation._ball_convolution_stack`).  For
-    q = inf, u_r(y) is the maximum of |f| over the annulus
-    {max(0,|y|-r) < |x| < |y|+r}, read from the annulus window geometry."""
+def _profiles(windows, rows, q: float, radii) -> np.ndarray:
+    """Window profiles u_r(y) = ||f chi_W||_q of every function of a stack
+    rows (F, N) on the grid of the window family windows (a
+    `translation.TranslatedBalls` or a `_windows.WindowGeometry`), for each
+    radius: shape (F, R, N).  For finite q they are the window masses of
+    |f|^q, for q = inf the window maxima of |f|."""
     a = np.abs(np.asarray(rows))
     if q == INF:
-        windows = WindowGeometry.annulus(grid)
         return windows.unfold(windows.maxima(a, radii))
-    conv = _ball_convolution_stack(grid, a**q, radii)
-    return conv ** (1.0 / q)
+    return windows.unfold(windows.masses(a**q, radii)) ** (1.0 / q)
 
 
 def amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> float:
@@ -190,59 +184,68 @@ def amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> float:
     the local L^q content seen through translated ball windows."""
     q = _check_exponent(q, "q")
     p = _check_exponent(p, "p")
-    return _ProfileStack(f.grid, f.values[None, :], [r]).amalgam(q, p, r)[0]
+    return _ProfileStack(TranslatedBalls(f.grid), f.values[None, :], [r]).amalgam(q, p, r)[0]
 
 
 def fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """sup over the radius grid of mu(B_r)^(1/alpha - 1/q - 1/p) times the
     r-windowed amalgam norm."""
-    return _ProfileStack(f.grid, f.values[None, :], spec.r_grid).fofana(spec)[0]
+    return _ProfileStack(TranslatedBalls(f.grid), f.values[None, :], spec.r_grid).fofana(spec)[0]
 
 
 class _ProfileStack:
-    """Window profiles of a stack of functions rows (F, N) on grid, evaluated
-    once per exponent q over one list of window radii, from which the
-    amalgam and Fofana norms of every function of the stack at that q are
-    read; the radii must be window radii in (0, L/2].  q = inf profiles
-    are sliding maxima, not spectral, and are evaluated at the radii asked
-    for."""
+    """Window profiles of a stack of functions rows (F, N) through one window
+    family windows (see `_profiles`), evaluated once per exponent q over one
+    list of window radii, from which the amalgam and Fofana norms of every
+    function of the stack at that q are read; the radii must be window
+    radii in (0, L/2].  q = inf profiles are window maxima and are evaluated
+    at the radii asked for."""
 
-    def __init__(self, grid: Grid, rows, radii):
-        self.grid = grid
+    def __init__(self, windows, rows, radii):
+        self.windows = windows
+        self.grid = windows.grid
         self.rows = rows
-        self.radii = sorted({_check_window_radius(grid, r) for r in radii})
+        self.radii = sorted({_check_window_radius(self.grid, r) for r in radii})
         self._by_q = {}
-
-    def _profiles(self, q: float, radii) -> np.ndarray:
-        return _amalgam_profiles(self.grid, self.rows, q, radii)
 
     def at(self, q: float, radii) -> np.ndarray:
         """Profiles (F, len(radii), N) at exponent q."""
         if q == INF:
-            return self._profiles(q, radii)
+            return _profiles(self.windows, self.rows, q, radii)
         if q not in self._by_q:
-            self._by_q[q] = self._profiles(q, self.radii)
+            self._by_q[q] = _profiles(self.windows, self.rows, q, self.radii)
         return self._by_q[q][:, [self.radii.index(float(r)) for r in radii]]
 
     def amalgam(self, q: float, p: float, r: float) -> list:
-        """``amalgam_norm_r`` of every function of the stack."""
+        """The amalgam norm at window radius r of every function of the stack."""
         return [lp_norm(GridFunction(self.grid, u[0]), p) for u in self.at(q, [r])]
 
-    def fofana(self, spec: NormSpec) -> list:
-        """``fofana_norm`` of every function of the stack."""
-        return [_fofana_sup(self.grid, spec, u) for u in self.at(spec.q, spec.r_grid)]
+    def fofana(self, spec: NormSpec, ball_scaled: bool = False) -> list:
+        """sup over spec.r_grid of the L^p norm of w_r u_r for the profiles
+        u_r at spec.q, with the weight w_r = mu(W_r)^theta of the window
+        measure, which ball_scaled multiplies by
+        (mu(B_r) / mu(W_r))^(1/alpha - 1/p).  A scalar weight (translated
+        balls) multiplies the norm, a weight per center goes inside it."""
+        grid = self.grid
+        theta = _scale_exponent(spec.q, spec.p, spec.alpha)
+        e = _inv(spec.alpha) - _inv(spec.p)
+        weights = []
+        for r in spec.r_grid:
+            mu = self.windows.measure(r)
+            w = mu**theta
+            if ball_scaled:
+                w = w * (ball_measure_origin(grid.params, r) / mu) ** e
+            weights.append(w)
 
+        def weighted(w, v):
+            if np.ndim(w):
+                return lp_norm(GridFunction(grid, w * v), spec.p)
+            return w * lp_norm(GridFunction(grid, v), spec.p)
 
-def _fofana_sup(grid: Grid, spec: NormSpec, profiles) -> float:
-    """sup over spec.r_grid of mu(B_r)^(1/alpha - 1/q - 1/p) * ||u_r||_p,
-    for the window profiles u_r of one function (a row of
-    ``_amalgam_profiles`` at exponent spec.q)."""
-    theta = _scale_exponent(spec.q, spec.p, spec.alpha)
-    best = 0.0
-    for r, u in zip(spec.r_grid, profiles):
-        val = ball_measure_origin(grid.params, r) ** theta * lp_norm(GridFunction(grid, u), spec.p)
-        best = max(best, val)
-    return best
+        return [
+            max([0.0] + [weighted(w, v) for w, v in zip(weights, u)])
+            for u in self.at(spec.q, spec.r_grid)
+        ]
 
 
 def _support_columns(annuli: WindowGeometry, centers: np.ndarray, r: float) -> tuple:
@@ -382,63 +385,18 @@ def weak_fofana_norm(f: GridFunction, p: float, alpha: float, r_grid) -> float:
     return WeakWindowWorkspace(f.grid, r_grid).weak_fofana(f, [(p, alpha)])[0]
 
 
-def _interval_profiles(windows: WindowGeometry, rows, q: float, radii) -> np.ndarray:
-    """Interval-window profiles ||f chi_{I(y,r)}||_q of every function of a
-    stack rows (F, N) on the grid of the interval geometry windows at every
-    node center y, for each radius: shape (F, R, N).  For finite q they are
-    the window masses of |f|^q, for q = inf the window maxima of |f|."""
-    a = np.abs(np.asarray(rows))
-    if q == INF:
-        return windows.maxima(a, radii)
-    return windows.masses(a**q, radii) ** (1.0 / q)
-
-
-class _IntervalProfileStack(_ProfileStack):
-    """A profile stack windowed by the metric intervals I(y, r): its
-    amalgam norms are ``interval_amalgam_norm_r`` and its Fofana norms
-    ``interval_fofana_norm`` of every function of the stack.  The interval
-    geometry windows serves the profiles of every q and the center weights,
-    and may serve other stacks on its grid."""
-
-    def __init__(self, windows: WindowGeometry, rows, radii):
-        super().__init__(windows.grid, rows, radii)
-        self.windows = windows
-
-    def _profiles(self, q: float, radii) -> np.ndarray:
-        return _interval_profiles(self.windows, self.rows, q, radii)
-
-    def fofana(self, spec: NormSpec, ball_scaled: bool = False) -> list:
-        """sup over spec.r_grid of ||w_r u_r||_p for the interval profiles
-        u_r at spec.q, with the center weight w_r = mu(I(y,r))^theta, which
-        ball_scaled multiplies by (mu(B_r) / mu(I(y,r)))^(1/alpha - 1/p)."""
-        grid = self.grid
-        theta = _scale_exponent(spec.q, spec.p, spec.alpha)
-        e = _inv(spec.alpha) - _inv(spec.p)
-        weights = []
-        for r in spec.r_grid:
-            mu_i = self.windows.measure(r)
-            w = mu_i**theta
-            if ball_scaled:
-                w = w * (ball_measure_origin(grid.params, r) / mu_i) ** e
-            weights.append(w)
-        return [
-            max([0.0] + [lp_norm(GridFunction(grid, w * v), spec.p) for w, v in zip(weights, u)])
-            for u in self.at(spec.q, spec.r_grid)
-        ]
-
-
 def interval_amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> float:
     """Interval-windowed amalgam: L^p over centers of ||f chi_{I(y,r)}||_q."""
     q = _check_exponent(q, "q")
     p = _check_exponent(p, "p")
-    stack = _IntervalProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], [r])
+    stack = _ProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], [r])
     return stack.amalgam(q, p, r)[0]
 
 
 def interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """Interval-windowed Fofana norm; the measure factor mu(I(y,r))^theta sits
     inside the center integral because it varies with the center."""
-    stack = _IntervalProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], spec.r_grid)
+    stack = _ProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], spec.r_grid)
     return stack.fofana(spec)[0]
 
 
@@ -453,5 +411,5 @@ def ball_scaled_interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     factor.  It equals ``interval_fofana_norm`` at the classical parameter and
     when alpha = p, and is at most it otherwise.
     """
-    stack = _IntervalProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], spec.r_grid)
+    stack = _ProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], spec.r_grid)
     return stack.fofana(spec, ball_scaled=True)[0]

@@ -17,9 +17,10 @@ class DunklParams:
 
     The boundary value kappa = -1/2 reduces everything to classical Fourier
     analysis (uniform weight, ordinary translation).  It is admitted only when
-    ``classical=True``: it sits outside the usual parameter range but provides
-    exact closed-form oracles for validation.  A kappa whose constants are
-    not positive normal floats (from about kappa = 149 on) is rejected.
+    ``classical=True``, and ``classical=True`` only with it: it sits outside
+    the usual parameter range but provides exact closed-form oracles for
+    validation.  A kappa whose constants are not positive normal floats (from
+    about kappa = 149 on) is rejected.
     """
 
     kappa: float
@@ -35,6 +36,8 @@ class DunklParams:
             raise ValueError(
                 "kappa = -1/2 is the classical limit; construct with classical=True"
             )
+        if self.classical and k != -0.5:
+            raise ValueError(f"classical=True holds only at kappa = -1/2, got kappa = {k}")
         object.__setattr__(self, "kappa", k)
         try:
             normal = min(self.c_kappa, self.b_kappa) >= sys.float_info.min

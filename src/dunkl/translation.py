@@ -24,6 +24,10 @@ Translated ball indicators need no transform: in rank one the translate of
 a radial function is a positive average, which `_indicator_values` evaluates
 in closed form for `translate_indicator`, `translate_indicator_rows` and the
 weak-window workspace of `norms`.
+
+`TranslatedBalls`, the windows tau_y chi_{B_r}, has the shape of a
+`_windows.WindowGeometry`, so the windowed norms and maximal operators read
+them through the same code as the interval windows.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import math
 import numpy as np
 from scipy.special import betainc
 
+from ._windows import WindowGeometry
 from .grid import Grid, GridFunction
 from .measure import _check_radius, ball_measure_origin
 from .params import DunklParams
@@ -227,6 +232,32 @@ def _ball_convolution_stack(grid: Grid, rows, radii) -> np.ndarray:
     out = inverse_rows(params, lg, grid, nf * nr, spectra)
     np.maximum(out, 0.0, out=out)
     return out.reshape(nf, nr, grid.node_count)
+
+
+class TranslatedBalls:
+    """The windows tau_y chi_{B_r} at every node y of grid, with the members
+    of `_windows.WindowGeometry` that the profile stacks and maximal
+    functions read."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+
+    def masses(self, rows, radii) -> np.ndarray:
+        """(f * chi_{B_r})(y) for every row f and radius r: (F, R, N)."""
+        return _ball_convolution_stack(self.grid, rows, radii)
+
+    def maxima(self, rows, radii) -> np.ndarray:
+        """Maxima of every row over the support annulus of each window: (F, R, N)."""
+        annuli = WindowGeometry.annulus(self.grid)
+        return annuli.unfold(annuli.maxima(rows, radii))
+
+    def measure(self, r: float) -> float:
+        """mu(B_r), the same at every center."""
+        return ball_measure_origin(self.grid.params, r)
+
+    def unfold(self, arr: np.ndarray) -> np.ndarray:
+        """The identity: the windows are centered at every node."""
+        return arr
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -40,7 +40,7 @@ import scipy
 from ._version import VERSION
 from ._windows import WindowGeometry
 from .grid import Grid, GridFunction, _check_half_width, _integer, integrate, make_grid, sample_family
-from .maximal import _checked_radii, _dunkl_maximal_stack, _sup_of_averages, _window_maximal
+from .maximal import _checked_radii, _sup_of_averages, _window_maximal
 from .measure import (
     ball_measure,
     ball_measure_origin,
@@ -51,8 +51,6 @@ from .norms import (
     NormSpec,
     WeakWindowWorkspace,
     _check_triple,
-    _fofana_sup,
-    _IntervalProfileStack,
     _ProfileStack,
     amalgam_norm_r,
     default_radius_grid,
@@ -61,7 +59,9 @@ from .norms import (
 )
 from .params import DunklParams
 from .special import _series, bessel_normalized, dunkl_derivative, kernel_values
-from .translation import _ball_convolution_stack, convolve, translate, translate_indicator, translate_rows
+from .translation import (
+    _INDICATOR_BAND, TranslatedBalls, convolve, translate, translate_indicator, translate_rows
+)
 from .transform import forward, inverse, plancherel_defect
 
 __all__ = ["SuiteConfig", "Case", "VerificationReport", "check_suite", "list_suites", "run_suite"]
@@ -164,9 +164,16 @@ class SuiteConfig:
         if n < 64 or n % 4:
             raise ValueError(f"node_count must be a multiple of 4 and >= 64, got {n}")
         object.__setattr__(self, "node_count", n)
-        for k in kl:  # the grid the suites sample their functions on
-            Grid(_params_for(k), self.half_width, n)
+        band = _INDICATOR_BAND * self.half_width  # the widest grid the suites build
+        for k in kl:
+            Grid(_params_for(k), self.half_width, n)  # the grid they sample on
+            try:
+                Grid(_params_for(k), band, n)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (the band grid of half_width {self.half_width})") from None
         exps = tuple(_check_triple(q, p, a) for q, p, a in self.exponents)
+        if not exps:
+            raise ValueError("exponents must be non-empty")
         object.__setattr__(self, "exponents", exps)
         seed = _integer(self.seed, "seed")
         if seed < 0:
@@ -1060,7 +1067,7 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
     # exponent q takes one spectral evaluation, shared by both p pairs
     n = len(pairs)
     prof = _ProfileStack(
-        g,
+        TranslatedBalls(g),
         np.stack(
             [f.values * h.values for f, h in pairs]
             + [f.values for f, _ in pairs]
@@ -1096,7 +1103,7 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
         a, b = rng.uniform(-2.0, 2.0, 2)
         combos.append((i, j, a, b))
     norms = _ProfileStack(
-        g,
+        TranslatedBalls(g),
         np.stack(
             [f.values for f in members]
             + [(c * members[k]).values for k, c in scales]
@@ -1150,7 +1157,7 @@ def _interval_translation_constants(cfg: SuiteConfig, rg, prof: _ProfileStack):
     and of its ball-scaled companion to the translation-window norm, read
     from the window profiles prof of the family stack and from one interval
     profile stack of the same rows."""
-    intervals = _IntervalProfileStack(WindowGeometry.interval(prof.grid), prof.rows, rg)
+    intervals = _ProfileStack(WindowGeometry.interval(prof.grid), prof.rows, rg)
     unscaled, scaled = [], []
     for (q, pp, alpha) in cfg.exponents:
         spec = NormSpec(q, pp, alpha, rg)
@@ -1168,7 +1175,7 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
     mu1 = ball_measure_origin(p, 1.0)
     fam = _family(g)
     # one profile stack per q over the radius grid and r = 1
-    prof = _ProfileStack(g, _stack(fam), (*rg, 1.0))
+    prof = _ProfileStack(TranslatedBalls(g), _stack(fam), (*rg, 1.0))
 
     terms = []
     for (q, s, pp) in ((1.0, 2.0, 4.0), (2.0, 2.0, INF), (2.0, 4.0, 8.0), (1.0, 1.0, 2.0)):
@@ -1234,7 +1241,7 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
     gh = make_grid(p, cfg.half_width / 2.0, cfg.node_count // 2)
     rg_h = default_radius_grid(gh)
     unscaled_h, scaled_h = _interval_translation_constants(
-        cfg, rg_h, _ProfileStack(gh, _stack(_family(gh)), rg_h)
+        cfg, rg_h, _ProfileStack(TranslatedBalls(gh), _stack(_family(gh)), rg_h)
     )
     if p.classical:
         rec.bound(
@@ -1292,7 +1299,7 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
         """The window constant of each label, from one profile stack."""
         rg = default_radius_grid(g)
         fam = _family(g, names=("gaussian", "indicator_ball", "bump", "trig_gauss"))
-        prof = _ProfileStack(g, _stack(fam), rg)
+        prof = _ProfileStack(TranslatedBalls(g), _stack(fam), rg)
         out = []
         for (q, pp, alpha, _) in labels:
             cmax = 0.0
@@ -1325,7 +1332,7 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
     g = make_grid(p, cfg.half_width, cfg.node_count)
     rg = default_radius_grid(g)
     fam = _family(g, names=("gaussian", "bump", "trig_gauss"))
-    stack = _IntervalProfileStack(WindowGeometry.interval(g), _stack(fam), rg)
+    stack = _ProfileStack(WindowGeometry.interval(g), _stack(fam), rg)
     bases = stack.fofana(NormSpec(2.0, 8.0, 2.0, rg))
     rec.measure(
         f"interval_fofana_lower_{rec.ktag}",
@@ -1368,7 +1375,7 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
         c2 = 0.0
         fam = _family(g)
         rows = _stack(fam)
-        mds = dict(zip(fam, _dunkl_maximal_stack(g, rows, rhog)))
+        mds = dict(zip(fam, _window_maximal(TranslatedBalls(g), rows, rhog)))
         mcs = _window_maximal(WindowGeometry.annulus(g), rows, rhog)
         mis = _window_maximal(WindowGeometry.interval(g), rows, rhog)
         for fid, mc, mi in zip(fam, mcs, mis):
@@ -1427,7 +1434,7 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
     chi = fam["indicator_ball(1)"]
     pairs = ((fam["gaussian(2)"], fam["gaussian(0.25)"]), (fam["indicator_ball(0.5)"], chi))
     pair_rows = np.stack([f.values for pair in pairs for f in pair])
-    m_chi, *m_pairs = _dunkl_maximal_stack(g, np.vstack([chi.values, pair_rows]), rhog)
+    m_chi, *m_pairs = _window_maximal(TranslatedBalls(g), np.vstack([chi.values, pair_rows]), rhog)
 
     # peak value on an indicator
     i0 = int(np.argmin(np.abs(g.nodes)))
@@ -1490,8 +1497,8 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
         rg = default_radius_grid(g)
         windows = WindowGeometry.interval(g)
         rows = _stack(_family(g))
-        base = _IntervalProfileStack(windows, rows, rg)
-        maxi = _IntervalProfileStack(windows, _window_maximal(windows, rows, rg), rg)
+        base = _ProfileStack(windows, rows, rg)
+        maxi = _ProfileStack(windows, _window_maximal(windows, rows, rg), rg)
         out = []
         for (q, pp, alpha) in cfg.exponents:
             spec = NormSpec(q, pp, alpha, rg)
@@ -1625,8 +1632,9 @@ def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Dunkl
         rg = default_radius_grid(g)
         fam = _family(g)
         rows = _stack(fam)
-        base = _ProfileStack(g, rows, rg)
-        maxi = _ProfileStack(g, _dunkl_maximal_stack(g, rows, rg), rg)
+        balls = TranslatedBalls(g)
+        base = _ProfileStack(balls, rows, rg)
+        maxi = _ProfileStack(balls, _window_maximal(balls, rows, rg), rg)
         out = []
         for (q, pp, alpha) in cfg.exponents:
             spec = NormSpec(q, pp, alpha, rg)
@@ -1652,35 +1660,27 @@ def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Dunkl
         )
 
 
-def _maximal_and_q1_fofana(grid: Grid, fam, rhog, rg, specs):
-    """The Dunkl maximal functions (F, N) over rhog and, per family member,
-    its q = 1 Fofana norm at each spec (all on the radius grid rg), from one
-    stack of ball convolutions of |f| over both radius grids.  Only the
-    maximal functions and the norms outlive the call."""
-    rhos, measures = _checked_radii(rhog, lambda rho: ball_measure_origin(grid.params, rho))
-    radii = sorted({float(r) for r in (*rhos, *rg)})
-    conv = _ball_convolution_stack(grid, np.abs(_stack(fam)), radii)
-    cols = [radii.index(r) for r in rg]
-    norms = [[_fofana_sup(grid, spec, c[cols]) for spec in specs] for c in conv]
-    return _sup_of_averages(conv[:, [radii.index(r) for r in rhos]], measures), norms
-
-
 @_per_kappa
 def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
     def member_ratios(g):
         """Per (p, alpha) pair, the ratio of each family member, and the
         worst weak/strong dominance ratio (on the fine grid only).  Window
         rows, maximal functions, q = 1 window profiles and weak window
-        statistics are shared across pairs.  One stack of ball
-        convolutions of |f| over both radius grids gives the maximal
-        functions and the q = 1 Fofana norms, before the workspace is
-        built."""
+        statistics are shared across pairs.  One profile stack of the
+        translated balls over both radius grids gives the maximal functions
+        (its q = 1 profiles are the ball convolutions of |f|) and the q = 1
+        Fofana norms; it is dropped before the workspace is built."""
         fine = g.node_count == cfg.node_count
         rg = default_radius_grid(g, ratio=2.0)
         rhog = default_radius_grid(g)
         fam = _family(g)
+        balls = TranslatedBalls(g)
+        rhos, measures = _checked_radii(rhog, balls.measure)
+        stack = _ProfileStack(balls, _stack(fam), (*rg, *rhos))
+        mfs = _sup_of_averages(stack.at(1.0, rhos), measures)
         specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in DEFAULT_WEAK_EXPONENTS]
-        mfs, strong = _maximal_and_q1_fofana(g, fam, rhog, rg, specs)
+        strong = zip(*(stack.fofana(spec) for spec in specs))
+        del stack
         ws = WeakWindowWorkspace(g, rg)
         ratios = {pair: {} for pair in DEFAULT_WEAK_EXPONENTS}
         dominance = 0.0

@@ -444,6 +444,10 @@ def test_report_diff_on_verify_reports(tmp_path, capsys):
         ({}, ["--suite", "kernel", "--kappa", "200"], "kappa = 200.0 is too large"),
         ({"DUNKL_KAPPA": "0.5,200"}, ["--suite", "kernel"], "kappa = 200.0 is too large"),
         ({}, ["--suite", "young", "--kappa", "127", "--domain-l", "16"], "kappa = 127.0 is too large for half_width 16.0"),
+        ({}, ["--suite", "transform", "--kappa", "90", "--domain-l", "16"], "kappa = 90.0 is too large for half_width 64.0"),
+        ({}, ["--suite", "translation", "--kappa", "100", "--domain-l", "16"], "kappa = 100.0 is too large for half_width 64.0"),
+        ({}, ["--suite", "theorem_maxi", "--exponents", ";"], "exponents must be non-empty"),
+        ({"DUNKL_EXPONENTS": ""}, ["--suite", "theorem_maxi"], "exponents must be non-empty"),
     ],
 )
 def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatch, capsys):

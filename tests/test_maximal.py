@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dunkl import maximal
+from dunkl import translation
 from dunkl._windows import WindowGeometry
 from dunkl import (
     DunklParams,
@@ -133,7 +133,7 @@ def test_zero_measure_radius_rejected_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the radii were checked")
 
-    monkeypatch.setattr(maximal, "_ball_convolution_stack", no_work)
+    monkeypatch.setattr(translation, "_ball_convolution_stack", no_work)
     monkeypatch.setattr(WindowGeometry, "masses", no_work)
     cases = []
     for kappa, rho, ops in (

@@ -24,9 +24,9 @@ from dunkl import (
 from dunkl.measure import ball_measure_origin, interval_measure
 from dunkl import _threads, norms
 from dunkl._windows import WindowGeometry, _range_max
-from dunkl.norms import _interval_profiles, _IntervalProfileStack
+from dunkl.norms import _ProfileStack, _profiles
 from dunkl import translation
-from dunkl.translation import translate_indicator_rows
+from dunkl.translation import TranslatedBalls, translate_indicator_rows
 from dunkl.verify import DEFAULT_FAMILY
 
 INF = math.inf
@@ -200,7 +200,7 @@ def test_fofana_classical_indicator_against_direct_shift_windows():
     spec = NormSpec(1.0, INF, 2.0, rg)
     val = fofana_norm(f, spec)
     direct = 0.0
-    for r, local in zip(rg, _interval_profiles(WindowGeometry.interval(g), f.values[None, :], 1.0, rg)[0]):
+    for r, local in zip(rg, _profiles(WindowGeometry.interval(g), f.values[None, :], 1.0, rg)[0]):
         direct = max(
             direct,
             ball_measure_origin(p, r) ** (0.5 - 1.0) * float(np.max(local)),
@@ -230,7 +230,7 @@ def test_interval_amalgam_window_at_origin(setup):
     p, g = setup
     one = GridFunction(g, np.ones(2048))
     # the window content at the origin center equals mu(I(0,1))
-    local = _interval_profiles(WindowGeometry.interval(g), one.values[None, :], 1.0, [1.0])[0, 0]
+    local = _profiles(WindowGeometry.interval(g), one.values[None, :], 1.0, [1.0])[0, 0]
     i0 = int(np.argmin(np.abs(g.nodes)))
     assert local[i0] == pytest.approx(0.5, abs=1e-2)
     assert interval_amalgam_norm_r(GridFunction(g, np.zeros(2048)), 1.0, INF, 1.0) == 0.0
@@ -638,7 +638,7 @@ def test_interval_fofana_builds_one_window_mass_per_function(monkeypatch):
 
     for spec in _interval_specs(g, ((1.0, 2.0, 1.0), (2.0, 8.0, 4.0), (INF, INF, INF))):
         want = [[_per_radius_interval_fofana(f, spec, scaled) for f in fam] for scaled in (False, True)]
-        stack = _IntervalProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), spec.r_grid)
+        stack = _ProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), spec.r_grid)
         monkeypatch.setattr(WindowGeometry, "_prefix", counted)
         sums.clear()
         assert [stack.fofana(spec), stack.fofana(spec, ball_scaled=True)] == want
@@ -680,8 +680,8 @@ def test_range_max_matches_per_node_loops(kappa, n):
     g = make_grid(DunklParams(kappa, classical=(kappa == -0.5)), 16.0, n)
     f = sample_family("trig_gauss", [1.0], g)
     radii = default_radius_grid(g) + default_radius_grid(g, ratio=2.0) + (1.0, 8.0, 100.0)
-    balls = norms._amalgam_profiles(g, f.values[None, :], INF, radii)[0]
-    intervals = _interval_profiles(WindowGeometry.interval(g), f.values[None, :], INF, radii)[0]
+    balls = _profiles(TranslatedBalls(g), f.values[None, :], INF, radii)[0]
+    intervals = _profiles(WindowGeometry.interval(g), f.values[None, :], INF, radii)[0]
     for r, u, v in zip(radii, balls, intervals):
         assert np.array_equal(u, _loop_annulus_max(f, r))
         assert np.array_equal(v, _loop_interval_max(f, r))

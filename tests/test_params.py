@@ -39,6 +39,14 @@ def test_classical_needs_flag():
     DunklParams(-0.5, classical=True)
 
 
+@pytest.mark.parametrize("kappa", [-0.25, 0.0, 0.5, 1.5])
+def test_classical_flag_only_at_minus_half(kappa):
+    # the flag switches translation to the classical shift, which is wrong
+    # anywhere but kappa = -1/2
+    with pytest.raises(ValueError, match=f"kappa = {kappa}"):
+        DunklParams(kappa, classical=True)
+
+
 @pytest.mark.parametrize("kappa", [150.0, 171.0, 200.0, 1e6])
 def test_rejects_a_kappa_whose_constants_leave_the_float_range(kappa):
     # b_kappa is subnormal at 150 and math.gamma overflows from 171 on;

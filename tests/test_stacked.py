@@ -24,11 +24,11 @@ from dunkl import (
 )
 from dunkl import _windows, transform, translation
 from dunkl._windows import WindowGeometry
-from dunkl.maximal import _dunkl_maximal_stack, _window_maximal, centered_maximal, interval_maximal
+from dunkl.maximal import _window_maximal, centered_maximal, interval_maximal
 from dunkl.measure import ball_measure, ball_measure_origin, interval_measure
-from dunkl.norms import _IntervalProfileStack, _ProfileStack
+from dunkl.norms import _ProfileStack
 from dunkl.transform import band_grid, forward_pair, inverse_pair
-from dunkl.translation import _ball_convolution_stack, ball_multiplier
+from dunkl.translation import TranslatedBalls, _ball_convolution_stack, ball_multiplier
 
 INF = math.inf
 KAPPAS = [(-0.5, True), (0.0, False), (0.5, False), (1.5, False)]
@@ -74,11 +74,11 @@ def test_stack_equals_separate_convolutions(kappa, classical):
     for f, rows in zip(fam, stacked):
         single = _ball_convolution_stack(g, f.values[None, :], radii)[0]
         assert np.max(np.abs(rows - single)) <= 1e-13 * np.max(np.abs(single))
-    maxima = _dunkl_maximal_stack(g, np.stack([f.values for f in fam]), radii)
+    maxima = _window_maximal(TranslatedBalls(g), np.stack([f.values for f in fam]), radii)
     for f, m in zip(fam, maxima):
         single = dunkl_maximal(f, radii).values
         assert np.max(np.abs(m - single)) <= 1e-13 * np.max(single)
-    stack = _ProfileStack(g, np.stack([f.values for f in fam]), radii)
+    stack = _ProfileStack(TranslatedBalls(g), np.stack([f.values for f in fam]), radii)
     for q in (1.0, 2.0, INF):
         spec = NormSpec(q, INF, INF, radii)
         for f, norm in zip(fam, stack.fofana(spec)):
@@ -149,7 +149,7 @@ def test_interval_stack_rows_equal_one_function_norms(kappa, classical):
     # for both center weights and across the exponents that take separate
     # routes (q = 1, finite q, q = inf; finite p, p = inf)
     g, fam, radii = _setup(kappa, classical)
-    stack = _IntervalProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), radii)
+    stack = _ProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), radii)
     for q, pp, alpha in ((1.0, 2.0, 1.0), (1.0, INF, 2.0), (2.0, 8.0, 4.0), (2.0, INF, 4.0), (INF, INF, INF)):
         spec = NormSpec(q, pp, alpha, radii)
         assert stack.fofana(spec) == [interval_fofana_norm(f, spec) for f in fam]
@@ -179,7 +179,7 @@ def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, 
         return window_end(*args)
 
     monkeypatch.setattr(_windows, "_window_end", counted)
-    stack = _IntervalProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), radii)
+    stack = _ProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), radii)
     profiles = {q: stack.at(q, radii) for q in (1.0, 1.5, 2.0)}
     stack.fofana(NormSpec(2.0, 8.0, 4.0, radii), ball_scaled=True)
     assert len(ends) == 2 * len(radii)
@@ -223,3 +223,23 @@ def test_annulus_window_maximal_matches_fresh_window_masses(kappa, classical):
             np.maximum(best, avg, out=best)
         np.testing.assert_array_equal(got, np.concatenate([best[::-1], best]))
         np.testing.assert_array_equal(centered_maximal(f, rhos).values, got)
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+def test_translated_balls_are_a_window_family(kappa, classical):
+    # the ball measure is one scalar, so the ball-scaled weight
+    # mu^theta * (mu / mu)^e is mu^theta and the two Fofana norms have the
+    # same bits; the q = inf profiles are the annulus maxima, unfolded
+    g, fam, radii = _setup(kappa, classical)
+    balls = TranslatedBalls(g)
+    rows = np.stack([f.values for f in fam])
+    stack = _ProfileStack(balls, rows, radii)
+    for q, pp, alpha in ((1.0, 2.0, 1.0), (2.0, 8.0, 4.0), (2.0, INF, 4.0), (INF, INF, INF)):
+        spec = NormSpec(q, pp, alpha, radii)
+        assert stack.fofana(spec, ball_scaled=True) == stack.fofana(spec)
+    annuli = WindowGeometry.annulus(g)
+    want = annuli.unfold(annuli.maxima(np.abs(rows), radii))
+    assert np.array_equal(stack.at(INF, radii), want)
+    assert np.array_equal(balls.maxima(np.abs(rows), radii), want)
+    assert all(balls.measure(r) == ball_measure_origin(g.params, r) for r in radii)
+    assert np.array_equal(balls.masses(rows, radii), _ball_convolution_stack(g, rows, radii))

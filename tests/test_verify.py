@@ -68,6 +68,11 @@ def test_config_validation():
         SuiteConfig(kappa_list=(0.5, 200.0))
     with pytest.raises(ValueError, match="kappa = 127.0 is too large for half_width 16.0"):
         SuiteConfig(kappa_list=(127.0,))
+    # the suites also build the band grid of 4L = 64, whose measure leaves
+    # the float range from about kappa 83.84 on
+    with pytest.raises(ValueError, match="kappa = 90.0 is too large for half_width 64.0.*half_width 16.0"):
+        SuiteConfig(kappa_list=(90.0,))
+    SuiteConfig(kappa_list=(83.5,))
     nan, inf = float("nan"), float("inf")
     for kwargs, message in [
         ({"kappa_list": (0.0, 0.0)}, r"kappa_list.*\(0.0, 0.0\)"),
@@ -80,6 +85,7 @@ def test_config_validation():
         ({"seed": nan}, r"seed.*nan"),
         ({"node_count": 4096.7}, r"node_count.*4096\.7"),
         ({"node_count": inf}, r"node_count.*inf"),
+        ({"exponents": ()}, "exponents must be non-empty"),
     ]:
         with pytest.raises(ValueError, match=message):
             SuiteConfig(**kwargs)
@@ -271,3 +277,47 @@ def test_runtime_not_serialized():
     rep = _small("kernel")
     assert rep.runtime_seconds > 0.0
     assert "runtime" not in rep.to_json()
+
+
+def test_weak_suite_reads_maximal_functions_and_q1_norms_from_one_ball_stack(monkeypatch):
+    # theorem_weakmaxi takes M f and the q = 1 Fofana norms of the family
+    # from one translated-ball profile stack over both radius grids; both
+    # have the bits of the maximal path and of the family stack over the
+    # radius grid alone.  A one-row fofana_norm transforms with a
+    # matrix-vector product, not the stack's matrix product, so it agrees
+    # to rounding only
+    from dunkl import NormSpec, default_radius_grid, fofana_norm, verify
+    from dunkl.maximal import _window_maximal
+    from dunkl.translation import TranslatedBalls
+
+    maxima, norms = [], []
+    sup_of_averages = verify._sup_of_averages
+
+    def recorded(*args):
+        maxima.append(sup_of_averages(*args))
+        return maxima[-1]
+
+    class Recording(verify._ProfileStack):
+        def fofana(self, spec, ball_scaled=False):
+            out = super().fofana(spec, ball_scaled)
+            norms.append((self, spec, out))
+            return out
+
+    monkeypatch.setattr(verify, "_sup_of_averages", recorded)
+    monkeypatch.setattr(verify, "_ProfileStack", Recording)
+    run_suite("theorem_weakmaxi", SuiteConfig(kappa_list=(0.5,), **SMALL))
+    pairs = verify.DEFAULT_WEAK_EXPONENTS
+    assert len(maxima) == 2 and len(norms) == 2 * len(pairs)  # coarse, then fine
+    for mf, calls in zip(maxima, (norms[: len(pairs)], norms[len(pairs) :])):
+        stack = calls[0][0]
+        g = stack.windows.grid
+        rg, rhog = default_radius_grid(g, ratio=2.0), default_radius_grid(g)
+        fam = verify._family(g)
+        assert isinstance(stack.windows, TranslatedBalls)
+        assert stack.radii == sorted({*rg, *rhog})
+        assert np.array_equal(mf, _window_maximal(TranslatedBalls(g), verify._stack(fam), rhog))
+        for (s, spec, out), (pp, alpha) in zip(calls, pairs):
+            assert s is stack and spec == NormSpec(1.0, pp, alpha, rg)
+            assert out == Recording(TranslatedBalls(g), verify._stack(fam), rg).fofana(spec)
+            for f, norm in zip(fam.values(), out):
+                assert norm == pytest.approx(fofana_norm(f, spec), rel=1e-13)
