@@ -19,9 +19,11 @@ There is one computational path, the real pair: `forward_pair` maps real
 samples (stacked rows allowed) to the halves (U, V) of a conjugate-symmetric
 spectrum, and `inverse_pair` maps such halves back to real samples.  Complex
 data goes through it by linearity, one pair call per real or imaginary part.
-Stacked spectra go back through `inverse_rows` in row chunks, and every grid
-derived from another (frequency bands and their inverse) through `band_grid`,
-which keeps the grids it builds in a bounded memo.
+Stacked spectra go back through `inverse_rows` in row chunks, at every node
+or, with `nodes`, at those nodes only (the products then take only the
+block columns of their |node|), and every grid derived from another
+(frequency bands and their inverse) through `band_grid`, which keeps the
+grids it builds in a bounded memo.
 """
 
 from __future__ import annotations
@@ -198,24 +200,39 @@ def forward_pair(params: DunklParams, xg: Grid, lg: Grid, vals: np.ndarray):
     return (w * fe) @ a.T, -((w * fo) @ b.T)
 
 
-def inverse_pair(params: DunklParams, lg: Grid, xg: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Invert a conjugate-symmetric spectral pair (U, V) to real samples."""
+def inverse_pair(params: DunklParams, lg: Grid, xg: Grid, u, v, nodes=None) -> np.ndarray:
+    """Invert a conjugate-symmetric spectral pair (U, V) to real samples, at
+    every node of xg, or at the nodes of the index array nodes only.
+
+    With nodes, the products use only the kernel-block columns of the
+    distinct |node|, and the even/odd join takes each node's side.  The
+    values are the full result's at those nodes to rounding, and bit for
+    bit when every column is taken; with fewer columns a BLAS kernel may
+    round a column by its place in the product (OpenBLAS does, in the last
+    place, at some shapes and BLAS thread counts).
+    """
     a, b = _blocks(params, lg, xg)
     w = 2.0 * lg.positive_weights
-    ev = (w * u) @ a
-    od = -((w * v) @ b)
-    return _join(ev, od)
+    if nodes is None:
+        return _join((w * u) @ a, -((w * v) @ b))
+    half = xg.node_count // 2
+    right = nodes >= half
+    cols, at = np.unique(np.where(right, nodes - half, half - 1 - nodes), return_inverse=True)
+    ev = ((w * u) @ a[:, cols])[..., at]
+    od = (-((w * v) @ b[:, cols]))[..., at]
+    return np.where(right, ev + od, ev - od)
 
 
-def inverse_rows(params: DunklParams, lg: Grid, xg: Grid, count: int, rows) -> np.ndarray:
+def inverse_rows(params: DunklParams, lg: Grid, xg: Grid, count: int, rows, nodes=None) -> np.ndarray:
     """Invert count stacked spectral pairs to real rows; rows(s) gives the
     pair (U, V) of the rows in slice s, made and inverted in row chunks of
-    at most _CHUNK_ELEMENTS output values."""
-    out = np.empty((count, xg.node_count))
+    at most _CHUNK_ELEMENTS // N rows.  With nodes (see `inverse_pair`) the
+    rows hold those nodes' values only, (count, len(nodes))."""
+    out = np.empty((count, xg.node_count if nodes is None else len(nodes)))
     step = max(1, _CHUNK_ELEMENTS // xg.node_count)
     for i in range(0, count, step):
         s = slice(i, i + step)
-        out[s] = inverse_pair(params, lg, xg, *rows(s))
+        out[s] = inverse_pair(params, lg, xg, *rows(s), nodes)
     return out
 
 

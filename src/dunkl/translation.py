@@ -2,15 +2,17 @@
 
 Translation by y multiplies the transform by the kernel factor E(i l y); at
 kappa = -1/2 this reduces to the classical shift f(x) -> f(x + y).
-Translating one real f by many offsets takes one forward transform of f and
-one multiplier row per offset, inverted as stacked rows (a matrix product per
-row chunk, not a matrix-vector product per offset); `translate` is that path
-with a single offset.  Ball convolutions (a row per radius) invert the same
-way, in the row chunks of `transform.inverse_rows`, so no temporary outgrows
-a kernel-block chunk.  They take whole stacks of functions on one grid: one
-forward matrix product for the stack, the ball multipliers (memoized across
-calls per frequency grid and radius, see `ball_multiplier`), and one chunked
-inverse over every (function, radius) row.
+`_Translates(grid, rows)` is a stack of real functions to translate: each is
+transformed once, when the stack is built, and `rows(which, ys, nodes)`
+inverts every chosen (function, offset) spectrum as stacked rows (a matrix
+product per row chunk, not a matrix-vector product per offset), at every
+node or at the given nodes only.  `translate_rows` is its one-function case
+and `translate` that with a single offset.  Ball convolutions (a row per
+radius) invert the same way, in the row chunks of `transform.inverse_rows`,
+so no temporary outgrows a kernel-block chunk.  They take whole stacks of
+functions on one grid: one forward matrix product for the stack, the ball
+multipliers (memoized across calls per frequency grid and radius, see
+`ball_multiplier`), and one chunked inverse over every (function, radius) row.
 
 Convolution multiplies transforms pointwise.  Ball convolutions use the
 closed form of the indicator transform,
@@ -106,24 +108,90 @@ def _ball_multiplier(params: DunklParams, lg: Grid, r: float) -> np.ndarray:
     return out
 
 
-def translate_rows(f: GridFunction, ys) -> np.ndarray:
-    """Translates of real f by every offset in ys, stacked one row per offset.
-
-    Every offset is checked before any work; f is transformed once, and the
-    multipliers and the inverse run per row chunk (see `inverse_rows`).
-    """
-    grid = f.grid
+def _offsets(grid: Grid, ys) -> np.ndarray:
+    """The offsets ys as an array, each checked; at least one."""
     ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
     if not ya.size:
         raise ValueError("no translation offsets given")
-    if not f.is_real:
-        raise ValueError("stacked translation expects real samples")
-    params = grid.params
-    lg = band_grid(grid, _FUNCTION_BAND)
-    u, v = forward_pair(params, grid, lg, f.values)
-    return inverse_rows(
-        params, lg, grid, ya.size, lambda s: pair_multiply(u, v, *multiplier_pair(params, lg, ya[s]))
-    )
+    return ya
+
+
+def _real_rows(grid: Grid, rows, what: str) -> np.ndarray:
+    """rows as a non-empty real (F, N) stack of samples on grid."""
+    vals = np.asarray(rows)
+    if vals.ndim != 2 or not vals.shape[0]:
+        raise ValueError(f"{what} need a non-empty (F, N) stack of rows")
+    if np.iscomplexobj(vals):
+        raise ValueError(f"{what} expect real samples")
+    if vals.shape[1] != grid.node_count:
+        raise ValueError(f"rows of {vals.shape[1]} samples do not match {grid.node_count} grid nodes")
+    return vals
+
+
+def _indices(idx, size: int, what: str) -> np.ndarray:
+    """idx as an array of whole indices in [0, size)."""
+    ia = np.asarray(idx)
+    if ia.ndim != 1 or not ia.size:
+        raise ValueError(f"{what} must be a non-empty list of indices")
+    if ia.dtype.kind not in "iu" or ia.min() < 0 or ia.max() >= size:
+        raise ValueError(f"{what} must be whole indices in [0, {size}), got {ia.tolist()}")
+    return ia
+
+
+class _Translates:
+    """Translates of a stack of real rows (F, N) on grid by any offsets.
+
+    Each row takes one forward pair when the stack is built, one function at
+    a time (a matrix-vector product, the bits of `translate`'s forward).
+    `rows` then inverts every chosen (row, offset) spectrum through one
+    chunked `inverse_rows`, building each offset's multipliers once per
+    chunk for every row, so no temporary outgrows a chunk.
+    """
+
+    def __init__(self, grid: Grid, rows):
+        vals = _real_rows(grid, rows, "translates")
+        self.grid = grid
+        self._lg = band_grid(grid, _FUNCTION_BAND)
+        pairs = [forward_pair(grid.params, grid, self._lg, row) for row in vals]
+        self._u = np.stack([u for u, _ in pairs])
+        self._v = np.stack([v for _, v in pairs])
+
+    def rows(self, which, ys, nodes=None) -> np.ndarray:
+        """Translates of the rows which by every offset in ys: (len(which),
+        Y, N), or (len(which), Y, len(nodes)) at the nodes indexed by nodes
+        only.  Every index and offset is checked before any transform.
+
+        One row by one offset is a one-row inverse (a matrix-vector product),
+        as in `translate`.  Stacked full rows have the bits they have in any
+        stack whose chunks BLAS multiplies through the same kernel (at
+        N = 4096, any chunk of two or more rows); rows at nodes are the full
+        rows' values to rounding (see `transform.inverse_pair`).
+        """
+        grid, lg = self.grid, self._lg
+        which = _indices(which, self._u.shape[0], "rows")
+        ya = _offsets(grid, ys)
+        if nodes is not None:
+            nodes = _indices(nodes, grid.node_count, "nodes")
+        nf = which.size
+
+        def spectra(s):
+            # offset-major rows: a chunk's offsets are one run of ys, whose
+            # multipliers it builds once for every row
+            yi, fi = np.divmod(np.arange(ya.size * nf)[s], nf)
+            a, b = multiplier_pair(grid.params, lg, ya[yi[0] : yi[-1] + 1])
+            k = yi - yi[0]
+            return pair_multiply(self._u[which[fi]], self._v[which[fi]], a[k], b[k])
+
+        out = inverse_rows(grid.params, lg, grid, ya.size * nf, spectra, nodes)
+        return out.reshape(ya.size, nf, -1).swapaxes(0, 1)
+
+
+def translate_rows(f: GridFunction, ys) -> np.ndarray:
+    """Translates of real f by every offset in ys, stacked one row per offset:
+    the one-row case of `_Translates`, with every offset checked before f is
+    transformed."""
+    ya = _offsets(f.grid, ys)
+    return _Translates(f.grid, f.values[None, :]).rows([0], ya)[0]
 
 
 def translate(f: GridFunction, y: float) -> GridFunction:
@@ -209,13 +277,7 @@ def _ball_convolution_stack(grid: Grid, rows, radii) -> np.ndarray:
     the F * R spectra go back through the chunked `inverse_rows`, function by
     function and radius by radius.
     """
-    vals = np.asarray(rows)
-    if vals.ndim != 2 or not vals.shape[0]:
-        raise ValueError("ball convolutions need a non-empty (F, N) stack of rows")
-    if np.iscomplexobj(vals):
-        raise ValueError("ball convolutions expect real samples")
-    if vals.shape[1] != grid.node_count:
-        raise ValueError(f"rows of {vals.shape[1]} samples do not match {grid.node_count} grid nodes")
+    vals = _real_rows(grid, rows, "ball convolutions")
     rr = [float(r) for r in radii]
     if not rr:
         raise ValueError("no radii given")

@@ -393,6 +393,130 @@ def test_translate_rows_checks_every_offset_first(bad, monkeypatch):
         translate_rows(f, [])
 
 
+def _family_stack(g):
+    return np.stack(
+        [sample_family("gaussian", [0.5], g).values, sample_family("bump", [0.0, 2.0], g).values]
+        + [sample_family("trig_gauss", [a], g).values for a in (1.0, 3.0)]
+        + [sample_family("indicator_ball", [1.0], g).values]
+    )
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+def test_translates_one_row_is_translate(kappa, classical):
+    # one row by one offset is the one-row inverse of `translate`, bit for bit
+    p = DunklParams(kappa, classical=classical)
+    g = make_grid(p, 16.0, 1024)
+    stack = _family_stack(g)
+    tr = translation._Translates(g, stack)
+    for i in range(stack.shape[0]):
+        f = GridFunction(g, stack[i])
+        for y in (0.0, 1.5, -7.25):
+            row = tr.rows([i], [y])
+            assert row.shape == (1, 1, g.node_count)
+            assert np.array_equal(row[0, 0], translate(f, y).values)
+            assert np.array_equal(row[0, 0], translate_rows(f, [y])[0])
+
+
+# Stacked rows keep their bits in any stack whose products BLAS runs through
+# one kernel.  OpenBLAS on AVX-512 takes a small-matrix kernel below 10^6
+# multiply-adds, so this test stacks at N = 2048, where a product of two
+# rows with the 1024 x 1024 blocks is past it.
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+def test_translates_stack_equals_translate_rows_per_member(kappa, classical):
+    # F members by two or more offsets each, stacked into chunks of several
+    # members, give every member's own `translate_rows`, bit for bit
+    p = DunklParams(kappa, classical=classical)
+    g = make_grid(p, 16.0, 2048)
+    stack = _family_stack(g)
+    tr = translation._Translates(g, stack)
+    assert transform._CHUNK_ELEMENTS // g.node_count == 128
+    for ys in ([1.0, -2.5], np.linspace(-15.0, 15.0, 37), np.linspace(-8.0, 8.0, 66)):
+        which = [4, 0, 2, 1, 3]
+        rows = tr.rows(which, ys)
+        assert rows.shape == (len(which), len(ys), g.node_count)
+        for i, got in zip(which, rows):
+            assert np.array_equal(got, translate_rows(GridFunction(g, stack[i]), ys))
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+def test_translates_at_nodes_equal_the_full_rows(kappa, classical):
+    p = DunklParams(kappa, classical=classical)
+    g = make_grid(p, 16.0, 1024)
+    tr = translation._Translates(g, _family_stack(g))
+    ys = np.array([-15.0, -6.0, -0.5, 0.0, 0.75, 2.25, 9.0, 16.0])
+    full = tr.rows([0, 1, 4], ys)
+    # every node, shuffled and some repeated: the products take every block
+    # column, as the full rows do, and the join gives each node its side of
+    # 0, bit for bit
+    shuffled = np.random.default_rng(5).permutation(g.node_count)
+    nodes = np.concatenate([shuffled, shuffled[:40], [511, 512, 511]])
+    at = tr.rows([0, 1, 4], ys, nodes=nodes)
+    assert at.shape == (3, ys.size, nodes.size)
+    assert np.array_equal(at, full[:, :, nodes])
+    # fewer nodes take fewer block columns: equal to rounding, since a BLAS
+    # kernel may round a column by its place in the product
+    scale = np.max(np.abs(full))
+    for nodes in ([3, 1020, 511, 512, 700], [600, 600, 17, 600, 17], np.arange(100, 924, 37)):
+        at = tr.rows([0, 1, 4], ys, nodes=nodes)
+        assert at.shape == (3, ys.size, len(nodes))
+        assert np.max(np.abs(at - full[:, :, nodes])) <= 1e-14 * scale
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a transform ran before the inputs were checked")
+
+
+def test_translates_check_offsets_and_indices_before_any_transform(monkeypatch):
+    p = DunklParams(0.5)
+    g = make_grid(p, 8.0, 256)
+    tr = translation._Translates(g, _family_stack(g))
+    monkeypatch.setattr(translation, "multiplier_pair", _refuse)
+    monkeypatch.setattr(translation, "inverse_rows", _refuse)
+    for which, ys, nodes, msg in (
+        ([0], [1.0, 9.0], None, "leaves the resolved domain"),
+        ([0], [float("nan")], None, "finite"),
+        ([0], [], None, "no translation offsets"),
+        ([5], [1.0], None, r"rows must be whole indices in \[0, 5\)"),
+        ([-1], [1.0], None, "rows must be whole"),
+        ([0.5], [1.0], None, "rows must be whole"),
+        ([], [1.0], None, "rows must be a non-empty"),
+        ([0, 1], [1.0], [3, 256], r"nodes must be whole indices in \[0, 256\)"),
+        ([0, 1], [1.0], [-1, 3], "nodes must be whole"),
+        ([0, 1], [1.0], [1.5], "nodes must be whole"),
+        ([0, 1], [1.0], [], "nodes must be a non-empty"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            tr.rows(which, ys, nodes=nodes)
+    monkeypatch.setattr(translation, "forward_pair", _refuse)
+    for rows, msg in (
+        (np.zeros((0, 256)), "non-empty"),
+        (np.zeros(256), "non-empty"),
+        (np.zeros((2, 255)), "255 samples"),
+        (np.zeros((2, 256), dtype=complex), "real samples"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            translation._Translates(g, rows)
+
+
+def test_translates_transform_each_row_once(monkeypatch):
+    p = DunklParams(0.5)
+    g = make_grid(p, 8.0, 256)
+    calls = []
+
+    def counted(params, xg, lg, vals):
+        calls.append(np.shape(vals))
+        return forward_pair(params, xg, lg, vals)
+
+    monkeypatch.setattr(translation, "forward_pair", counted)
+    tr = translation._Translates(g, _family_stack(g))
+    tr.rows(range(5), [1.0, -2.0])
+    tr.rows([1], [0.5], nodes=[3, 200])
+    # one matrix-vector forward per row, none per call of rows
+    assert calls == [(256,)] * 5
+
+
 def test_translate_indicator_rejects_params_of_another_kappa():
     g = make_grid(DunklParams(0.5), 8.0, 256)
     with pytest.raises(ValueError, match=r"kappa 1\.5 .* kappa 0\.5"):

@@ -117,6 +117,27 @@ def test_suite_requirements_name_the_suite():
         check_suite("nosuch", cfg)
 
 
+def test_translation_needs_a_spacing_of_at_most_one_eighth():
+    # the differentiation windows have radii 8h * 2^k <= 1: none fits past h = 1/8
+    with pytest.raises(ValueError, match=r"suite 'translation'.*h = 2L/N <= 1/8, got h = 0.25 \(N >= 16 L\)"):
+        check_suite("translation", SuiteConfig(node_count=64, half_width=8.0))
+    with pytest.raises(ValueError, match="got h = 0.25"):
+        run_suite("translation", SuiteConfig(node_count=64, half_width=8.0))
+    check_suite("translation", SuiteConfig(node_count=128, half_width=8.0))  # h = 1/8: one window
+    check_suite("transform", SuiteConfig(node_count=64, half_width=8.0))
+
+
+@pytest.mark.parametrize("kappa,n", [(10.0, 256), (2.0, 64)])
+def test_holder_homogeneity_skips_a_member_of_norm_zero(kappa, n):
+    # indicator_ball(0.5)'s r = 1 amalgam norm is 0.0 on these coarse grids:
+    # it has no homogeneity ratio, as it has no Holder ratio
+    rep = run_suite("holder", SuiteConfig(kappa_list=(kappa,), node_count=n))
+    cases = {c.case_id: c for c in rep.cases}
+    tag = "k%g" % kappa
+    assert not cases[f"definiteness_positive_{tag}"].passed  # the zero norm is recorded
+    assert math.isfinite(cases[f"homogeneity_{tag}"].lhs)
+
+
 def test_interval_fofana_maximal_builds_one_window_geometry_per_grid(monkeypatch):
     # per kappa and grid level: one interval geometry serves the |f| profile
     # stack, the maximal-function stack and the maximal functions, and one
