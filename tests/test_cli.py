@@ -446,11 +446,11 @@ def test_report_diff_on_verify_reports(tmp_path, capsys):
         ({}, ["--suite", "young", "--kappa", "127", "--domain-l", "16"], "kappa = 127.0 is too large for half_width 16.0"),
         ({}, ["--suite", "transform", "--kappa", "90", "--domain-l", "16"], "kappa = 90.0 is too large for half_width 64.0"),
         ({}, ["--suite", "translation", "--kappa", "100", "--domain-l", "16"], "kappa = 100.0 is too large for half_width 64.0"),
+        ({}, ["--suite", "theorem_maxi", "--exponents", ";"], "exponents must be non-empty"),
+        ({"DUNKL_EXPONENTS": ""}, ["--suite", "theorem_maxi"], "exponents must be non-empty"),
         ({}, ["--suite", "translation", "--grid-n", "64"], "suite 'translation': the differentiation windows"),
         ({}, ["--suite", "all", "--grid-n", "64"], "grid spacing h = 2L/N <= 1/8, got h = 0.25"),
         ({}, ["--suite", "translation", "--grid-n", "4096", "--domain-l", "400"], "got h = 0.195312"),
-        ({}, ["--suite", "theorem_maxi", "--exponents", ";"], "exponents must be non-empty"),
-        ({"DUNKL_EXPONENTS": ""}, ["--suite", "theorem_maxi"], "exponents must be non-empty"),
     ],
 )
 def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatch, capsys):
