@@ -39,7 +39,7 @@ from .params import DunklParams
 from .special import bessel_normalized, dunkl_derivative, dunkl_kernel
 from .transform import SpectralFunction, forward, inverse, plancherel_defect
 from .translation import convolve, translate, translate_indicator, translate_rows
-from .verify import SuiteConfig, VerificationReport, list_suites, run_suite
+from .verify import SuiteConfig, VerificationReport, list_suites, run_suite, run_suites
 
 __all__ = [
     "DunklParams",
@@ -75,6 +75,7 @@ __all__ = [
     "plancherel_defect",
     "read_csv_function",
     "run_suite",
+    "run_suites",
     "sample_family",
     "translate",
     "translate_indicator",

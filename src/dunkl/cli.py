@@ -45,7 +45,7 @@ from .norms import (
     weak_l1_norm,
 )
 from .report import ReportFormatError, diff_reports, load_cases
-from .verify import SuiteConfig, _params_for, canonical_json, check_suite, list_suites, run_suite
+from .verify import SuiteConfig, _params_for, canonical_json, check_suite, list_suites, run_suites
 
 USAGE_EXIT = 2
 IO_EXIT = 3
@@ -217,15 +217,13 @@ def _cmd_verify(args, parser) -> int:
     if problems:
         parser.error("; ".join(problems))
 
-    reports = []
+    reports = run_suites(names, cfg)
     failed = 0
-    for name in names:
-        rep = run_suite(name, cfg)
-        reports.append(rep)
+    for rep in reports:
         failed += rep.n_failed
         status = "PASS" if rep.n_failed == 0 else "FAIL"
         print(
-            f"[{status}] {name}: {len(rep.cases)} cases, {rep.n_failed} failed, "
+            f"[{status}] {rep.suite}: {len(rep.cases)} cases, {rep.n_failed} failed, "
             f"max ratio {rep.max_ratio:.6g}, {rep.runtime_seconds:.1f}s"
         )
         for c in rep.cases:

@@ -46,9 +46,11 @@ __all__ = ["SpectralFunction", "forward", "inverse", "plancherel_defect"]
 SpectralFunction = GridFunction
 
 
-# Block pairs kept by `_blocks`, least recently used first out.  An entry
-# holds two N/2 x N/2 float64 blocks, 64 MB at N = 4096.
-_KERNEL_CACHE = 16
+# Bytes of the block pairs kept by `_blocks`, least recently used first
+# out.  A pair holds two N/2 x N/2 float64 blocks, 64 MiB at N = 4096, so
+# the bound holds the four pairs of one kappa of `verify`; a single larger
+# pair is still kept, alone.
+_KERNEL_CACHE_BYTES = 256 << 20
 # Output values per row chunk of `inverse_rows`.
 _CHUNK_ELEMENTS = 1 << 18
 # Kernel blocks are built in row pieces of at most this many elements (one
@@ -64,11 +66,26 @@ _building: "dict[tuple, _Build]" = {}
 
 
 class _Build:
-    """One in-flight block build; `blocks` stays None if the build fails."""
+    """One in-flight block build of nbytes; `blocks` stays None if the build
+    fails."""
 
-    def __init__(self):
+    def __init__(self, nbytes: int):
         self.done = threading.Event()
+        self.nbytes = nbytes
         self.blocks = None
+
+
+def _pair_bytes(blocks) -> int:
+    return blocks[0].nbytes + blocks[1].nbytes
+
+
+def _evict(nbytes: int) -> None:
+    """Drop least recently used pairs until the cached pairs, the builds in
+    flight and nbytes more fit under _KERNEL_CACHE_BYTES, or none is left.
+    The caller holds _cache_lock."""
+    used = sum(map(_pair_bytes, _cache.values())) + sum(b.nbytes for b in _building.values())
+    while _cache and used + nbytes > _KERNEL_CACHE_BYTES:
+        used -= _pair_bytes(_cache.popitem(last=False)[1])
 
 
 def _leading(blocks, m: int, n: int):
@@ -142,7 +159,12 @@ def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
     Cached by (kappa, output spacing, input spacing).  Midpoint grids of one
     spacing share their leading positive nodes, so an entry serves every
     leading sub-block; a request it does not cover builds one pair covering
-    both, which replaces it.  Concurrent misses of one key build it once."""
+    both, which replaces it.  Before a build the store drops the entry it
+    replaces, then least recently used pairs until the new pair fits under
+    _KERNEL_CACHE_BYTES beside the rest and the other builds in flight, so
+    the bound holds at the build's peak too; an insert drops the oldest
+    pairs that builds of other keys left past the bound.  Concurrent misses
+    of one key build it once."""
     key = (params.kappa, out_grid.spacing, in_grid.spacing)
     m, n = out_grid.node_count // 2, in_grid.node_count // 2
     while True:
@@ -154,10 +176,13 @@ def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
                 return blocks
             build = _building.get(key)
             if build is None:
-                build = _building[key] = _Build()
                 # the new pair covers the entry too, and replaces it
                 shape = (0, 0) if entry is None else entry[0].shape
                 rows, cols = max(m, shape[0]), max(n, shape[1])
+                _cache.pop(key, None)
+                nbytes = 16 * rows * cols  # two float64 blocks
+                _evict(nbytes)
+                build = _building[key] = _Build(nbytes)
                 break
         build.done.wait()
         blocks = _leading(build.blocks, m, n)
@@ -167,8 +192,9 @@ def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
         built = _build(params, _midpoints(rows, key[1]), _midpoints(cols, key[2]))
         with _cache_lock:
             _cache[key] = built
-            _cache.move_to_end(key)
-            while len(_cache) > _KERNEL_CACHE:
+            # builds of other keys in flight at once can pass the bound
+            # together: drop the oldest pairs, never the new one
+            while len(_cache) > 1 and sum(map(_pair_bytes, _cache.values())) > _KERNEL_CACHE_BYTES:
                 _cache.popitem(last=False)
         build.blocks = built
     finally:

@@ -15,15 +15,21 @@ significant digits, no wall-clock content, so identical configurations yield
 byte-identical payloads.
 
 Eleven suites are bodies ``body(rec, cfg, kappa, params)`` registered with
-``_per_kappa``, whose one loop calls them per kappa of ``cfg.kappa_list``.
-A body records through ``rec.at(kappa)``: a view sharing the recorder's cases,
-name and random streams that puts ``"kappa"`` first in every case's inputs and
-carries the id label ``ktag`` (``k0.5``, ``km0.5``).  ``kernel`` (kappa-free
-cases between per-kappa ones, a maximum over all kappas) and
-``measure_lemmas`` (one doubling stream across all kappas) keep their own
-loops, since bodies would reorder their cases or move report bits.  Streams
-are seeded by (seed, suite, label), so labels such as ``f"pairs_{kappa}"``
-(the float's repr) are part of the report's determinism.
+``_per_kappa``.  ``run_suites`` owns the kappa loop and runs kappa-major: for
+each kappa of ``cfg.kappa_list`` it calls every requested body at that kappa,
+so the kernel blocks of one kappa are built once and the byte-bounded store
+(``transform._KERNEL_CACHE_BYTES``) can drop them before the next kappa;
+``run_suite`` is its one-suite case.  A body records through
+``rec.at(kappa)``: a view sharing the recorder's cases, name and random
+streams that puts ``"kappa"`` first in every case's inputs and carries the id
+label ``ktag`` (``k0.5``, ``km0.5``).  ``kernel`` (kappa-free cases between
+per-kappa ones, a maximum over all kappas) and ``measure_lemmas`` (one
+doubling stream across all kappas) run whole, before the kappa loop, since
+bodies would reorder their cases or move report bits.  Streams are seeded by
+(seed, suite, label), not by the order of the calls, so labels such as
+``f"pairs_{kappa}"`` (the float's repr) are part of the report's
+determinism, and the kappa-major reports are the bytes of one suite at a
+time.
 """
 
 from __future__ import annotations
@@ -64,7 +70,9 @@ from .translation import (
 )
 from .transform import forward, inverse, plancherel_defect
 
-__all__ = ["SuiteConfig", "Case", "VerificationReport", "check_suite", "list_suites", "run_suite"]
+__all__ = [
+    "SuiteConfig", "Case", "VerificationReport", "check_suite", "list_suites", "run_suite", "run_suites"
+]
 
 INF = math.inf
 
@@ -364,13 +372,11 @@ class _Recorder:
 
     def stability(self, case_id, statement, value, reference, **inputs):
         """Bound the drift |value/reference - 1| between two grid or domain
-        sizes (the largest one, for tuples) by the stability tolerance."""
+        sizes (the largest one, for tuples) by the stability tolerance; a
+        zero reference gives an infinite drift, a failed case."""
         pairs = zip(value, reference) if isinstance(value, tuple) else [(value, reference)]
-        drift = max(abs(v / r - 1.0) for v, r in pairs)
+        drift = max(abs(v / r - 1.0) if r != 0.0 else INF for v, r in pairs)
         return self.bound(case_id, statement, drift, DEFAULT_TOLERANCES["stability"], 0.0, **inputs)
-
-    def report(self) -> VerificationReport:
-        return VerificationReport(self.name, self.cfg.echo(), self.cases)
 
 
 def _family(grid: Grid, names=None) -> dict:
@@ -402,7 +408,10 @@ def _refined(cfg: SuiteConfig, params: DunklParams, evaluate):
     return tuple(evaluate(make_grid(params, cfg.half_width, n)) for n in sizes)
 
 
+# Suites by name, in declaration order: a whole suite fn(rec, cfg), or a
+# per-kappa body(rec, cfg, kappa, params) for the names in _PER_KAPPA.
 _SUITES: dict = {}
+_PER_KAPPA: set = set()
 
 
 def _suite(fn):
@@ -412,15 +421,10 @@ def _suite(fn):
 
 
 def _per_kappa(body):
-    """Register body(rec, cfg, kappa, params) as a suite that runs it once per
-    kappa of the config, in order, recording through the view rec.at(kappa)."""
-
-    def run(rec: _Recorder, cfg: SuiteConfig):
-        for kappa in cfg.kappa_list:
-            body(rec.at(kappa), cfg, kappa, _params_for(kappa))
-
-    run.__name__ = body.__name__
-    return _suite(run)
+    """Register body(rec, cfg, kappa, params) as a suite that `run_suites`
+    calls once per kappa of the config, recording through rec.at(kappa)."""
+    _PER_KAPPA.add(body.__name__.removeprefix("_suite_"))
+    return _suite(body)
 
 
 def list_suites():
@@ -454,17 +458,40 @@ def check_suite(name: str, cfg: SuiteConfig) -> None:
         )
 
 
-def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationReport:
-    """Execute one named suite.  Failed inequalities are recorded, never
-    raised; the report carries every case."""
+def run_suites(names, config: SuiteConfig | None = None) -> list:
+    """Execute the named suites kappa-major: the whole suites first, then,
+    for each kappa of the config, every per-kappa body at that kappa, so the
+    kernel blocks of one kappa are built once and can then be dropped.
+
+    Returns one report per suite in `list_suites` order, each with its cases
+    in kappa order and the seconds of all its units.  Failed inequalities
+    are recorded, never raised; an exception in any unit reaches the caller.
+    """
     cfg = config if config is not None else SuiteConfig()
-    check_suite(name, cfg)
-    rec = _Recorder(name, cfg)
-    t0 = time.perf_counter()
-    _SUITES[name](rec, cfg)
-    report = rec.report()
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    for name in names:
+        check_suite(name, cfg)
+    recs = {name: _Recorder(name, cfg) for name in _SUITES if name in names}
+    seconds = dict.fromkeys(recs, 0.0)
+
+    def timed(name, *args):
+        t0 = time.perf_counter()
+        _SUITES[name](*args)
+        seconds[name] += time.perf_counter() - t0
+
+    for name, rec in recs.items():
+        if name not in _PER_KAPPA:
+            timed(name, rec, cfg)
+    for kappa in cfg.kappa_list:
+        params = _params_for(kappa)
+        for name, rec in recs.items():
+            if name in _PER_KAPPA:
+                timed(name, rec.at(kappa), cfg, kappa, params)
+    return [VerificationReport(name, cfg.echo(), rec.cases, seconds[name]) for name, rec in recs.items()]
+
+
+def run_suite(name: str, config: SuiteConfig | None = None) -> VerificationReport:
+    """Execute one named suite (see `run_suites`)."""
+    return run_suites([name], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +712,13 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
     tol = DEFAULT_TOLERANCES["plancherel_classical" if p.classical else "plancherel"]
     coarse_fam, fam = _refined(cfg, p, _family)
     for a in (0.25, 0.5, 2.0):
-        coarse, fine = (plancherel_defect(m[f"gaussian({a:g})"]) for m in (coarse_fam, fam))
+        members = [m[f"gaussian({a:g})"] for m in (coarse_fam, fam)]
+        # a member whose weighted L2 norm underflows to 0 (at a large kappa)
+        # has no defect: both of its cases record inf and fail
+        if any(lp_norm(f, 2.0) == 0.0 for f in members):
+            coarse = fine = INF
+        else:
+            coarse, fine = map(plancherel_defect, members)
         rec.bound(
             f"plancherel_{rec.ktag}_a{a:g}",
             "plancherel",
@@ -1329,7 +1362,7 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
                 if base == 0.0:
                     continue
                 ratio = norm / base
-                cmax = max(cmax, ratio, 1.0 / ratio)
+                cmax = max(cmax, ratio, 1.0 / ratio if ratio != 0.0 else INF)
             out.append(cmax)
         return out
 

@@ -519,11 +519,20 @@ def test_blocks_do_not_depend_on_the_cpu_count():
     assert pinned[2] == free[2]
 
 
+def _pair_bytes(rows, cols):
+    """The bytes of a block pair of rows x cols float64 blocks."""
+    return 2 * 8 * rows * cols
+
+
+def _store_bytes():
+    return sum(a.nbytes + b.nbytes for a, b in transform._cache.values())
+
+
 def test_kernel_store_keeps_the_most_recent_entries(monkeypatch):
     # past its bound the store drops the least recently used pair; every
     # block it keeps is the direct evaluation on the grids' positive nodes
     p = DunklParams(0.5)
-    monkeypatch.setattr(transform, "_KERNEL_CACHE", 2)
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", 2 * _pair_bytes(32, 32))
     monkeypatch.setattr(transform, "_cache", type(transform._cache)())
     xg = make_grid(p, 4.0, 64)
     for lg in (make_grid(p, 8.0, 64), make_grid(p, 12.0, 64), make_grid(p, 16.0, 64)):
@@ -531,6 +540,133 @@ def test_kernel_store_keeps_the_most_recent_entries(monkeypatch):
         ea, eb = transform._build(p, lg.positive_nodes, xg.positive_nodes)
         assert np.array_equal(a, ea) and np.array_equal(b, eb)
     assert list(transform._cache) == [(0.5, 0.375, 0.125), (0.5, 0.5, 0.125)]
+
+
+def test_kernel_store_stays_under_its_bound_at_every_build(monkeypatch):
+    # pairs of three sizes under a bound of 2.5 of the largest: before each
+    # build the store drops pairs until the new one fits, so the cached
+    # bytes plus the pair being built never pass the bound
+    p = DunklParams(0.5)
+    bound = 5 * _pair_bytes(64, 64) // 2
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", bound)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    peaks = []
+    build = transform._build
+
+    def counted(params, rows, cols):
+        peaks.append(_store_bytes() + _pair_bytes(rows.size, cols.size))
+        return build(params, rows, cols)
+
+    monkeypatch.setattr(transform, "_build", counted)
+    xg = make_grid(p, 4.0, 128)
+    requests = [
+        (make_grid(p, half_width, n), xg)
+        for half_width in (8.0, 12.0, 16.0, 20.0)
+        for n in (32, 64, 128)
+    ]
+    for lg, x in requests + requests[::-1]:
+        transform._blocks(p, lg, x)
+        assert _store_bytes() <= bound
+    # the reversed pass misses the pairs the bound dropped and builds them again
+    assert len(peaks) > len(requests)
+    assert max(peaks) <= bound
+
+
+def test_kernel_store_drops_the_replaced_entry_first(monkeypatch):
+    # a request its entry does not cover drops that entry before making
+    # room for the covering pair, so the other pair, which fits beside the
+    # new one but not beside both, stays
+    p = DunklParams(0.5)
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", 2 * _pair_bytes(32, 32))
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    xg = make_grid(p, 4.0, 64)
+    other, small, large = make_grid(p, 12.0, 64), make_grid(p, 8.0, 32), make_grid(p, 16.0, 64)
+    assert small.spacing == large.spacing
+    for lg in (other, small, large):
+        transform._blocks(p, lg, xg)
+    assert list(transform._cache) == [(0.5, other.spacing, xg.spacing), (0.5, large.spacing, xg.spacing)]
+    assert transform._cache[0.5, large.spacing, xg.spacing][0].shape == (32, 32)
+
+
+def test_kernel_store_keeps_a_pair_larger_than_its_bound_alone(monkeypatch):
+    # a pair past the bound is still built and kept, as the only entry; the
+    # next miss drops it
+    p = DunklParams(0.5)
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", _pair_bytes(32, 32))
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    xg = make_grid(p, 4.0, 64)
+    small, large = make_grid(p, 8.0, 32), make_grid(p, 12.0, 128)
+    transform._blocks(p, small, xg)
+    a, _ = transform._blocks(p, large, xg)
+    assert a.shape == (64, 32)
+    assert list(transform._cache) == [(0.5, large.spacing, xg.spacing)]
+    transform._blocks(p, small, xg)
+    assert list(transform._cache) == [(0.5, small.spacing, xg.spacing)]
+
+
+def test_kernel_store_under_concurrent_misses_of_many_keys(monkeypatch):
+    # six threads (more than the CPUs) request pairs of four spacings in
+    # turn under a bound of two pairs: every request gets the direct
+    # evaluation although the store drops pairs other threads still read,
+    # no build guard is left, and the store ends under its bound although
+    # builds of several keys ran at once
+    p = DunklParams(0.5)
+    bound = 2 * _pair_bytes(32, 32)
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", bound)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    xg = make_grid(p, 4.0, 64)
+    grids = [make_grid(p, w, 64) for w in (8.0, 12.0, 16.0, 20.0)]
+    expected = [kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes)) for lg in grids]
+    start = threading.Barrier(6)
+    wrong = []
+
+    def worker(i):
+        start.wait(timeout=30)
+        for j in range(12):
+            k = (i + j) % len(grids)
+            a, b = transform._blocks(p, grids[k], xg)
+            if not (np.array_equal(a, expected[k][0]) and np.array_equal(b, expected[k][1])):
+                wrong.append((i, k))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert not transform._building
+    assert _store_bytes() <= bound
+
+
+def test_kernel_store_ends_under_its_bound_after_concurrent_builds(monkeypatch):
+    # three threads miss three keys at once under a bound of two pairs: the
+    # third finds room beside the two builds in flight only past the bound,
+    # so all three build, and the last insert drops the oldest pair
+    p = DunklParams(0.5)
+    _counting_kernel_pair(monkeypatch, delay=0.2)
+    bound = 2 * _pair_bytes(32, 32)
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", bound)
+    xg = make_grid(p, 4.0, 64)
+    start = threading.Barrier(3)
+
+    def worker(half_width):
+        start.wait(timeout=30)
+        transform._blocks(p, make_grid(p, half_width, 64), xg)
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in (12.0, 20.0, 28.0)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(transform._cache) == 2
+    assert _store_bytes() <= bound
 
 
 def test_import_reads_no_kernel_cache_variable():

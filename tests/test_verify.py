@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dunkl import SuiteConfig, list_suites, run_suite
+from dunkl import SuiteConfig, list_suites, run_suite, run_suites, transform, verify
 from dunkl._windows import WindowGeometry
+from dunkl.cli import main
 from dunkl.verify import (
     _YOUNG_TRIPLES,
     DEFAULT_KAPPAS,
@@ -342,3 +343,118 @@ def test_weak_suite_reads_maximal_functions_and_q1_norms_from_one_ball_stack(mon
             assert out == Recording(TranslatedBalls(g), verify._stack(fam), rg).fofana(spec)
             for f, norm in zip(fam.values(), out):
                 assert norm == pytest.approx(fofana_norm(f, spec), rel=1e-13)
+
+
+def _fake_suites(monkeypatch, calls, fail_at=None):
+    """Replace kernel (whole), transform and translation (per kappa) by
+    bodies that log their calls and record one case each; translation
+    raises at kappa fail_at."""
+
+    def whole(rec, cfg):
+        calls.append(("kernel", None))
+        rec.measure("whole", "s", 1.0)
+
+    def body(name):
+        def run(rec, cfg, kappa, params):
+            calls.append((name, kappa))
+            assert params.kappa == kappa
+            if name == "translation" and kappa == fail_at:
+                raise RuntimeError(f"unit {name} at kappa {kappa}")
+            rec.measure(f"{name}_{rec.ktag}", "s", kappa)
+
+        return run
+
+    monkeypatch.setitem(verify._SUITES, "kernel", whole)
+    for name in ("transform", "translation"):
+        monkeypatch.setitem(verify._SUITES, name, body(name))
+
+
+def test_run_suites_is_kappa_major_with_reports_in_list_order(monkeypatch):
+    # whole suites run first, then every per-kappa body at each kappa; the
+    # reports come in list_suites order, their cases in kappa order, and
+    # each report's seconds sum its units
+    calls = []
+    _fake_suites(monkeypatch, calls)
+    cfg = SuiteConfig(kappa_list=(0.5, -0.5), **SMALL)
+    reports = run_suites(["translation", "kernel", "transform"], cfg)
+    assert calls == [
+        ("kernel", None),
+        ("transform", 0.5), ("translation", 0.5),
+        ("transform", -0.5), ("translation", -0.5),
+    ]
+    assert [r.suite for r in reports] == ["kernel", "transform", "translation"]
+    assert [c.case_id for c in reports[2].cases] == ["translation_k0.5", "translation_km0.5"]
+    assert all(r.runtime_seconds > 0.0 for r in reports)
+    assert run_suite("transform", cfg).to_json() == reports[1].to_json()
+
+
+def test_run_suites_raises_an_exception_of_one_kappa_unit(monkeypatch):
+    calls = []
+    _fake_suites(monkeypatch, calls, fail_at=-0.5)
+    cfg = SuiteConfig(kappa_list=(0.5, -0.5), **SMALL)
+    with pytest.raises(RuntimeError, match="unit translation at kappa -0.5"):
+        run_suites(["transform", "translation"], cfg)
+    assert calls[-1] == ("translation", -0.5)
+
+
+def test_verify_all_builds_each_block_once_under_one_kappas_store(monkeypatch, tmp_path):
+    # with the store bounded by the block pairs of one kappa, the CLI's
+    # --suite all, run kappa-major, builds each (kappa, spacing, spacing)
+    # pair once, and its payload is the per-suite reports' bytes
+    per_suite = [_small(name).to_payload() for name in ALL_SUITES]
+    cfg = SuiteConfig(**SMALL)
+    # one kappa's pairs: one of N/4 x N/4 blocks (the N/2-node grids) and
+    # three of N/2 x N/2 blocks (the N-node grids)
+    one_kappa = 16 * (cfg.node_count // 4) ** 2 + 3 * 16 * (cfg.node_count // 2) ** 2
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", one_kappa)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    built = []
+    build = transform._build
+
+    def counted(params, rows, cols):
+        built.append((params.kappa, rows[1] - rows[0], cols[1] - cols[0]))
+        return build(params, rows, cols)
+
+    monkeypatch.setattr(transform, "_build", counted)
+    path = tmp_path / "all.json"
+    argv = ["verify", "--suite", "all", "--grid-n", str(cfg.node_count), "--domain-l", "8"]
+    assert main([*argv, "--report", str(path)]) in (0, 1)
+    assert len(built) == len(set(built)) == 4 * len(cfg.kappa_list)
+    assert {k for k, _, _ in built} == set(cfg.kappa_list)
+    assert path.read_text() == canonical_json(per_suite) + "\n"
+
+
+@pytest.mark.parametrize(
+    "suite,kappa,case_id",
+    [
+        ("theorem_maxi", "30", "stability_k30_q2_p8_a4"),
+        ("theorem_weakmaxi", "40", "stability_k40_p8_a4"),
+        ("maximal_equivalence", "20", "equivalence_stability_k20"),
+        ("fofana_lebesgue", "20", "fofana_lebesgue_stability_k20_alpha_eq_q"),
+    ],
+)
+def test_zero_reference_records_a_failed_case(suite, kappa, case_id, tmp_path):
+    # at a large kappa on a coarse grid a refinement reference (or, in
+    # fofana_lebesgue, a window norm) is 0.0: the drift (or the window
+    # constant) is recorded as inf, a failed case, and the run exits 1
+    # with its report
+    path = tmp_path / "r.json"
+    argv = ["verify", "--grid-n", "64", "--suite", suite, "--kappa", kappa, "--report", str(path)]
+    assert main(argv) == 1
+    case = {c["id"]: c for c in json.loads(path.read_text())["cases"]}[case_id]
+    assert case["pass"] is False
+    assert "Infinity" in (case["lhs"], case["inputs"].get("coarse_window"))
+
+
+def test_transform_records_a_member_of_zero_norm_as_failed(tmp_path):
+    # at kappa 80 the weighted L2 norm of gaussian(2) underflows to 0.0 on
+    # both grids: its two plancherel cases record inf and fail, and the run
+    # exits 1 with its report
+    path = tmp_path / "r.json"
+    argv = ["verify", "--grid-n", "64", "--suite", "transform", "--kappa", "80"]
+    assert main([*argv, "--report", str(path)]) == 1
+    cases = {c["id"]: c for c in json.loads(path.read_text())["cases"]}
+    for case_id in ("plancherel_k80_a2", "plancherel_refine_k80_a2"):
+        assert cases[case_id]["lhs"] == "Infinity"
+        assert cases[case_id]["pass"] is False
+    assert isinstance(cases["plancherel_k80_a0.25"]["lhs"], float)
