@@ -48,8 +48,8 @@ SpectralFunction = GridFunction
 
 # Bytes of the block pairs kept by `_blocks`, least recently used first
 # out.  A pair holds two N/2 x N/2 float64 blocks, 64 MiB at N = 4096, so
-# the bound holds the four pairs of one kappa of `verify`; a single larger
-# pair is still kept, alone.
+# the bound holds the three pairs of one kappa of `verify` and one more; a
+# single larger pair is still kept, alone.
 _KERNEL_CACHE_BYTES = 256 << 20
 # Output values per row chunk of `inverse_rows`.
 _CHUNK_ELEMENTS = 1 << 18

@@ -478,7 +478,8 @@ from dunkl import DunklParams, _threads, make_grid, norms, sample_family, transf
 h = hashlib.sha256()
 for kappa in (0.0, 0.3, 1.5):
     p = DunklParams(kappa)
-    for ratio in (2.0, 3.0):
+    # ratios 1, 2 and 4 are mirrored from one triangle, ratio 3 is not
+    for ratio in (1.0, 2.0, 3.0, 4.0):
         a, b = transform._blocks(p, make_grid(p, 16.0 * ratio, 1536), make_grid(p, 16.0, 1536))
         h.update(a.tobytes())
         h.update(b.tobytes())

@@ -397,16 +397,9 @@ def test_run_suites_raises_an_exception_of_one_kappa_unit(monkeypatch):
     assert calls[-1] == ("translation", -0.5)
 
 
-def test_verify_all_builds_each_block_once_under_one_kappas_store(monkeypatch, tmp_path):
-    # with the store bounded by the block pairs of one kappa, the CLI's
-    # --suite all, run kappa-major, builds each (kappa, spacing, spacing)
-    # pair once, and its payload is the per-suite reports' bytes
-    per_suite = [_small(name).to_payload() for name in ALL_SUITES]
-    cfg = SuiteConfig(**SMALL)
-    # one kappa's pairs: one of N/4 x N/4 blocks (the N/2-node grids) and
-    # three of N/2 x N/2 blocks (the N-node grids)
-    one_kappa = 16 * (cfg.node_count // 4) ** 2 + 3 * 16 * (cfg.node_count // 2) ** 2
-    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", one_kappa)
+def _count_builds(monkeypatch):
+    """The (kappa, row spacing, column spacing) of every block pair built
+    from here on, in a fresh kernel store."""
     monkeypatch.setattr(transform, "_cache", type(transform._cache)())
     built = []
     build = transform._build
@@ -416,12 +409,40 @@ def test_verify_all_builds_each_block_once_under_one_kappas_store(monkeypatch, t
         return build(params, rows, cols)
 
     monkeypatch.setattr(transform, "_build", counted)
+    return built
+
+
+def test_verify_all_builds_each_block_once_under_one_kappas_store(monkeypatch, tmp_path):
+    # with the store bounded by the block pairs of one kappa, the CLI's
+    # --suite all, run kappa-major, builds each (kappa, spacing, spacing)
+    # pair once, and its payload is the per-suite reports' bytes
+    per_suite = [_small(name).to_payload() for name in ALL_SUITES]
+    cfg = SuiteConfig(**SMALL)
+    # one kappa's pairs: one of N/4 x N/4 blocks (the N/2-node grids) and
+    # two of N/2 x N/2 blocks (the N-node grids)
+    one_kappa = 16 * (cfg.node_count // 4) ** 2 + 2 * 16 * (cfg.node_count // 2) ** 2
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", one_kappa)
+    built = _count_builds(monkeypatch)
     path = tmp_path / "all.json"
     argv = ["verify", "--suite", "all", "--grid-n", str(cfg.node_count), "--domain-l", "8"]
     assert main([*argv, "--report", str(path)]) in (0, 1)
-    assert len(built) == len(set(built)) == 4 * len(cfg.kappa_list)
+    assert len(built) == len(set(built)) == 3 * len(cfg.kappa_list)
     assert {k for k, _, _ in built} == set(cfg.kappa_list)
+    # no suite transforms onto frequencies at the spatial nodes
+    assert all(rows != cols for _, rows, cols in built)
     assert path.read_text() == canonical_json(per_suite) + "\n"
+
+
+def test_transform_suite_builds_band_pairs_only(monkeypatch):
+    # every transform of the suite maps a grid to its 4x band or back, and a
+    # band and its inverse share one pair: two pairs per kappa (the N/2- and
+    # the N-node grid's), each with frequencies 4x as far apart as the nodes
+    cfg = SuiteConfig(**SMALL)
+    built = _count_builds(monkeypatch)
+    run_suite("transform", cfg)
+    assert len(built) == len(set(built)) == 2 * len(cfg.kappa_list)
+    for _, rows, cols in built:
+        assert rows / cols == pytest.approx(4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
