@@ -6,9 +6,11 @@ grid and unit constant (validated by the classical limit and by round trips).
 
 Everything is evaluated by direct quadrature: the kernel splits into an even
 part j_k(lx) and an odd part (lx/(2k+2)) j_{k+1}(lx), so only two real
-half-grid matrices are needed per pair of grids.  They are cached behind a
-lock by kappa and the two node spacings (see `_blocks`; all public functions
-stay pure and reentrant), and all transforms reduce to BLAS matrix products.
+half-grid matrices are needed per pair of grids.  They are cached by kappa
+and the two node spacings in a store bounded by bytes (see `_blocks`):
+pairs are built one at a time, a hit never waits behind a build, and the
+bound holds at every build's peak.  All public functions stay pure and
+reentrant, and all transforms reduce to BLAS matrix products.
 A square block whose two node sets differ by an exact power of two is
 exactly symmetric, so it is built from one triangle.  `_build` evaluates a
 block in equal row pieces, the jobs of the package's one thread runner
@@ -60,32 +62,13 @@ _CHUNK_ELEMENTS = 1 << 18
 _BUILD_PIECE_ELEMENTS = 1 << 15
 _cache: "OrderedDict[tuple, tuple[np.ndarray, np.ndarray]]" = OrderedDict()
 _cache_lock = threading.Lock()
-# Blocks being built, by key: a thread that misses a key another thread is
-# building waits for that build instead of repeating it.
-_building: "dict[tuple, _Build]" = {}
-
-
-class _Build:
-    """One in-flight block build of nbytes; `blocks` stays None if the build
-    fails."""
-
-    def __init__(self, nbytes: int):
-        self.done = threading.Event()
-        self.nbytes = nbytes
-        self.blocks = None
+# Taken by a miss only, always before _cache_lock: pairs are built one at a
+# time, and a hit, which takes _cache_lock only, never waits behind a build.
+_build_lock = threading.Lock()
 
 
 def _pair_bytes(blocks) -> int:
     return blocks[0].nbytes + blocks[1].nbytes
-
-
-def _evict(nbytes: int) -> None:
-    """Drop least recently used pairs until the cached pairs, the builds in
-    flight and nbytes more fit under _KERNEL_CACHE_BYTES, or none is left.
-    The caller holds _cache_lock."""
-    used = sum(map(_pair_bytes, _cache.values())) + sum(b.nbytes for b in _building.values())
-    while _cache and used + nbytes > _KERNEL_CACHE_BYTES:
-        used -= _pair_bytes(_cache.popitem(last=False)[1])
 
 
 def _leading(blocks, m: int, n: int):
@@ -152,6 +135,16 @@ def _build(params: DunklParams, p: np.ndarray, q: np.ndarray):
     return a, b
 
 
+def _cached(key, m: int, n: int):
+    """The leading m x n sub-blocks of the entry of key, marked most recently
+    used; None if there is no entry or it does not cover them."""
+    with _cache_lock:
+        blocks = _leading(_cache.get(key), m, n)
+        if blocks is not None:
+            _cache.move_to_end(key)
+        return blocks
+
+
 def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
     """Half-grid kernel blocks A[j,i] = j_k(p_j q_i) and
     B[j,i] = (p_j q_i)/(2k+2) * j_{k+1}(p_j q_i) for positive nodes p, q.
@@ -159,48 +152,34 @@ def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
     Cached by (kappa, output spacing, input spacing).  Midpoint grids of one
     spacing share their leading positive nodes, so an entry serves every
     leading sub-block; a request it does not cover builds one pair covering
-    both, which replaces it.  Before a build the store drops the entry it
-    replaces, then least recently used pairs until the new pair fits under
-    _KERNEL_CACHE_BYTES beside the rest and the other builds in flight, so
-    the bound holds at the build's peak too; an insert drops the oldest
-    pairs that builds of other keys left past the bound.  Concurrent misses
-    of one key build it once."""
+    both, which replaces it.  A hit takes _cache_lock only and never waits
+    behind a build.  A miss takes _build_lock, so pairs are built one at a
+    time: it looks the key up again (concurrent misses of one key build it
+    once, and a miss after a failed build builds the pair itself), drops
+    the entry it replaces, then least recently used pairs until the new
+    pair fits under _KERNEL_CACHE_BYTES beside the rest, builds and
+    inserts.  The bound so holds at every build's peak, under concurrent
+    callers too; a single pair larger than the bound is kept, alone."""
     key = (params.kappa, out_grid.spacing, in_grid.spacing)
     m, n = out_grid.node_count // 2, in_grid.node_count // 2
-    while True:
-        with _cache_lock:
-            entry = _cache.get(key)
-            blocks = _leading(entry, m, n)
-            if blocks is not None:
-                _cache.move_to_end(key)
-                return blocks
-            build = _building.get(key)
-            if build is None:
-                # the new pair covers the entry too, and replaces it
-                shape = (0, 0) if entry is None else entry[0].shape
-                rows, cols = max(m, shape[0]), max(n, shape[1])
-                _cache.pop(key, None)
-                nbytes = 16 * rows * cols  # two float64 blocks
-                _evict(nbytes)
-                build = _building[key] = _Build(nbytes)
-                break
-        build.done.wait()
-        blocks = _leading(build.blocks, m, n)
+    blocks = _cached(key, m, n)
+    if blocks is not None:
+        return blocks
+    with _build_lock:
+        blocks = _cached(key, m, n)
         if blocks is not None:
             return blocks
-    try:
+        with _cache_lock:
+            # the new pair covers the entry too, and replaces it
+            entry = _cache.pop(key, None)
+            shape = (0, 0) if entry is None else entry[0].shape
+            rows, cols = max(m, shape[0]), max(n, shape[1])
+            used = 16 * rows * cols + sum(map(_pair_bytes, _cache.values()))  # two float64 blocks
+            while _cache and used > _KERNEL_CACHE_BYTES:
+                used -= _pair_bytes(_cache.popitem(last=False)[1])
         built = _build(params, _midpoints(rows, key[1]), _midpoints(cols, key[2]))
         with _cache_lock:
             _cache[key] = built
-            # builds of other keys in flight at once can pass the bound
-            # together: drop the oldest pairs, never the new one
-            while len(_cache) > 1 and sum(map(_pair_bytes, _cache.values())) > _KERNEL_CACHE_BYTES:
-                _cache.popitem(last=False)
-        build.blocks = built
-    finally:
-        with _cache_lock:
-            del _building[key]
-        build.done.set()
     return _leading(built, m, n)
 
 

@@ -109,7 +109,9 @@ def _ball_multiplier(params: DunklParams, lg: Grid, r: float) -> np.ndarray:
 
 
 def _offsets(grid: Grid, ys) -> np.ndarray:
-    """The offsets ys as an array, each checked; at least one."""
+    """The offsets ys as a 1-D array, each checked; at least one."""
+    if np.ndim(ys) != 1:
+        raise ValueError(f"translation offsets must be a 1-D list, got {np.ndim(ys)}-D")
     ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
     if not ya.size:
         raise ValueError("no translation offsets given")
@@ -225,7 +227,7 @@ def translate_indicator_rows(params: DunklParams, ys, r: float, grid: Grid) -> n
             f"indicator kappa {params.kappa:g} differs from the grid's kappa {grid.params.kappa:g}"
         )
     r = _check_radius(r)
-    ya = np.asarray([_check_shift(grid, y) for y in ys], dtype=float)
+    ya = _offsets(grid, ys)
     out = np.empty((ya.size, grid.node_count))
     for i in range(0, ya.size, _INDICATOR_CHUNK_ROWS):
         k = slice(i, i + _INDICATOR_CHUNK_ROWS)

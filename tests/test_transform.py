@@ -304,7 +304,6 @@ def test_concurrent_misses_build_each_block_once(monkeypatch):
     for a, b in results:
         assert a is results[0][0]
         assert b is results[0][1]
-    assert not transform._building
 
 
 def test_failed_build_leaves_no_guard(monkeypatch):
@@ -318,7 +317,6 @@ def test_failed_build_leaves_no_guard(monkeypatch):
     monkeypatch.setattr(transform, "kernel_pair", failing)
     with pytest.raises(MemoryError):
         transform._blocks(p, lg, xg)
-    assert not transform._building
     monkeypatch.setattr(transform, "kernel_pair", kernel_pair)
     a, _ = transform._blocks(p, lg, xg)
     assert a.shape == (32, 32)
@@ -413,7 +411,6 @@ def test_failed_piece_stops_both_threads(failing, error, monkeypatch):
         transform._blocks(p, lg, xg)
     assert info.value is failure
     assert sorted(calls) == ["caller", "worker"]
-    assert not transform._building
     assert threading.active_count() == before
 
 
@@ -609,8 +606,7 @@ def test_kernel_store_under_concurrent_misses_of_many_keys(monkeypatch):
     # six threads (more than the CPUs) request pairs of four spacings in
     # turn under a bound of two pairs: every request gets the direct
     # evaluation although the store drops pairs other threads still read,
-    # no build guard is left, and the store ends under its bound although
-    # builds of several keys ran at once
+    # and the store ends under its bound
     p = DunklParams(0.5)
     bound = 2 * _pair_bytes(32, 32)
     monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", bound)
@@ -641,18 +637,12 @@ def test_kernel_store_under_concurrent_misses_of_many_keys(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not wrong
-    assert not transform._building
     assert _store_bytes() <= bound
 
 
-def test_kernel_store_ends_under_its_bound_after_concurrent_builds(monkeypatch):
-    # three threads miss three keys at once under a bound of two pairs: the
-    # third finds room beside the two builds in flight only past the bound,
-    # so all three build, and the last insert drops the oldest pair
-    p = DunklParams(0.5)
-    _counting_kernel_pair(monkeypatch, delay=0.2)
-    bound = 2 * _pair_bytes(32, 32)
-    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", bound)
+def _miss_three_keys_at_once(p):
+    """Three threads miss three keys at once: the unmirrored 32 x 32 pairs
+    of spacing ratios 3, 5 and 7, one kernel_pair call each."""
     xg = make_grid(p, 4.0, 64)
     start = threading.Barrier(3)
 
@@ -666,8 +656,132 @@ def test_kernel_store_ends_under_its_bound_after_concurrent_builds(monkeypatch):
     for t in threads:
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
+
+
+def test_kernel_store_ends_under_its_bound_after_concurrent_builds(monkeypatch):
+    # three threads miss three keys at once under a bound of two pairs: the
+    # builds run one at a time, the third drops the oldest pair to make
+    # room, and two pairs stay
+    p = DunklParams(0.5)
+    _counting_kernel_pair(monkeypatch, delay=0.2)
+    bound = 2 * _pair_bytes(32, 32)
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", bound)
+    _miss_three_keys_at_once(p)
     assert len(transform._cache) == 2
     assert _store_bytes() <= bound
+
+
+def test_kernel_store_stays_under_its_bound_at_every_concurrent_build(monkeypatch):
+    # the same three misses, each build slowed: the cached bytes plus the
+    # bytes being built never pass the bound, since the pairs are built one
+    # at a time (the second and third builds reach it)
+    p = DunklParams(0.5)
+    _counting_kernel_pair(monkeypatch, delay=0.2)
+    bound = 2 * _pair_bytes(32, 32)
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", bound)
+    lock = threading.Lock()
+    state = {"building": 0, "peak": 0}
+    build = transform._build
+
+    def counted(params, rows, cols):
+        nbytes = _pair_bytes(rows.size, cols.size)
+        with lock:
+            state["building"] += nbytes
+            with transform._cache_lock:
+                cached = _store_bytes()
+            state["peak"] = max(state["peak"], cached + state["building"])
+        blocks = build(params, rows, cols)
+        with lock:
+            state["building"] -= nbytes
+        return blocks
+
+    monkeypatch.setattr(transform, "_build", counted)
+    _miss_three_keys_at_once(p)
+    assert state["peak"] == bound
+    assert _store_bytes() <= bound
+
+
+def test_miss_waiting_on_a_failed_build_builds_the_pair_itself(monkeypatch):
+    # a second thread misses a key while the first builds it; the first
+    # build fails, and the second thread then builds the pair itself and
+    # gets the direct evaluation (spacing ratio 3: an unmirrored block of
+    # one piece, one kernel_pair call per build)
+    p = DunklParams(0.5)
+    xg, lg = make_grid(p, 4.0, 64), make_grid(p, 12.0, 64)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    inside, release = threading.Event(), threading.Event()
+    calls = []
+
+    def pair(params, s):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 1:
+            inside.set()
+            release.wait(timeout=30)
+            raise MemoryError("no room for the block")
+        return kernel_pair(params, s)
+
+    monkeypatch.setattr(transform, "kernel_pair", pair)
+    results = {}
+
+    def worker():
+        try:
+            results[threading.current_thread().name] = transform._blocks(p, lg, xg)
+        except MemoryError as exc:
+            results[threading.current_thread().name] = exc
+
+    first = threading.Thread(target=worker, name="first")
+    second = threading.Thread(target=worker, name="second")
+    first.start()
+    try:
+        assert inside.wait(timeout=30)
+        second.start()
+        time.sleep(0.2)  # the second thread reaches the build lock meanwhile
+        assert calls == ["first"]
+    finally:
+        release.set()
+    for t in (first, second):
+        t.join(timeout=60)
+    assert not first.is_alive() and not second.is_alive()
+    assert isinstance(results["first"], MemoryError)
+    assert calls == ["first", "second"]
+    a, b = results["second"]
+    ea, eb = kernel_pair(p, np.outer(lg.positive_nodes, xg.positive_nodes))
+    assert np.array_equal(a, ea)
+    assert np.array_equal(b, eb)
+    assert list(transform._cache) == [(0.5, lg.spacing, xg.spacing)]
+
+
+def test_hit_returns_while_another_key_builds(monkeypatch):
+    # a build of one key holds the build lock inside kernel_pair; a hit on
+    # another, cached key returns its pair meanwhile
+    p = DunklParams(0.5)
+    xg, cached, missed = make_grid(p, 4.0, 64), make_grid(p, 12.0, 64), make_grid(p, 16.0, 64)
+    monkeypatch.setattr(transform, "_cache", type(transform._cache)())
+    held = transform._blocks(p, cached, xg)
+    inside, release = threading.Event(), threading.Event()
+
+    def pair(params, s):
+        inside.set()
+        release.wait(timeout=30)
+        return kernel_pair(params, s)
+
+    monkeypatch.setattr(transform, "kernel_pair", pair)
+    builder = threading.Thread(target=transform._blocks, args=(p, missed, xg))
+    builder.start()
+    try:
+        assert inside.wait(timeout=30)
+        hits = []
+        hit = threading.Thread(target=lambda: hits.append(transform._blocks(p, cached, xg)))
+        hit.start()
+        hit.join(timeout=10)
+        assert not hit.is_alive()
+        assert transform._build_lock.locked() and not release.is_set()
+        assert hits[0][0] is held[0] and hits[0][1] is held[1]
+    finally:
+        release.set()
+        builder.join(timeout=60)
+    assert not builder.is_alive()
+    assert list(transform._cache) == [(0.5, cached.spacing, xg.spacing), (0.5, missed.spacing, xg.spacing)]
 
 
 def test_import_reads_no_kernel_cache_variable():

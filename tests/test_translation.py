@@ -474,10 +474,14 @@ def test_translates_check_offsets_and_indices_before_any_transform(monkeypatch):
     tr = translation._Translates(g, _family_stack(g))
     monkeypatch.setattr(translation, "multiplier_pair", _refuse)
     monkeypatch.setattr(translation, "inverse_rows", _refuse)
+    offsets = (
+        ([1.0, 9.0], "leaves the resolved domain"),
+        ([float("nan")], "finite"),
+        ([], "no translation offsets"),
+        ([[1.0, 2.0]], "1-D list, got 2-D"),
+    )
     for which, ys, nodes, msg in (
-        ([0], [1.0, 9.0], None, "leaves the resolved domain"),
-        ([0], [float("nan")], None, "finite"),
-        ([0], [], None, "no translation offsets"),
+        *(([0], ys, None, msg) for ys, msg in offsets),
         ([5], [1.0], None, r"rows must be whole indices in \[0, 5\)"),
         ([-1], [1.0], None, "rows must be whole"),
         ([0.5], [1.0], None, "rows must be whole"),
@@ -489,6 +493,10 @@ def test_translates_check_offsets_and_indices_before_any_transform(monkeypatch):
     ):
         with pytest.raises(ValueError, match=msg):
             tr.rows(which, ys, nodes=nodes)
+    # the indicator rows take their offsets through the same check
+    for ys, msg in offsets:
+        with pytest.raises(ValueError, match=msg):
+            translation.translate_indicator_rows(p, ys, 1.0, g)
     monkeypatch.setattr(translation, "forward_pair", _refuse)
     for rows, msg in (
         (np.zeros((0, 256)), "non-empty"),
