@@ -10,7 +10,11 @@ half-grid matrices are needed per pair of grids.  They are cached by kappa
 and the two node spacings in a store bounded by bytes (see `_blocks`):
 pairs are built one at a time, a hit never waits behind a build, and the
 bound holds at every build's peak.  All public functions stay pure and
-reentrant, and all transforms reduce to BLAS matrix products.
+reentrant, and all transforms reduce to BLAS matrix products, every one
+through `_product`.  An even input has an identically zero odd half, and an
+odd input a zero even half; the product of such a half is skipped, and its
+zeros are those BLAS gives (+0.0, and -0.0 once the odd product is negated),
+so the output has the bits of the full computation.
 A square block whose two node sets differ by an exact power of two is
 exactly symmetric, so it is built from one triangle.  `_build` evaluates a
 block in equal row pieces, the jobs of the package's one thread runner
@@ -196,13 +200,27 @@ def _join(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product(x: np.ndarray, block: np.ndarray, cols=None) -> np.ndarray:
+    """x @ block, or x @ block[:, cols]: the one product of a kernel block.
+
+    When x has no nonzero entry (the odd half of an even input, say) the
+    product is not run and the result is its zeros, +0.0 as BLAS gives them
+    (a caller's negation makes them -0.0, as it does BLAS's).  The skip
+    takes the whole stack or nothing, so every product that runs keeps its
+    shape and its bits."""
+    if not np.any(x):
+        width = block.shape[1] if cols is None else cols.size
+        return np.zeros(x.shape[:-1] + (width,))
+    return x @ (block if cols is None else block[:, cols])
+
+
 def forward_pair(params: DunklParams, xg: Grid, lg: Grid, vals: np.ndarray):
     """Fast path for real input: return (U, V) with F(+l) = U + iV on the
     positive frequency half and F(-l) = U - iV.  vals may be stacked."""
     a, b = _blocks(params, lg, xg)
     fe, fo = _split(vals)
     w = 2.0 * xg.positive_weights
-    return (w * fe) @ a.T, -((w * fo) @ b.T)
+    return _product(w * fe, a.T), -_product(w * fo, b.T)
 
 
 def inverse_pair(params: DunklParams, lg: Grid, xg: Grid, u, v, nodes=None) -> np.ndarray:
@@ -219,12 +237,12 @@ def inverse_pair(params: DunklParams, lg: Grid, xg: Grid, u, v, nodes=None) -> n
     a, b = _blocks(params, lg, xg)
     w = 2.0 * lg.positive_weights
     if nodes is None:
-        return _join((w * u) @ a, -((w * v) @ b))
+        return _join(_product(w * u, a), -_product(w * v, b))
     half = xg.node_count // 2
     right = nodes >= half
     cols, at = np.unique(np.where(right, nodes - half, half - 1 - nodes), return_inverse=True)
-    ev = ((w * u) @ a[:, cols])[..., at]
-    od = (-((w * v) @ b[:, cols]))[..., at]
+    ev = _product(w * u, a, cols)[..., at]
+    od = (-_product(w * v, b, cols))[..., at]
     return np.where(right, ev + od, ev - od)
 
 

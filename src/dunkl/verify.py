@@ -401,6 +401,15 @@ def _worst_ratio(pairs) -> float:
     return max([0.0, *(n / d for n, d in pairs if d != 0.0)])
 
 
+def _doubling(params: DunklParams, x: float, r: float) -> float:
+    """`doubling_ratio`, or inf where mu(I(x, r)) underflowed to 0.0 (at a
+    large kappa): a failed case."""
+    try:
+        return doubling_ratio(params, x, r)
+    except ZeroDivisionError:
+        return INF
+
+
 def _refined(cfg: SuiteConfig, params: DunklParams, evaluate):
     """evaluate(grid) on the grid of N/2 nodes and then on that of N nodes;
     returns (coarse, fine)."""
@@ -434,13 +443,22 @@ def list_suites():
 
 # Suites with the fixed window radius r = 1, which must lie in (0, L/2].
 _UNIT_WINDOW_SUITES = ("holder", "linfty_identity", "embeddings")
+# The fixed contraction offsets of `translation` (with L/2), the largest
+# offsets of the suite, which must lie in [-L, L].
+_CONTRACTION_OFFSETS = (-4.0, -1.0, 1.0, 4.0)
+# The indicator windows (center, radius) of the `interval_fofana_maximal`
+# decay constant, read at the nodes x with |x - center| > 2 radius and
+# |x| <= L/2.
+_DECAY_WINDOWS = ((0.0, 0.5), (1.0, 0.5), (2.0, 1.0))
 
 
 def check_suite(name: str, cfg: SuiteConfig) -> None:
     """Raise ValueError if the suite is unknown or cannot run on cfg (both
     suites of the strong maximal theorem need q > 1, the suites with the
-    window radius r = 1 need L >= 2, and the differentiation windows of
-    `translation`, radii 8h * 2^k <= 1, need a spacing h <= 1/8)."""
+    window radius r = 1 need L >= 2, the differentiation windows of
+    `translation`, radii 8h * 2^k <= 1, need a spacing h <= 1/8 and its
+    contraction offsets L >= 4, and each decay window of
+    `interval_fofana_maximal` needs a node on the N/2 grid to read)."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(list_suites())}")
     strong = name in ("theorem_maxi", "interval_fofana_maximal")
@@ -455,6 +473,22 @@ def check_suite(name: str, cfg: SuiteConfig) -> None:
         raise ValueError(
             f"suite {name!r}: the differentiation windows 8h * 2^k <= 1 need a grid spacing "
             f"h = 2L/N <= 1/8, got h = {spacing:g} (N >= 16 L)"
+        )
+    reach = max(map(abs, _CONTRACTION_OFFSETS))
+    if name == "translation" and cfg.half_width < reach:
+        raise ValueError(
+            f"suite {name!r}: the contraction offsets up to {reach:g} in modulus need "
+            f"L >= {reach:g}, got L = {cfg.half_width:g}"
+        )
+    # the nodes x with |x - c| > 2r and |x| <= L/2 fill a run of length at
+    # least L/2 - (2r - |c|), which holds a node of the N/2 grid (spacing 2h)
+    # once it is at least 2h long
+    reach = max(2.0 * r - abs(c) for c, r in _DECAY_WINDOWS)
+    if name == "interval_fofana_maximal" and cfg.half_width / 2.0 - reach < 2.0 * spacing:
+        raise ValueError(
+            f"suite {name!r}: the indicator decay windows need a node x of the N/2 grid with "
+            f"{reach:g} < |x| <= L/2, so L/2 >= {reach:g} + 4L/N, got L = {cfg.half_width:g}, "
+            f"N = {cfg.node_count}"
         )
 
 
@@ -641,7 +675,7 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
         krec = rec.at(kappa)
         xs = rng2.uniform(-30.0, 30.0, 2000)
         rs = np.exp(rng2.uniform(math.log(0.01), math.log(10.0), 2000))
-        ratios = np.array([doubling_ratio(p, float(a), float(b)) for a, b in zip(xs, rs)])
+        ratios = np.array([_doubling(p, float(a), float(b)) for a, b in zip(xs, rs)])
         cap = 2.0 ** (2.0 * kappa + 2.0)
         krec.bound(
             f"doubling_{krec.ktag}",
@@ -879,7 +913,7 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
     )
 
     # contraction in L^p with constant 4
-    offsets = (-4.0, -1.0, 1.0, 4.0, L / 2.0)
+    offsets = (*_CONTRACTION_OFFSETS, L / 2.0)
     worst = 0.0
     worst_smooth = 0.0
     for (fid, f), rows in zip(fam.items(), tr.rows(range(len(fam)), offsets)):
@@ -915,12 +949,14 @@ def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklP
             note="smooth family members",
         )
 
-    # mass preservation of smooth translates
+    # mass preservation of smooth translates; a zero mass (underflowed at
+    # a large kappa) gives an infinite defect, a failed case
     worst = 0.0
     for f, rows in zip(check_members, tr.rows(check_rows, (1.0, -3.0, L / 2.0))):
         base = integrate(f)
         for row in rows:
-            worst = max(worst, abs(integrate(GridFunction(g, row)) - base) / abs(base))
+            defect = abs(integrate(GridFunction(g, row)) - base)
+            worst = max(worst, defect / abs(base) if base != 0.0 else INF)
     rec.bound(
         f"mass_{rec.ktag}",
         "translation_mass",
@@ -1582,7 +1618,7 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
     def decay_constant(gn):
         worst_c = 0.0
         windows = WindowGeometry.interval(gn)
-        for (yc, rc) in ((0.0, 0.5), (1.0, 0.5), (2.0, 1.0)):
+        for (yc, rc) in _DECAY_WINDOWS:
             chi = (np.abs(gn.nodes - yc) < rc).astype(float)
             rhos = sorted(set(list(default_radius_grid(gn)) + [rc * 2.0**k for k in range(1, 6)]))
             rhos = [r for r in rhos if r <= gn.half_width]

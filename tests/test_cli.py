@@ -451,6 +451,8 @@ def test_report_diff_on_verify_reports(tmp_path, capsys):
         ({}, ["--suite", "translation", "--grid-n", "64"], "suite 'translation': the differentiation windows"),
         ({}, ["--suite", "all", "--grid-n", "64"], "grid spacing h = 2L/N <= 1/8, got h = 0.25"),
         ({}, ["--suite", "translation", "--grid-n", "4096", "--domain-l", "400"], "got h = 0.195312"),
+        ({}, ["--suite", "translation", "--domain-l", "3", "--grid-n", "128"], "contraction offsets up to 4 in modulus need L >= 4, got L = 3"),
+        ({}, ["--suite", "interval_fofana_maximal", "--kappa", "-0.25", "--domain-l", "2", "--grid-n", "64"], "so L/2 >= 1 + 4L/N, got L = 2, N = 64"),
     ],
 )
 def test_verify_rejected_config_exits_2(env, argv, message, tmp_path, monkeypatch, capsys):

@@ -112,3 +112,45 @@ def test_private_module_constants_are_read():
     assert len(private) > 5
     unread = [f"{module}:{name}" for module, name in private if name not in read]
     assert not unread, f"private module constants that the package never reads: {unread}"
+
+
+def test_kernel_blocks_reach_a_product_only_through_the_parity_skip():
+    # `transform._blocks` is read by the two pair functions only; each
+    # unpacks the pair into names that it passes to `transform._product`
+    # and nowhere else, and that helper holds the one matrix product of
+    # `transform`, so no block product can bypass its skip of an identically
+    # zero half
+    bodies = {path.name: ast.parse(path.read_text()).body for path in sorted(SRC.glob("*.py"))}
+    readers = [(module, stmt) for module, body in bodies.items() for stmt in body if "_blocks" in _reads(stmt)]
+    assert sorted(f"{module}:{stmt.name}" for module, stmt in readers) == [
+        "transform.py:forward_pair",
+        "transform.py:inverse_pair",
+    ]
+    for _, fn in readers:
+        calls = [sub for sub in ast.walk(fn) if isinstance(sub, ast.Call) and _names(sub.func) == {"_blocks"}]
+        assigns = [
+            sub for sub in ast.walk(fn) if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call) and sub.value in calls
+        ]
+        assert len(calls) == len(assigns) == 1 and isinstance(assigns[0].targets[0], ast.Tuple), fn.name
+        blocks = {target.id for target in assigns[0].targets[0].elts}
+        loads = {
+            sub
+            for sub in ast.walk(fn)
+            if isinstance(sub, ast.Name) and sub.id in blocks and isinstance(sub.ctx, ast.Load)
+        }
+        through = {
+            sub
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "_product"
+            for arg in call.args
+            for sub in ast.walk(arg)
+        }
+        assert loads and loads <= through, f"{fn.name} uses a kernel block outside _product"
+    products = [
+        getattr(stmt, "name", "<module>")
+        for stmt in bodies["transform.py"]
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult)
+        or isinstance(sub, ast.Call) and _names(sub.func) & {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"}
+    ]
+    assert products == ["_product"]

@@ -95,6 +95,52 @@ def test_parity():
     assert np.allclose(Fo.values, -Fo.values[::-1])
 
 
+def _parity_stacks(n: int, rows):
+    """Even, odd and mixed seeded samples: a (rows, n) stack, or one 1-D
+    row for rows None.  The even rows are exactly symmetric and the odd
+    rows exactly antisymmetric, so one half of each is exactly zero."""
+    r = np.random.default_rng(n + (rows or 0)).standard_normal((rows or 1, n))
+    stacks = {"even": r + r[:, ::-1], "odd": r - r[:, ::-1], "mixed": r}
+    return {name: s if rows else s[0] for name, s in stacks.items()}
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+@pytest.mark.parametrize("kappa,classical", [(-0.5, True), (0.0, False), (0.5, False), (1.5, False)])
+def test_pair_products_equal_the_explicit_block_products(n, kappa, classical):
+    # a pair call skips the block product of an identically zero half: its
+    # output must still be, bit for bit and zero sign for zero sign, the two
+    # block products written out here, for even, odd and mixed stacks of
+    # every height, at every node and at chosen nodes
+    p = DunklParams(kappa, classical=classical)
+    xg = make_grid(p, 8.0, n)
+    lg = band_grid(xg, transform.DEFAULT_BAND)
+    a, b = transform._blocks(p, lg, xg)
+    half = n // 2
+    wx, wl = 2.0 * xg.positive_weights, 2.0 * lg.positive_weights
+    nodes = np.random.default_rng(n).choice(n, 40)
+    right = nodes >= half
+    cols, at = np.unique(np.where(right, nodes - half, half - 1 - nodes), return_inverse=True)
+    for rows in (None, 1, 2, 3, 65):
+        for parity, vals in _parity_stacks(n, rows).items():
+            hi, lo = vals[..., half:], vals[..., half - 1 :: -1]
+            u = (wx * (0.5 * (hi + lo))) @ a.T
+            v = -((wx * (0.5 * (hi - lo))) @ b.T)
+            got = transform.forward_pair(p, xg, lg, vals)
+            assert got[0].tobytes() == u.tobytes(), (rows, parity)
+            assert got[1].tobytes() == v.tobytes(), (rows, parity)
+            # the forward halves, then their negatives (whose zeros flip sign)
+            for su, sv in ((u, v), (-u, -v)):
+                ev, od = (wl * su) @ a, -((wl * sv) @ b)
+                full = np.concatenate([(ev - od)[..., ::-1], ev + od], axis=-1)
+                got = transform.inverse_pair(p, lg, xg, su, sv)
+                assert got.tobytes() == full.tobytes(), (rows, parity)
+                ev = ((wl * su) @ a[:, cols])[..., at]
+                od = (-((wl * sv) @ b[:, cols]))[..., at]
+                picked = np.where(right, ev + od, ev - od)
+                got = transform.inverse_pair(p, lg, xg, su, sv, nodes)
+                assert got.tobytes() == picked.tobytes(), (rows, parity)
+
+
 @pytest.mark.parametrize("kappa,classical", KAPPAS + [(1.5, False)])
 def test_plancherel_small_at_desk_scale(kappa, classical):
     p = DunklParams(kappa, classical=classical)

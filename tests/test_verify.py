@@ -445,6 +445,13 @@ def test_transform_suite_builds_band_pairs_only(monkeypatch):
         assert rows / cols == pytest.approx(4.0, rel=1e-12)
 
 
+# Flags that a case of the table below adds to its command (later flags win).
+_FAILED_CASE_FLAGS = {
+    "mass_k40": ["--grid-n", "512", "--domain-l", "32"],
+    "doubling_k70": ["--grid-n", "512", "--seed", "123456789"],
+}
+
+
 @pytest.mark.parametrize(
     "suite,kappa,case_id",
     [
@@ -452,15 +459,19 @@ def test_transform_suite_builds_band_pairs_only(monkeypatch):
         ("theorem_weakmaxi", "40", "stability_k40_p8_a4"),
         ("maximal_equivalence", "20", "equivalence_stability_k20"),
         ("fofana_lebesgue", "20", "fofana_lebesgue_stability_k20_alpha_eq_q"),
+        ("translation", "40", "mass_k40"),
+        ("measure_lemmas", "70", "doubling_k70"),
     ],
 )
 def test_zero_reference_records_a_failed_case(suite, kappa, case_id, tmp_path):
     # at a large kappa on a coarse grid a refinement reference (or, in
-    # fofana_lebesgue, a window norm) is 0.0: the drift (or the window
-    # constant) is recorded as inf, a failed case, and the run exits 1
-    # with its report
+    # fofana_lebesgue, a window norm; in translation, a mass; in the
+    # doubling list, an interval measure) is 0.0: the drift (or the window
+    # constant, the mass defect, the ratio) is recorded as inf, a failed
+    # case, and the run exits 1 with its report
     path = tmp_path / "r.json"
     argv = ["verify", "--grid-n", "64", "--suite", suite, "--kappa", kappa, "--report", str(path)]
+    argv += _FAILED_CASE_FLAGS.get(case_id, [])
     assert main(argv) == 1
     case = {c["id"]: c for c in json.loads(path.read_text())["cases"]}[case_id]
     assert case["pass"] is False
