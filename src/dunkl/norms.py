@@ -15,9 +15,11 @@ evaluates them and `_ProfileStack` keeps them per q, and the amalgam and
 Fofana norms of the stack are read from them, the Fofana norms with the
 window measure mu(W_r)^theta: a scalar mu(B_r) for the translated balls,
 which multiplies the L^p norm, and one per center for the intervals, which
-goes inside it.  The interval geometry keeps the window ends, measures and
-node ranges per radius, so a function costs gathers, not a search per
-window, and one geometry may serve every stack on its grid.  Every public
+goes inside it.  Every L^p norm over the nodes, of one function (`lp_norm`)
+or of every profile row of a stack, is one row-wise reduction, `_lebesgue`.
+The interval geometry keeps the window ends, measures and node ranges per
+radius, so a function costs gathers, not a search per window, and one
+geometry may serve every stack on its grid.  Every public
 windowed norm is the one-row case of its stack.  The weak variant reads
 weak-L1 statistics of |f| against translated ball indicators, evaluated in
 closed form (`translation._indicator_values`) only on their support columns
@@ -136,13 +138,31 @@ def default_radius_grid(grid: Grid, ratio: float = math.sqrt(2.0)) -> tuple:
     return tuple(out)
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Lebesgue norm against the weight measure; p = inf gives the node max."""
+def _lebesgue(weights: np.ndarray, rows, p: float) -> np.ndarray:
+    """Lebesgue norm against the node weights of every row of a stack rows
+    (..., N), along its last axis: shape (...).  p = inf gives each row's
+    max.  Each row is summed as a row of its own, and each root is a scalar
+    power per value, so a row has the bits of its one-row case in any
+    stack.  A non-finite value raises the `ValueError` of `GridFunction`."""
+    rows = np.ascontiguousarray(rows)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("values must be finite")
     p = _check_exponent(p, "p")
-    a = np.abs(f.values)
+    a = np.abs(rows)
     if p == INF:
-        return float(np.max(a))
-    return float(np.sum(f.grid.weights * a**p) ** (1.0 / p))
+        return np.max(a, axis=-1)
+    # in place: a stack's temporaries are large, and each fresh one is
+    # faulted in page by page
+    a **= p
+    a *= weights
+    sums = np.sum(a, axis=-1)
+    return np.reshape([s ** (1.0 / p) for s in sums.ravel()], sums.shape)
+
+
+def lp_norm(f: GridFunction, p: float) -> float:
+    """Lebesgue norm against the weight measure; p = inf gives the node max.
+    The one-row case of `_lebesgue`."""
+    return float(_lebesgue(f.grid.weights, f.values, p))
 
 
 def weak_l1_norm(f: GridFunction) -> float:
@@ -209,16 +229,17 @@ class _ProfileStack:
         self._by_q = {}
 
     def at(self, q: float, radii) -> np.ndarray:
-        """Profiles (F, len(radii), N) at exponent q."""
+        """Profiles (F, len(radii), N) at exponent q, C-contiguous (a
+        gather on axis 1 by indexing would lay them out radius-major)."""
         if q == INF:
             return _profiles(self.windows, self.rows, q, radii)
         if q not in self._by_q:
             self._by_q[q] = _profiles(self.windows, self.rows, q, self.radii)
-        return self._by_q[q][:, [self.radii.index(float(r)) for r in radii]]
+        return np.take(self._by_q[q], [self.radii.index(float(r)) for r in radii], axis=1)
 
     def amalgam(self, q: float, p: float, r: float) -> list:
         """The amalgam norm at window radius r of every function of the stack."""
-        return [lp_norm(GridFunction(self.grid, u[0]), p) for u in self.at(q, [r])]
+        return _lebesgue(self.grid.weights, self.at(q, [r])[:, 0], p).tolist()
 
     def fofana(self, spec: NormSpec, ball_scaled: bool = False) -> list:
         """sup over spec.r_grid of the L^p norm of w_r u_r for the profiles
@@ -226,7 +247,6 @@ class _ProfileStack:
         measure, which ball_scaled multiplies by
         (mu(B_r) / mu(W_r))^(1/alpha - 1/p).  A scalar weight (translated
         balls) multiplies the norm, a weight per center goes inside it."""
-        grid = self.grid
         theta = _scale_exponent(spec.q, spec.p, spec.alpha)
         e = _inv(spec.alpha) - _inv(spec.p)
         weights = []
@@ -234,18 +254,15 @@ class _ProfileStack:
             mu = self.windows.measure(r)
             w = mu**theta
             if ball_scaled:
-                w = w * (ball_measure_origin(grid.params, r) / mu) ** e
+                w = w * (ball_measure_origin(self.grid.params, r) / mu) ** e
             weights.append(w)
-
-        def weighted(w, v):
-            if np.ndim(w):
-                return lp_norm(GridFunction(grid, w * v), spec.p)
-            return w * lp_norm(GridFunction(grid, v), spec.p)
-
-        return [
-            max([0.0] + [weighted(w, v) for w, v in zip(weights, u)])
-            for u in self.at(spec.q, spec.r_grid)
-        ]
+        w = np.array(weights)  # (R,) for a scalar weight, (R, N) for one per center
+        u = self.at(spec.q, spec.r_grid)
+        if w.ndim == 1:
+            norms = w * _lebesgue(self.grid.weights, u, spec.p)
+        else:
+            norms = _lebesgue(self.grid.weights, w * u, spec.p)
+        return [max([0.0, *row]) for row in norms.tolist()]
 
 
 def _support_columns(annuli: WindowGeometry, centers: np.ndarray, r: float) -> tuple:

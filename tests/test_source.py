@@ -154,3 +154,18 @@ def test_kernel_blocks_reach_a_product_only_through_the_parity_skip():
         or isinstance(sub, ast.Call) and _names(sub.func) & {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"}
     ]
     assert products == ["_product"]
+
+
+def test_norm_readouts_go_through_one_lebesgue_reduction():
+    # the profile stack reads its amalgam and Fofana norms from its profile
+    # rows through `norms._lebesgue`, without wrapping a row in a grid
+    # function, and `lp_norm` is that reduction's one-row case, with no sum
+    # or max of its own
+    body = {getattr(stmt, "name", None): stmt for stmt in ast.parse((SRC / "norms.py").read_text()).body}
+    stack = body["_ProfileStack"]
+    assert "GridFunction" not in _names(stack)
+    for fn in stack.body:
+        if getattr(fn, "name", None) in ("amalgam", "fofana"):
+            assert "_lebesgue" in _reads(fn), fn.name
+    lp = _names(body["lp_norm"])
+    assert "_lebesgue" in lp and not lp & {"sum", "max", "abs"}

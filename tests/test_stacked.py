@@ -160,6 +160,70 @@ def test_interval_stack_rows_equal_one_function_norms(kappa, classical):
         assert stack.amalgam(q, pp, r) == [interval_amalgam_norm_r(f, q, pp, r) for f in fam]
 
 
+def _row_norm(weights, v, p):
+    """The L^p norm of one profile row, written out row by row."""
+    if p == INF:
+        return float(np.max(np.abs(v)))
+    return float(np.sum(weights * np.abs(v) ** p) ** (1.0 / p))
+
+
+READOUTS = [
+    pytest.param(TranslatedBalls, False, id="balls"),
+    pytest.param(WindowGeometry.interval, False, id="intervals"),
+    pytest.param(WindowGeometry.interval, True, id="intervals_ball_scaled"),
+]
+
+
+@pytest.mark.parametrize("kappa,classical", KAPPAS)
+@pytest.mark.parametrize("family,ball_scaled", READOUTS)
+def test_stack_readouts_equal_the_per_row_formula(kappa, classical, family, ball_scaled):
+    # the amalgam and Fofana norms of a stack are read in one reduction over
+    # all its profile rows; each equals the formula on its row alone, bit
+    # for bit, with a scalar window weight outside the norm and one per
+    # center inside it
+    g, fam, radii = _setup(kappa, classical, n=512)
+    windows = family(g)
+    stack = _ProfileStack(windows, np.stack([f.values for f in fam]), radii)
+    for pp in (1.0, 1.5, 2.0, 6.0, 8.0, INF):
+        for q in {1.0, min(2.0, pp)}:
+            for r in radii[::3]:
+                want = [_row_norm(g.weights, u, pp) for u in stack.at(q, [r])[:, 0]]
+                assert stack.amalgam(q, pp, r) == want
+            spec = NormSpec(q, pp, min(pp, 4.0), radii)
+            theta = 1.0 / spec.alpha - 1.0 / q - (0.0 if pp == INF else 1.0 / pp)
+            e = 1.0 / spec.alpha - (0.0 if pp == INF else 1.0 / pp)
+            want = []
+            for profiles in stack.at(q, radii):
+                best = [0.0]
+                for r, u in zip(radii, profiles):
+                    mu = windows.measure(r)
+                    w = mu**theta
+                    if ball_scaled:
+                        w = w * (ball_measure_origin(g.params, r) / mu) ** e
+                    if np.ndim(w):
+                        best.append(_row_norm(g.weights, w * u, pp))
+                    else:
+                        best.append(w * _row_norm(g.weights, u, pp))
+                want.append(max(best))
+            assert stack.fofana(spec, ball_scaled=ball_scaled) == want
+
+
+@pytest.mark.parametrize("family,ball_scaled", READOUTS)
+def test_stack_readout_of_a_non_finite_profile_raises(family, ball_scaled):
+    # a profile that overflows is not a norm: the readouts raise the
+    # ValueError of a grid function with non-finite values
+    g, fam, radii = _setup(0.5, False, n=256)
+    rows = np.stack([f.values for f in fam])
+    rows[1] *= 1e200
+    stack = _ProfileStack(family(g), rows, radii)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pp in (2.0, INF):
+            with pytest.raises(ValueError, match="values must be finite"):
+                stack.amalgam(2.0, pp, radii[0])
+            with pytest.raises(ValueError, match="values must be finite"):
+                stack.fofana(NormSpec(2.0, pp, 2.0, radii), ball_scaled=ball_scaled)
+
+
 @pytest.mark.parametrize("kappa,classical", KAPPAS)
 def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, monkeypatch):
     # one window geometry per radius serves the whole stack at every finite

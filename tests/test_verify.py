@@ -449,6 +449,8 @@ def test_transform_suite_builds_band_pairs_only(monkeypatch):
 _FAILED_CASE_FLAGS = {
     "mass_k40": ["--grid-n", "512", "--domain-l", "32"],
     "doubling_k70": ["--grid-n", "512", "--seed", "123456789"],
+    "reverse_doubling_k75": ["--seed", "123456789"],
+    "linearity_k50": ["--domain-l", "64"],
 }
 
 
@@ -461,14 +463,17 @@ _FAILED_CASE_FLAGS = {
         ("fofana_lebesgue", "20", "fofana_lebesgue_stability_k20_alpha_eq_q"),
         ("translation", "40", "mass_k40"),
         ("measure_lemmas", "70", "doubling_k70"),
+        ("measure_lemmas", "75", "reverse_doubling_k75"),
+        ("transform", "50", "linearity_k50"),
     ],
 )
 def test_zero_reference_records_a_failed_case(suite, kappa, case_id, tmp_path):
     # at a large kappa on a coarse grid a refinement reference (or, in
     # fofana_lebesgue, a window norm; in translation, a mass; in the
-    # doubling list, an interval measure) is 0.0: the drift (or the window
-    # constant, the mass defect, the ratio) is recorded as inf, a failed
-    # case, and the run exits 1 with its report
+    # doubling and reverse-doubling lists, an interval measure; in the
+    # transform linearity check, its scale) is 0.0: the drift (or the window
+    # constant, the mass defect, the ratio, the linearity defect) is
+    # recorded as inf, a failed case, and the run exits 1 with its report
     path = tmp_path / "r.json"
     argv = ["verify", "--grid-n", "64", "--suite", suite, "--kappa", kappa, "--report", str(path)]
     argv += _FAILED_CASE_FLAGS.get(case_id, [])
