@@ -19,11 +19,12 @@ interval `_windows.WindowGeometry`.
 It takes the supremum over a finite radius grid through one reduction,
 `_sup_of_averages` (window mass over window measure, radius by radius),
 after one check, `_checked_radii`, which rejects a radius whose window
-measure is 0 anywhere before any transform or window mass.  Windows
-reaching past the sampled domain [-L, L] are averaged over their clipped
-part while the denominator keeps the full closed-form measure, so values
-within rho_max of the boundary are depressed; quantitative suites only
-consult |x| <= L/2.
+measure is 0 anywhere before any transform or window mass;
+`norms._ProfileStack.maximal` applies both to the q = 1 profiles a stack
+keeps.  Windows reaching past the sampled domain [-L, L] are averaged over
+their clipped part while the denominator keeps the full closed-form
+measure, so values within rho_max of the boundary are depressed;
+quantitative suites only consult |x| <= L/2.
 """
 
 from __future__ import annotations

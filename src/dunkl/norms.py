@@ -11,8 +11,9 @@ convolutions (|f|^q * chi_{B_r})(y), computed spectrally for a whole stack
 of functions and every radius at once, and for the intervals exact prefix-sum
 window integrals; for q = inf the window maxima of |f|, over the support
 annuli B(y, r) of the translated balls or over the intervals.  `_profiles`
-evaluates them and `_ProfileStack` keeps them per q, and the amalgam and
-Fofana norms of the stack are read from them, the Fofana norms with the
+evaluates them and `_ProfileStack` keeps them per q and radius, and the
+amalgam and Fofana norms and the maximal functions of the stack are read
+from them, the Fofana norms with the
 window measure mu(W_r)^theta: a scalar mu(B_r) for the translated balls,
 which multiplies the L^p norm, and one per center for the intervals, which
 goes inside it.  Every L^p norm over the nodes, of one function (`lp_norm`)
@@ -39,6 +40,7 @@ import numpy as np
 from . import _threads
 from ._windows import WindowGeometry
 from .grid import Grid, GridFunction
+from .maximal import _checked_radii, _sup_of_averages
 from .measure import ball_measure_origin
 from .translation import _INDICATOR_BAND, _INDICATOR_CHUNK_ROWS, TranslatedBalls, _indicator_values
 
@@ -152,10 +154,13 @@ def _lebesgue(weights: np.ndarray, rows, p: float) -> np.ndarray:
     if p == INF:
         return np.max(a, axis=-1)
     # in place: a stack's temporaries are large, and each fresh one is
-    # faulted in page by page
-    a **= p
-    a *= weights
-    sums = np.sum(a, axis=-1)
+    # faulted in page by page.  A power past the float range makes an inf
+    # norm, also where its weight is 0 (inf * 0, the one NaN a sum can hold)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a **= p
+        a *= weights
+        sums = np.sum(a, axis=-1)
+    sums = np.where(np.isnan(sums), INF, sums)
     return np.reshape([s ** (1.0 / p) for s in sums.ravel()], sums.shape)
 
 
@@ -204,38 +209,44 @@ def amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> float:
     the local L^q content seen through translated ball windows."""
     q = _check_exponent(q, "q")
     p = _check_exponent(p, "p")
-    return _ProfileStack(TranslatedBalls(f.grid), f.values[None, :], [r]).amalgam(q, p, r)[0]
+    return _ProfileStack(TranslatedBalls(f.grid), f.values[None, :]).amalgam(q, p, r)[0]
 
 
 def fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """sup over the radius grid of mu(B_r)^(1/alpha - 1/q - 1/p) times the
     r-windowed amalgam norm."""
-    return _ProfileStack(TranslatedBalls(f.grid), f.values[None, :], spec.r_grid).fofana(spec)[0]
+    return _ProfileStack(TranslatedBalls(f.grid), f.values[None, :]).fofana(spec)[0]
 
 
 class _ProfileStack:
     """Window profiles of a stack of functions rows (F, N) through one window
-    family windows (see `_profiles`), evaluated once per exponent q over one
-    list of window radii, from which the amalgam and Fofana norms of every
-    function of the stack at that q are read; the radii must be window
-    radii in (0, L/2].  q = inf profiles are window maxima and are evaluated
-    at the radii asked for."""
+    family windows (see `_profiles`), kept per exponent q and window radius,
+    from which the amalgam and Fofana norms and the maximal function of
+    every function of the stack are read; the radii must be window radii in
+    (0, L/2]."""
 
-    def __init__(self, windows, rows, radii):
+    def __init__(self, windows, rows):
         self.windows = windows
         self.grid = windows.grid
         self.rows = rows
-        self.radii = sorted({_check_window_radius(self.grid, r) for r in radii})
         self._by_q = {}
 
     def at(self, q: float, radii) -> np.ndarray:
-        """Profiles (F, len(radii), N) at exponent q, C-contiguous (a
-        gather on axis 1 by indexing would lay them out radius-major)."""
-        if q == INF:
-            return _profiles(self.windows, self.rows, q, radii)
-        if q not in self._by_q:
-            self._by_q[q] = _profiles(self.windows, self.rows, q, self.radii)
-        return np.take(self._by_q[q], [self.radii.index(float(r)) for r in radii], axis=1)
+        """Profiles (F, len(radii), N) at exponent q, C-contiguous.  The
+        radii not yet kept at q are evaluated as one stack and kept."""
+        radii = [_check_window_radius(self.grid, r) for r in radii]
+        kept = self._by_q.setdefault(q, {})
+        missing = [r for r in dict.fromkeys(radii) if r not in kept]
+        if missing:
+            kept.update(zip(missing, np.moveaxis(_profiles(self.windows, self.rows, q, missing), 1, 0)))
+        return np.stack([kept[r] for r in radii], axis=1)
+
+    def maximal(self, rho_grid) -> np.ndarray:
+        """The maximal function (F, N) of every function of the stack over
+        the radii rho_grid: the sup of its q = 1 profiles over the window
+        measures, by the reduction of `maximal._window_maximal`."""
+        rhos, measures = _checked_radii(rho_grid, self.windows.measure)
+        return _sup_of_averages(self.at(1.0, rhos), measures)
 
     def amalgam(self, q: float, p: float, r: float) -> list:
         """The amalgam norm at window radius r of every function of the stack."""
@@ -247,6 +258,7 @@ class _ProfileStack:
         measure, which ball_scaled multiplies by
         (mu(B_r) / mu(W_r))^(1/alpha - 1/p).  A scalar weight (translated
         balls) multiplies the norm, a weight per center goes inside it."""
+        u = self.at(spec.q, spec.r_grid)  # checks the radii first
         theta = _scale_exponent(spec.q, spec.p, spec.alpha)
         e = _inv(spec.alpha) - _inv(spec.p)
         weights = []
@@ -257,7 +269,6 @@ class _ProfileStack:
                 w = w * (ball_measure_origin(self.grid.params, r) / mu) ** e
             weights.append(w)
         w = np.array(weights)  # (R,) for a scalar weight, (R, N) for one per center
-        u = self.at(spec.q, spec.r_grid)
         if w.ndim == 1:
             norms = w * _lebesgue(self.grid.weights, u, spec.p)
         else:
@@ -406,15 +417,13 @@ def interval_amalgam_norm_r(f: GridFunction, q: float, p: float, r: float) -> fl
     """Interval-windowed amalgam: L^p over centers of ||f chi_{I(y,r)}||_q."""
     q = _check_exponent(q, "q")
     p = _check_exponent(p, "p")
-    stack = _ProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], [r])
-    return stack.amalgam(q, p, r)[0]
+    return _ProfileStack(WindowGeometry.interval(f.grid), f.values[None, :]).amalgam(q, p, r)[0]
 
 
 def interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     """Interval-windowed Fofana norm; the measure factor mu(I(y,r))^theta sits
     inside the center integral because it varies with the center."""
-    stack = _ProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], spec.r_grid)
-    return stack.fofana(spec)[0]
+    return _ProfileStack(WindowGeometry.interval(f.grid), f.values[None, :]).fofana(spec)[0]
 
 
 def ball_scaled_interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
@@ -428,5 +437,4 @@ def ball_scaled_interval_fofana_norm(f: GridFunction, spec: NormSpec) -> float:
     factor.  It equals ``interval_fofana_norm`` at the classical parameter and
     when alpha = p, and is at most it otherwise.
     """
-    stack = _ProfileStack(WindowGeometry.interval(f.grid), f.values[None, :], spec.r_grid)
-    return stack.fofana(spec, ball_scaled=True)[0]
+    return _ProfileStack(WindowGeometry.interval(f.grid), f.values[None, :]).fofana(spec, True)[0]

@@ -14,13 +14,14 @@ Reports serialize to a canonical JSON form: fixed key order, floats with 17
 significant digits, no wall-clock content, so identical configurations yield
 byte-identical payloads.
 
-Eleven suites are bodies ``body(rec, cfg, kappa, params)`` registered with
-``_per_kappa``.  ``run_suites`` owns the kappa loop and runs kappa-major: for
-each kappa of ``cfg.kappa_list`` it calls every requested body at that kappa,
-so the kernel blocks of one kappa are built once and the byte-bounded store
-(``transform._KERNEL_CACHE_BYTES``) can drop them before the next kappa;
-``run_suite`` is its one-suite case.  A body records through
-``rec.at(kappa)``: a view sharing the recorder's cases, name and random
+Eleven suites are bodies ``body(rec, unit)`` registered with ``_per_kappa``.
+``run_suites`` owns the kappa loop and runs kappa-major: for each kappa of
+``cfg.kappa_list`` it calls every requested body with that kappa's
+``_Unit``, which holds the grids, family samples, profile stacks and maximal
+functions the bodies share, so the kernel blocks of one kappa are built once
+and the byte-bounded store (``transform._KERNEL_CACHE_BYTES``) can drop them
+before the next kappa; ``run_suite`` is its one-suite case.  A body records
+through ``rec.at(kappa)``: a view sharing the recorder's cases, name and random
 streams that puts ``"kappa"`` first in every case's inputs and carries the id
 label ``ktag`` (``k0.5``, ``km0.5``).  ``kernel`` (kappa-free cases between
 per-kappa ones, a maximum over all kappas) and ``measure_lemmas`` (one
@@ -46,7 +47,7 @@ import scipy
 from ._version import VERSION
 from ._windows import WindowGeometry
 from .grid import Grid, GridFunction, _check_half_width, _integer, integrate, make_grid, sample_family
-from .maximal import _checked_radii, _sup_of_averages, _window_maximal
+from .maximal import _window_maximal
 from .measure import (
     ball_measure,
     ball_measure_origin,
@@ -374,32 +375,22 @@ class _Recorder:
     def stability(self, case_id, statement, value, reference, **inputs):
         """Bound the drift |value/reference - 1| between two grid or domain
         sizes (the largest one, for tuples) by the stability tolerance; a
-        zero reference gives an infinite drift, a failed case."""
+        zero or overflowed reference gives an infinite drift, a failed case."""
         pairs = zip(value, reference) if isinstance(value, tuple) else [(value, reference)]
-        drift = max(abs(v / r - 1.0) if r != 0.0 else INF for v, r in pairs)
+        drift = max(abs(_ratio(v, r) - 1.0) if r != 0.0 else INF for v, r in pairs)
         return self.bound(case_id, statement, drift, DEFAULT_TOLERANCES["stability"], 0.0, **inputs)
 
 
-def _family(grid: Grid, names=None) -> dict:
-    """The DEFAULT_FAMILY members sampled on grid, or those of the family
-    names, by id (``gaussian(0.5)``, ``bump(0,2)``), in their order."""
-    return {
-        f"{name}({','.join('%g' % v for v in ps)})": sample_family(name, ps, grid)
-        for name, ps in DEFAULT_FAMILY
-        if names is None or name in names
-    }
-
-
-def _stack(fam: dict) -> np.ndarray:
-    """The samples of a family of `_family` as one (F, N) stack."""
-    return np.stack([f.values for f in fam.values()])
+def _ratio(n: float, d: float) -> float:
+    """n / d, or inf where the norm d overflowed to inf: a failed case."""
+    return INF if d == INF else n / d
 
 
 def _worst_ratio(pairs) -> float:
-    """The worst constant of a family: the largest n / d over the (n, d)
-    pairs with d != 0, at least 0.0.  Ties keep the first, as a
+    """The worst constant of a family: the largest `_ratio` n / d over the
+    (n, d) pairs with d != 0, at least 0.0.  Ties keep the first, as a
     ``worst = max(worst, n / d)`` loop from 0.0 does."""
-    return max([0.0, *(n / d for n, d in pairs if d != 0.0)])
+    return max([0.0, *(_ratio(n, d) for n, d in pairs if d != 0.0)])
 
 
 def _doubling(params: DunklParams, x: float, r: float) -> float:
@@ -418,15 +409,56 @@ def _reverse_doubling(params: DunklParams, x: float, r: float, rho: float) -> fl
     return rho * interval_measure(params, x, r) / big if big != 0.0 else INF
 
 
-def _refined(cfg: SuiteConfig, params: DunklParams, evaluate):
-    """evaluate(grid) on the grid of N/2 nodes and then on that of N nodes;
-    returns (coarse, fine)."""
-    sizes = (cfg.node_count // 2, cfg.node_count)
-    return tuple(evaluate(make_grid(params, cfg.half_width, n)) for n in sizes)
+class _Unit:
+    """One kappa of a run, shared by its per-kappa bodies: cfg, kappa and
+    params, the grids `fine` (N nodes on [-L, L]), `coarse` (N/2 nodes) and
+    `half` (N/2 nodes on [-L/2, L/2]), and per grid g the DEFAULT_FAMILY
+    samples by id (`family`) and stacked (`rows`), its profile stacks through
+    the translated balls and the intervals, and its maximal function through
+    the windows of either stack over default_radius_grid(g), made on first
+    use and kept, so no body evaluates a profile another has evaluated."""
+
+    def __init__(self, cfg: SuiteConfig, kappa: float):
+        self.cfg, self.kappa, self.params = cfg, kappa, _params_for(kappa)
+        L, n = cfg.half_width, cfg.node_count
+        self.fine, self.coarse, self.half = (
+            make_grid(self.params, *size) for size in ((L, n), (L, n // 2), (L / 2.0, n // 2))
+        )
+        self._kept = {}
+
+    def _keep(self, what: str, key, make):
+        if (what, key) not in self._kept:
+            self._kept[what, key] = make()
+        return self._kept[what, key]
+
+    def family(self, g: Grid) -> dict:
+        return self._keep("family", g, lambda: {
+            f"{name}({','.join('%g' % v for v in ps)})": sample_family(name, ps, g)
+            for name, ps in DEFAULT_FAMILY
+        })
+
+    def rows(self, g: Grid) -> np.ndarray:
+        return self._keep("rows", g, lambda: np.stack([f.values for f in self.family(g).values()]))
+
+    def balls(self, g: Grid) -> _ProfileStack:
+        return self._keep("balls", g, lambda: _ProfileStack(TranslatedBalls(g), self.rows(g)))
+
+    def intervals(self, g: Grid) -> _ProfileStack:
+        return self._keep(
+            "intervals", g, lambda: _ProfileStack(WindowGeometry.interval(g), self.rows(g))
+        )
+
+    def maximal(self, stack: _ProfileStack) -> np.ndarray:
+        return self._keep("maximal", stack, lambda: stack.maximal(default_radius_grid(stack.grid)))
+
+    def refined(self, evaluate):
+        """evaluate(grid) on the coarse grid and then on the fine one;
+        returns (coarse, fine)."""
+        return evaluate(self.coarse), evaluate(self.fine)
 
 
 # Suites by name, in declaration order: a whole suite fn(rec, cfg), or a
-# per-kappa body(rec, cfg, kappa, params) for the names in _PER_KAPPA.
+# per-kappa body(rec, unit) for the names in _PER_KAPPA.
 _SUITES: dict = {}
 _PER_KAPPA: set = set()
 
@@ -438,8 +470,8 @@ def _suite(fn):
 
 
 def _per_kappa(body):
-    """Register body(rec, cfg, kappa, params) as a suite that `run_suites`
-    calls once per kappa of the config, recording through rec.at(kappa)."""
+    """Register body(rec, unit) as a suite that `run_suites` calls once per
+    kappa of the config with its `_Unit`, recording through rec.at(kappa)."""
     _PER_KAPPA.add(body.__name__.removeprefix("_suite_"))
     return _suite(body)
 
@@ -524,10 +556,10 @@ def run_suites(names, config: SuiteConfig | None = None) -> list:
         if name not in _PER_KAPPA:
             timed(name, rec, cfg)
     for kappa in cfg.kappa_list:
-        params = _params_for(kappa)
+        unit = _Unit(cfg, kappa)
         for name, rec in recs.items():
             if name in _PER_KAPPA:
-                timed(name, rec.at(kappa), cfg, kappa, params)
+                timed(name, rec.at(kappa), unit)
     return [VerificationReport(name, cfg.echo(), rec.cases, seconds[name]) for name, rec in recs.items()]
 
 
@@ -743,9 +775,10 @@ def _suite_measure_lemmas(rec: _Recorder, cfg: SuiteConfig):
 
 
 @_per_kappa
-def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+def _suite_transform(rec: _Recorder, unit: _Unit):
+    cfg, kappa, p = unit.cfg, unit.kappa, unit.params
     tol = DEFAULT_TOLERANCES["plancherel_classical" if p.classical else "plancherel"]
-    coarse_fam, fam = _refined(cfg, p, _family)
+    coarse_fam, fam = unit.refined(unit.family)
     for a in (0.25, 0.5, 2.0):
         members = [m[f"gaussian({a:g})"] for m in (coarse_fam, fam)]
         # a member whose weighted L2 norm underflows to 0 (at a large kappa)
@@ -852,14 +885,14 @@ def _suite_transform(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPar
 
 
 @_per_kappa
-def _suite_translation(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+def _suite_translation(rec: _Recorder, unit: _Unit):
+    kappa, p, g = unit.kappa, unit.params, unit.fine
     smooth = ("gaussian", "bump", "trig_gauss")
-    g = make_grid(p, cfg.half_width, cfg.node_count)
-    fam = _family(g)
-    L = cfg.half_width
+    fam = unit.family(g)
+    L = g.half_width
     # every family member is transformed once; a translate made alone below
     # stays a one-row inverse, as `translate` makes it
-    tr = _Translates(g, _stack(fam))
+    tr = _Translates(g, unit.rows(g))
     at = {fid: i for i, fid in enumerate(fam)}
 
     def translate_member(fid, y):
@@ -1081,9 +1114,9 @@ _YOUNG_TRIPLES = ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (2.0, 2.0, INF), (1.5, 3.0, 
 
 
 @_per_kappa
-def _suite_young(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
-    g = make_grid(p, cfg.half_width, cfg.node_count)
-    fam = _family(g)
+def _suite_young(rec: _Recorder, unit: _Unit):
+    p, g = unit.params, unit.fine
+    fam = unit.family(g)
     chi = fam["indicator_ball(1)"]
     pairs = [
         (fam["gaussian(0.5)"], fam["bump(0,2)"]),
@@ -1139,11 +1172,11 @@ def _suite_young(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams)
 
 
 @_per_kappa
-def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+def _suite_holder(rec: _Recorder, unit: _Unit):
     q_pairs = ((2.0, 2.0), (4.0, 4.0 / 3.0))
     p_pairs = ((INF, INF), (4.0, 4.0))
-    g = make_grid(p, cfg.half_width, cfg.node_count)
-    fam = _family(g)
+    g = unit.fine
+    fam = unit.family(g)
     pairs = [
         (fam["gaussian(0.5)"], fam["bump(0,2)"]),
         (fam["trig_gauss(2)"], fam["gaussian(0.25)"]),
@@ -1159,7 +1192,6 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
             + [f.values for f, _ in pairs]
             + [h.values for _, h in pairs]
         ),
-        (1.0,),
     )
     terms = []
     for k in range(n):
@@ -1182,7 +1214,7 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
     # scaled members and the random combinations in one stack
     members = list(fam.values())
     scales = [(k, c) for k in range(4) for c in (2.5, -3.0)]
-    rng = rec.rng(f"triangle_{kappa}")
+    rng = rec.rng(f"triangle_{unit.kappa}")
     combos = []
     for _ in range(100):
         i, j = rng.integers(0, len(members), 2)
@@ -1195,7 +1227,6 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
             + [(c * members[k]).values for k, c in scales]
             + [(a * members[i] + b * members[j]).values for i, j, a, b in combos]
         ),
-        (1.0,),
     ).amalgam(2.0, 4.0, 1.0)
     base = norms[: len(members)]
     # a member whose norm is 0.0 on a coarse grid (indicator_ball(0.5) at
@@ -1241,30 +1272,29 @@ def _suite_holder(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams
     )
 
 
-def _interval_translation_constants(cfg: SuiteConfig, rg, prof: _ProfileStack):
+def _interval_translation_constants(unit: _Unit, g: Grid):
     """Worst ratios over the family and exponents of the interval-window norm
-    and of its ball-scaled companion to the translation-window norm, read
-    from the window profiles prof of the family stack and from one interval
-    profile stack of the same rows."""
-    intervals = _ProfileStack(WindowGeometry.interval(prof.grid), prof.rows, rg)
+    and of its ball-scaled companion to the translation-window norm on grid
+    g, read from the unit's two profile stacks of the family there."""
+    rg = default_radius_grid(g)
+    intervals = unit.intervals(g)
     unscaled, scaled = [], []
-    for (q, pp, alpha) in cfg.exponents:
+    for (q, pp, alpha) in unit.cfg.exponents:
         spec = NormSpec(q, pp, alpha, rg)
-        denoms = prof.fofana(spec)
+        denoms = unit.balls(g).fofana(spec)
         unscaled += zip(intervals.fofana(spec), denoms)
         scaled += zip(intervals.fofana(spec, ball_scaled=True), denoms)
     return _worst_ratio(unscaled), _worst_ratio(scaled)
 
 
 @_per_kappa
-def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+def _suite_embeddings(rec: _Recorder, unit: _Unit):
+    cfg, p, g = unit.cfg, unit.params, unit.fine
     slack = DEFAULT_TOLERANCES["embedding_slack"]
-    g = make_grid(p, cfg.half_width, cfg.node_count)
     rg = default_radius_grid(g)
     mu1 = ball_measure_origin(p, 1.0)
-    fam = _family(g)
-    # one profile stack per q over the radius grid and r = 1
-    prof = _ProfileStack(TranslatedBalls(g), _stack(fam), (*rg, 1.0))
+    fam = unit.family(g)
+    prof = unit.balls(g)
 
     terms = []
     for (q, s, pp) in ((1.0, 2.0, 4.0), (2.0, 2.0, INF), (2.0, 4.0, 8.0), (1.0, 1.0, 2.0)):
@@ -1326,12 +1356,9 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
     # node spacing), and only the classical case, where the two window
     # measures coincide, is bounded by 1.  The ball-scaled companion
     # removes the factor and must not drift with the domain.
-    unscaled, scaled = _interval_translation_constants(cfg, rg, prof)
-    gh = make_grid(p, cfg.half_width / 2.0, cfg.node_count // 2)
-    rg_h = default_radius_grid(gh)
-    unscaled_h, scaled_h = _interval_translation_constants(
-        cfg, rg_h, _ProfileStack(TranslatedBalls(gh), _stack(_family(gh)), rg_h)
-    )
+    unscaled, scaled = _interval_translation_constants(unit, g)
+    gh = unit.half
+    unscaled_h, scaled_h = _interval_translation_constants(unit, gh)
     if p.classical:
         rec.bound(
             f"interval_le_translation_{rec.ktag}",
@@ -1367,10 +1394,9 @@ def _suite_embeddings(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklPa
 
 
 @_per_kappa
-def _suite_linfty_identity(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
-    g = make_grid(p, cfg.half_width, cfg.node_count)
-    fam = _family(g)
-    norms = _ProfileStack(TranslatedBalls(g), _stack(fam), [1.0]).amalgam(INF, INF, 1.0)
+def _suite_linfty_identity(rec: _Recorder, unit: _Unit):
+    fam = unit.family(unit.fine)
+    norms = unit.balls(unit.fine).amalgam(INF, INF, 1.0)
     sups = [lp_norm(f, INF) for f in fam.values()]
     worst = _worst_ratio((abs(norm - sup), sup) for norm, sup in zip(norms, sups))
     rec.bound(
@@ -1383,27 +1409,27 @@ def _suite_linfty_identity(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
 
 
 @_per_kappa
-def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+def _suite_fofana_lebesgue(rec: _Recorder, unit: _Unit):
     labels = ((2.0, 8.0, 2.0, "alpha_eq_q"), (2.0, 8.0, 8.0, "alpha_eq_p"))
 
     def windows(g):
-        """The window constant of each label, from one profile stack."""
+        """The window constant of each label, from the rows of the unit's
+        ball stack but power_tail's."""
         rg = default_radius_grid(g)
-        fam = _family(g, names=("gaussian", "indicator_ball", "bump", "trig_gauss"))
-        prof = _ProfileStack(TranslatedBalls(g), _stack(fam), rg)
         out = []
         for (q, pp, alpha, _) in labels:
             cmax = 0.0
-            for f, norm in zip(fam.values(), prof.fofana(NormSpec(q, pp, alpha, rg))):
+            norms = unit.balls(g).fofana(NormSpec(q, pp, alpha, rg))
+            for (fid, f), norm in zip(unit.family(g).items(), norms):
                 base = lp_norm(f, alpha)
-                if base == 0.0:
+                if base == 0.0 or fid.startswith("power_tail"):
                     continue
-                ratio = norm / base
+                ratio = _ratio(norm, base)
                 cmax = max(cmax, ratio, 1.0 / ratio if ratio != 0.0 else INF)
             out.append(cmax)
         return out
 
-    for (q, pp, alpha, label), c_coarse, c_fine in zip(labels, *_refined(cfg, p, windows)):
+    for (q, pp, alpha, label), c_coarse, c_fine in zip(labels, *unit.refined(windows)):
         rec.measure(
             f"fofana_lebesgue_window_{rec.ktag}_{label}",
             "fofana_lebesgue_identity",
@@ -1420,16 +1446,14 @@ def _suite_fofana_lebesgue(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Du
             coarse_window=c_coarse,
         )
     # interval-normed counterpart: reported lower-bound constant
-    g = make_grid(p, cfg.half_width, cfg.node_count)
-    rg = default_radius_grid(g)
-    fam = _family(g, names=("gaussian", "bump", "trig_gauss"))
-    stack = _ProfileStack(WindowGeometry.interval(g), _stack(fam), rg)
-    bases = stack.fofana(NormSpec(2.0, 8.0, 2.0, rg))
-    rec.measure(
-        f"interval_fofana_lower_{rec.ktag}",
-        "interval_fofana_lebesgue",
-        _worst_ratio((lp_norm(f, 2.0), base) for f, base in zip(fam.values(), bases)),
-    )
+    g = unit.fine
+    bases = unit.intervals(g).fofana(NormSpec(2.0, 8.0, 2.0, default_radius_grid(g)))
+    smooth = [
+        (lp_norm(f, 2.0), base)
+        for (fid, f), base in zip(unit.family(g).items(), bases)
+        if fid.startswith(("gaussian", "bump", "trig_gauss"))
+    ]
+    rec.measure(f"interval_fofana_lower_{rec.ktag}", "interval_fofana_lebesgue", _worst_ratio(smooth))
 
 
 def _classical_maximal_oracle(f: GridFunction, rhos) -> np.ndarray:
@@ -1455,22 +1479,16 @@ def _classical_maximal_oracle(f: GridFunction, rhos) -> np.ndarray:
 
 
 @_per_kappa
-def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+def _suite_maximal_equivalence(rec: _Recorder, unit: _Unit):
     def windows(g):
-        """The two window constants, the family, and the maximal functions
-        (F, N) of the family through the translated balls (Dunkl), the
-        annuli (centered) and the intervals; each maximal operator takes the
-        family as one stack."""
-        rhog = default_radius_grid(g)
-        sel = np.abs(g.nodes) <= cfg.half_width / 2.0
+        """The two window constants, and the maximal functions (F, N) of the
+        family through the translated balls (Dunkl) and the intervals, the
+        unit's, and through the annuli (centered), the family as one stack."""
+        sel = np.abs(g.nodes) <= g.half_width / 2.0
         c1 = 0.0
         c2 = 0.0
-        fam = _family(g)
-        rows = _stack(fam)
-        maxima = [
-            _window_maximal(windows, rows, rhog)
-            for windows in (TranslatedBalls(g), WindowGeometry.annulus(g), WindowGeometry.interval(g))
-        ]
+        centered = _window_maximal(WindowGeometry.annulus(g), unit.rows(g), default_radius_grid(g))
+        maxima = [unit.maximal(unit.balls(g)), centered, unit.maximal(unit.intervals(g))]
         for md, mc, mi in zip(*maxima):
             mask = sel & (md > 1e-6) & (mc > 1e-6) & (mi > 1e-6)
             if not np.any(mask):
@@ -1479,19 +1497,11 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
             r2 = mc[mask] / mi[mask]
             c1 = max(c1, float(np.max(r1)), float(np.max(1.0 / r1)))
             c2 = max(c2, float(np.max(r2)), float(np.max(1.0 / r2)))
-        return (c1, c2), fam, maxima
+        return (c1, c2), maxima
 
-    (coarse, _, _), ((c1_fine, c2_fine), fam, (mds, mcs, mis)) = _refined(cfg, p, windows)
-    rec.measure(
-        f"equivalence_window_dunkl_centered_{rec.ktag}",
-        "maximal_equivalence",
-        c1_fine,
-    )
-    rec.measure(
-        f"equivalence_window_centered_interval_{rec.ktag}",
-        "maximal_equivalence",
-        c2_fine,
-    )
+    (coarse, _), ((c1_fine, c2_fine), (mds, mcs, mis)) = unit.refined(windows)
+    rec.measure(f"equivalence_window_dunkl_centered_{rec.ktag}", "maximal_equivalence", c1_fine)
+    rec.measure(f"equivalence_window_centered_interval_{rec.ktag}", "maximal_equivalence", c2_fine)
     rec.stability(
         f"equivalence_stability_{rec.ktag}",
         "maximal_equivalence",
@@ -1500,9 +1510,10 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
         coarse=coarse,
     )
 
-    g = make_grid(p, cfg.half_width, cfg.node_count)
+    p, g = unit.params, unit.fine
+    fam = unit.family(g)
     rhog = default_radius_grid(g)
-    sel = np.abs(g.nodes) <= cfg.half_width / 2.0
+    sel = np.abs(g.nodes) <= g.half_width / 2.0
 
     if p.classical:
         worst = 0.0
@@ -1579,25 +1590,25 @@ def _suite_maximal_equivalence(rec: _Recorder, cfg: SuiteConfig, kappa: float, p
     )
 
 
-@_per_kappa
-def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
-    def family_max(g):
-        """Per exponent triple, the family maximum of the ratio, from the
-        interval profile stacks of |f| and of its interval maximal
-        function, one per q.  One interval geometry serves both stacks and
-        the maximal functions."""
-        rg = default_radius_grid(g)
-        windows = WindowGeometry.interval(g)
-        rows = _stack(_family(g))
-        base = _ProfileStack(windows, rows, rg)
-        maxi = _ProfileStack(windows, _window_maximal(windows, rows, rg), rg)
-        out = []
-        for (q, pp, alpha) in cfg.exponents:
-            spec = NormSpec(q, pp, alpha, rg)
-            out.append(_worst_ratio(zip(maxi.fofana(spec), base.fofana(spec))))
-        return out
+def _maximal_ratios(unit: _Unit, stack: _ProfileStack) -> list:
+    """Per exponent triple, the ratio ||M f|| / ||f|| of the Fofana norms of
+    each member f by id through the windows of one of the unit's family
+    stacks, with M the unit's maximal function; none where ||f|| = 0."""
+    maxi = _ProfileStack(stack.windows, unit.maximal(stack))
+    out = []
+    for (q, pp, alpha) in unit.cfg.exponents:
+        spec = NormSpec(q, pp, alpha, default_radius_grid(stack.grid))
+        norms = zip(unit.family(stack.grid), stack.fofana(spec), maxi.fofana(spec))
+        out.append({fid: _ratio(m, b) for fid, b, m in norms if b != 0.0})
+    return out
 
-    for (q, pp, alpha), coarse, fine in zip(cfg.exponents, *_refined(cfg, p, family_max)):
+
+@_per_kappa
+def _suite_interval_fofana_maximal(rec: _Recorder, unit: _Unit):
+    cfg, kappa, p = unit.cfg, unit.kappa, unit.params
+    ratios = unit.refined(lambda g: _maximal_ratios(unit, unit.intervals(g)))
+    for (q, pp, alpha), *by_grid in zip(cfg.exponents, *ratios):
+        coarse, fine = (max([0.0, *by_id.values()]) for by_id in by_grid)  # the family maxima
         tag = f"{rec.ktag}_q{q:g}_p{pp:g}_a{alpha:g}"
         rec.measure(
             f"interval_maximal_ratio_{tag}",
@@ -1633,7 +1644,7 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
             worst_c = max(worst_c, float(np.max(mi[sel] * mu_d / mu_r)))
         return worst_c
 
-    decay_coarse, decay_fine = _refined(cfg, p, decay_constant)
+    decay_coarse, decay_fine = unit.refined(decay_constant)
     rec.measure(
         f"indicator_decay_constant_{rec.ktag}",
         "maximal_indicator_decay",
@@ -1647,7 +1658,7 @@ def _suite_interval_fofana_maximal(rec: _Recorder, cfg: SuiteConfig, kappa: floa
         coarse=decay_coarse,
     )
 
-    g = make_grid(p, cfg.half_width, cfg.node_count)
+    g = unit.fine
 
     # exact two-interval cover of the annular ball
     rng = rec.rng(f"cover_{kappa}")
@@ -1717,29 +1728,9 @@ def _record_member_ratios(rec, statement, tag, coarse, fine, **exponents):
 
 
 @_per_kappa
-def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
-    def member_ratios(g):
-        """Per exponent triple, the ratio of each family member, from the
-        profile stacks of |f| and of M f, one per q."""
-        rg = default_radius_grid(g)
-        fam = _family(g)
-        rows = _stack(fam)
-        balls = TranslatedBalls(g)
-        base = _ProfileStack(balls, rows, rg)
-        maxi = _ProfileStack(balls, _window_maximal(balls, rows, rg), rg)
-        out = []
-        for (q, pp, alpha) in cfg.exponents:
-            spec = NormSpec(q, pp, alpha, rg)
-            out.append(
-                {
-                    fid: m / b
-                    for fid, b, m in zip(fam, base.fofana(spec), maxi.fofana(spec))
-                    if b != 0.0
-                }
-            )
-        return out
-
-    for (q, pp, alpha), coarse, fine in zip(cfg.exponents, *_refined(cfg, p, member_ratios)):
+def _suite_theorem_maxi(rec: _Recorder, unit: _Unit):
+    ratios = unit.refined(lambda g: _maximal_ratios(unit, unit.balls(g)))
+    for (q, pp, alpha), coarse, fine in zip(unit.cfg.exponents, *ratios):
         _record_member_ratios(
             rec,
             "fofana_maximal_bound",
@@ -1753,26 +1744,18 @@ def _suite_theorem_maxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: Dunkl
 
 
 @_per_kappa
-def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: DunklParams):
+def _suite_theorem_weakmaxi(rec: _Recorder, unit: _Unit):
     def member_ratios(g):
         """Per (p, alpha) pair, the ratio of each family member, and the
-        worst weak/strong dominance ratio (on the fine grid only).  Window
-        rows, maximal functions, q = 1 window profiles and weak window
-        statistics are shared across pairs.  One profile stack of the
-        translated balls over both radius grids gives the maximal functions
-        (its q = 1 profiles are the ball convolutions of |f|) and the q = 1
-        Fofana norms; it is dropped before the workspace is built."""
-        fine = g.node_count == cfg.node_count
+        worst weak/strong dominance ratio (on the fine grid only).  The
+        unit's maximal functions and the q = 1 Fofana norms of its ball
+        stack, and the weak window statistics, are shared across pairs."""
+        fine = g is unit.fine
         rg = default_radius_grid(g, ratio=2.0)
-        rhog = default_radius_grid(g)
-        fam = _family(g)
-        balls = TranslatedBalls(g)
-        rhos, measures = _checked_radii(rhog, balls.measure)
-        stack = _ProfileStack(balls, _stack(fam), (*rg, *rhos))
-        mfs = _sup_of_averages(stack.at(1.0, rhos), measures)
+        fam = unit.family(g)
+        mfs = unit.maximal(unit.balls(g))
         specs = [NormSpec(1.0, pp, alpha, rg) for pp, alpha in DEFAULT_WEAK_EXPONENTS]
-        strong = zip(*(stack.fofana(spec) for spec in specs))
-        del stack
+        strong = zip(*(unit.balls(g).fofana(spec) for spec in specs))
         ws = WeakWindowWorkspace(g, rg)
         ratios = {pair: {} for pair in DEFAULT_WEAK_EXPONENTS}
         dominance = 0.0
@@ -1784,12 +1767,15 @@ def _suite_theorem_weakmaxi(rec: _Recorder, cfg: SuiteConfig, kappa: float, p: D
                 base = bases[j]
                 if base == 0.0:
                     continue
-                ratios[pair][fid] = weak_mf[j] / base
+                ratios[pair][fid] = _ratio(weak_mf[j], base)
                 if dominated:
-                    dominance = max(dominance, weak_f[j] / base)
+                    dominance = max(dominance, _ratio(weak_f[j], base))
         return ratios, dominance
 
-    (coarse, _), (fine, dominance_worst) = _refined(cfg, p, member_ratios)
+    # the fine grid first: its workspace, the largest, is built before the
+    # coarse grid's kernel blocks and profile stack exist
+    fine, dominance_worst = member_ratios(unit.fine)
+    coarse, _ = member_ratios(unit.coarse)
     for (pp, alpha) in DEFAULT_WEAK_EXPONENTS:
         _record_member_ratios(
             rec,

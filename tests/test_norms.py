@@ -638,7 +638,7 @@ def test_interval_fofana_builds_one_window_mass_per_function(monkeypatch):
 
     for spec in _interval_specs(g, ((1.0, 2.0, 1.0), (2.0, 8.0, 4.0), (INF, INF, INF))):
         want = [[_per_radius_interval_fofana(f, spec, scaled) for f in fam] for scaled in (False, True)]
-        stack = _ProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), spec.r_grid)
+        stack = _ProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]))
         monkeypatch.setattr(WindowGeometry, "_prefix", counted)
         sums.clear()
         assert [stack.fofana(spec), stack.fofana(spec, ball_scaled=True)] == want

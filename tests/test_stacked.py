@@ -78,7 +78,7 @@ def test_stack_equals_separate_convolutions(kappa, classical):
     for f, m in zip(fam, maxima):
         single = dunkl_maximal(f, radii).values
         assert np.max(np.abs(m - single)) <= 1e-13 * np.max(single)
-    stack = _ProfileStack(TranslatedBalls(g), np.stack([f.values for f in fam]), radii)
+    stack = _ProfileStack(TranslatedBalls(g), np.stack([f.values for f in fam]))
     for q in (1.0, 2.0, INF):
         spec = NormSpec(q, INF, INF, radii)
         for f, norm in zip(fam, stack.fofana(spec)):
@@ -149,7 +149,7 @@ def test_interval_stack_rows_equal_one_function_norms(kappa, classical):
     # for both center weights and across the exponents that take separate
     # routes (q = 1, finite q, q = inf; finite p, p = inf)
     g, fam, radii = _setup(kappa, classical)
-    stack = _ProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), radii)
+    stack = _ProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]))
     for q, pp, alpha in ((1.0, 2.0, 1.0), (1.0, INF, 2.0), (2.0, 8.0, 4.0), (2.0, INF, 4.0), (INF, INF, INF)):
         spec = NormSpec(q, pp, alpha, radii)
         assert stack.fofana(spec) == [interval_fofana_norm(f, spec) for f in fam]
@@ -183,7 +183,7 @@ def test_stack_readouts_equal_the_per_row_formula(kappa, classical, family, ball
     # center inside it
     g, fam, radii = _setup(kappa, classical, n=512)
     windows = family(g)
-    stack = _ProfileStack(windows, np.stack([f.values for f in fam]), radii)
+    stack = _ProfileStack(windows, np.stack([f.values for f in fam]))
     for pp in (1.0, 1.5, 2.0, 6.0, 8.0, INF):
         for q in {1.0, min(2.0, pp)}:
             for r in radii[::3]:
@@ -215,7 +215,7 @@ def test_stack_readout_of_a_non_finite_profile_raises(family, ball_scaled):
     g, fam, radii = _setup(0.5, False, n=256)
     rows = np.stack([f.values for f in fam])
     rows[1] *= 1e200
-    stack = _ProfileStack(family(g), rows, radii)
+    stack = _ProfileStack(family(g), rows)
     with np.errstate(over="ignore", invalid="ignore"):
         for pp in (2.0, INF):
             with pytest.raises(ValueError, match="values must be finite"):
@@ -243,7 +243,7 @@ def test_interval_window_geometry_matches_fresh_window_masses(kappa, classical, 
         return window_end(*args)
 
     monkeypatch.setattr(_windows, "_window_end", counted)
-    stack = _ProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]), radii)
+    stack = _ProfileStack(WindowGeometry.interval(g), np.stack([f.values for f in fam]))
     profiles = {q: stack.at(q, radii) for q in (1.0, 1.5, 2.0)}
     stack.fofana(NormSpec(2.0, 8.0, 4.0, radii), ball_scaled=True)
     assert len(ends) == 2 * len(radii)
@@ -297,7 +297,7 @@ def test_translated_balls_are_a_window_family(kappa, classical):
     g, fam, radii = _setup(kappa, classical)
     balls = TranslatedBalls(g)
     rows = np.stack([f.values for f in fam])
-    stack = _ProfileStack(balls, rows, radii)
+    stack = _ProfileStack(balls, rows)
     for q, pp, alpha in ((1.0, 2.0, 1.0), (2.0, 8.0, 4.0), (2.0, INF, 4.0), (INF, INF, INF)):
         spec = NormSpec(q, pp, alpha, radii)
         assert stack.fofana(spec, ball_scaled=True) == stack.fofana(spec)

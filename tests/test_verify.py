@@ -2,16 +2,21 @@ import functools
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dunkl import SuiteConfig, list_suites, run_suite, run_suites, transform, verify
+from dunkl import SuiteConfig, cli, list_suites, run_suite, run_suites, transform, verify
 from dunkl._windows import WindowGeometry
 from dunkl.cli import main
 from dunkl.verify import (
     _YOUNG_TRIPLES,
+    DEFAULT_FAMILY,
     DEFAULT_KAPPAS,
     _Recorder,
     _worst_ratio,
@@ -303,21 +308,17 @@ def test_runtime_not_serialized():
 
 def test_weak_suite_reads_maximal_functions_and_q1_norms_from_one_ball_stack(monkeypatch):
     # theorem_weakmaxi takes M f and the q = 1 Fofana norms of the family
-    # from one translated-ball profile stack over both radius grids; both
-    # have the bits of the maximal path and of the family stack over the
+    # from its kappa unit: M f from the unit's Dunkl maximal function, the
+    # norms from the unit's ball stack, whose q = 1 profiles also give M f.
+    # Both have the bits of the maximal path and of a family stack over the
     # radius grid alone.  A one-row fofana_norm transforms with a
     # matrix-vector product, not the stack's matrix product, so it agrees
     # to rounding only
-    from dunkl import NormSpec, default_radius_grid, fofana_norm, verify
+    from dunkl import NormSpec, default_radius_grid, fofana_norm
     from dunkl.maximal import _window_maximal
     from dunkl.translation import TranslatedBalls
 
     maxima, norms = [], []
-    sup_of_averages = verify._sup_of_averages
-
-    def recorded(*args):
-        maxima.append(sup_of_averages(*args))
-        return maxima[-1]
 
     class Recording(verify._ProfileStack):
         def fofana(self, spec, ball_scaled=False):
@@ -325,39 +326,98 @@ def test_weak_suite_reads_maximal_functions_and_q1_norms_from_one_ball_stack(mon
             norms.append((self, spec, out))
             return out
 
-    monkeypatch.setattr(verify, "_sup_of_averages", recorded)
+    class Unit(verify._Unit):
+        def maximal(self, stack):
+            maxima.append((stack, super().maximal(stack)))
+            return maxima[-1][1]
+
     monkeypatch.setattr(verify, "_ProfileStack", Recording)
-    run_suite("theorem_weakmaxi", SuiteConfig(kappa_list=(0.5,), **SMALL))
+    cfg = SuiteConfig(kappa_list=(0.5,), **SMALL)
+    unit = Unit(cfg, 0.5)
+    verify._SUITES["theorem_weakmaxi"](_Recorder("theorem_weakmaxi", cfg).at(0.5), unit)
     pairs = verify.DEFAULT_WEAK_EXPONENTS
-    assert len(maxima) == 2 and len(norms) == 2 * len(pairs)  # coarse, then fine
-    for mf, calls in zip(maxima, (norms[: len(pairs)], norms[len(pairs) :])):
-        stack = calls[0][0]
-        g = stack.windows.grid
+    assert [stack for stack, _ in maxima] == [unit.balls(unit.fine), unit.balls(unit.coarse)]
+    assert len(norms) == 2 * len(pairs)
+    for (stack, mf), calls in zip(maxima, (norms[: len(pairs)], norms[len(pairs) :])):
+        g = stack.grid
         rg, rhog = default_radius_grid(g, ratio=2.0), default_radius_grid(g)
-        fam = verify._family(g)
-        assert isinstance(stack.windows, TranslatedBalls)
-        assert stack.radii == sorted({*rg, *rhog})
-        assert np.array_equal(mf, _window_maximal(TranslatedBalls(g), verify._stack(fam), rhog))
-        for (s, spec, out), (pp, alpha) in zip(calls, pairs):
-            assert s is stack and spec == NormSpec(1.0, pp, alpha, rg)
-            assert out == Recording(TranslatedBalls(g), verify._stack(fam), rg).fofana(spec)
-            for f, norm in zip(fam.values(), out):
+        rows = unit.rows(g)
+        assert np.array_equal(mf, _window_maximal(TranslatedBalls(g), rows, rhog))
+        for (read, spec, out), (pp, alpha) in zip(calls, pairs):
+            assert read is stack and spec == NormSpec(1.0, pp, alpha, rg)
+            assert out == verify._ProfileStack(TranslatedBalls(g), rows).fofana(spec)
+            for f, norm in zip(unit.family(g).values(), out):
                 assert norm == pytest.approx(fofana_norm(f, spec), rel=1e-13)
 
 
-def _fake_suites(monkeypatch, calls, fail_at=None):
+@pytest.mark.parametrize("windows", ["balls", "intervals"])
+def test_unit_stacks_keep_the_bits_of_a_fresh_stack_in_any_request_order(windows):
+    # a unit's stack evaluates each request's missing radii as one stack and
+    # keeps them: the profiles and norms it returns have the bits of a fresh
+    # stack over the suites' own radii, whatever the suites asked before,
+    # and the rows of a member subset (fofana_lebesgue's) those of a fresh
+    # stack of the subset alone
+    from dunkl import NormSpec, default_radius_grid
+    from dunkl.norms import _ProfileStack
+    from dunkl.translation import TranslatedBalls
+
+    cfg = SuiteConfig(kappa_list=(0.5,), **SMALL)
+    members = [i for i, (name, _) in enumerate(DEFAULT_FAMILY) if name != "power_tail"]
+    kinds = {"balls": TranslatedBalls, "intervals": WindowGeometry.interval}
+    for order in (1, -1):
+        unit = verify._Unit(cfg, 0.5)
+        for g in (unit.fine, unit.coarse, unit.half)[::order]:
+            rg, rhog = default_radius_grid(g, ratio=2.0), default_radius_grid(g)
+            stack = getattr(unit, windows)(g)
+            rows = unit.rows(g)
+            requests = [(1.0, rg), (1.0, rhog), (1.0, (1.0,)), (2.0, rhog), (1.5, rhog)]
+            requests.append((math.inf, (1.0,)))
+            for q, radii in requests[::order]:
+                fresh = _ProfileStack(kinds[windows](g), rows)
+                assert np.array_equal(stack.at(q, radii), fresh.at(q, radii)), (q, radii)
+            spec = NormSpec(2.0, 8.0, 2.0, rhog)
+            norms = stack.fofana(spec)
+            subset = _ProfileStack(kinds[windows](g), rows[members])
+            assert [norms[i] for i in members] == subset.fofana(spec)
+
+
+@pytest.mark.parametrize("kappa", DEFAULT_KAPPAS)
+def test_unit_maximal_functions_have_the_bits_of_the_maximal_path(kappa):
+    # the unit reads the family's Dunkl and interval maximal functions from
+    # the q = 1 profiles of its stacks, also after a suite has filled them at
+    # other radii; they have the bits of `_window_maximal` over the family
+    from dunkl import default_radius_grid
+    from dunkl.maximal import _window_maximal
+    from dunkl.translation import TranslatedBalls
+
+    unit = verify._Unit(SuiteConfig(kappa_list=(kappa,), **SMALL), kappa)
+    for g in (unit.coarse, unit.fine):
+        rhog, rows = default_radius_grid(g), unit.rows(g)
+        for stack in (unit.balls(g), unit.intervals(g)):
+            stack.at(1.0, (1.0, *default_radius_grid(g, ratio=2.0)))
+        balls, intervals = unit.balls(g), unit.intervals(g)
+        assert np.array_equal(unit.maximal(balls), _window_maximal(TranslatedBalls(g), rows, rhog))
+        interval_path = _window_maximal(WindowGeometry.interval(g), rows, rhog)
+        assert np.array_equal(unit.maximal(intervals), interval_path)
+        assert unit.maximal(balls) is unit.maximal(balls)
+
+
+def _fake_suites(monkeypatch, calls, fail_at=None, units=None):
     """Replace kernel (whole), transform and translation (per kappa) by
-    bodies that log their calls and record one case each; translation
-    raises at kappa fail_at."""
+    bodies that log their calls (and their units, to a list units) and
+    record one case each; translation raises at kappa fail_at."""
 
     def whole(rec, cfg):
         calls.append(("kernel", None))
         rec.measure("whole", "s", 1.0)
 
     def body(name):
-        def run(rec, cfg, kappa, params):
+        def run(rec, unit):
+            kappa = unit.kappa
             calls.append((name, kappa))
-            assert params.kappa == kappa
+            if units is not None:
+                units.append(unit)
+            assert unit.params.kappa == kappa
             if name == "translation" and kappa == fail_at:
                 raise RuntimeError(f"unit {name} at kappa {kappa}")
             rec.measure(f"{name}_{rec.ktag}", "s", kappa)
@@ -370,11 +430,11 @@ def _fake_suites(monkeypatch, calls, fail_at=None):
 
 
 def test_run_suites_is_kappa_major_with_reports_in_list_order(monkeypatch):
-    # whole suites run first, then every per-kappa body at each kappa; the
-    # reports come in list_suites order, their cases in kappa order, and
-    # each report's seconds sum its units
-    calls = []
-    _fake_suites(monkeypatch, calls)
+    # whole suites run first, then every per-kappa body at each kappa, all
+    # with that kappa's one unit; the reports come in list_suites order,
+    # their cases in kappa order, and each report's seconds sum its units
+    calls, units = [], []
+    _fake_suites(monkeypatch, calls, units=units)
     cfg = SuiteConfig(kappa_list=(0.5, -0.5), **SMALL)
     reports = run_suites(["translation", "kernel", "transform"], cfg)
     assert calls == [
@@ -382,6 +442,7 @@ def test_run_suites_is_kappa_major_with_reports_in_list_order(monkeypatch):
         ("transform", 0.5), ("translation", 0.5),
         ("transform", -0.5), ("translation", -0.5),
     ]
+    assert units[0] is units[1] and units[2] is units[3] and units[1] is not units[2]
     assert [r.suite for r in reports] == ["kernel", "transform", "translation"]
     assert [c.case_id for c in reports[2].cases] == ["translation_k0.5", "translation_km0.5"]
     assert all(r.runtime_seconds > 0.0 for r in reports)
@@ -451,6 +512,7 @@ _FAILED_CASE_FLAGS = {
     "doubling_k70": ["--grid-n", "512", "--seed", "123456789"],
     "reverse_doubling_k75": ["--seed", "123456789"],
     "linearity_k50": ["--domain-l", "64"],
+    "stability_k35.3196_p8_a4": ["--domain-l", "64", "--grid-n", "192"],
 }
 
 
@@ -465,15 +527,18 @@ _FAILED_CASE_FLAGS = {
         ("measure_lemmas", "70", "doubling_k70"),
         ("measure_lemmas", "75", "reverse_doubling_k75"),
         ("transform", "50", "linearity_k50"),
+        ("theorem_weakmaxi", "35.31956744965072", "stability_k35.3196_p8_a4"),
     ],
 )
 def test_zero_reference_records_a_failed_case(suite, kappa, case_id, tmp_path):
     # at a large kappa on a coarse grid a refinement reference (or, in
     # fofana_lebesgue, a window norm; in translation, a mass; in the
     # doubling and reverse-doubling lists, an interval measure; in the
-    # transform linearity check, its scale) is 0.0: the drift (or the window
-    # constant, the mass defect, the ratio, the linearity defect) is
-    # recorded as inf, a failed case, and the run exits 1 with its report
+    # transform linearity check, its scale) is 0.0, or (in theorem_weakmaxi
+    # at kappa 35.3, the coarse q = 1, p = 8 norm of power_tail(6,1)) a
+    # power overflows: the drift (or the window constant, the mass defect,
+    # the ratio, the linearity defect) is recorded as inf, a failed case, and
+    # the run exits 1 with its report, with no RuntimeWarning
     path = tmp_path / "r.json"
     argv = ["verify", "--grid-n", "64", "--suite", suite, "--kappa", kappa, "--report", str(path)]
     argv += _FAILED_CASE_FLAGS.get(case_id, [])
@@ -495,3 +560,38 @@ def test_transform_records_a_member_of_zero_norm_as_failed(tmp_path):
         assert cases[case_id]["lhs"] == "Infinity"
         assert cases[case_id]["pass"] is False
     assert isinstance(cases["plancherel_k80_a0.25"]["lhs"], float)
+
+
+# Exponent lists of the configuration sweep: the default triples, q = 1 (which
+# the strong maximal suites reject), q = inf, and one list of two triples.
+_SWEEP_EXPONENTS = (
+    "2,8,4", "1.5,6,2", "2,inf,4", "1,2,2", "2,8,4;1.5,6,2", "inf,inf,inf", "4,8,8", "1.2,1.5,1.3"
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    suite=st.sampled_from(ALL_SUITES),
+    kappa=st.floats(-0.499, 83.0),
+    half_width=st.floats(2.0, 64.0),
+    node_count=st.integers(16, 64).map(lambda k: 4 * k),
+    exponents=st.sampled_from(_SWEEP_EXPONENTS),
+    seed=st.sampled_from((0, 7, 123456789)),
+)
+def test_every_accepted_config_runs_to_a_report(suite, kappa, half_width, node_count, exponents, seed):
+    # a configuration the CLI accepts runs its suite to a report (exit 0, or
+    # 1 with failed cases), and one it rejects exits 2 before any suite
+    # starts; an uncaught exception, or a RuntimeWarning (an error under the
+    # test filter), fails the example
+    wrapped = mock.patch.object(cli, "run_suites", wraps=run_suites)
+    with tempfile.TemporaryDirectory() as tmp, wrapped as runs:
+        path = Path(tmp) / "r.json"
+        argv = ["verify", "--suite", suite, "--kappa", repr(kappa), "--domain-l", repr(half_width)]
+        argv += ["--grid-n", str(node_count), "--exponents", exponents, "--seed", str(seed)]
+        try:
+            code = main([*argv, "--report", str(path)])
+        except SystemExit as exc:
+            assert exc.code == 2 and not runs.called and not path.exists()
+            return
+        assert code in (0, 1)
+        assert json.loads(path.read_text())["suite"] == suite
