@@ -153,15 +153,22 @@ def _lebesgue(weights: np.ndarray, rows, p: float) -> np.ndarray:
     a = np.abs(rows)
     if p == INF:
         return np.max(a, axis=-1)
-    # in place: a stack's temporaries are large, and each fresh one is
-    # faulted in page by page.  A power past the float range makes an inf
-    # norm, also where its weight is 0 (inf * 0, the one NaN a sum can hold)
+    sums = _power_sums(weights, a, p)
+    return np.reshape([s ** (1.0 / p) for s in sums.ravel()], sums.shape)
+
+
+def _power_sums(weights: np.ndarray, a: np.ndarray, p: float) -> np.ndarray:
+    """sum(weights * a**p) of every row of the nonnegative stack a, along
+    its last axis, each row summed as a row of its own.  Computed in place
+    in a: a stack's temporaries are large, and each fresh one is faulted in
+    page by page.  A power or product past the float range makes an inf
+    sum, with no RuntimeWarning, also where its weight is 0 (inf * 0, the
+    one NaN such a sum can hold)."""
     with np.errstate(over="ignore", invalid="ignore"):
         a **= p
         a *= weights
         sums = np.sum(a, axis=-1)
-    sums = np.where(np.isnan(sums), INF, sums)
-    return np.reshape([s ** (1.0 / p) for s in sums.ravel()], sums.shape)
+    return np.where(np.isnan(sums), INF, sums)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -398,10 +405,9 @@ class WeakWindowWorkspace:
                 if p == INF:
                     val = pref * max(float(np.max(w_pos)), float(np.max(w_neg)))
                 else:
-                    val = pref * float(
-                        (np.sum(self.wdec * w_pos**p) + np.sum(self.wdec * w_neg**p))
-                        ** (1.0 / p)
-                    )
+                    # one sum per side, as two rows of their own
+                    pos, neg = _power_sums(self.wdec, np.stack([w_pos, w_neg]), p)
+                    val = pref * float((pos + neg) ** (1.0 / p))
                 best[j] = max(best[j], val)
         return best
 

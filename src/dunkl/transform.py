@@ -9,12 +9,15 @@ part j_k(lx) and an odd part (lx/(2k+2)) j_{k+1}(lx), so only two real
 half-grid matrices are needed per pair of grids.  They are cached by kappa
 and the two node spacings in a store bounded by bytes (see `_blocks`):
 pairs are built one at a time, a hit never waits behind a build, and the
-bound holds at every build's peak.  All public functions stay pure and
-reentrant, and all transforms reduce to BLAS matrix products, every one
-through `_product`.  An even input has an identically zero odd half, and an
-odd input a zero even half; the product of such a half is skipped, and its
-zeros are those BLAS gives (+0.0, and -0.0 once the odd product is negated),
-so the output has the bits of the full computation.
+bound holds at every build's peak.  A verify run starts each kappa unit
+with `_drop_other_kappas`, so the store then holds that kappa's pairs
+only; library calls keep every kappa's pairs under the bound.  All public
+functions stay pure and reentrant, and all transforms reduce to BLAS
+matrix products, every one through `_product`.  An even input has an
+identically zero odd half, and an odd input a zero even half; the product
+of such a half is skipped, and its zeros are those BLAS gives (+0.0, and
+-0.0 once the odd product is negated), so the output has the bits of the
+full computation.
 A square block whose two node sets differ by an exact power of two is
 exactly symmetric, so it is built from one triangle.  `_build` evaluates a
 block in equal row pieces, the jobs of the package's one thread runner
@@ -54,8 +57,9 @@ SpectralFunction = GridFunction
 
 # Bytes of the block pairs kept by `_blocks`, least recently used first
 # out.  A pair holds two N/2 x N/2 float64 blocks, 64 MiB at N = 4096, so
-# the bound holds the three pairs of one kappa of `verify` and one more; a
-# single larger pair is still kept, alone.
+# the bound holds the three pairs of one kappa of `verify` (which drops
+# every other kappa's pairs as each kappa starts) and one more; a single
+# larger pair is still kept, alone.
 _KERNEL_CACHE_BYTES = 256 << 20
 # Output values per row chunk of `inverse_rows`.
 _CHUNK_ELEMENTS = 1 << 18
@@ -185,6 +189,15 @@ def _blocks(params: DunklParams, out_grid: Grid, in_grid: Grid):
         with _cache_lock:
             _cache[key] = built
     return _leading(built, m, n)
+
+
+def _drop_other_kappas(kappa: float) -> None:
+    """Delete every stored pair whose kappa is not kappa.  `verify.run_suites`
+    calls it as each kappa unit starts: no later unit reads another kappa's
+    pairs, so they would only hold memory until the byte bound evicted them."""
+    with _cache_lock:
+        for key in [key for key in _cache if key[0] != kappa]:
+            del _cache[key]
 
 
 def _split(vals: np.ndarray):

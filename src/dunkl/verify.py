@@ -18,10 +18,12 @@ Eleven suites are bodies ``body(rec, unit)`` registered with ``_per_kappa``.
 ``run_suites`` owns the kappa loop and runs kappa-major: for each kappa of
 ``cfg.kappa_list`` it calls every requested body with that kappa's
 ``_Unit``, which holds the grids, family samples, profile stacks and maximal
-functions the bodies share, so the kernel blocks of one kappa are built once
-and the byte-bounded store (``transform._KERNEL_CACHE_BYTES``) can drop them
-before the next kappa; ``run_suite`` is its one-suite case.  A body records
-through ``rec.at(kappa)``: a view sharing the recorder's cases, name and random
+functions the bodies share.  The kernel blocks of one kappa are built once:
+each unit starts by dropping every other kappa's pairs from the kernel
+store (``transform._drop_other_kappas``), so the store holds the current
+kappa's pairs only, and a later run at the same kappa reads them again.
+``run_suite`` is its one-suite case.  A body records through
+``rec.at(kappa)``: a view sharing the recorder's cases, name and random
 streams that puts ``"kappa"`` first in every case's inputs and carries the id
 label ``ktag`` (``k0.5``, ``km0.5``).  ``kernel`` (kappa-free cases between
 per-kappa ones, a maximum over all kappas) and ``measure_lemmas`` (one
@@ -70,7 +72,7 @@ from .special import _series, bessel_normalized, dunkl_derivative, kernel_values
 from .translation import (
     _INDICATOR_BAND, TranslatedBalls, _Translates, convolve, translate, translate_indicator
 )
-from .transform import forward, inverse, plancherel_defect
+from .transform import _drop_other_kappas, forward, inverse, plancherel_defect
 
 __all__ = [
     "SuiteConfig", "Case", "VerificationReport", "check_suite", "list_suites", "run_suite", "run_suites"
@@ -416,7 +418,10 @@ class _Unit:
     samples by id (`family`) and stacked (`rows`), its profile stacks through
     the translated balls and the intervals, and its maximal function through
     the windows of either stack over default_radius_grid(g), made on first
-    use and kept, so no body evaluates a profile another has evaluated."""
+    use and kept, so no body evaluates a profile another has evaluated.
+    `run_suites` empties the kernel store of every other kappa's pairs
+    before it makes a unit, so the unit's bodies share a store of their
+    kappa's pairs alone."""
 
     def __init__(self, cfg: SuiteConfig, kappa: float):
         self.cfg, self.kappa, self.params = cfg, kappa, _params_for(kappa)
@@ -535,7 +540,10 @@ def check_suite(name: str, cfg: SuiteConfig) -> None:
 def run_suites(names, config: SuiteConfig | None = None) -> list:
     """Execute the named suites kappa-major: the whole suites first, then,
     for each kappa of the config, every per-kappa body at that kappa, so the
-    kernel blocks of one kappa are built once and can then be dropped.
+    kernel blocks of one kappa are built once.  Each kappa's unit starts by
+    dropping the other kappas' pairs from the kernel store, not ends by
+    dropping its own: a following run at the same kappa (another suite of
+    the same CLI process, say) reads them again without a rebuild.
 
     Returns one report per suite in `list_suites` order, each with its cases
     in kappa order and the seconds of all its units.  Failed inequalities
@@ -556,6 +564,7 @@ def run_suites(names, config: SuiteConfig | None = None) -> list:
         if name not in _PER_KAPPA:
             timed(name, rec, cfg)
     for kappa in cfg.kappa_list:
+        _drop_other_kappas(kappa)
         unit = _Unit(cfg, kappa)
         for name, rec in recs.items():
             if name in _PER_KAPPA:

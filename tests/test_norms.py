@@ -318,6 +318,26 @@ def test_weak_fofana_zero(setup):
     assert weak_fofana_norm(z, 8.0, 4.0, (1.0, 2.0)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "kappa, half_width, node_count, name, ps",
+    [
+        # the center weights underflow to 0.0 at the inner centers, where
+        # w**8 overflows: inf * 0 is NaN, which max() dropped, giving 0.0
+        (66.77561488195354, 64.0, 16, "bump", (-21.671237968428514, 57.691003767845345)),
+        # the products weight * w**8 overflow
+        (18.996221025315307, 64.0, 256, "indicator_ball", (40.34523641536619,)),
+    ],
+)
+def test_weak_fofana_with_an_overflowed_power_is_inf(kappa, half_width, node_count, name, ps):
+    # a power (or its weighted term) past the float range makes an inf
+    # norm, as in the strong norms, with no RuntimeWarning (an error under
+    # the test filter); the statistics themselves are finite
+    g = make_grid(DunklParams(kappa), half_width, node_count)
+    f = sample_family(name, ps, g)
+    assert weak_fofana_norm(f, 8.0, 4.0, (32.0,)) == INF
+    assert 0.0 < weak_fofana_norm(f, INF, 4.0, (32.0,)) < INF
+
+
 def test_weak_fofana_rejects_an_empty_radius_grid(setup):
     # the message of NormSpec, which rejects an empty r_grid of every other norm
     p, g = setup

@@ -11,7 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl import SuiteConfig, cli, list_suites, run_suite, run_suites, transform, verify
+from dunkl import (
+    DunklParams,
+    SuiteConfig,
+    cli,
+    list_suites,
+    make_grid,
+    run_suite,
+    run_suites,
+    sample_family,
+    transform,
+    verify,
+)
 from dunkl._windows import WindowGeometry
 from dunkl.cli import main
 from dunkl.verify import (
@@ -402,10 +413,22 @@ def test_unit_maximal_functions_have_the_bits_of_the_maximal_path(kappa):
         assert unit.maximal(balls) is unit.maximal(balls)
 
 
-def _fake_suites(monkeypatch, calls, fail_at=None, units=None):
+def _store_kappas():
+    return {key[0] for key in transform._cache}
+
+
+# The bands of the coarse grid whose kernel pairs the fake per-kappa bodies
+# read: transform the 4x band, translation the 4x and the 2x.
+_FAKE_BANDS = {"transform": (4.0,), "translation": (4.0, 2.0)}
+
+
+def _fake_suites(monkeypatch, calls, fail_at=None, units=None, stores=None):
     """Replace kernel (whole), transform and translation (per kappa) by
     bodies that log their calls (and their units, to a list units) and
-    record one case each; translation raises at kappa fail_at."""
+    record one case each; translation raises at kappa fail_at.  With a list
+    stores, each body logs (kappa, the kappas of the kernel store's pairs)
+    as it starts, then reads the pairs of its _FAKE_BANDS through
+    transform._blocks."""
 
     def whole(rec, cfg):
         calls.append(("kernel", None))
@@ -417,6 +440,10 @@ def _fake_suites(monkeypatch, calls, fail_at=None, units=None):
             calls.append((name, kappa))
             if units is not None:
                 units.append(unit)
+            if stores is not None:
+                stores.append((kappa, _store_kappas()))
+                for band in _FAKE_BANDS[name]:
+                    transform._blocks(unit.params, transform.band_grid(unit.coarse, band), unit.coarse)
             assert unit.params.kappa == kappa
             if name == "translation" and kappa == fail_at:
                 raise RuntimeError(f"unit {name} at kappa {kappa}")
@@ -471,6 +498,59 @@ def _count_builds(monkeypatch):
 
     monkeypatch.setattr(transform, "_build", counted)
     return built
+
+
+def test_each_kappa_unit_starts_with_a_store_of_its_own_kappa(monkeypatch):
+    # run_suites drops every other kappa's pairs as each unit starts: no
+    # body sees a pair of another kappa, and each pair is built once
+    calls, stores = [], []
+    _fake_suites(monkeypatch, calls, stores=stores)
+    built = _count_builds(monkeypatch)
+    cfg = SuiteConfig(kappa_list=(0.5, -0.5, 1.5), **SMALL)
+    run_suites(["transform", "translation", "kernel"], cfg)
+    assert [kappa for kappa, _ in stores] == [0.5, 0.5, -0.5, -0.5, 1.5, 1.5]
+    assert all(kappas <= {kappa} for kappa, kappas in stores)
+    assert len(built) == len(set(built)) == 2 * len(cfg.kappa_list)
+    assert _store_kappas() == {1.5}
+
+
+def test_runs_at_one_kappa_build_each_pair_once(monkeypatch):
+    # a unit drops the other kappas' pairs as it starts, not its own as it
+    # ends, so consecutive runs at one kappa (the suites of one CLI process)
+    # read the pairs of the runs before
+    calls, stores = [], []
+    _fake_suites(monkeypatch, calls, stores=stores)
+    built = _count_builds(monkeypatch)
+    cfg = SuiteConfig(kappa_list=(0.5,), **SMALL)
+    run_suites(["transform"], cfg)
+    run_suites(["translation"], cfg)
+    run_suites(["transform", "translation"], cfg)
+    assert len(built) == len(set(built)) == 2
+    assert stores[1:] == [(0.5, {0.5})] * 3
+
+
+def test_library_calls_keep_every_kappas_pairs_under_the_bound(monkeypatch):
+    # outside run_suites no kappa is dropped: the pairs of two kappas stay
+    # side by side, and the byte bound alone evicts the least recently used;
+    # a verify run then starts its unit with that kappa's pairs only
+    built = _count_builds(monkeypatch)
+    grids = {kappa: make_grid(DunklParams(kappa), 8.0, 128) for kappa in (0.5, 1.5, 2.5)}
+    pair = 16 * 64 * 64  # two 64 x 64 float64 blocks
+    monkeypatch.setattr(transform, "_KERNEL_CACHE_BYTES", 2 * pair)
+
+    def forward_at(kappa):
+        transform.forward(sample_family("gaussian", (0.5,), grids[kappa]))
+
+    for kappa in (0.5, 1.5, 0.5, 1.5):
+        forward_at(kappa)
+    assert _store_kappas() == {0.5, 1.5} and len(built) == 2
+    forward_at(2.5)
+    assert _store_kappas() == {1.5, 2.5} and len(built) == 3
+    assert sum(map(transform._pair_bytes, transform._cache.values())) <= transform._KERNEL_CACHE_BYTES
+    calls, stores = [], []
+    _fake_suites(monkeypatch, calls, stores=stores)
+    run_suites(["transform"], SuiteConfig(kappa_list=(2.5,), **SMALL))
+    assert stores == [(2.5, {2.5})]
 
 
 def test_verify_all_builds_each_block_once_under_one_kappas_store(monkeypatch, tmp_path):
