@@ -16,6 +16,8 @@ import numpy as np
 
 from .params import DunklParams
 
+__all__ = ["ball_measure", "ball_measure_origin", "interval_measure", "doubling_ratio"]
+
 
 def weight_antiderivative(params: DunklParams, t):
     """Antiderivative of c_kappa*|t|**(2*kappa+1): sign(t)*c*|t|**(2k+2)/(2k+2).

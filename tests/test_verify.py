@@ -201,6 +201,14 @@ def test_worst_ratio_skips_zero_denominators_and_equals_the_loop():
     assert type(_worst_ratio(pairs)) is np.float64
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_measure_ratio_is_inf_where_the_measure_is_zero():
+    # the one failure rule of the doubling lists: a denominator measure that
+    # underflowed to 0.0 gives inf, 0/0 included, with no RuntimeWarning
+    got = verify._measure_ratio(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 4.0]))
+    assert got.tolist() == [math.inf, math.inf, 0.5]
+
+
 def test_recorder_view_shares_cases_streams_and_leads_with_kappa():
     rec = _Recorder("s", SuiteConfig(**SMALL))
     view = rec.at(-0.5)
@@ -551,6 +559,21 @@ def test_library_calls_keep_every_kappas_pairs_under_the_bound(monkeypatch):
     _fake_suites(monkeypatch, calls, stores=stores)
     run_suites(["transform"], SuiteConfig(kappa_list=(2.5,), **SMALL))
     assert stores == [(2.5, {2.5})]
+
+
+def test_whole_suites_alone_make_no_unit_and_keep_the_callers_store(monkeypatch):
+    # with no per-kappa suite requested there is no body to share a unit:
+    # run_suites makes none and drops no pair of the caller's kernel store
+    built = _count_builds(monkeypatch)
+    transform.forward(sample_family("gaussian", (0.5,), make_grid(DunklParams(3.0), 8.0, 128)))
+    assert _store_kappas() == {3.0}
+
+    def no_unit(cfg, kappa):
+        raise AssertionError(f"a kappa unit at kappa {kappa}")
+
+    monkeypatch.setattr(verify, "_Unit", no_unit)
+    run_suite("kernel", SuiteConfig(kappa_list=(0.5,), **SMALL))
+    assert _store_kappas() == {3.0} and len(built) == 1
 
 
 def test_verify_all_builds_each_block_once_under_one_kappas_store(monkeypatch, tmp_path):
